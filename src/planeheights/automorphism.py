@@ -8,6 +8,16 @@ inversion and conjugation of already-verified automorphisms inherit exactness
 -- polynomial composition is associative, so g_inv(f_inv(f_fwd(g_fwd)))
 collapses to the identity without re-expansion -- and skip the quadratic-cost
 re-check; the test suite exercises the identity on composites directly.
+
+Points are iterated by an integer projective kernel.  Each direction of a map
+is compiled once, on first use, into integer homogeneous forms
+(`IntegerForms`): the degree-d homogenisations F, G of its two components,
+with denominators cleared by their lcm m.  A point travels as its primitive
+integer triple (X : Y : Z), Z > 0, and one step is the pure-integer
+evaluation of (F, G, m Z^d) followed by a single gcd (skipped when Z = m = 1,
+so integral maps iterate integral points with no gcd at all).  The naive
+height is read straight off the triple, and `apply`/`apply_inverse` are the
+same step wrapped in a lift from and a return to `Fraction` coordinates.
 """
 
 from __future__ import annotations
@@ -16,13 +26,79 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Optional, Tuple
 
 from .errors import MapValidationError, PolyParseError
-from .ratpoly import BivarPoly, parse_rat
+from .heights import ProjPoint, affine, lift
+from .ratpoly import BivarPoly, parse_rat, powers
 
 _X = BivarPoly.var("x")
 _Y = BivarPoly.var("y")
+
+# Coordinates above this many decimal digits are refused (ResourceCapError);
+# the test is on the bit length of a triple's largest coordinate.
+DEFAULT_DIGIT_CAP = 2_000_000
+_BITS_PER_DIGIT = math.log2(10)
+
+
+def cap_bits(digits: int) -> int:
+    """The bit length above which an integer has more than `digits` digits
+    (up to the rounding of log2 10)."""
+    return int(digits * _BITS_PER_DIGIT)
+
+
+class IntegerForms:
+    """One direction (P, Q) of a map as integer homogeneous forms.
+
+    With d = max(deg P, deg Q) and m the lcm of all coefficient denominators,
+    F = m Z^d P(X/Z, Y/Z) and G = m Z^d Q(X/Z, Y/Z) have integer
+    coefficients, and the map on triples is (X : Y : Z) |-> (F : G : m Z^d).
+    `f` and `g` list (monomial index, integer coefficient) pairs over the
+    shared monomials X^i Y^j Z^(d-i-j).
+    """
+
+    __slots__ = ("degree", "m", "monomials", "f", "g", "_max_i", "_max_j")
+
+    def __init__(self, components: Tuple[BivarPoly, BivarPoly]):
+        self.degree = d = max(poly.total_degree() for poly in components)
+        m = 1
+        for poly in components:
+            for c in poly.terms.values():
+                m = m * c.denominator // math.gcd(m, c.denominator)
+        self.m = m
+        keys = sorted({key for poly in components for key in poly.terms})
+        self.monomials = tuple((i, j, d - i - j) for i, j in keys)
+        index = {key: n for n, key in enumerate(keys)}
+        self.f, self.g = (
+            tuple((index[key], int(c * m)) for key, c in poly.terms.items())
+            for poly in components
+        )
+        self._max_i = max(i for i, _ in keys)
+        self._max_j = max(j for _, j in keys)
+
+    def step(self, point: ProjPoint) -> ProjPoint:
+        """The primitive triple, Z > 0, of the image of a primitive triple
+        with Z > 0."""
+        x, y, z = point
+        xp = powers(x, self._max_i)
+        yp = powers(y, self._max_j)
+        if z == 1:
+            mono = [xp[i] * yp[j] for i, j, _ in self.monomials]
+            h = self.m
+        else:
+            zp = powers(z, self.degree)
+            mono = [xp[i] * yp[j] * zp[k] for i, j, k in self.monomials]
+            h = self.m * zp[-1]
+        f = sum(c * mono[n] for n, c in self.f)
+        g = sum(c * mono[n] for n, c in self.g)
+        # A prime divides m Z^d exactly when it divides m Z, so the triple is
+        # already primitive when gcd(m Z, F, G) = 1: a gcd against m Z, about
+        # 1/d the size of m Z^d, settles the common case.
+        if h != 1 and math.gcd(self.m * z, f, g) != 1:
+            common = math.gcd(h, f, g)
+            f, g, h = f // common, g // common, h // common
+        return (f, g, h)
 
 
 @dataclass(frozen=True)
@@ -39,13 +115,29 @@ class PlaneAutomorphism:
     def inverse_degree(self) -> int:
         return max(p.total_degree() for p in self.inv)
 
+    @cached_property
+    def _fwd_forms(self) -> IntegerForms:
+        return IntegerForms(self.fwd)
+
+    @cached_property
+    def _inv_forms(self) -> IntegerForms:
+        return IntegerForms(self.inv)
+
+    def forms(self, forward: bool = True) -> IntegerForms:
+        """The integer kernel of one direction, compiled on first use."""
+        return self._fwd_forms if forward else self._inv_forms
+
+    @property
+    def is_integral(self) -> bool:
+        """All forward and inverse coefficients are integers, so integer
+        points stay integral in both time directions."""
+        return self.forms(True).m == 1 and self.forms(False).m == 1
+
     def apply(self, point):
-        x, y = point
-        return (self.fwd[0].evaluate(x, y), self.fwd[1].evaluate(x, y))
+        return affine(self.forms(True).step(lift(point)))
 
     def apply_inverse(self, point):
-        x, y = point
-        return (self.inv[0].evaluate(x, y), self.inv[1].evaluate(x, y))
+        return affine(self.forms(False).step(lift(point)))
 
     def is_identity(self) -> bool:
         return self.fwd == (_X, _Y)

@@ -17,6 +17,13 @@ so it is an input here, not a guess.
 
 A conjugator gamma turns the engine into the canonical height of the outer
 map f = gamma o g o gamma^-1 via evaluation at gamma^-1(x).
+
+Orbits are walked on the integer projective kernel of
+:mod:`planeheights.automorphism`: the start is lifted once to its primitive
+triple (X : Y : Z), every step is an integer evaluation plus one gcd, and
+h_nv = log max(|X|, |Y|, Z) is read off the triple, so no `Fraction` is
+built inside a walk.  The digit cap is tested on the triple's largest
+coordinate.
 """
 
 from __future__ import annotations
@@ -29,19 +36,18 @@ from typing import List, Optional, Tuple
 from mpmath import mp
 
 from .automorphism import (
+    DEFAULT_DIGIT_CAP,
     PlaneAutomorphism,
+    cap_bits,
     compose_maps,
     dynamical_degree,
     inverse,
 )
 from .errors import MapValidationError, ResourceCapError
-from .heights import AffinePoint, naive_height_affine
+from .heights import AffinePoint, lift, log_int, naive_height, naive_height_affine
 from .heights import growth_constant as _growth_constant
 
-_BITS_PER_DIGIT = math.log2(10)
-
 DEFAULT_DEPTH = 12
-DEFAULT_DIGIT_CAP = 2_000_000
 
 
 @dataclass(frozen=True)
@@ -146,25 +152,33 @@ class HeightEstimate:
         return self.value + self.tail
 
 
-def _check_cap(point: AffinePoint, cap_bits: int, step: int, direction: str):
-    for coord in point:
-        if coord.numerator.bit_length() > cap_bits or coord.denominator.bit_length() > cap_bits:
-            raise ResourceCapError(
-                f"coordinate exceeded the digit cap at iterate {direction}{step}"
-            )
+def _top(point) -> int:
+    """max(|X|, |Y|, Z) of a triple with Z > 0: h_nv is its log."""
+    return max(abs(point[0]), abs(point[1]), point[2])
+
+
+def _capped_height(point, limit: int, step: int, direction: str) -> float:
+    """h_nv of a triple, refusing it when its largest coordinate has more
+    than `limit` bits."""
+    top = _top(point)
+    if top.bit_length() > limit:
+        raise ResourceCapError(
+            f"coordinate exceeded the digit cap at iterate {direction}{step}"
+        )
+    return log_int(top)
 
 
 def _orbit_heights(engine: HeightEngine, x: AffinePoint, steps: int, forward: bool) -> List[float]:
-    """[h_nv(g^0 x), ..., h_nv(g^(+/-steps) x)] with the digit-cap guard."""
-    cap_bits = int(engine.digit_cap * _BITS_PER_DIGIT)
-    apply = engine.g.apply if forward else engine.g.apply_inverse
+    """[h_nv(g^0 x), ..., h_nv(g^(+/-steps) x)] along the integer kernel, with
+    the digit cap on each iterate's largest triple coordinate."""
+    limit = cap_bits(engine.digit_cap)
+    step_fn = engine.g.forms(forward).step
     tag = "+" if forward else "-"
-    pt = (Fraction(x[0]), Fraction(x[1]))
-    hs = [naive_height_affine(pt)]
+    pt = lift(x)
+    hs = [naive_height(pt)]
     for step in range(1, steps + 1):
-        pt = apply(pt)
-        _check_cap(pt, cap_bits, step, tag)
-        hs.append(naive_height_affine(pt))
+        pt = step_fn(pt)
+        hs.append(_capped_height(pt, limit, step, tag))
     return hs
 
 
@@ -267,18 +281,19 @@ def is_periodic(
     canonical-height estimate must exceed its error budget.  Anything else is
     reported as undecided, never as a wrong answer.
     """
-    x = (Fraction(x[0]), Fraction(x[1]))
-    cap_bits = int(digit_cap * _BITS_PER_DIGIT)
+    start = lift(x)
+    limit = cap_bits(digit_cap)
     delta = dynamical_degree(f)
     growth_ready = delta >= 2
     if growth_ready:
         c2f = _growth_constant(f, "fwd")
         c2i = _growth_constant(f, "inv")
-        h0 = naive_height_affine(x)
+        h0 = naive_height(start)
         threshold_fwd = h0 + c2f / (delta - 1) + 1
         threshold_bwd = h0 + c2i / (delta - 1) + 1
 
-    fwd_pt, bwd_pt = x, x
+    fwd_step, bwd_step = f.forms(True).step, f.forms(False).step
+    fwd_pt, bwd_pt = start, start
     fwd_run = bwd_run = 0
     fwd_last = bwd_last = -math.inf
     fwd_live = bwd_live = True
@@ -286,29 +301,28 @@ def is_periodic(
     for step in range(1, max_iter + 1):
         # cycle detection keeps running after the growth runs complete: a
         # periodic orbit may ride a height excursion before closing, and its
-        # bounded coordinates make the extra iteration cheap.
+        # bounded coordinates make the extra iteration cheap.  Primitive
+        # triples with Z > 0 are unique, so equal points are equal triples.
         if fwd_live:
-            fwd_pt = f.apply(fwd_pt)
-            if fwd_pt == x:
+            fwd_pt = fwd_step(fwd_pt)
+            if fwd_pt == start:
                 return PeriodicityVerdict("periodic", period=step)
-            try:
-                _check_cap(fwd_pt, cap_bits, step, "+")
-            except ResourceCapError:
+            top = _top(fwd_pt)
+            if top.bit_length() > limit:
                 fwd_live = False
             if growth_ready:
-                h = naive_height_affine(fwd_pt)
+                h = log_int(top)
                 fwd_run = fwd_run + 1 if (h > threshold_fwd and h > fwd_last) else 0
                 fwd_last = h
         if bwd_live:
-            bwd_pt = f.apply_inverse(bwd_pt)
-            if bwd_pt == x:
+            bwd_pt = bwd_step(bwd_pt)
+            if bwd_pt == start:
                 return PeriodicityVerdict("periodic", period=step)
-            try:
-                _check_cap(bwd_pt, cap_bits, step, "-")
-            except ResourceCapError:
+            top = _top(bwd_pt)
+            if top.bit_length() > limit:
                 bwd_live = False
             if growth_ready:
-                h = naive_height_affine(bwd_pt)
+                h = log_int(top)
                 bwd_run = bwd_run + 1 if (h > threshold_bwd and h > bwd_last) else 0
                 bwd_last = h
         if (growth_ready and not height_check_done

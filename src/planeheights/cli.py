@@ -17,10 +17,10 @@ import io
 import json
 import math
 import sys
-from fractions import Fraction
 
 from . import orbit as orbit_mod
 from .automorphism import (
+    DEFAULT_DIGIT_CAP,
     dynamical_degree,
     degree_sequence,
     from_description,
@@ -45,7 +45,7 @@ from .errors import (
     ResourceCapError,
     UndecidedPeriodicityError,
 )
-from .heights import naive_height_affine, normalize, parse_affine_point, read_point_file
+from .heights import lift, naive_height_affine, parse_affine_point, read_point_file
 from .picard import (
     basis_labels,
     closed_form_excess,
@@ -53,7 +53,7 @@ from .picard import (
     effective_excess,
     solve_pullbacks,
 )
-from .ratpoly import format_rat
+from .ratpoly import format_int, format_rat
 
 EXIT_OK = 0
 EXIT_FALSE = 1
@@ -66,10 +66,6 @@ def _fmt(x: float) -> str:
     if x == float("-inf"):
         return "-inf"
     return f"{x:.12g}"
-
-
-def _rat(q: Fraction) -> str:
-    return format_rat(q)
 
 
 def _estimate_dict(est: HeightEstimate) -> dict:
@@ -131,12 +127,10 @@ def cmd_height(args) -> int:
     points = _gather_points(args)
     entries = []
     for pt in points:
-        lift = normalize((pt[0], pt[1], Fraction(1)))
-        max_abs = max(abs(c) for c in lift)
         entries.append({
-            "x": _rat(pt[0]),
-            "y": _rat(pt[1]),
-            "max_abs": str(max_abs),
+            "x": format_rat(pt[0]),
+            "y": format_rat(pt[1]),
+            "max_abs": format_int(max(abs(c) for c in lift(pt))),
             "h_nv": naive_height_affine(pt),
         })
     if args.format == "json":
@@ -194,8 +188,8 @@ def _canheight_entry(task):
     hc = hcanonical(engine, pt)
     res = functional_equation_residual(engine, pt)
     return {
-        "x": _rat(pt[0]),
-        "y": _rat(pt[1]),
+        "x": format_rat(pt[0]),
+        "y": format_rat(pt[1]),
         "hplus": _estimate_dict(hp),
         "hminus": _estimate_dict(hm),
         "hcanonical": _estimate_dict(hc),
@@ -299,7 +293,8 @@ def cmd_orbit(args) -> int:
     counting = _maybe_parallel(args, _counting_row,
                                [(engine, pt, t, args.patience) for t in thresholds])
     scan = [
-        {"l": s.l, "x": _rat(s.point[0]), "y": _rat(s.point[1]), "h_nv": s.h_nv, "hhat": s.h_hat}
+        {"l": s.l, "x": format_rat(s.point[0]), "y": format_rat(s.point[1]),
+         "h_nv": s.h_nv, "hhat": s.h_hat}
         for s in record.samples
     ]
     payload = {
@@ -391,7 +386,8 @@ def cmd_picard(args) -> int:
             "command": "picard",
             "d": d,
             "classes": {
-                name: [{"label": lab, "coefficient": _rat(c)} for lab, c in zip(labels, cls.coeffs)]
+                name: [{"label": lab, "coefficient": format_rat(c)}
+                       for lab, c in zip(labels, cls.coeffs)]
                 for name, cls in (("pi", pi), ("phi", phi), ("psi", psi), ("D", excess))
             },
             "checks": checks,
@@ -399,7 +395,8 @@ def cmd_picard(args) -> int:
         _print_json(payload)
     elif args.format == "csv":
         rows = [
-            (lab, _rat(pi.coeffs[i]), _rat(phi.coeffs[i]), _rat(psi.coeffs[i]), _rat(excess.coeffs[i]))
+            (lab, format_rat(pi.coeffs[i]), format_rat(phi.coeffs[i]),
+             format_rat(psi.coeffs[i]), format_rat(excess.coeffs[i]))
             for i, lab in enumerate(labels)
         ]
         _print_csv(rows, ("label", "pi", "phi", "psi", "D"))
@@ -408,8 +405,8 @@ def cmd_picard(args) -> int:
         width = max(len(lab) for lab in labels)
         print(f"{'label':<{width}}  {'pi':>8} {'phi':>8} {'psi':>8} {'D':>8}")
         for i, lab in enumerate(labels):
-            print(f"{lab:<{width}}  {_rat(pi.coeffs[i]):>8} {_rat(phi.coeffs[i]):>8} "
-                  f"{_rat(psi.coeffs[i]):>8} {_rat(excess.coeffs[i]):>8}")
+            print(f"{lab:<{width}}  {format_rat(pi.coeffs[i]):>8} {format_rat(phi.coeffs[i]):>8} "
+                  f"{format_rat(psi.coeffs[i]):>8} {format_rat(excess.coeffs[i]):>8}")
         for name, ok in checks.items():
             print(f"check {name}: {str(ok).lower()}")
     return EXIT_OK
@@ -476,7 +473,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-iter", dest="max_iter", type=_positive_int(1, "max-iter"), default=200)
     p.add_argument("--patience", type=_positive_int(1, "patience"), default=5)
     p.add_argument("--digit-cap", dest="digit_cap", type=_positive_int(10_000, "digit-cap"),
-                   default=2_000_000)
+                   default=DEFAULT_DIGIT_CAP)
     p.set_defaults(func=cmd_periodic)
 
     p = sub.add_parser("picard", help="pullback classes and excess divisor tables")
@@ -491,7 +488,7 @@ def _add_engine_flags(parser):
     parser.add_argument("--depth", type=_positive_int(2, "depth"), default=12)
     parser.add_argument("--patience", type=_positive_int(1, "patience"), default=5)
     parser.add_argument("--digit-cap", dest="digit_cap", type=_positive_int(10_000, "digit-cap"),
-                        default=2_000_000)
+                        default=DEFAULT_DIGIT_CAP)
     parser.add_argument("--c-lower", dest="c_lower", type=float, default=None,
                         help="constant c of the regular-map height inequality (enables rigorous lower bounds)")
 

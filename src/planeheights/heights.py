@@ -3,9 +3,12 @@
 Over the rationals the place sum for the naive height collapses to
 ``log max|x_i|`` on a primitive integer lift, so all exactness-critical work
 (normalization, iteration) stays in integers; only the final logarithm is a
-float.  Logs of big integers go through mantissa/exponent extraction, so the
-returned doubles are accurate to a few ulps -- every inequality that touches
-them elsewhere is padded by 2**-40.
+float.  An affine point (x, y) is carried as its primitive lift (X, Y, Z)
+with Z > 0 (`lift`), which is what the integer kernel of
+:mod:`planeheights.automorphism` iterates; `naive_height` reads the height
+straight off such a triple.  Logs of big integers go through
+mantissa/exponent extraction, so the returned doubles are accurate to a few
+ulps -- every inequality that touches them elsewhere is padded by 2**-40.
 
 The number-field backend is deliberately stubbed behind ``naive_height``:
 points are rational here, and the seam is the single place a places/embeddings
@@ -73,35 +76,39 @@ def naive_height(point: ProjPoint) -> float:
     return log_int(max(abs(c) for c in point))
 
 
+def lift(pt: AffinePoint) -> ProjPoint:
+    """The primitive integer triple (X, Y, Z), Z > 0, of the affine point
+    (X/Z, Y/Z).  Z is the lcm of the two reduced denominators, which already
+    makes the triple primitive."""
+    x, y = Fraction(pt[0]), Fraction(pt[1])
+    bx, by = x.denominator, y.denominator
+    z = bx * by // math.gcd(bx, by)
+    return (x.numerator * (z // bx), y.numerator * (z // by), z)
+
+
+def affine(point: ProjPoint) -> AffinePoint:
+    """The affine point (X/Z, Y/Z) of a triple with Z != 0."""
+    x, y, z = point
+    return (Fraction(x, z), Fraction(y, z))
+
+
 def naive_height_affine(pt: AffinePoint) -> float:
-    x, y = pt
-    return naive_height(normalize((Fraction(x), Fraction(y), Fraction(1))))
+    return naive_height(lift(pt))
 
 
 def growth_constant(automorphism, direction: str = "fwd") -> float:
     """The explicit constant c2 with h(f(x)) <= d*h(x) + c2 for rational points.
 
-    C is the max, over the three integer forms obtained by clearing the common
-    denominator m from the degree-d homogenizations of the two components plus
-    m*Z^d, of the sum of absolute values of coefficients; c2 = log C.  The
-    bound follows from the triangle inequality on a primitive lift, since gcd
-    removal only lowers the height.
+    C is the max, over the three integer forms of the compiled direction
+    (the degree-d homogenizations of the two components with the common
+    denominator m cleared, plus m*Z^d), of the sum of absolute values of
+    coefficients; c2 = log C.  The bound follows from the triangle inequality
+    on a primitive lift, since gcd removal only lowers the height.
     """
-    if direction == "fwd":
-        components = automorphism.fwd
-    elif direction == "inv":
-        components = automorphism.inv
-    else:
+    if direction not in ("fwd", "inv"):
         raise ValueError("direction must be 'fwd' or 'inv'")
-    d = max(p.total_degree() for p in components)
-    m = 1
-    for poly in components:
-        for c in poly.terms.values():
-            m = m * c.denominator // math.gcd(m, c.denominator)
-    sums = [abs(m)]  # the form m * Z^d
-    for poly in components:
-        sums.append(sum(abs(int(c * m)) for c in poly.terms.values()))
-    c_max = max(sums)
+    forms = automorphism.forms(direction == "fwd")
+    c_max = max(forms.m, *(sum(abs(c) for _, c in form) for form in (forms.f, forms.g)))
     return log_int(c_max) if c_max > 1 else 0.0
 
 

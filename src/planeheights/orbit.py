@@ -4,27 +4,28 @@ enclosures.
 Counting runs need naive heights of iterates far past the point where exact
 coordinates stop being storable (a threshold T = e^21 pulls in iterates whose
 coordinates would have ~10^8 digits).  The orbit tracker therefore works in
-two phases: exact rational iteration while coordinates stay below a size
-threshold, then a certified switch to outward-rounded interval arithmetic on
-the coordinates themselves (mpmath intervals carry bignum exponents, so
-e^(10^9)-sized values are fine).  The switch is only taken when the map
-provably preserves integer points in both directions (all forward and inverse
-coefficients integral, integral start), which keeps h = log max(|X|, |Y|, 1)
-the exact naive height; otherwise exceeding the cap raises the resource
-error.  Interval widths stay certified, so a count is exact unless an
-enclosure straddles the threshold, which the scan reports instead of hiding.
+two phases: exact iteration on the integer projective kernel (primitive
+triples (X : Y : Z), see :mod:`planeheights.automorphism`) while the
+triple's largest coordinate stays below a size threshold, then a certified
+switch to outward-rounded interval arithmetic on the coordinates themselves
+(mpmath intervals carry bignum exponents, so e^(10^9)-sized values are
+fine).  The switch is only taken when the map provably preserves integer
+points in both directions (all forward and inverse coefficients integral,
+integral start), which keeps h = log max(|X|, |Y|, 1) the exact naive
+height; otherwise exceeding the cap raises the resource error.  Interval
+widths stay certified, so a count is exact unless an enclosure straddles the
+threshold, which the scan reports instead of hiding.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
 from mpmath.ctx_iv import MPIntervalContext
 
-from .automorphism import PlaneAutomorphism
+from .automorphism import DEFAULT_DIGIT_CAP, PlaneAutomorphism, cap_bits
 from .canonical import HeightEngine, hcanonical, is_periodic
 from .errors import (
     OutOfRangeError,
@@ -32,22 +33,12 @@ from .errors import (
     ResourceCapError,
     UndecidedPeriodicityError,
 )
-from .heights import AffinePoint, naive_height_affine
-
-_BITS_PER_DIGIT = math.log2(10)
+from .heights import AffinePoint, affine, lift, naive_height
 
 NEG_INFINITY = float("-inf")  # distinguished 'finite orbit' value, never used in arithmetic
 
 DEFAULT_PATIENCE = 5
 DEFAULT_EXACT_DIGITS = 20_000
-
-
-def _is_integral(auto: PlaneAutomorphism) -> bool:
-    return all(
-        c.denominator == 1
-        for poly in (*auto.fwd, *auto.inv)
-        for c in poly.terms.values()
-    )
 
 
 class OrbitHeightTracker:
@@ -59,16 +50,16 @@ class OrbitHeightTracker:
         auto: PlaneAutomorphism,
         x: AffinePoint,
         exact_digits: int = DEFAULT_EXACT_DIGITS,
-        digit_cap: int = 2_000_000,
+        digit_cap: int = DEFAULT_DIGIT_CAP,
         precision_bits: int = 192,
     ):
         self._auto = auto
-        self._exact_bits = int(exact_digits * _BITS_PER_DIGIT)
-        self._cap_bits = int(digit_cap * _BITS_PER_DIGIT)
+        self._exact_bits = cap_bits(exact_digits)
+        self._cap_bits = cap_bits(digit_cap)
         self._ctx = MPIntervalContext()
         self._ctx.prec = precision_bits
-        start = (Fraction(x[0]), Fraction(x[1]))
-        self._certified = _is_integral(auto) and all(c.denominator == 1 for c in start)
+        start = lift(x)
+        self._certified = auto.is_integral and start[2] == 1
         state0 = ("exact", start)
         self._fwd = [state0]
         self._bwd = [state0]
@@ -78,11 +69,9 @@ class OrbitHeightTracker:
 
     def _step(self, state, forward: bool):
         kind, pt = state
-        polys = self._auto.fwd if forward else self._auto.inv
         if kind == "exact":
-            nxt = (polys[0].evaluate(*pt), polys[1].evaluate(*pt))
-            bits = max(c.numerator.bit_length() for c in nxt)
-            bits = max(bits, max(c.denominator.bit_length() for c in nxt))
+            nxt = self._auto.forms(forward).step(pt)
+            bits = max(abs(nxt[0]), abs(nxt[1]), nxt[2]).bit_length()
             if bits <= self._exact_bits:
                 return ("exact", nxt)
             if not self._certified:
@@ -92,8 +81,9 @@ class OrbitHeightTracker:
                         "certified integral, so interval tracking cannot take over"
                     )
                 return ("exact", nxt)
-            return ("iv", (self._ctx.mpf(int(nxt[0])), self._ctx.mpf(int(nxt[1]))))
-        return ("iv", self._eval_interval(polys, pt))
+            # certified: Z == 1, so X and Y are the coordinates themselves
+            return ("iv", (self._ctx.mpf(nxt[0]), self._ctx.mpf(nxt[1])))
+        return ("iv", self._eval_interval(self._auto.fwd if forward else self._auto.inv, pt))
 
     def _eval_interval(self, polys, pt):
         ctx = self._ctx
@@ -127,7 +117,7 @@ class OrbitHeightTracker:
         kind, pt = self._state(l)
         if kind != "exact":
             raise ResourceCapError(f"iterate {l} is no longer held exactly")
-        return pt
+        return affine(pt)
 
     # -- heights ---------------------------------------------------------------
 
@@ -138,7 +128,7 @@ class OrbitHeightTracker:
             return cached
         kind, pt = self._state(l)
         if kind == "exact":
-            h = naive_height_affine(pt)
+            h = naive_height(pt)
             pad = 2.0**-40 * max(1.0, abs(h))
             bounds = (h - pad, h + pad)
         else:
@@ -306,7 +296,7 @@ def _count_below_detail(f, x, threshold, which, engine, patience, exact_digits, 
         raise ValueError("canonical-height counts need a HeightEngine")
     outer = engine.outer if engine is not None else f
     if digit_cap is None:
-        digit_cap = engine.digit_cap if engine is not None else 2_000_000
+        digit_cap = engine.digit_cap if engine is not None else DEFAULT_DIGIT_CAP
     _require_infinite_orbit(outer, x, max_iter, digit_cap)
 
     if which == "naive":
@@ -467,17 +457,17 @@ def build_orbit_record(engine: HeightEngine, x: AffinePoint, window: int) -> Orb
     with naive heights and the scaling-law canonical heights."""
     h_plus, h_minus = hpm_from_h(engine, x)
     oh = orbit_height(engine, x)
-    f = engine.outer
-    pts = {0: (Fraction(x[0]), Fraction(x[1]))}
+    fwd, bwd = engine.outer.forms(True), engine.outer.forms(False)
+    triples = {0: lift(x)}
     for l in range(1, window + 1):
-        pts[l] = f.apply(pts[l - 1])
-        pts[-l] = f.apply_inverse(pts[-(l - 1)])
+        triples[l] = fwd.step(triples[l - 1])
+        triples[-l] = bwd.step(triples[-(l - 1)])
     samples = []
     for l in range(-window, window + 1):
         h_hat = engine.delta**l * h_plus + float(engine.delta_minus) ** (-l) * h_minus
-        samples.append(OrbitSample(l, pts[l], naive_height_affine(pts[l]), h_hat))
+        samples.append(OrbitSample(l, affine(triples[l]), naive_height(triples[l]), h_hat))
     return OrbitRecord(
-        base=pts[0],
+        base=samples[window].point,
         samples=tuple(samples),
         hplus0=h_plus,
         hminus0=h_minus,

@@ -1,13 +1,16 @@
 """CLI surface: formats, exit codes, schema validity, determinism."""
 
 import json
+import os
 import subprocess
 import sys
 
 import jsonschema
 import pytest
 
+import planeheights
 from planeheights.cli import main
+from planeheights.ratpoly import format_int
 from planeheights.schemas import SCHEMAS
 
 HENON2 = {"type": "henon", "a": "1", "p": "x^2"}
@@ -124,6 +127,36 @@ def test_orbit_csv_sections(capsys, maps):
     assert counting.splitlines()[0] == "T,count,predicted,lower,upper"
 
 
+@pytest.mark.parametrize("fmt", ["json", "csv", "text"])
+def test_orbit_window_14_writes_big_coordinates(capsys, maps, fmt):
+    # iterates +-14 of (3, 0) under x^2 - y have about 7.7k digits, above
+    # the interpreter's 4300-digit limit on int-to-str conversion
+    code, out, err = run_cli(capsys, [
+        "orbit", "--map", maps["henon2"], "--point", "3,0", "--window", "14", "--format", fmt,
+    ])
+    assert code == 0, err
+    if fmt == "json":
+        payload = json.loads(out)
+        jsonschema.validate(payload, SCHEMAS["orbit"])
+        x, y = 3, 0
+        for _ in range(14):
+            x, y = x * x - y, x
+        assert payload["scan"][-1]["x"] == format_int(x)
+        assert len(payload["scan"][-1]["x"]) > 7000
+
+
+def test_height_of_point_with_huge_lift(capsys):
+    # each denominator is within the parse limit, their lcm is not
+    den_x, den_y = 10**4000 + 1, 10**4000 + 3
+    code, out, err = run_cli(capsys, [
+        "height", "--point", f"1/{den_x},1/{den_y}", "--format", "json",
+    ])
+    assert code == 0, err
+    payload = json.loads(out)
+    jsonschema.validate(payload, SCHEMAS["height"])
+    assert payload["points"][0]["max_abs"] == format_int(den_x * den_y)
+
+
 def test_orbit_periodic_point_rejected(capsys, maps):
     code, _, err = run_cli(capsys, ["orbit", "--map", maps["henon2"], "--point", "0,0"])
     assert code == 2
@@ -227,9 +260,12 @@ def test_parallel_orbit_matches_sequential(capsys, maps):
 
 
 def test_console_entry_point(maps):
+    # the child imports the package from wherever this process found it
+    src = os.path.dirname(os.path.dirname(planeheights.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "planeheights.cli", "height", "--point", "3,0"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert "log 3" in proc.stdout

@@ -1,12 +1,13 @@
 """Exact polynomial substrate: parsing, ring laws, composition, evaluation."""
 
 import random
+import sys
 from fractions import Fraction
 
 import pytest
 
 from planeheights.errors import DegreeUndefinedError, PolyParseError
-from planeheights.ratpoly import BivarPoly, format_rat, parse_poly, parse_rat
+from planeheights.ratpoly import BivarPoly, format_int, format_rat, parse_poly, parse_rat
 
 X = BivarPoly.var("x")
 Y = BivarPoly.var("y")
@@ -153,3 +154,18 @@ def test_rat_helpers():
     assert format_rat(Fraction(-7)) == "-7"
     with pytest.raises(PolyParseError):
         parse_rat("3//2")
+
+
+def test_format_int_is_exact_past_the_str_limit():
+    rng = random.Random(7)
+    values = [0, 1, -1, 2**1024, -(2**1025) + 1, 3**20000, -(7**9001)]
+    values += [rng.getrandbits(rng.randint(1, 40_000)) * rng.choice((1, -1)) for _ in range(30)]
+    old_limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        expected = [str(v) for v in values]
+    finally:
+        sys.set_int_max_str_digits(old_limit)
+    assert [format_int(v) for v in values] == expected
+    big = Fraction(3**20000, 2**20000)
+    assert format_rat(big) == f"{expected[5]}/{format_int(2**20000)}"
