@@ -18,6 +18,21 @@ evaluation of (F, G, m Z^d) followed by a single gcd (skipped when Z = m = 1,
 so integral maps iterate integral points with no gcd at all).  The naive
 height is read straight off the triple, and `apply`/`apply_inverse` are the
 same step wrapped in a lift from and a return to `Fraction` coordinates.
+
+Every walk reads one `Orbit`: the exact two-sided orbit of a start, as a list
+of primitive triples per time direction, extended lazily.  It holds the only
+exact iteration loop of the package.  A map keeps one orbit, the one of the
+start it was last queried at (`PlaneAutomorphism.orbit`); a query from
+another start replaces it.  Heights, the functional equation, periodicity, the counting
+tracker and the orbit record all read the same orbit at shifted indices, so
+one slot serves every query about one point.  The slot is deliberately one:
+a larger cache would mostly keep orbits that nothing reads again (at up to
+the digit cap per iterate), and a caller that repeats a whole batch of
+queries would be served from it and measure lookups rather than work.
+
+Map invariants are computed once per map object: the integer forms of each
+direction (with the growth constant c2 of that direction) and the dynamical
+degree are cached on the map on first use.
 """
 
 from __future__ import annotations
@@ -30,7 +45,7 @@ from functools import cached_property
 from typing import Optional, Tuple
 
 from .errors import MapValidationError, PolyParseError
-from .heights import ProjPoint, affine, lift
+from .heights import ProjPoint, affine, lift, log_int
 from .ratpoly import BivarPoly, parse_rat, powers
 
 _X = BivarPoly.var("x")
@@ -56,9 +71,14 @@ class IntegerForms:
     coefficients, and the map on triples is (X : Y : Z) |-> (F : G : m Z^d).
     `f` and `g` list (monomial index, integer coefficient) pairs over the
     shared monomials X^i Y^j Z^(d-i-j).
+
+    `c2` is the growth constant of the direction, h(step x) <= d h(x) + c2:
+    log C, where C is the largest coefficient sum of absolute values of the
+    three forms F, G and m Z^d (the triangle inequality on a primitive lift;
+    the gcd removal only lowers the height).
     """
 
-    __slots__ = ("degree", "m", "monomials", "f", "g", "_max_i", "_max_j")
+    __slots__ = ("degree", "m", "monomials", "f", "g", "c2", "_max_i", "_max_j")
 
     def __init__(self, components: Tuple[BivarPoly, BivarPoly]):
         self.degree = d = max(poly.total_degree() for poly in components)
@@ -74,6 +94,8 @@ class IntegerForms:
             tuple((index[key], int(c * m)) for key, c in poly.terms.items())
             for poly in components
         )
+        c_max = max(m, *(sum(abs(c) for _, c in form) for form in (self.f, self.g)))
+        self.c2 = log_int(c_max) if c_max > 1 else 0.0
         self._max_i = max(i for i, _ in keys)
         self._max_j = max(j for _, j in keys)
 
@@ -101,9 +123,41 @@ class IntegerForms:
         return (f, g, h)
 
 
+class Orbit:
+    """The exact two-sided orbit {g^l(x) : l in Z} of one start under a map,
+    as primitive triples (X : Y : Z), Z > 0, extended lazily in either
+    direction.  `orbit[l]` is the triple of g^l(x); reading it computes every
+    iterate between the furthest one held and l, so a reader that applies a
+    size cap reads the iterates in order and stops at the first one refused.
+    Reads are not locked: threads that share a map need the caller's lock.
+    """
+
+    __slots__ = ("start", "_forms", "_chains")
+
+    def __init__(self, fwd: IntegerForms, inv: IntegerForms, start: ProjPoint):
+        self.start = start
+        self._forms = (inv, fwd)  # indexed by l >= 0
+        self._chains = ([start], [start])
+
+    def __getitem__(self, l: int) -> ProjPoint:
+        forward = l >= 0
+        chain = self._chains[forward]
+        k = l if forward else -l
+        if k >= len(chain):
+            step = self._forms[forward].step
+            while len(chain) <= k:
+                chain.append(step(chain[-1]))
+        return chain[k]
+
+
 @dataclass(frozen=True)
 class PlaneAutomorphism:
-    """Forward/inverse polynomial pairs plus a generator word for provenance."""
+    """Forward/inverse polynomial pairs plus a generator word for provenance.
+
+    The compiled integer forms, the dynamical degree and the orbit of the last
+    queried start are cached on the instance (outside the dataclass fields, so
+    equality and hashing ignore them).
+    """
 
     fwd: Tuple[BivarPoly, BivarPoly]
     inv: Tuple[BivarPoly, BivarPoly]
@@ -126,6 +180,22 @@ class PlaneAutomorphism:
     def forms(self, forward: bool = True) -> IntegerForms:
         """The integer kernel of one direction, compiled on first use."""
         return self._fwd_forms if forward else self._inv_forms
+
+    @cached_property
+    def _dynamical_degree(self) -> int:
+        return _compute_dynamical_degree(self)
+
+    def orbit(self, start: ProjPoint) -> Orbit:
+        """The exact orbit of a primitive triple with Z > 0.
+
+        The map holds one orbit: the one from the previous query when its
+        start is the same, else a new one that replaces it.
+        """
+        held = self.__dict__.get("_orbit")
+        if held is None or held.start != start:
+            held = Orbit(self.forms(True), self.forms(False), start)
+            object.__setattr__(self, "_orbit", held)  # a cache, not a field
+        return held
 
     @property
     def is_integral(self) -> bool:
@@ -256,8 +326,13 @@ def dynamical_degree(f: PlaneAutomorphism) -> int:
 
     Either tau <= 1 (the triangularizable case, delta = 1) or tau is an
     integer >= 2 and equals delta.  A non-integer tau > 1 signals a malformed
-    automorphism.
+    automorphism.  The composition f o f is done once per map object: the
+    value is cached on the map.
     """
+    return f._dynamical_degree
+
+
+def _compute_dynamical_degree(f: PlaneAutomorphism) -> int:
     d1 = f.degree()
     p, q = f.fwd
     d2 = max(p.compose(p, q).total_degree(), q.compose(p, q).total_degree())

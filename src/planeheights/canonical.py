@@ -18,12 +18,21 @@ so it is an input here, not a guess.
 A conjugator gamma turns the engine into the canonical height of the outer
 map f = gamma o g o gamma^-1 via evaluation at gamma^-1(x).
 
-Orbits are walked on the integer projective kernel of
-:mod:`planeheights.automorphism`: the start is lifted once to its primitive
-triple (X : Y : Z), every step is an integer evaluation plus one gcd, and
-h_nv = log max(|X|, |Y|, Z) is read off the triple, so no `Fraction` is
-built inside a walk.  The digit cap is tested on the triple's largest
-coordinate.
+Every quantity here is a reading along the one exact orbit of
+z = gamma^-1(x) under g, which the core map holds (`PlaneAutomorphism.orbit`,
+on the integer projective kernel of :mod:`planeheights.automorphism`):
+h_nv = log max(|X|, |Y|, Z) is read off the primitive triples, so no
+`Fraction` is built inside a walk.  Values at f^s(x) are the same orbit read
+from index s, which is exact because gamma^-1(f^s x) = g^s(z) and primitive
+triples with Z > 0 are unique; so hplus, hminus, hcanonical, the functional
+equation and the periodicity test at one point share one orbit, and the core
+map keeps only that one: a query at a new point replaces it, since the
+queries about one point come together and an orbit kept for a point nobody
+asks about again would only hold memory.
+Each estimate tests the digit cap on the triple's largest coordinate, in the
+order of its own walk, and names the refused iterate relative to its own
+base point.  The dynamical degree and the growth constants are cached on the
+map, so building an engine costs no composition after the first.
 """
 
 from __future__ import annotations
@@ -37,14 +46,15 @@ from mpmath import mp
 
 from .automorphism import (
     DEFAULT_DIGIT_CAP,
+    Orbit,
     PlaneAutomorphism,
     cap_bits,
     compose_maps,
     dynamical_degree,
     inverse,
 )
-from .errors import MapValidationError, ResourceCapError
-from .heights import AffinePoint, lift, log_int, naive_height, naive_height_affine
+from .errors import MapValidationError
+from .heights import AffinePoint, capped_height, lift, log_int, naive_height, top
 from .heights import growth_constant as _growth_constant
 
 DEFAULT_DEPTH = 12
@@ -152,53 +162,39 @@ class HeightEstimate:
         return self.value + self.tail
 
 
-def _top(point) -> int:
-    """max(|X|, |Y|, Z) of a triple with Z > 0: h_nv is its log."""
-    return max(abs(point[0]), abs(point[1]), point[2])
+def _core_orbit(engine: HeightEngine, x: AffinePoint) -> Orbit:
+    """The orbit of z = gamma^-1(x) under the core map g."""
+    return engine.g.orbit(lift(engine.to_conjugated_frame(x)))
 
 
-def _capped_height(point, limit: int, step: int, direction: str) -> float:
-    """h_nv of a triple, refusing it when its largest coordinate has more
-    than `limit` bits."""
-    top = _top(point)
-    if top.bit_length() > limit:
-        raise ResourceCapError(
-            f"coordinate exceeded the digit cap at iterate {direction}{step}"
-        )
-    return log_int(top)
-
-
-def _orbit_heights(engine: HeightEngine, x: AffinePoint, steps: int, forward: bool) -> List[float]:
-    """[h_nv(g^0 x), ..., h_nv(g^(+/-steps) x)] along the integer kernel, with
-    the digit cap on each iterate's largest triple coordinate."""
+def _orbit_heights(engine: HeightEngine, orbit: Orbit, base: int, forward: bool) -> List[float]:
+    """[h_nv(g^base z), ..., h_nv(g^(base +/- N) z)] read off the orbit, with
+    the digit cap on each iterate after the first, named relative to base."""
     limit = cap_bits(engine.digit_cap)
-    step_fn = engine.g.forms(forward).step
-    tag = "+" if forward else "-"
-    pt = lift(x)
-    hs = [naive_height(pt)]
-    for step in range(1, steps + 1):
-        pt = step_fn(pt)
-        hs.append(_capped_height(pt, limit, step, tag))
+    sign, tag = (1, "+") if forward else (-1, "-")
+    hs = [naive_height(orbit[base])]
+    for step in range(1, engine.depth + 1):
+        hs.append(capped_height(orbit[base + sign * step], limit, f"{tag}{step}"))
     return hs
 
 
 def hplus(engine: HeightEngine, x: AffinePoint) -> HeightEstimate:
     """Forward component: v_N = h_nv(g^N x)/delta^N with its tail bound."""
-    return _half_estimate(engine, x, forward=True)
+    return _half_estimate(engine, engine.g.orbit(lift(x)), 0, forward=True)
 
 
 def hminus(engine: HeightEngine, x: AffinePoint) -> HeightEstimate:
     """Backward component: v_N = h_nv(g^-N x)/delta_-^N with its tail bound."""
-    return _half_estimate(engine, x, forward=False)
+    return _half_estimate(engine, engine.g.orbit(lift(x)), 0, forward=False)
 
 
-def _half_estimate(engine: HeightEngine, x: AffinePoint, forward: bool) -> HeightEstimate:
+def _half_estimate(engine: HeightEngine, orbit: Orbit, base: int, forward: bool) -> HeightEstimate:
     n = engine.depth
-    base = engine.delta if forward else engine.delta_minus
+    base_degree = engine.delta if forward else engine.delta_minus
     tail = engine.tail_fwd() if forward else engine.tail_inv()
-    hs = _orbit_heights(engine, x, n, forward)
-    v_n = hs[n] / base**n
-    v_prev = hs[n - 1] / base ** (n - 1)
+    hs = _orbit_heights(engine, orbit, base, forward)
+    v_n = hs[n] / base_degree**n
+    v_prev = hs[n - 1] / base_degree ** (n - 1)
     rigorous = None
     if engine.c_lower is not None:
         floor_shift = engine.lower_bound_constant()
@@ -206,7 +202,7 @@ def _half_estimate(engine: HeightEngine, x: AffinePoint, forward: bool) -> Heigh
             ceiling_other = hs[0] + engine.c2_inv / (engine.delta_minus - 1)
         else:
             ceiling_other = hs[0] + engine.c2_fwd / (engine.delta - 1)
-        rigorous = v_n - (floor_shift + ceiling_other) / base**n
+        rigorous = v_n - (floor_shift + ceiling_other) / base_degree**n
     return HeightEstimate(
         value=v_n,
         tail=tail,
@@ -216,14 +212,12 @@ def _half_estimate(engine: HeightEngine, x: AffinePoint, forward: bool) -> Heigh
     )
 
 
-def hcanonical(engine: HeightEngine, x: AffinePoint) -> HeightEstimate:
-    """hplus + hminus, evaluated at gamma^-1(x) when a conjugator is present."""
-    z = engine.to_conjugated_frame(x)
-    hp = hplus(engine, z)
-    hm = hminus(engine, z)
+def _hcanonical_at(engine: HeightEngine, orbit: Orbit, base: int) -> HeightEstimate:
+    hp = _half_estimate(engine, orbit, base, forward=True)
+    hm = _half_estimate(engine, orbit, base, forward=False)
     rigorous = None
     if engine.c_lower is not None:
-        floor = naive_height_affine(z) - engine.lower_bound_constant()
+        floor = naive_height(orbit[base]) - engine.lower_bound_constant()
         rigorous = max(hp.rigorous_lower + hm.rigorous_lower, floor)
     return HeightEstimate(
         value=hp.value + hm.value,
@@ -234,13 +228,22 @@ def hcanonical(engine: HeightEngine, x: AffinePoint) -> HeightEstimate:
     )
 
 
+def hcanonical(engine: HeightEngine, x: AffinePoint) -> HeightEstimate:
+    """hplus + hminus, evaluated at gamma^-1(x) when a conjugator is present."""
+    return _hcanonical_at(engine, _core_orbit(engine, x), 0)
+
+
+def hcanonical_iterates(engine: HeightEngine, x: AffinePoint, shifts) -> List[HeightEstimate]:
+    """hcanonical at f^s(x) for each s in `shifts`, in order: the orbit of
+    gamma^-1(x) read from index s, with no new walk."""
+    orbit = _core_orbit(engine, x)
+    return [_hcanonical_at(engine, orbit, s) for s in shifts]
+
+
 def functional_equation_residual(engine: HeightEngine, x: AffinePoint) -> float:
     """|hhat(f x)/delta + hhat(f^-1 x)/delta_- - (1 + 1/(delta delta_-)) hhat(x)|
     on the value fields; the caller compares against the propagated budget."""
-    f = engine.outer
-    at_fx = hcanonical(engine, f.apply(x)).value
-    at_fix = hcanonical(engine, f.apply_inverse(x)).value
-    at_x = hcanonical(engine, x).value
+    at_fx, at_fix, at_x = (est.value for est in hcanonical_iterates(engine, x, (1, -1, 0)))
     lhs = at_fx / engine.delta + at_fix / engine.delta_minus
     rhs = (1 + 1 / (engine.delta * engine.delta_minus)) * at_x
     return abs(lhs - rhs)
@@ -271,7 +274,7 @@ def is_periodic(
     patience: int = 5,
     digit_cap: int = DEFAULT_DIGIT_CAP,
 ) -> PeriodicityVerdict:
-    """Decide periodicity by exact iteration.
+    """Decide periodicity by reading both directions of the orbit f holds.
 
     Cycle detection is complete: an automorphism orbit revisits a point only
     by returning to its start, so f^m(x) = x is detected at the first revisit.
@@ -282,51 +285,41 @@ def is_periodic(
     reported as undecided, never as a wrong answer.
     """
     start = lift(x)
+    orbit = f.orbit(start)
     limit = cap_bits(digit_cap)
     delta = dynamical_degree(f)
     growth_ready = delta >= 2
     if growth_ready:
-        c2f = _growth_constant(f, "fwd")
-        c2i = _growth_constant(f, "inv")
         h0 = naive_height(start)
-        threshold_fwd = h0 + c2f / (delta - 1) + 1
-        threshold_bwd = h0 + c2i / (delta - 1) + 1
+        threshold = {
+            1: h0 + _growth_constant(f, "fwd") / (delta - 1) + 1,
+            -1: h0 + _growth_constant(f, "inv") / (delta - 1) + 1,
+        }
 
-    fwd_step, bwd_step = f.forms(True).step, f.forms(False).step
-    fwd_pt, bwd_pt = start, start
-    fwd_run = bwd_run = 0
-    fwd_last = bwd_last = -math.inf
-    fwd_live = bwd_live = True
+    run = {1: 0, -1: 0}
+    last = {1: -math.inf, -1: -math.inf}
+    live = {1: True, -1: True}
     height_check_done = False
     for step in range(1, max_iter + 1):
         # cycle detection keeps running after the growth runs complete: a
         # periodic orbit may ride a height excursion before closing, and its
         # bounded coordinates make the extra iteration cheap.  Primitive
         # triples with Z > 0 are unique, so equal points are equal triples.
-        if fwd_live:
-            fwd_pt = fwd_step(fwd_pt)
-            if fwd_pt == start:
+        for sign in (1, -1):
+            if not live[sign]:
+                continue
+            pt = orbit[sign * step]
+            if pt == start:
                 return PeriodicityVerdict("periodic", period=step)
-            top = _top(fwd_pt)
-            if top.bit_length() > limit:
-                fwd_live = False
+            largest = top(pt)
+            if largest.bit_length() > limit:
+                live[sign] = False
             if growth_ready:
-                h = log_int(top)
-                fwd_run = fwd_run + 1 if (h > threshold_fwd and h > fwd_last) else 0
-                fwd_last = h
-        if bwd_live:
-            bwd_pt = bwd_step(bwd_pt)
-            if bwd_pt == start:
-                return PeriodicityVerdict("periodic", period=step)
-            top = _top(bwd_pt)
-            if top.bit_length() > limit:
-                bwd_live = False
-            if growth_ready:
-                h = log_int(top)
-                bwd_run = bwd_run + 1 if (h > threshold_bwd and h > bwd_last) else 0
-                bwd_last = h
+                h = log_int(largest)
+                run[sign] = run[sign] + 1 if (h > threshold[sign] and h > last[sign]) else 0
+                last[sign] = h
         if (growth_ready and not height_check_done
-                and fwd_run >= patience and bwd_run >= patience):
+                and run[1] >= patience and run[-1] >= patience):
             height_check_done = True  # the estimate depends on x only
             if _canonical_height_clearly_positive(f, x, digit_cap):
                 return PeriodicityVerdict(
@@ -334,7 +327,7 @@ def is_periodic(
                     detail=(f"heights grew monotonically past the divergence threshold "
                             f"for {patience} steps in both directions"),
                 )
-        if not fwd_live and not bwd_live:
+        if not live[1] and not live[-1]:
             return PeriodicityVerdict(
                 "undecided", detail="coordinate growth hit the digit cap before any certificate"
             )

@@ -112,15 +112,6 @@ def _load_engine_parts(args):
     return from_description(doc), None
 
 
-def _maybe_parallel(args, worker, items):
-    if getattr(args, "parallel", False) and len(items) > 1:
-        import multiprocessing
-
-        with multiprocessing.get_context("fork").Pool() as pool:
-            return pool.map(worker, items)
-    return [worker(item) for item in items]
-
-
 # -- height ---------------------------------------------------------------------
 
 def cmd_height(args) -> int:
@@ -181,8 +172,7 @@ def cmd_dyndeg(args) -> int:
 
 # -- canheight --------------------------------------------------------------------
 
-def _canheight_entry(task):
-    engine, pt = task
+def _canheight_entry(engine, pt):
     hp = hplus(engine, engine.to_conjugated_frame(pt))
     hm = hminus(engine, engine.to_conjugated_frame(pt))
     hc = hcanonical(engine, pt)
@@ -208,7 +198,7 @@ def cmd_canheight(args) -> int:
             "triangularizable maps are excluded)"
         ) from None
     points = _gather_points(args)
-    entries = _maybe_parallel(args, _canheight_entry, [(engine, pt) for pt in points])
+    entries = [_canheight_entry(engine, pt) for pt in points]
     payload = {
         "command": "canheight",
         "delta": engine.delta,
@@ -262,8 +252,7 @@ def _parse_t_grid(spec: str) -> list:
     return [math.exp(lo + i * (hi - lo) / (steps - 1)) for i in range(steps)]
 
 
-def _counting_row(task):
-    engine, pt, t, patience = task
+def _counting_row(engine, pt, t, patience):
     enc = orbit_mod.counting_enclosure(engine, pt, t, patience=patience)
     return {
         "T": t,
@@ -290,8 +279,7 @@ def cmd_orbit(args) -> int:
         thresholds.append(args.T)
     if args.T_grid:
         thresholds.extend(_parse_t_grid(args.T_grid))
-    counting = _maybe_parallel(args, _counting_row,
-                               [(engine, pt, t, args.patience) for t in thresholds])
+    counting = [_counting_row(engine, pt, t, args.patience) for t in thresholds]
     scan = [
         {"l": s.l, "x": format_rat(s.point[0]), "y": format_rat(s.point[1]),
          "h_nv": s.h_nv, "hhat": s.h_hat}
@@ -422,8 +410,6 @@ def _add_common(parser, needs_map=True, needs_point=True, multi_point=False):
         if multi_point:
             parser.add_argument("--points", help="point file: one 'x y' per line")
     parser.add_argument("--format", choices=("text", "csv", "json"), default="text")
-    parser.add_argument("--parallel", action="store_true",
-                        help="fan out independent points / thresholds")
 
 
 def _positive_int(minimum, label):

@@ -21,7 +21,7 @@ import math
 from fractions import Fraction
 from typing import Iterable, Sequence, Tuple
 
-from .errors import PolyParseError
+from .errors import PolyParseError, ResourceCapError
 from .ratpoly import parse_rat
 
 AffinePoint = Tuple[Fraction, Fraction]
@@ -76,6 +76,20 @@ def naive_height(point: ProjPoint) -> float:
     return log_int(max(abs(c) for c in point))
 
 
+def top(point: ProjPoint) -> int:
+    """max(|X|, |Y|, Z) of a triple with Z > 0: h_nv is its log."""
+    return max(abs(point[0]), abs(point[1]), point[2])
+
+
+def capped_height(point: ProjPoint, limit: int, iterate: str) -> float:
+    """h_nv of a triple with Z > 0, refused when its largest coordinate has
+    more than `limit` bits; `iterate` ('+3', '-1') names it in the refusal."""
+    largest = top(point)
+    if largest.bit_length() > limit:
+        raise ResourceCapError(f"coordinate exceeded the digit cap at iterate {iterate}")
+    return log_int(largest)
+
+
 def lift(pt: AffinePoint) -> ProjPoint:
     """The primitive integer triple (X, Y, Z), Z > 0, of the affine point
     (X/Z, Y/Z).  Z is the lcm of the two reduced denominators, which already
@@ -103,13 +117,12 @@ def growth_constant(automorphism, direction: str = "fwd") -> float:
     (the degree-d homogenizations of the two components with the common
     denominator m cleared, plus m*Z^d), of the sum of absolute values of
     coefficients; c2 = log C.  The bound follows from the triangle inequality
-    on a primitive lift, since gcd removal only lowers the height.
+    on a primitive lift, since gcd removal only lowers the height.  It is
+    computed once, when the direction is compiled (`IntegerForms.c2`).
     """
     if direction not in ("fwd", "inv"):
         raise ValueError("direction must be 'fwd' or 'inv'")
-    forms = automorphism.forms(direction == "fwd")
-    c_max = max(forms.m, *(sum(abs(c) for _, c in form) for form in (forms.f, forms.g)))
-    return log_int(c_max) if c_max > 1 else 0.0
+    return automorphism.forms(direction == "fwd").c2
 
 
 def parse_affine_point(text: str) -> AffinePoint:

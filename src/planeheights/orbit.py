@@ -4,8 +4,8 @@ enclosures.
 Counting runs need naive heights of iterates far past the point where exact
 coordinates stop being storable (a threshold T = e^21 pulls in iterates whose
 coordinates would have ~10^8 digits).  The orbit tracker therefore works in
-two phases: exact iteration on the integer projective kernel (primitive
-triples (X : Y : Z), see :mod:`planeheights.automorphism`) while the
+two phases: exact triples (X : Y : Z) read off the orbit the map holds (see
+`PlaneAutomorphism.orbit` in :mod:`planeheights.automorphism`) while the
 triple's largest coordinate stays below a size threshold, then a certified
 switch to outward-rounded interval arithmetic on the coordinates themselves
 (mpmath intervals carry bignum exponents, so e^(10^9)-sized values are
@@ -15,6 +15,12 @@ integral start), which keeps h = log max(|X|, |Y|, 1) the exact naive
 height; otherwise exceeding the cap raises the resource error.  Interval
 widths stay certified, so a count is exact unless an enclosure straddles the
 threshold, which the scan reports instead of hiding.
+
+The tracker, the orbit record, the periodicity verdicts and the canonical
+heights at f^(+/-1)(x) behind (hhat+, hhat-) all read the same exact orbit,
+which each map holds in a single slot: every query of one counting or orbit
+run is about one point, so one slot walks each iterate once, and a query at
+another point replaces the orbit rather than keeping it.
 """
 
 from __future__ import annotations
@@ -26,14 +32,14 @@ from typing import Dict, List, Optional, Tuple
 from mpmath.ctx_iv import MPIntervalContext
 
 from .automorphism import DEFAULT_DIGIT_CAP, PlaneAutomorphism, cap_bits
-from .canonical import HeightEngine, hcanonical, is_periodic
+from .canonical import HeightEngine, hcanonical_iterates, is_periodic
 from .errors import (
     OutOfRangeError,
     PeriodicPointError,
     ResourceCapError,
     UndecidedPeriodicityError,
 )
-from .heights import AffinePoint, affine, lift, naive_height
+from .heights import AffinePoint, affine, capped_height, lift, naive_height, top
 
 NEG_INFINITY = float("-inf")  # distinguished 'finite orbit' value, never used in arithmetic
 
@@ -43,7 +49,9 @@ DEFAULT_EXACT_DIGITS = 20_000
 
 class OrbitHeightTracker:
     """Lazy h_nv(f^l(x)) for l in Z, exact below the size threshold and by
-    certified interval recurrences beyond it."""
+    certified interval recurrences beyond it.  The exact iterates are read
+    off the orbit the map holds; the interval phase of each direction starts
+    from the orbit's triple at the first iterate above the threshold."""
 
     def __init__(
         self,
@@ -59,31 +67,42 @@ class OrbitHeightTracker:
         self._ctx = MPIntervalContext()
         self._ctx.prec = precision_bits
         start = lift(x)
+        self._orbit = auto.orbit(start)
         self._certified = auto.is_integral and start[2] == 1
-        state0 = ("exact", start)
-        self._fwd = [state0]
-        self._bwd = [state0]
+        # per direction (indexed by l >= 0): how many iterates from 0 on are
+        # held exactly, and the interval states after them (None while exact)
+        self._exact = [1, 1]
+        self._intervals = [None, None]
         self._bounds: Dict[int, Tuple[float, float]] = {}
 
     # -- coordinate states ---------------------------------------------------
 
-    def _step(self, state, forward: bool):
-        kind, pt = state
-        if kind == "exact":
-            nxt = self._auto.forms(forward).step(pt)
-            bits = max(abs(nxt[0]), abs(nxt[1]), nxt[2]).bit_length()
-            if bits <= self._exact_bits:
-                return ("exact", nxt)
-            if not self._certified:
+    def _state(self, l: int):
+        forward = l >= 0
+        sign, k = (1, l) if forward else (-1, -l)
+        n = self._exact[forward]
+        while self._intervals[forward] is None and n <= k:
+            pt = self._orbit[sign * n]
+            bits = top(pt).bit_length()
+            if bits > self._exact_bits:
+                if self._certified:
+                    # certified: Z == 1, so X and Y are the coordinates themselves
+                    self._intervals[forward] = [(self._ctx.mpf(pt[0]), self._ctx.mpf(pt[1]))]
+                    break
                 if bits > self._cap_bits:
                     raise ResourceCapError(
                         "orbit coordinates exceeded the digit cap and the map is not "
                         "certified integral, so interval tracking cannot take over"
                     )
-                return ("exact", nxt)
-            # certified: Z == 1, so X and Y are the coordinates themselves
-            return ("iv", (self._ctx.mpf(nxt[0]), self._ctx.mpf(nxt[1])))
-        return ("iv", self._eval_interval(self._auto.fwd if forward else self._auto.inv, pt))
+            n += 1
+            self._exact[forward] = n
+        if k < n:
+            return ("exact", self._orbit[l])
+        chain = self._intervals[forward]
+        polys = self._auto.fwd if forward else self._auto.inv
+        while len(chain) <= k - n:
+            chain.append(self._eval_interval(polys, chain[-1]))
+        return ("iv", chain[k - n])
 
     def _eval_interval(self, polys, pt):
         ctx = self._ctx
@@ -104,13 +123,6 @@ class OrbitHeightTracker:
                 acc += term * int(c) if c.denominator == 1 else term * ctx.mpf(c.numerator) / c.denominator
             out.append(acc)
         return tuple(out)
-
-    def _state(self, l: int):
-        chain = self._fwd if l >= 0 else self._bwd
-        idx = abs(l)
-        while len(chain) <= idx:
-            chain.append(self._step(chain[-1], forward=l >= 0))
-        return chain[idx]
 
     def point(self, l: int) -> AffinePoint:
         """Exact coordinates of f^l(x); available only inside the exact window."""
@@ -167,10 +179,8 @@ def hpm_from_h(engine: HeightEngine, x: AffinePoint) -> Tuple[float, float]:
     When the engine height is the truncated-limit construction these agree
     with hplus/hminus up to the error budgets.
     """
-    f = engine.outer
     d, dm = engine.delta, engine.delta_minus
-    at_fx = hcanonical(engine, f.apply(x)).value
-    at_fix = hcanonical(engine, f.apply_inverse(x)).value
+    at_fx, at_fix = (est.value for est in hcanonical_iterates(engine, x, (1, -1)))
     kappa = (d * dm) / ((d * dm) ** 2 - 1)
     h_plus = kappa * (dm * at_fx - at_fix / dm)
     h_minus = kappa * (d * at_fix - at_fx / d)
@@ -454,18 +464,21 @@ class OrbitRecord:
 
 def build_orbit_record(engine: HeightEngine, x: AffinePoint, window: int) -> OrbitRecord:
     """Exact orbit samples over the symmetric window l in [-window, window],
-    with naive heights and the scaling-law canonical heights."""
+    with naive heights and the scaling-law canonical heights.  The samples
+    are read off the orbit f holds, iterates +1, -1, +2, -2, ... in turn, each
+    refused (ResourceCapError) above the engine's digit cap."""
     h_plus, h_minus = hpm_from_h(engine, x)
     oh = orbit_height(engine, x)
-    fwd, bwd = engine.outer.forms(True), engine.outer.forms(False)
-    triples = {0: lift(x)}
+    orbit = engine.outer.orbit(lift(x))
+    limit = cap_bits(engine.digit_cap)
+    h_nv = {0: naive_height(orbit[0])}
     for l in range(1, window + 1):
-        triples[l] = fwd.step(triples[l - 1])
-        triples[-l] = bwd.step(triples[-(l - 1)])
+        h_nv[l] = capped_height(orbit[l], limit, f"+{l}")
+        h_nv[-l] = capped_height(orbit[-l], limit, f"-{l}")
     samples = []
     for l in range(-window, window + 1):
         h_hat = engine.delta**l * h_plus + float(engine.delta_minus) ** (-l) * h_minus
-        samples.append(OrbitSample(l, affine(triples[l]), naive_height(triples[l]), h_hat))
+        samples.append(OrbitSample(l, affine(orbit[l]), h_nv[l], h_hat))
     return OrbitRecord(
         base=samples[window].point,
         samples=tuple(samples),

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import jsonschema
 import pytest
@@ -234,29 +235,25 @@ def test_resource_cap_exit_code(capsys, maps):
     assert "resource cap" in err
 
 
+def test_orbit_window_refused_at_the_digit_cap(capsys, maps):
+    # iterate 25 of (3, 0) under H2 has about 16M digits; the window is
+    # capped like the canonical walks, so the refusal comes at iterate +15
+    started = time.perf_counter()
+    code, out, err = run_cli(capsys, [
+        "orbit", "--map", maps["henon2"], "--point", "3,0", "--window", "25",
+        "--digit-cap", "10000",
+    ])
+    assert code == 4 and out == ""
+    assert "coordinate exceeded the digit cap at iterate +15" in err
+    assert time.perf_counter() - started < 5
+
+
 def test_determinism_repeated_runs(capsys, maps):
     argv = ["orbit", "--map", maps["henon2"], "--point", "3,0",
             "--T-grid", "5:13:5", "--format", "json"]
     _, first, _ = run_cli(capsys, argv)
     _, second, _ = run_cli(capsys, argv)
     assert first == second
-
-
-def test_parallel_matches_sequential(capsys, maps, tmp_path):
-    pts = tmp_path / "pts.txt"
-    pts.write_text("3 0\n1 1\n-2 5\n")
-    base = ["canheight", "--map", maps["henon2"], "--points", str(pts), "--format", "json"]
-    _, seq, _ = run_cli(capsys, base)
-    _, par, _ = run_cli(capsys, base + ["--parallel"])
-    assert seq == par
-
-
-def test_parallel_orbit_matches_sequential(capsys, maps):
-    base = ["orbit", "--map", maps["henon2"], "--point", "3,0",
-            "--T-grid", "5:11:4", "--format", "csv"]
-    _, seq, _ = run_cli(capsys, base)
-    _, par, _ = run_cli(capsys, base + ["--parallel"])
-    assert seq == par
 
 
 def test_console_entry_point(maps):

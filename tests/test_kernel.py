@@ -2,9 +2,11 @@
 
 Property tests (Hypothesis) compare kernel steps with `BivarPoly.evaluate`
 steps, naive heights on triples with `normalize`-based heights, and the
-digit-cap iterate with the coordinate-wise rule of a Fraction walk.
+digit-cap iterate with the coordinate-wise rule of a Fraction walk, also when
+the map already holds an orbit from earlier queries.
 """
 
+import dataclasses
 import math
 import re
 from fractions import Fraction
@@ -14,10 +16,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from planeheights.automorphism import cap_bits, compose_maps, conjugate, henon, triangular
-from planeheights.canonical import hminus, hplus, is_periodic, make_engine
+from planeheights.canonical import hcanonical, hminus, hplus, is_periodic, make_engine
 from planeheights.errors import ResourceCapError
 from planeheights.heights import affine, lift, naive_height, naive_height_affine, normalize
-from planeheights.orbit import OrbitHeightTracker
+from planeheights.orbit import OrbitHeightTracker, hpm_from_h
 from planeheights.ratpoly import BivarPoly, parse_poly
 
 H2 = henon(1, parse_poly("x^2"))
@@ -170,3 +172,48 @@ def test_certified_tracker_hands_integers_to_the_interval_phase():
     lo, hi = tracker.h_bounds(l)
     assert exact[0].denominator == exact[1].denominator == 1
     assert lo <= reference_height(exact) <= hi
+
+
+# -- the same cap iterates when the map already holds an orbit -----------------
+
+def cap_iterate_or_none(fn):
+    try:
+        fn()
+    except ResourceCapError as exc:
+        return int(re.search(r"iterate [+-](\d+)", str(exc)).group(1))
+    return None
+
+
+def refusal(fn):
+    try:
+        fn()
+    except ResourceCapError as exc:
+        return str(exc)
+    return None
+
+
+@settings(max_examples=30, deadline=None)
+@given(name=st.sampled_from(["H2", "H3", "H4", "half"]), pt=points,
+       warm=st.sampled_from(["none", "same", "other"]), other=points)
+def test_cap_iterate_unchanged_by_a_held_orbit(name, pt, warm, other):
+    # the module-level maps keep whatever orbit earlier queries left on them
+    f = MAPS[name]
+    engine = make_engine(f, depth=40, digit_cap=10_000)
+    if warm != "none":
+        refusal(lambda: hcanonical(engine, pt if warm == "same" else other))
+    limit = cap_bits(10_000)
+    assert cap_iterate_or_none(lambda: hplus(engine, pt)) == fraction_cap_iterate(f.fwd, pt, limit, 40)
+    assert cap_iterate_or_none(lambda: hminus(engine, pt)) == fraction_cap_iterate(f.inv, pt, limit, 40)
+
+
+@settings(max_examples=30, deadline=None)
+@given(name=st.sampled_from(["H2", "H3", "H4", "half"]), pt=points, depth=st.integers(8, 16))
+def test_shifted_reads_refuse_like_walks_from_the_image(name, pt, depth):
+    # hhat(f x) and hhat(f^-1 x) are read at orbit indices +1 and -1 of x;
+    # a refusal names its iterate from f(x) (or f^-1(x)), as a walk from there did
+    f = MAPS[name]
+    engine = make_engine(f, depth=depth, digit_cap=10_000)
+    fresh = make_engine(dataclasses.replace(f), depth=depth, digit_cap=10_000)  # holds no orbit
+    expected = (refusal(lambda: hcanonical(fresh, f.apply(pt)))
+                or refusal(lambda: hcanonical(fresh, f.apply_inverse(pt))))
+    assert refusal(lambda: hpm_from_h(engine, pt)) == expected
