@@ -101,7 +101,8 @@ class IntegerForms:
 
     def step(self, point: ProjPoint) -> ProjPoint:
         """The primitive triple, Z > 0, of the image of a primitive triple
-        with Z > 0."""
+        with Z > 0.  With m = 1 and Z = 1 it is ring arithmetic alone, so
+        the orbit tracker also steps interval coordinates (X, Y, 1) here."""
         x, y, z = point
         xp = powers(x, self._max_i)
         yp = powers(y, self._max_j)

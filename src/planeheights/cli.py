@@ -102,14 +102,24 @@ def _gather_points(args) -> list:
     return points
 
 
-def _load_engine_parts(args):
-    """A top-level conjugate document supplies the engine's core and
-    conjugator separately; anything else is the core itself."""
+def _engine(args):
+    """The engine of --map.  A top-level conjugate document supplies the
+    engine's core and conjugator separately; anything else is the core
+    itself."""
     with open(args.map, "r", encoding="utf-8") as handle:
         doc = json.load(handle)
     if isinstance(doc, dict) and doc.get("type") == "conjugate":
-        return from_description(doc["inner"]), from_description(doc["by"])
-    return from_description(doc), None
+        g, gamma = from_description(doc["inner"]), from_description(doc["by"])
+    else:
+        g, gamma = from_description(doc), None
+    try:
+        return make_engine(g, gamma=gamma, depth=args.depth,
+                           c_lower=args.c_lower, digit_cap=args.digit_cap)
+    except MapValidationError as exc:
+        raise MapValidationError(
+            f"{exc} (canonical heights exist only for dynamical degree >= 2; "
+            "triangularizable maps are excluded)"
+        ) from None
 
 
 # -- height ---------------------------------------------------------------------
@@ -188,15 +198,7 @@ def _canheight_entry(engine, pt):
 
 
 def cmd_canheight(args) -> int:
-    g, gamma = _load_engine_parts(args)
-    try:
-        engine = make_engine(g, gamma=gamma, depth=args.depth,
-                             c_lower=args.c_lower, digit_cap=args.digit_cap)
-    except MapValidationError as exc:
-        raise MapValidationError(
-            f"{exc} (canonical heights exist only for dynamical degree >= 2; "
-            "triangularizable maps are excluded)"
-        ) from None
+    engine = _engine(args)
     points = _gather_points(args)
     entries = [_canheight_entry(engine, pt) for pt in points]
     payload = {
@@ -265,9 +267,7 @@ def _counting_row(engine, pt, t, patience):
 
 
 def cmd_orbit(args) -> int:
-    g, gamma = _load_engine_parts(args)
-    engine = make_engine(g, gamma=gamma, depth=args.depth,
-                         c_lower=args.c_lower, digit_cap=args.digit_cap)
+    engine = _engine(args)
     if not args.point:
         raise PolyParseError("orbit needs --point X,Y")
     pt = parse_affine_point(args.point)
@@ -297,13 +297,13 @@ def cmd_orbit(args) -> int:
         _print_json(payload)
     elif args.format == "csv":
         _print_csv([(s["l"], s["x"], s["y"], _fmt(s["h_nv"]), _fmt(s["hhat"])) for s in scan],
-                   orbit_mod.ORBIT_CSV_COLUMNS)
+                   ("l", "x", "y", "h_nv", "hhat"))
         if counting:
             sys.stdout.write("\n")
             _print_csv(
                 [(_fmt(c["T"]), c["count"], _fmt(c["predicted"]), _fmt(c["lower"]),
                   _fmt(c["upper"])) for c in counting],
-                orbit_mod.COUNTING_CSV_COLUMNS,
+                ("T", "count", "predicted", "lower", "upper"),
             )
     else:
         print(f"orbit_height = {_fmt(record.orbit_height)}  "

@@ -40,13 +40,6 @@ def log_int(n: int) -> float:
     return math.log(n >> shift) + shift * _LN2
 
 
-def log_fraction(q: Fraction) -> float:
-    """log of a positive rational of any size."""
-    if q <= 0:
-        raise ValueError("log_fraction needs a positive rational")
-    return log_int(q.numerator) - log_int(q.denominator)
-
-
 def normalize(raw: Sequence[Fraction]) -> ProjPoint:
     """Primitive integer vector projectively equal to raw.
 

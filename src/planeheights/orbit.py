@@ -12,22 +12,27 @@ switch to outward-rounded interval arithmetic on the coordinates themselves
 fine).  The switch is only taken when the map provably preserves integer
 points in both directions (all forward and inverse coefficients integral,
 integral start), which keeps h = log max(|X|, |Y|, 1) the exact naive
-height; otherwise exceeding the cap raises the resource error.  Interval
-widths stay certified, so a count is exact unless an enclosure straddles the
-threshold, which the scan reports instead of hiding.
+height; otherwise exceeding the cap raises the resource error.  Both phases
+step with the map's `IntegerForms`: on a certified map m = 1 and Z = 1, so
+its step is ring arithmetic alone and takes the interval triple
+(X, Y, 1) unchanged.  Interval widths stay certified, so a count is exact
+unless an enclosure straddles the threshold, which the scan reports instead
+of hiding.
 
 The tracker, the orbit record, the periodicity verdicts and the canonical
 heights at f^(+/-1)(x) behind (hhat+, hhat-) all read the same exact orbit,
 which each map holds in a single slot: every query of one counting or orbit
 run is about one point, so one slot walks each iterate once, and a query at
-another point replaces the orbit rather than keeping it.
+another point replaces the orbit rather than keeping it.  Each call decides
+periodicity once and reads (hhat+, hhat-) once: `counting_enclosure` takes
+hhat(O), the count and the slack from one verdict and one pair.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 from mpmath.ctx_iv import MPIntervalContext
 
@@ -45,6 +50,7 @@ NEG_INFINITY = float("-inf")  # distinguished 'finite orbit' value, never used i
 
 DEFAULT_PATIENCE = 5
 DEFAULT_EXACT_DIGITS = 20_000
+INTERVAL_PRECISION_BITS = 192
 
 
 class OrbitHeightTracker:
@@ -59,13 +65,12 @@ class OrbitHeightTracker:
         x: AffinePoint,
         exact_digits: int = DEFAULT_EXACT_DIGITS,
         digit_cap: int = DEFAULT_DIGIT_CAP,
-        precision_bits: int = 192,
     ):
         self._auto = auto
         self._exact_bits = cap_bits(exact_digits)
         self._cap_bits = cap_bits(digit_cap)
         self._ctx = MPIntervalContext()
-        self._ctx.prec = precision_bits
+        self._ctx.prec = INTERVAL_PRECISION_BITS
         start = lift(x)
         self._orbit = auto.orbit(start)
         self._certified = auto.is_integral and start[2] == 1
@@ -86,8 +91,9 @@ class OrbitHeightTracker:
             bits = top(pt).bit_length()
             if bits > self._exact_bits:
                 if self._certified:
-                    # certified: Z == 1, so X and Y are the coordinates themselves
-                    self._intervals[forward] = [(self._ctx.mpf(pt[0]), self._ctx.mpf(pt[1]))]
+                    # certified: Z == 1, so X and Y are the coordinates themselves,
+                    # and the forms' m == 1, Z == 1 step applies to intervals
+                    self._intervals[forward] = [(self._ctx.mpf(pt[0]), self._ctx.mpf(pt[1]), 1)]
                     break
                 if bits > self._cap_bits:
                     raise ResourceCapError(
@@ -99,30 +105,10 @@ class OrbitHeightTracker:
         if k < n:
             return ("exact", self._orbit[l])
         chain = self._intervals[forward]
-        polys = self._auto.fwd if forward else self._auto.inv
+        step = self._auto.forms(forward).step
         while len(chain) <= k - n:
-            chain.append(self._eval_interval(polys, chain[-1]))
+            chain.append(step(chain[-1]))
         return ("iv", chain[k - n])
-
-    def _eval_interval(self, polys, pt):
-        ctx = self._ctx
-        x, y = pt
-        max_i = max((i for poly in polys for i, _ in poly.terms), default=0)
-        max_j = max((j for poly in polys for _, j in poly.terms), default=0)
-        xp = [ctx.mpf(1)]
-        for _ in range(max_i):
-            xp.append(xp[-1] * x)
-        yp = [ctx.mpf(1)]
-        for _ in range(max_j):
-            yp.append(yp[-1] * y)
-        out = []
-        for poly in polys:
-            acc = ctx.mpf(0)
-            for (i, j), c in poly.terms.items():
-                term = xp[i] * yp[j]
-                acc += term * int(c) if c.denominator == 1 else term * ctx.mpf(c.numerator) / c.denominator
-            out.append(acc)
-        return tuple(out)
 
     def point(self, l: int) -> AffinePoint:
         """Exact coordinates of f^l(x); available only inside the exact window."""
@@ -196,11 +182,19 @@ def _hpm_error_budget(engine: HeightEngine) -> float:
 
 def orbit_height_slack(engine: HeightEngine, x: AffinePoint) -> float:
     """First-order error of orbit_height induced by the component budgets."""
-    h_plus, h_minus = hpm_from_h(engine, x)
-    if h_plus <= 0 or h_minus <= 0:
+    return _slack(engine, *_resolved(hpm_from_h(engine, x)))
+
+
+def _resolved(hpm: Tuple[float, float]) -> Tuple[float, float]:
+    """The pair, refused unless both components resolved above zero."""
+    if hpm[0] <= 0 or hpm[1] <= 0:
         raise UndecidedPeriodicityError(
             "canonical-height components did not resolve above zero at this depth"
         )
+    return hpm
+
+
+def _slack(engine: HeightEngine, h_plus: float, h_minus: float) -> float:
     err = _hpm_error_budget(engine)
     return err / (h_plus * math.log(engine.delta)) + err / (h_minus * math.log(engine.delta_minus))
 
@@ -227,47 +221,71 @@ def minimum_location(delta: int, delta_minus: int, h_plus: float, h_minus: float
 def orbit_height(engine: HeightEngine, x: AffinePoint, max_iter: int = 200) -> float:
     """log hhat+ / log delta + log hhat- / log delta_-, constant along the
     orbit; NEG_INFINITY exactly when the orbit is finite (periodic point)."""
-    verdict = is_periodic(engine.outer, x, max_iter=max_iter, digit_cap=engine.digit_cap)
+    if _verdict(engine.outer, x, max_iter, engine.digit_cap).is_periodic:
+        return NEG_INFINITY
+    return _log_height(engine, *_resolved(hpm_from_h(engine, x)))
+
+
+def _log_height(engine: HeightEngine, h_plus: float, h_minus: float) -> float:
+    return math.log(h_plus) / math.log(engine.delta) + math.log(h_minus) / math.log(engine.delta_minus)
+
+
+def _verdict(outer, x, max_iter, digit_cap):
+    """The periodicity verdict, refused when undecided."""
+    verdict = is_periodic(outer, x, max_iter=max_iter, digit_cap=digit_cap)
     if verdict.kind == "undecided":
         raise UndecidedPeriodicityError(verdict.detail)
-    if verdict.kind == "periodic":
-        return NEG_INFINITY
-    h_plus, h_minus = hpm_from_h(engine, x)
-    if h_plus <= 0 or h_minus <= 0:
-        raise UndecidedPeriodicityError(
-            "canonical-height components did not resolve above zero at this depth"
-        )
-    return math.log(h_plus) / math.log(engine.delta) + math.log(h_minus) / math.log(engine.delta_minus)
+    return verdict
+
+
+def _infinite_components(engine: HeightEngine, x: AffinePoint, periodic_message: str) -> Tuple[float, float]:
+    """(hhat+, hhat-) of a point with an infinite orbit, from one verdict and
+    one reading; PeriodicPointError(periodic_message) for a periodic point."""
+    if _verdict(engine.outer, x, 200, engine.digit_cap).is_periodic:
+        raise PeriodicPointError(periodic_message)
+    return _resolved(hpm_from_h(engine, x))
 
 
 # -- counting -------------------------------------------------------------------
 
-def _require_infinite_orbit(outer, x, max_iter, digit_cap):
-    verdict = is_periodic(outer, x, max_iter=max_iter, digit_cap=digit_cap)
-    if verdict.kind == "periodic":
-        raise PeriodicPointError(f"point is periodic with period {verdict.period}")
-    if verdict.kind == "undecided":
-        raise UndecidedPeriodicityError(verdict.detail)
-
-
-def _scan_direction(values, threshold: float, patience: int, slop: float):
-    """values(l) yields (lo, hi) enclosures for l = 0, 1, 2, ...; counts the
-    samples at or below the threshold, tracking straddling enclosures."""
+def _scan(values, threshold: float, patience: int, slop: float) -> Tuple[int, int]:
+    """values(l) yields (lo, hi) enclosures; counts the samples at or below
+    the threshold over l = 0, 1, 2, ... and then l = -1, -2, ..., each
+    direction ending after `patience` consecutive samples above it, and
+    counts the enclosures that straddle the threshold."""
     count = 0
     straddles = 0
-    misses = 0
-    l = 0
-    while misses < patience:
-        lo, hi = values(l)
-        if lo - slop <= threshold <= hi + slop:
-            straddles += 1
-        if 0.5 * (lo + hi) <= threshold:
-            count += 1
-            misses = 0
-        else:
-            misses += 1
-        l += 1
+    for l, step in ((0, 1), (-1, -1)):
+        misses = 0
+        while misses < patience:
+            lo, hi = values(l)
+            if lo - slop <= threshold <= hi + slop:
+                straddles += 1
+            if 0.5 * (lo + hi) <= threshold:
+                count += 1
+                misses = 0
+            else:
+                misses += 1
+            l += step
     return count, straddles
+
+
+def _canonical_bounds(engine: HeightEngine, x: AffinePoint, exact_digits: int, digit_cap: int):
+    """values(l): enclosure of the depth-N canonical height at f^l(x),
+    h_nv(g^(l+N) z)/delta^N + h_nv(g^(l-N) z)/delta_-^N with z = gamma^-1(x),
+    read off one tracker."""
+    z = engine.to_conjugated_frame(x)
+    tracker = OrbitHeightTracker(engine.g, z, exact_digits=exact_digits, digit_cap=digit_cap)
+    n = engine.depth
+    d_pow = float(engine.delta**n)
+    dm_pow = float(engine.delta_minus**n)
+
+    def values(l):
+        flo, fhi = tracker.h_bounds(l + n)
+        blo, bhi = tracker.h_bounds(l - n)
+        return (flo / d_pow + blo / dm_pow, fhi / d_pow + bhi / dm_pow)
+
+    return values
 
 
 def count_below(
@@ -275,7 +293,6 @@ def count_below(
     x: AffinePoint,
     threshold: float,
     which: str = "naive",
-    engine: Optional[HeightEngine] = None,
     patience: int = DEFAULT_PATIENCE,
     exact_digits: int = DEFAULT_EXACT_DIGITS,
     max_iter: int = 200,
@@ -288,50 +305,24 @@ def count_below(
     is injective and the enumeration is a genuine point count); each direction
     stops after `patience` consecutive samples above the threshold.
     """
-    count, _ = _count_below_detail(
-        f, x, threshold, which, engine, patience, exact_digits, max_iter, digit_cap
-    )
-    return count
-
-
-def _count_below_detail(f, x, threshold, which, engine, patience, exact_digits, max_iter,
-                        digit_cap=None):
-    if isinstance(f, HeightEngine):
-        engine = f
+    engine = f if isinstance(f, HeightEngine) else None
     if which not in ("naive", "canonical"):
         raise ValueError("which must be 'naive' or 'canonical'")
     if threshold <= 0:
         raise ValueError("threshold must be positive")
     if which == "canonical" and engine is None:
         raise ValueError("canonical-height counts need a HeightEngine")
-    outer = engine.outer if engine is not None else f
+    outer = f if engine is None else engine.outer
     if digit_cap is None:
-        digit_cap = engine.digit_cap if engine is not None else DEFAULT_DIGIT_CAP
-    _require_infinite_orbit(outer, x, max_iter, digit_cap)
-
+        digit_cap = DEFAULT_DIGIT_CAP if engine is None else engine.digit_cap
+    verdict = _verdict(outer, x, max_iter, digit_cap)
+    if verdict.is_periodic:
+        raise PeriodicPointError(f"point is periodic with period {verdict.period}")
     if which == "naive":
         tracker = OrbitHeightTracker(outer, x, exact_digits=exact_digits, digit_cap=digit_cap)
-        values = tracker.h_bounds
-        slop = 0.0
-    else:
-        z = engine.to_conjugated_frame(x)
-        tracker = OrbitHeightTracker(engine.g, z, exact_digits=exact_digits, digit_cap=digit_cap)
-        n = engine.depth
-        d_pow = float(engine.delta**n)
-        dm_pow = float(engine.delta_minus**n)
-
-        def values(l):
-            flo, fhi = tracker.h_bounds(l + n)
-            blo, bhi = tracker.h_bounds(l - n)
-            return (flo / d_pow + blo / dm_pow, fhi / d_pow + bhi / dm_pow)
-
-        slop = engine.error_budget()
-
-    fwd_count, fwd_straddle = _scan_direction(values, threshold, patience, slop)
-    bwd_count, bwd_straddle = _scan_direction(
-        lambda l: values(-(l + 1)), threshold, patience, slop
-    )
-    return fwd_count + bwd_count, fwd_straddle + bwd_straddle
+        return _scan(tracker.h_bounds, threshold, patience, 0.0)[0]
+    values = _canonical_bounds(engine, x, exact_digits, digit_cap)
+    return _scan(values, threshold, patience, engine.error_budget())[0]
 
 
 @dataclass(frozen=True)
@@ -358,22 +349,20 @@ def counting_enclosure(
     log_d = math.log(engine.delta)
     log_dm = math.log(engine.delta_minus)
     coeff = 1 / log_d + 1 / log_dm
-    oh = orbit_height(engine, x)
-    if oh == NEG_INFINITY:
-        raise PeriodicPointError("counting law applies to infinite orbits only")
+    h_plus, h_minus = _infinite_components(engine, x, "counting law applies to infinite orbits only")
+    oh = _log_height(engine, h_plus, h_minus)
     if coeff * math.log(threshold) < oh:
         raise OutOfRangeError(
             "threshold below the orbit height: the counting set is empty there"
         )
-    observed, straddles = _count_below_detail(
-        engine, x, threshold, "canonical", engine, patience, DEFAULT_EXACT_DIGITS, 200
-    )
+    values = _canonical_bounds(engine, x, DEFAULT_EXACT_DIGITS, engine.digit_cap)
+    observed, straddles = _scan(values, threshold, patience, engine.error_budget())
     predicted = coeff * math.log(threshold) - oh
     halfwidth = math.log(2) / log_d + math.log(2) / log_dm + 1
 
     # hhat(O) error from the component estimates, first order in the budgets,
     # plus one count per enclosure that straddles the threshold.
-    slack = orbit_height_slack(engine, x) + straddles
+    slack = _slack(engine, h_plus, h_minus) + straddles
     lower = predicted - halfwidth - slack
     upper = predicted + halfwidth + slack
     return CountingEnclosure(
@@ -427,10 +416,8 @@ def min_orbit_height_bounds(engine: HeightEngine, x: AffinePoint, window: int = 
     log_d = math.log(engine.delta)
     log_dm = math.log(engine.delta_minus)
     coeff = 1 / log_d + 1 / log_dm
-    oh = orbit_height(engine, x)
-    if oh == NEG_INFINITY:
-        raise PeriodicPointError("finite orbit has no minimum-height law")
-    h_plus, h_minus = hpm_from_h(engine, x)
+    h_plus, h_minus = _infinite_components(engine, x, "finite orbit has no minimum-height law")
+    oh = _log_height(engine, h_plus, h_minus)
     t0 = minimum_location(engine.delta, engine.delta_minus, h_plus, h_minus)
     base = math.floor(t0)
     candidates = [
@@ -443,7 +430,7 @@ def min_orbit_height_bounds(engine: HeightEngine, x: AffinePoint, window: int = 
     return (oh + eps1 <= mid + pad, mid <= oh + eps2 + pad)
 
 
-# -- orbit records and table rows (CSV surfaces) --------------------------------
+# -- orbit records ---------------------------------------------------------------
 
 @dataclass(frozen=True)
 class OrbitSample:
@@ -468,7 +455,10 @@ def build_orbit_record(engine: HeightEngine, x: AffinePoint, window: int) -> Orb
     are read off the orbit f holds, iterates +1, -1, +2, -2, ... in turn, each
     refused (ResourceCapError) above the engine's digit cap."""
     h_plus, h_minus = hpm_from_h(engine, x)
-    oh = orbit_height(engine, x)
+    if _verdict(engine.outer, x, 200, engine.digit_cap).is_periodic:
+        oh = NEG_INFINITY
+    else:
+        oh = _log_height(engine, *_resolved((h_plus, h_minus)))
     orbit = engine.outer.orbit(lift(x))
     limit = cap_bits(engine.digit_cap)
     h_nv = {0: naive_height(orbit[0])}
@@ -486,22 +476,3 @@ def build_orbit_record(engine: HeightEngine, x: AffinePoint, window: int) -> Orb
         hminus0=h_minus,
         orbit_height=oh,
     )
-
-
-ORBIT_CSV_COLUMNS = ("l", "x", "y", "h_nv", "hhat")
-COUNTING_CSV_COLUMNS = ("T", "count", "predicted", "lower", "upper")
-
-
-def orbit_scan_rows(record: OrbitRecord) -> List[Tuple]:
-    return [
-        (s.l, s.point[0], s.point[1], s.h_nv, s.h_hat)
-        for s in record.samples
-    ]
-
-
-def counting_table_rows(engine: HeightEngine, x: AffinePoint, thresholds) -> List[Tuple]:
-    rows = []
-    for t in thresholds:
-        enc = counting_enclosure(engine, x, t)
-        rows.append((t, enc.observed, enc.predicted, enc.lower, enc.upper))
-    return rows

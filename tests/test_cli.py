@@ -98,6 +98,16 @@ def test_canheight_refuses_triangularizable(capsys, maps):
     assert "triangulariz" in err
 
 
+def test_engine_commands_refuse_triangularizable_alike(capsys, maps):
+    outcomes = [run_cli(capsys, [cmd, "--map", maps["tri"], "--point", "3,0"])
+                for cmd in ("canheight", "orbit")]
+    assert outcomes[0] == outcomes[1]
+    code, out, err = outcomes[0]
+    assert code == 2 and out == ""
+    assert "canonical heights exist only for dynamical degree >= 2; " \
+           "triangularizable maps are excluded" in err
+
+
 def test_canheight_conjugated_map(capsys, maps):
     code, out, _ = run_cli(capsys, [
         "canheight", "--map", maps["conj"], "--point", "3,0", "--format", "json",

@@ -1,0 +1,44 @@
+"""Golden CLI outputs: the stdout bytes and exit code of fixed `orbit` and
+`canheight` commands must not change.  The files under tests/data/golden/
+hold the expected stdout of each case (`<name>.out`) and the map and point
+inputs; regenerate a file only for an intended change of output."""
+
+from pathlib import Path
+
+import pytest
+
+from planeheights.cli import main
+
+GOLDEN = Path(__file__).parent / "data" / "golden"
+
+
+def _orbit_h2(fmt):
+    return ["orbit", "--map", "h2.json", "--point", "3,0", "--T-grid", "5:21:9",
+            "--window", "4", "--format", fmt]
+
+
+# name -> (argv with paths relative to GOLDEN, exit code)
+CASES = {
+    "orbit_h2_json": (_orbit_h2("json"), 0),
+    "orbit_h2_csv": (_orbit_h2("csv"), 0),
+    "orbit_h2_text": (_orbit_h2("text"), 0),
+    "orbit_c6_text": (["orbit", "--map", "c6.json", "--point", "1,1", "--depth", "5",
+                       "--window", "3", "--T", "1e5"], 0),
+    "canheight_h2_json": (["canheight", "--map", "h2.json", "--points", "points.txt",
+                           "--format", "json"], 0),
+    "canheight_conj_h2_json": (["canheight", "--map", "conj_h2.json", "--points", "points.txt",
+                                "--format", "json"], 0),
+}
+
+
+def resolve(argv):
+    return [str(GOLDEN / arg) if arg.endswith((".json", ".txt")) else arg for arg in argv]
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_golden_output(capsys, name):
+    argv, expected_code = CASES[name]
+    code = main(resolve(argv))
+    out = capsys.readouterr().out
+    assert code == expected_code
+    assert out.encode("utf-8") == (GOLDEN / f"{name}.out").read_bytes()

@@ -6,9 +6,11 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from planeheights.automorphism import henon, inverse, triangular
-from planeheights.canonical import functional_equation_residual, hminus, hplus, make_engine
+from planeheights.automorphism import compose_maps, henon, inverse, triangular
+from planeheights.canonical import functional_equation_residual, hminus, hplus, is_periodic, make_engine
 from planeheights.errors import (
     OutOfRangeError,
     PeriodicPointError,
@@ -22,12 +24,10 @@ from planeheights.orbit import (
     count_below,
     count_exponential,
     counting_enclosure,
-    counting_table_rows,
     hpm_from_h,
     min_orbit_height_bounds,
     minimum_location,
     orbit_height,
-    orbit_scan_rows,
 )
 from planeheights.ratpoly import parse_poly
 
@@ -68,6 +68,72 @@ def test_tracker_interval_phase_agrees_with_exact():
         mid_e = 0.5 * (lo_e + hi_e)
         assert lo_s <= mid_e <= hi_s
         assert hi_s - lo_s < 1e-6 * max(1.0, abs(mid_e))
+
+
+# Integral maps, so the tracker switches to intervals: the corpus maps H2,
+# H3 and C6 = H2 o H3, and a quartic with a = 1 (the corpus H4 has a = 2, a
+# non-integral inverse, so it never leaves the exact phase).
+INTEGRAL = {
+    "H2": HENON2,
+    "H3": henon(-1, parse_poly("x^3 - 2*x + 1")),
+    "H4": henon(1, parse_poly("x^4 + x")),
+}
+INTEGRAL["C6"] = compose_maps(INTEGRAL["H2"], INTEGRAL["H3"])
+DEPTH_BY_DELTA = {2: 12, 3: 8, 4: 6, 6: 5}
+SWITCH_DIGITS = 50
+
+
+def infinite_orbit_engine(name, x, y):
+    """The engine of an integral map and the point (x, y), or a failed
+    assumption unless both components are at least 1/4 (orbits nearer the
+    bounded ones take seconds to certify) and the orbit is not periodic."""
+    f = INTEGRAL[name]
+    engine = make_engine(f, depth=DEPTH_BY_DELTA[f.degree()])
+    pt = (Fraction(x), Fraction(y))
+    assume(min(hplus(engine, pt).value, hminus(engine, pt).value) >= 0.25)
+    assume(is_periodic(f, pt).kind == "not_periodic")
+    return engine, pt
+
+
+@settings(max_examples=40, deadline=None)
+@given(name=st.sampled_from(sorted(INTEGRAL)), x=st.integers(-6, 6), y=st.integers(-6, 6),
+       thresholds=st.lists(st.floats(0.5, 300.0), min_size=1, max_size=3))
+def test_counts_do_not_depend_on_the_switch_point(name, x, y, thresholds):
+    engine, pt = infinite_orbit_engine(name, x, y)
+    counts = {}
+    for which, f in (("naive", engine.g), ("canonical", engine)):
+        counts[which] = [count_below(f, pt, t, which) for t in sorted(thresholds)]
+        early = [count_below(f, pt, t, which, exact_digits=SWITCH_DIGITS) for t in sorted(thresholds)]
+        assert early == counts[which]
+        assert counts[which] == sorted(counts[which])
+
+
+@settings(max_examples=40, deadline=None)
+@given(name=st.sampled_from(sorted(INTEGRAL)), x=st.integers(-6, 6), y=st.integers(-6, 6))
+def test_early_switch_encloses_the_exact_run(name, x, y):
+    engine, pt = infinite_orbit_engine(name, x, y)
+    small = OrbitHeightTracker(engine.g, pt, exact_digits=SWITCH_DIGITS)
+    exact = OrbitHeightTracker(engine.g, pt)
+    switched = False
+    for sign in (1, -1):
+        for k in range(25):
+            l = sign * k
+            try:
+                exact.point(l)
+            except ResourceCapError:
+                break  # iterate l is an interval in the exact run too
+            switched = switched or _is_interval(small, l)
+            lo, hi = small.h_bounds(l)
+            assert lo <= exact.h(l) <= hi
+    assert switched
+
+
+def _is_interval(tracker, l):
+    try:
+        tracker.point(l)
+    except ResourceCapError:
+        return True
+    return False
 
 
 def test_tracker_reaches_far_iterates():
@@ -297,7 +363,7 @@ def _least_squares_slope(xs, ys):
     return num / den
 
 
-# -- records and table rows --------------------------------------------------------
+# -- records ---------------------------------------------------------------------
 
 def test_orbit_record(engine):
     record = build_orbit_record(engine, X3, window=3)
@@ -307,16 +373,6 @@ def test_orbit_record(engine):
     mid = record.samples[3]
     assert mid.point == X3
     assert mid.h_hat == pytest.approx(record.hplus0 + record.hminus0)
-    rows = orbit_scan_rows(record)
-    assert len(rows) == 7 and rows[0][0] == -3
-
-
-def test_counting_table_rows(engine):
-    rows = counting_table_rows(engine, X3, [math.exp(5), math.exp(7)])
-    assert len(rows) == 2
-    for t, count, predicted, lower, upper in rows:
-        assert lower <= count <= upper
-        assert lower <= predicted <= upper
 
 
 def test_composite_degree_six_counting():
