@@ -42,7 +42,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Optional, Tuple
+from typing import Tuple
 
 from .errors import MapValidationError, PolyParseError
 from .heights import ProjPoint, affine, lift, log_int
@@ -312,10 +312,8 @@ def degree_sequence(f: PlaneAutomorphism, n_max: int) -> list:
     """[deg f, deg f^2, ..., deg f^n_max] by exact iterated composition."""
     if n_max < 1:
         raise ValueError("degree_sequence needs n_max >= 1")
-    degrees = []
-    p, q = f.fwd
-    cur_p, cur_q = p, q
-    degrees.append(max(cur_p.total_degree(), cur_q.total_degree()))
+    p, q = cur_p, cur_q = f.fwd
+    degrees = [f.degree()]
     for _ in range(n_max - 1):
         cur_p, cur_q = cur_p.compose(p, q), cur_q.compose(p, q)
         degrees.append(max(cur_p.total_degree(), cur_q.total_degree()))
@@ -352,26 +350,20 @@ def _compute_dynamical_degree(f: PlaneAutomorphism) -> int:
 
 @dataclass(frozen=True)
 class InfinityPoint:
-    """A point of the line at infinity: a coprime pair (X : Y), or the
-    'non-rational locus' tag carrying the square-free integer binary form
-    whose roots are the points.
+    """A point (X : Y) of the line at infinity, as a coprime integer pair
+    with X >= 0 (and Y > 0 when X = 0)."""
 
-    The kernel form is stored as integer coefficients (a_0, ..., a_k) of
-    sum a_i x^i y^(k-i), primitive, sign-normalized; two square-free forms cut
-    out the same locus exactly when the normalized tuples agree.
-    """
-
-    xy: Optional[Tuple[int, int]] = None
-    kernel: Optional[Tuple[int, ...]] = None
+    xy: Tuple[int, int]
 
     @property
     def is_rational(self) -> bool:
-        return self.xy is not None
+        """Always True: the indeterminacy point of an automorphism is the zero
+        of a rational linear form (see `indeterminacy_at_infinity`), and any
+        other input is refused rather than given an irrational locus."""
+        return True
 
     def __str__(self):
-        if self.is_rational:
-            return f"({self.xy[0]}:{self.xy[1]})"
-        return f"nonrational{list(self.kernel)}"
+        return f"({self.xy[0]}:{self.xy[1]})"
 
 
 def _normalize_pair(x: int, y: int) -> Tuple[int, int]:
@@ -382,111 +374,38 @@ def _normalize_pair(x: int, y: int) -> Tuple[int, int]:
     return (x, y)
 
 
-def _form_coeffs(form: BivarPoly, degree: int) -> list:
-    return [form.coefficient(i, degree - i) for i in range(degree + 1)]
-
-
-def _upoly_trim(coeffs: list) -> list:
-    while coeffs and coeffs[-1] == 0:
-        coeffs.pop()
-    return coeffs
-
-
-def _upoly_divmod(a: list, b: list):
-    a = list(a)
-    deg_b = len(b) - 1
-    lead = b[-1]
-    quo = [Fraction(0)] * max(0, len(a) - deg_b)
-    while len(a) - 1 >= deg_b and _upoly_trim(a):
-        shift = len(a) - 1 - deg_b
-        factor = a[-1] / lead
-        quo[shift] = factor
-        for k in range(len(b)):
-            a[shift + k] -= factor * b[k]
-        a = _upoly_trim(a)
-        if not a:
-            break
-    return quo, a
-
-
-def _upoly_gcd(a: list, b: list) -> list:
-    a = _upoly_trim([Fraction(c) for c in a])
-    b = _upoly_trim([Fraction(c) for c in b])
-    while b:
-        _, r = _upoly_divmod(a, b)
-        a, b = b, _upoly_trim(r)
-    if a:
-        lead = a[-1]
-        a = [c / lead for c in a]
-    return a
-
-
-def _upoly_derivative(a: list) -> list:
-    return _upoly_trim([a[k] * k for k in range(1, len(a))])
-
-
-def _squarefree_part(a: list) -> list:
-    if len(a) <= 2:
-        return list(a)
-    g = _upoly_gcd(a, _upoly_derivative(a))
-    if len(g) <= 1:
-        return list(a)
-    quo, rem = _upoly_divmod(list(a), g)
-    assert not rem
-    return _upoly_trim(quo)
-
-
-def _primitive_int_coeffs(coeffs: list) -> Tuple[int, ...]:
-    lcm = 1
-    for c in coeffs:
-        lcm = lcm * c.denominator // math.gcd(lcm, c.denominator)
-    ints = [int(c * lcm) for c in coeffs]
-    g = 0
-    for v in ints:
-        g = math.gcd(g, v)
-    ints = [v // g for v in ints]
-    if next((v for v in reversed(ints) if v), 1) < 0:
-        ints = [-v for v in ints]
-    return tuple(ints)
-
-
 def indeterminacy_at_infinity(f: PlaneAutomorphism) -> InfinityPoint:
-    """The common zero locus on the line at infinity of the degree-d leading
-    forms of the two components (an identically-zero leading form imposes no
-    condition).  For an automorphism this is the single point supporting the
-    gcd of the nonzero leading forms."""
+    """The common zero on the line at infinity of the nonzero degree-d
+    leading forms F of the components of f, d = deg f >= 2.
+
+    The point is always rational.  A plane automorphism is a composite of
+    affine and triangular maps (Jung 1942, van der Kulk 1953), so each F is
+    c * l^d for one linear form l over Q.  With a, b the coefficients of x^d
+    and x^(d-1) y, l = x + b/(d a) y when a != 0 and l = y otherwise, and
+    F = c * l^d is checked exactly.  A form that is not such a power, or two
+    forms with different zeros, mean f is not an automorphism: refused.
+    """
     d = f.degree()
     if d < 2:
         raise MapValidationError("indeterminacy at infinity requires degree >= 2")
-    forms = [poly.leading_form(d) for poly in f.fwd]
-    forms = [form for form in forms if not form.is_zero()]
-
-    # Work on dehomogenized coefficient lists a_i = coeff of x^i y^(d-i),
-    # i.e. the univariate f(t) = F(t, 1); the y-multiplicity of a form is
-    # d - deg_t f, and common t-powers (x-factors) stay inside the t-gcd.
-    uni = [_upoly_trim(_form_coeffs(form, d)) for form in forms]
-    y_mult = min(d - (len(u) - 1) for u in uni)
-    if len(uni) == 1:
-        g = [c / uni[0][-1] for c in uni[0]]
-    else:
-        g = _upoly_gcd(uni[0], uni[1])
-    if len(g) <= 1 and y_mult == 0:
-        raise MapValidationError("empty indeterminacy locus at infinity (not an automorphism)")
-
-    # Square-free kernel S = y^min(1, y_mult) * homog(squarefree(g)).
-    sf = _squarefree_part(g) if len(g) > 1 else [Fraction(1)]
-    y_extra = 1 if y_mult > 0 else 0
-    kernel_deg = (len(sf) - 1) + y_extra
-    if kernel_deg == 1:
-        if y_extra and len(sf) == 1:
-            return InfinityPoint(xy=(1, 0))  # the kernel form is y itself
-        alpha, beta = sf[1], sf[0]  # alpha*t + beta with t = x/y: root (-beta : alpha)
-        return InfinityPoint(xy=_normalize_pair(-beta.numerator * alpha.denominator,
-                                                alpha.numerator * beta.denominator))
-    # Multiplying by y raises the form degree without moving x-exponents, so
-    # the coefficient of x^i is sf[i] and the top x-coefficient gains a zero.
-    coeffs = list(sf) + [Fraction(0)] * y_extra
-    return InfinityPoint(kernel=_primitive_int_coeffs(coeffs))
+    points = set()
+    for form in (poly.leading_form(d) for poly in f.fwd):
+        if form.is_zero():
+            continue  # a component of lower degree imposes no condition
+        a = form.coefficient(d, 0)
+        if a:
+            t = form.coefficient(d - 1, 1) / (d * a)
+            linear, c, point = _X + BivarPoly.const(t) * _Y, a, _normalize_pair(-t.numerator, t.denominator)
+        else:
+            linear, c, point = _Y, form.coefficient(0, d), (1, 0)
+        if form != BivarPoly.const(c) * linear**d:
+            raise MapValidationError(
+                f"leading form {form} is not a power of a linear form (not an automorphism)")
+        points.add(point)
+    if len(points) != 1:
+        raise MapValidationError(
+            "the leading forms have no common zero at infinity (not an automorphism)")
+    return InfinityPoint(points.pop())
 
 
 def is_regular(f: PlaneAutomorphism) -> bool:
@@ -501,9 +420,10 @@ def is_regular(f: PlaneAutomorphism) -> bool:
 def from_description(doc) -> PlaneAutomorphism:
     """Build an automorphism from a JSON-shaped map description.
 
-    Supported nodes: henon, triangular, compose (right-to-left), conjugate,
-    pair.  Rationals are strings 'num/den' or 'int'; polynomials use the text
-    grammar of :mod:`planeheights.ratpoly`.
+    Supported nodes: henon, triangular, compose (right-to-left), conjugate
+    (by o inner o by^-1, the outer map of an engine with core inner and
+    conjugator by), pair.  Rationals are strings 'num/den' or 'int';
+    polynomials use the text grammar of :mod:`planeheights.ratpoly`.
     """
     if not isinstance(doc, dict) or "type" not in doc:
         raise MapValidationError("map description must be an object with a 'type' field")
@@ -527,7 +447,7 @@ def from_description(doc) -> PlaneAutomorphism:
                 result = compose_maps(node, result)
             return result
         if kind == "conjugate":
-            return conjugate(from_description(doc["inner"]), from_description(doc["by"]))
+            return conjugate(from_description(doc["inner"]), inverse(from_description(doc["by"])))
         if kind == "pair":
             return pair(
                 BivarPoly.parse(doc["p"]),
@@ -540,10 +460,14 @@ def from_description(doc) -> PlaneAutomorphism:
     raise MapValidationError(f"unknown map type {kind!r}")
 
 
-def load_map_file(path) -> PlaneAutomorphism:
+def read_map_doc(path):
+    """The JSON document of a map file; invalid JSON is a PolyParseError."""
     with open(path, "r", encoding="utf-8") as handle:
         try:
-            doc = json.load(handle)
+            return json.load(handle)
         except json.JSONDecodeError as exc:
             raise PolyParseError(f"invalid JSON in map file: {exc}") from None
-    return from_description(doc)
+
+
+def load_map_file(path) -> PlaneAutomorphism:
+    return from_description(read_map_doc(path))

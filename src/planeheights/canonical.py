@@ -25,10 +25,8 @@ h_nv = log max(|X|, |Y|, Z) is read off the primitive triples, so no
 `Fraction` is built inside a walk.  Values at f^s(x) are the same orbit read
 from index s, which is exact because gamma^-1(f^s x) = g^s(z) and primitive
 triples with Z > 0 are unique; so hplus, hminus, hcanonical, the functional
-equation and the periodicity test at one point share one orbit, and the core
-map keeps only that one: a query at a new point replaces it, since the
-queries about one point come together and an orbit kept for a point nobody
-asks about again would only hold memory.
+equation and the periodicity test at one point share one orbit, the one the
+core map keeps (see :mod:`planeheights.automorphism` for why only one).
 Each estimate tests the digit cap on the triple's largest coordinate, in the
 order of its own walk, and names the refused iterate relative to its own
 base point.  The dynamical degree and the growth constants are cached on the
@@ -281,7 +279,8 @@ def is_periodic(
     The not_periodic certificate is the height-growth heuristic: naive heights
     along both time directions must exceed h_nv(x) + c2/(delta-1) + 1 and grow
     monotonically for `patience` consecutive steps, and (on regular maps) the
-    canonical-height estimate must exceed its error budget.  Anything else is
+    canonical-height estimate must exceed its error budget.  Anything else,
+    including a certificate that would need an iterate over the digit cap, is
     reported as undecided, never as a wrong answer.
     """
     start = lift(x)
@@ -321,7 +320,8 @@ def is_periodic(
         if (growth_ready and not height_check_done
                 and run[1] >= patience and run[-1] >= patience):
             height_check_done = True  # the estimate depends on x only
-            if _canonical_height_clearly_positive(f, x, digit_cap):
+            # a non-regular frame relies on the growth certificate alone
+            if delta != f.degree() or _canonical_height_clearly_positive(f, orbit, limit):
                 return PeriodicityVerdict(
                     "not_periodic",
                     detail=(f"heights grew monotonically past the divergence threshold "
@@ -334,12 +334,19 @@ def is_periodic(
     return PeriodicityVerdict("undecided", detail=f"no certificate after {max_iter} iterations")
 
 
-def _canonical_height_clearly_positive(f: PlaneAutomorphism, x: AffinePoint, digit_cap: int) -> bool:
-    if dynamical_degree(f) != f.degree():
-        return True  # non-regular frame: rely on the growth certificate alone
-    engine = make_engine(f, depth=_default_certificate_depth(f.degree()), digit_cap=digit_cap)
-    estimate = hcanonical(engine, x)
-    return estimate.value > engine.error_budget()
+def _canonical_height_clearly_positive(f: PlaneAutomorphism, orbit: Orbit, limit: int) -> bool:
+    """On a regular f, hcanonical's value h(f^n x)/delta^n + h(f^-n x)/delta_-^n
+    at n = `_default_certificate_depth` exceeds its error budget, read off the
+    orbit f holds; False when an iterate up to depth n exceeds `limit` bits."""
+    n = _default_certificate_depth(f.degree())
+    value = budget = 0.0
+    for sign, delta, c2 in ((1, f.degree(), _growth_constant(f, "fwd")),
+                            (-1, f.inverse_degree(), _growth_constant(f, "inv"))):
+        if any(top(orbit[sign * k]).bit_length() > limit for k in range(1, n + 1)):
+            return False
+        value += naive_height(orbit[sign * n]) / delta**n
+        budget += c2 / ((delta - 1) * delta**n)
+    return value > budget
 
 
 # -- the quadratic recursion behind the sharpness bound ------------------------

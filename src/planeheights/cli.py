@@ -26,6 +26,7 @@ from .automorphism import (
     from_description,
     is_regular,
     load_map_file,
+    read_map_doc,
 )
 from .canonical import (
     HeightEstimate,
@@ -38,7 +39,6 @@ from .canonical import (
 )
 from .errors import (
     MapValidationError,
-    OutOfRangeError,
     PeriodicPointError,
     PlaneHeightsError,
     PolyParseError,
@@ -104,10 +104,9 @@ def _gather_points(args) -> list:
 
 def _engine(args):
     """The engine of --map.  A top-level conjugate document supplies the
-    engine's core and conjugator separately; anything else is the core
-    itself."""
-    with open(args.map, "r", encoding="utf-8") as handle:
-        doc = json.load(handle)
+    engine's core and conjugator separately (its outer map is the
+    document's map, by o inner o by^-1); anything else is the core itself."""
+    doc = read_map_doc(args.map)
     if isinstance(doc, dict) and doc.get("type") == "conjugate":
         g, gamma = from_description(doc["inner"]), from_description(doc["by"])
     else:
@@ -447,6 +446,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("orbit", help="orbit scan CSV and counting table")
     _add_common(p)
     _add_engine_flags(p)
+    p.add_argument("--patience", type=_positive_int(1, "patience"), default=5)
     p.add_argument("--T", type=float, default=None, help="single counting threshold")
     p.add_argument("--T-grid", dest="T_grid", default=None,
                    help="lo:hi:steps in natural-log units (T = e^lo .. e^hi)")
@@ -472,7 +472,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _add_engine_flags(parser):
     parser.add_argument("--depth", type=_positive_int(2, "depth"), default=12)
-    parser.add_argument("--patience", type=_positive_int(1, "patience"), default=5)
     parser.add_argument("--digit-cap", dest="digit_cap", type=_positive_int(10_000, "digit-cap"),
                         default=DEFAULT_DIGIT_CAP)
     parser.add_argument("--c-lower", dest="c_lower", type=float, default=None,
@@ -484,19 +483,13 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (PolyParseError, MapValidationError, PeriodicPointError, OutOfRangeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
     except UndecidedPeriodicityError as exc:
         print(f"undecided: {exc}", file=sys.stderr)
         return EXIT_UNDECIDED
     except ResourceCapError as exc:
         print(f"resource cap: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
-    except (OSError, json.JSONDecodeError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except PlaneHeightsError as exc:
+    except (PlaneHeightsError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

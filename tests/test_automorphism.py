@@ -1,9 +1,12 @@
 """Automorphism constructors, composition algebra, dynamical degrees, regularity."""
 
+import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from planeheights.automorphism import (
     InfinityPoint,
@@ -225,13 +228,59 @@ def test_regularity_matches_dynamical_degree_dichotomy():
 
 
 def test_nonrational_indeterminacy_locus():
-    """A pair whose leading forms share an irreducible quadratic factor."""
+    """Leading forms sharing an irreducible quadratic factor, or with two
+    different zeros, belong to no automorphism and are refused."""
     p = parse_poly("x^2 + y^2")
     q = parse_poly("2*x^2 + 2*y^2 + x")
     f = PlaneAutomorphism((p, q), (X, Y), ("synthetic",))
-    loc = indeterminacy_at_infinity(f)
-    assert not loc.is_rational
-    assert loc.kernel == (1, 0, 1)
+    with pytest.raises(MapValidationError, match="not an automorphism"):
+        indeterminacy_at_infinity(f)
+    g = PlaneAutomorphism((X * X, Y * Y), (X, Y), ("synthetic",))
+    with pytest.raises(MapValidationError, match="not an automorphism"):
+        indeterminacy_at_infinity(g)
+
+
+def _affine_map(entries, shift):
+    a, b, c, d = (Fraction(v) for v in entries)
+    det = a * d - b * c
+    u, v = X - BivarPoly.const(shift[0]), Y - BivarPoly.const(shift[1])
+    return pair(
+        BivarPoly.const(a) * X + BivarPoly.const(b) * Y + BivarPoly.const(shift[0]),
+        BivarPoly.const(c) * X + BivarPoly.const(d) * Y + BivarPoly.const(shift[1]),
+        BivarPoly.const(d / det) * u - BivarPoly.const(b / det) * v,
+        BivarPoly.const(a / det) * v - BivarPoly.const(c / det) * u,
+    )
+
+
+_small = st.integers(-3, 3)
+_coeff = st.sampled_from([1, -1, 2, -3, Fraction(1, 2)])
+_poly = st.tuples(_coeff, st.integers(2, 3), _small)  # (lead, degree, linear coefficient)
+_henon_factor = st.builds(
+    lambda a, p: henon(a, BivarPoly.const(p[0]) * X ** p[1] + BivarPoly.const(p[2]) * X),
+    _coeff, _poly)
+_triangular_factor = st.builds(
+    lambda a, b, c, p: triangular(a, b, c, BivarPoly.const(p[0]) * Y ** p[1] + BivarPoly.const(p[2]) * Y),
+    _coeff, _coeff, _small, _poly)
+_affine_factor = st.builds(
+    _affine_map,
+    st.tuples(_small, _small, _small, _small).filter(lambda m: m[0] * m[3] != m[1] * m[2]),
+    st.tuples(_small, _small))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.one_of(_henon_factor, _triangular_factor, _affine_factor), min_size=1, max_size=3))
+def test_indeterminacy_point_of_random_words(factors):
+    # dynamical_degree composes f with itself: keep deg f <= 6
+    assume(math.prod(g.degree() for g in factors) <= 6)
+    f = factors[0]
+    for g in factors[1:]:
+        f = compose_maps(f, g)
+    d = f.degree()
+    assume(d >= 2)
+    x, y = indeterminacy_at_infinity(f).xy
+    for poly in f.fwd:
+        assert poly.leading_form(d).evaluate(x, y) == 0
+    assert is_regular(f) == (dynamical_degree(f) == d)
 
 
 def test_word_concatenation():

@@ -5,9 +5,13 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from planeheights.automorphism import compose_maps, henon, identity, triangular
+from planeheights.automorphism import cap_bits, compose_maps, henon, identity, triangular
 from planeheights.canonical import (
+    _canonical_height_clearly_positive,
+    _default_certificate_depth,
     classify_quadratic_recursion,
     functional_equation_residual,
     hcanonical,
@@ -17,12 +21,13 @@ from planeheights.canonical import (
     make_engine,
 )
 from planeheights.errors import MapValidationError, ResourceCapError
-from planeheights.heights import naive_height_affine
+from planeheights.heights import lift, naive_height_affine
 from planeheights.ratpoly import BivarPoly, parse_poly
 
 PAD = 2.0**-40
 
 HENON2 = henon(1, parse_poly("x^2"))
+HENON3 = henon(-1, parse_poly("x^3 - 2*x + 1"))
 X3 = (Fraction(3), Fraction(0))
 ORIGIN = (Fraction(0), Fraction(0))
 
@@ -203,6 +208,35 @@ def test_is_periodic_triangular_cycle_detection():
     assert verdict.kind == "periodic" and verdict.period == 2
     shift = triangular(1, 1, 1, BivarPoly.zero())  # (x, y) -> (x, y + 1)
     assert is_periodic(shift, ORIGIN, max_iter=10).kind == "undecided"
+
+
+def test_is_periodic_certificate_over_the_cap_is_undecided():
+    # the depth-11 certificate at (10^10, 0) needs an iterate over 10^4
+    # digits: no certificate, and no ResourceCapError either
+    verdict = is_periodic(HENON2, (Fraction(10**10), Fraction(0)), digit_cap=10**4)
+    assert verdict.kind == "undecided"
+
+
+def test_is_periodic_accepts_caps_below_ten_thousand():
+    assert is_periodic(HENON2, X3, digit_cap=5000) == is_periodic(HENON2, X3)
+    assert is_periodic(HENON2, ORIGIN, digit_cap=100).period == 1
+
+
+@settings(max_examples=40, deadline=None)
+@given(f=st.sampled_from([HENON2, HENON3, compose_maps(HENON2, HENON3)]),
+       x=st.integers(-4, 4) | st.integers(10**2, 10**6), y=st.integers(-4, 4))
+def test_periodicity_certificate_matches_engine_estimate(f, x, y):
+    """The certificate read off the held orbit decides as the engine's
+    hcanonical at the certificate depth against its error budget does."""
+    cap = 10**4
+    pt = (Fraction(x), Fraction(y))
+    engine = make_engine(f, depth=_default_certificate_depth(f.degree()), digit_cap=cap)
+    try:
+        estimate = hcanonical(engine, pt)
+        expected = estimate.value > engine.error_budget()
+    except ResourceCapError:
+        expected = False
+    assert _canonical_height_clearly_positive(f, f.orbit(lift(pt)), cap_bits(cap)) == expected
 
 
 def test_recursion_boundary_case_exact_trajectory():

@@ -10,8 +10,9 @@ import jsonschema
 import pytest
 
 import planeheights
-from planeheights.cli import main
-from planeheights.ratpoly import format_int
+from planeheights.automorphism import load_map_file
+from planeheights.cli import _engine, build_parser, main
+from planeheights.ratpoly import format_int, parse_poly
 from planeheights.schemas import SCHEMAS
 
 HENON2 = {"type": "henon", "a": "1", "p": "x^2"}
@@ -116,6 +117,29 @@ def test_canheight_conjugated_map(capsys, maps):
     assert json.loads(out)["delta"] == 2
 
 
+def test_conjugate_document_is_one_map():
+    """dyndeg and periodic (load_map_file) and canheight and orbit (the
+    engine's outer map) read a conjugate document as the same map."""
+    path = os.path.join(os.path.dirname(__file__), "data", "golden", "conj_h2.json")
+    engine = _engine(build_parser().parse_args(["canheight", "--map", path, "--point", "0,0"]))
+    loaded = load_map_file(path)
+    assert loaded.fwd == engine.outer.fwd and loaded.inv == engine.outer.inv
+    # by o inner o by^-1 with by = (x + 1, y), inner = (x^2 - y, x)
+    assert loaded.fwd == (parse_poly("x^2 - 2*x - y + 2"), parse_poly("x - 1"))
+
+
+def test_invalid_map_json_reads_alike_in_every_command(capsys, tmp_path):
+    path = tmp_path / "bad.json"
+    path.write_text("{not json")
+    errors = set()
+    for argv in (["dyndeg"], ["periodic", "--point", "1,1"], ["canheight", "--point", "1,1"],
+                 ["orbit", "--point", "1,1"]):
+        code, out, err = run_cli(capsys, argv + ["--map", str(path)])
+        assert code == 2 and out == ""
+        errors.add(err)
+    assert len(errors) == 1 and "invalid JSON in map file" in errors.pop()
+
+
 def test_orbit_json_schema(capsys, maps):
     code, out, _ = run_cli(capsys, [
         "orbit", "--map", maps["henon2"], "--point", "3,0",
@@ -189,6 +213,12 @@ def test_periodic_exit_codes(capsys, maps):
     os.unlink(path)
 
 
+def test_periodic_certificate_over_the_cap_exits_undecided(capsys, maps):
+    code, out, _ = run_cli(capsys, ["periodic", "--map", maps["henon2"], "--point", "10000000000,0",
+                                    "--digit-cap", "10000"])
+    assert code == 3 and out.startswith("undecided")
+
+
 def test_periodic_json_schema(capsys, maps):
     code, out, _ = run_cli(capsys, [
         "periodic", "--map", maps["henon2"], "--point", "0,0", "--format", "json",
@@ -230,6 +260,7 @@ def test_run_config_invariants_enforced(maps):
         ["canheight", "--map", maps["henon2"], "--point", "3,0", "--depth", "1"],
         ["periodic", "--map", maps["henon2"], "--point", "3,0", "--patience", "0"],
         ["canheight", "--map", maps["henon2"], "--point", "3,0", "--digit-cap", "100"],
+        ["canheight", "--map", maps["henon2"], "--point", "3,0", "--patience", "3"],  # orbit only
     ):
         with pytest.raises(SystemExit) as exc:
             main(argv)
