@@ -46,7 +46,7 @@ from typing import Tuple
 
 from .errors import MapValidationError, PolyParseError
 from .heights import ProjPoint, affine, lift, log_int
-from .ratpoly import BivarPoly, parse_rat, powers
+from .ratpoly import BivarPoly, _integer_numerators, parse_rat, powers
 
 _X = BivarPoly.var("x")
 _Y = BivarPoly.var("y")
@@ -82,19 +82,12 @@ class IntegerForms:
 
     def __init__(self, components: Tuple[BivarPoly, BivarPoly]):
         self.degree = d = max(poly.total_degree() for poly in components)
-        m = 1
-        for poly in components:
-            for c in poly.terms.values():
-                m = m * c.denominator // math.gcd(m, c.denominator)
-        self.m = m
+        self.m, *numerators = _integer_numerators(*components)
         keys = sorted({key for poly in components for key in poly.terms})
         self.monomials = tuple((i, j, d - i - j) for i, j in keys)
         index = {key: n for n, key in enumerate(keys)}
-        self.f, self.g = (
-            tuple((index[key], int(c * m)) for key, c in poly.terms.items())
-            for poly in components
-        )
-        c_max = max(m, *(sum(abs(c) for _, c in form) for form in (self.f, self.g)))
+        self.f, self.g = (tuple((index[key], c) for key, c in terms.items()) for terms in numerators)
+        c_max = max(self.m, *(sum(abs(c) for _, c in form) for form in (self.f, self.g)))
         self.c2 = log_int(c_max) if c_max > 1 else 0.0
         self._max_i = max(i for i, _ in keys)
         self._max_j = max(j for _, j in keys)
@@ -321,21 +314,19 @@ def degree_sequence(f: PlaneAutomorphism, n_max: int) -> list:
 
 
 def dynamical_degree(f: PlaneAutomorphism) -> int:
-    """delta = lim (deg f^n)^(1/n), via the exact ratio tau = deg(f^2)/deg(f).
-
-    Either tau <= 1 (the triangularizable case, delta = 1) or tau is an
-    integer >= 2 and equals delta.  A non-integer tau > 1 signals a malformed
-    automorphism.  The composition f o f is done once per map object: the
-    value is cached on the map.
-    """
+    """delta = lim (deg f^n)^(1/n): deg f on a regular map (Friedland-Milnor
+    1989), with no composition; else the exact ratio tau = deg(f^2)/deg(f),
+    which is <= 1 (triangularizable, delta = 1) or an integer >= 2 equal to
+    delta.  A non-integer tau > 1 signals a malformed automorphism.  The value
+    is cached on the map."""
     return f._dynamical_degree
 
 
 def _compute_dynamical_degree(f: PlaneAutomorphism) -> int:
     d1 = f.degree()
-    p, q = f.fwd
-    d2 = max(p.compose(p, q).total_degree(), q.compose(p, q).total_degree())
-    tau = Fraction(d2, d1)
+    if d1 >= 2 and f.inverse_degree() >= 2 and is_regular(f):
+        return d1
+    tau = Fraction(degree_sequence(f, 2)[1], d1)
     if tau <= 1:
         return 1
     if tau.denominator != 1:

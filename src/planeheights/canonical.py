@@ -298,25 +298,32 @@ def is_periodic(
     run = {1: 0, -1: 0}
     last = {1: -math.inf, -1: -math.inf}
     live = {1: True, -1: True}
+    read = {1: 0, -1: 0}  # iterates read so far in each direction
     height_check_done = False
     for step in range(1, max_iter + 1):
         # cycle detection keeps running after the growth runs complete: a
         # periodic orbit may ride a height excursion before closing, and its
         # bounded coordinates make the extra iteration cheap.  Primitive
         # triples with Z > 0 are unique, so equal points are equal triples.
+        # A direction whose growth run is complete waits (instead of growing
+        # toward the cap) until the height check fails or the other direction
+        # dies short of its run; then it catches up.  f^p x = x exactly when
+        # f^-p x = x, so the stepping direction finds a cycle alone.
         for sign in (1, -1):
-            if not live[sign]:
-                continue
-            pt = orbit[sign * step]
-            if pt == start:
-                return PeriodicityVerdict("periodic", period=step)
-            largest = top(pt)
-            if largest.bit_length() > limit:
-                live[sign] = False
-            if growth_ready:
-                h = log_int(largest)
-                run[sign] = run[sign] + 1 if (h > threshold[sign] and h > last[sign]) else 0
-                last[sign] = h
+            waits = (growth_ready and not height_check_done and run[sign] >= patience
+                     and (live[-sign] or run[-sign] >= patience))
+            while live[sign] and not waits and read[sign] < step:
+                read[sign] += 1
+                pt = orbit[sign * read[sign]]
+                if pt == start:
+                    return PeriodicityVerdict("periodic", period=read[sign])
+                largest = top(pt)
+                if largest.bit_length() > limit:
+                    live[sign] = False
+                if growth_ready:
+                    h = log_int(largest)
+                    run[sign] = run[sign] + 1 if (h > threshold[sign] and h > last[sign]) else 0
+                    last[sign] = h
         if (growth_ready and not height_check_done
                 and run[1] >= patience and run[-1] >= patience):
             height_check_done = True  # the estimate depends on x only

@@ -6,6 +6,10 @@ dict mapping exponent pairs (i, j) to nonzero Fraction coefficients; the
 zero polynomial has an empty term map.  All values are immutable by
 convention and all operations are pure, so sharing across threads is safe.
 
+Products and composition run on integer numerators over one lcm
+denominator (`_integer_numerators`, the one place where coefficients become
+integers) and divide once, when the canonical result is rebuilt.
+
 Text grammar (whitespace insignificant)::
 
     poly  := term (('+'|'-') term)*
@@ -20,6 +24,7 @@ higher x-power), which makes parse -> print -> parse idempotent.
 from __future__ import annotations
 
 import decimal
+import math
 from fractions import Fraction
 
 from .errors import DegreeUndefinedError, PolyParseError
@@ -142,45 +147,16 @@ class BivarPoly:
         return _coerce(other) - self
 
     def __mul__(self, other):
-        other = _coerce(other)
-        # integer coefficients take the raw-int path: no per-op gcd reduction
-        if all(c.denominator == 1 for c in self.terms.values()) and all(
-            c.denominator == 1 for c in other.terms.values()
-        ):
-            acc = {}
-            a = [(i, j, c.numerator) for (i, j), c in self.terms.items()]
-            b = [(i, j, c.numerator) for (i, j), c in other.terms.items()]
-            for i1, j1, c1 in a:
-                for i2, j2, c2 in b:
-                    key = (i1 + i2, j1 + j2)
-                    acc[key] = acc.get(key, 0) + c1 * c2
-            return _raw({key: Fraction(v) for key, v in acc.items() if v})
-        out = {}
-        for (i1, j1), c1 in self.terms.items():
-            for (i2, j2), c2 in other.terms.items():
-                key = (i1 + i2, j1 + j2)
-                s = out.get(key, Fraction(0)) + c1 * c2
-                if s == 0:
-                    out.pop(key, None)
-                else:
-                    out[key] = s
-        return _raw(out)
+        a_den, a = _integer_numerators(self)
+        b_den, b = _integer_numerators(_coerce(other))
+        return _sum_of_products([(a, b, 1)], a_den * b_den)
 
     __rmul__ = __mul__
 
     def __pow__(self, n: int):
         if not isinstance(n, int) or n < 0:
             raise ValueError("exponent must be a non-negative integer")
-        result = BivarPoly.const(1)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            base_needed = n > 1
-            n >>= 1
-            if base_needed:
-                base = base * base
-        return result
+        return _coerce(powers(self, n)[-1])
 
     def __eq__(self, other):
         if not isinstance(other, BivarPoly):
@@ -230,13 +206,17 @@ class BivarPoly:
         return total
 
     def compose(self, sub_x: "BivarPoly", sub_y: "BivarPoly") -> "BivarPoly":
-        """Substitute sub_x for x and sub_y for y, expanded and canonicalized."""
-        xp = _poly_powers(sub_x, max((i for i, _ in self.terms), default=0))
-        yp = _poly_powers(sub_y, max((j for _, j in self.terms), default=0))
-        result = BivarPoly.zero()
-        for (i, j), c in self.terms.items():
-            result = result + xp[i] * yp[j] * BivarPoly.const(c)
-        return result
+        """Substitute sub_x for x and sub_y for y, expanded and canonicalized.
+        Each term c x^i y^j streams into one integer accumulator over the lcm
+        of the terms' denominators, with no polynomial built per term."""
+        max_i = max((i for i, _ in self.terms), default=0)
+        max_j = max((j for _, j in self.terms), default=0)
+        xs = [_integer_numerators(_coerce(p)) for p in powers(sub_x, max_i)]
+        ys = [_integer_numerators(_coerce(p)) for p in powers(sub_y, max_j)]
+        dens = {(i, j): c.denominator * xs[i][0] * ys[j][0] for (i, j), c in self.terms.items()}
+        den = math.lcm(*dens.values())
+        return _sum_of_products(((xs[i][1], ys[j][1], c.numerator * (den // dens[i, j]))
+                                 for (i, j), c in self.terms.items()), den)
 
     # -- printing ----------------------------------------------------------
 
@@ -284,11 +264,29 @@ def powers(base, n: int) -> list:
     return out
 
 
-def _poly_powers(base: BivarPoly, n: int):
-    out = [BivarPoly.const(1)]
-    for _ in range(n):
-        out.append(out[-1] * base)
-    return out
+def _integer_numerators(*polys: BivarPoly):
+    """(den, numerators, ...): each polynomial as a map {(i, j): integer}
+    over den, the lcm of the coefficient denominators of all of them.  This
+    is the one place where rational coefficients become integers."""
+    den = math.lcm(*(c.denominator for poly in polys for c in poly.terms.values()))
+    return (den, *({key: c.numerator * (den // c.denominator) for key, c in poly.terms.items()}
+                   for poly in polys))
+
+
+def _sum_of_products(products, den: int) -> BivarPoly:
+    """The canonical polynomial sum(scale * a * b) / den of the (a, b, scale)
+    in `products`, with a and b integer term maps, summed in one integer
+    accumulator as they stream in."""
+    acc = {}
+    for a, b, scale in products:
+        for (i1, j1), c1 in a.items():
+            c1 *= scale
+            for (i2, j2), c2 in b.items():
+                key = (i1 + i2, j1 + j2)
+                acc[key] = acc.get(key, 0) + c1 * c2
+    if den == 1:  # Fraction(n) skips the gcd that Fraction(n, 1) takes
+        return _raw({key: Fraction(n) for key, n in acc.items() if n})
+    return _raw({key: Fraction(n, den) for key, n in acc.items() if n})
 
 
 def _format_monomial(i: int, j: int) -> str:

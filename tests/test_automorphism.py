@@ -270,7 +270,7 @@ _affine_factor = st.builds(
 @settings(max_examples=60, deadline=None)
 @given(st.lists(st.one_of(_henon_factor, _triangular_factor, _affine_factor), min_size=1, max_size=3))
 def test_indeterminacy_point_of_random_words(factors):
-    # dynamical_degree composes f with itself: keep deg f <= 6
+    # dynamical_degree composes a non-regular f with itself: keep deg f <= 6
     assume(math.prod(g.degree() for g in factors) <= 6)
     f = factors[0]
     for g in factors[1:]:
@@ -281,6 +281,26 @@ def test_indeterminacy_point_of_random_words(factors):
     for poly in f.fwd:
         assert poly.leading_form(d).evaluate(x, y) == 0
     assert is_regular(f) == (dynamical_degree(f) == d)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.one_of(_henon_factor, _triangular_factor, _affine_factor), min_size=2, max_size=3))
+def test_compose_check_holds_on_random_words(factors):
+    assume(math.prod(g.degree() for g in factors) <= 12)
+    f = factors[0]
+    for g in factors[1:]:
+        f = compose_maps(f, g)
+    assert f.compose_check()
+
+
+def test_dynamical_degree_of_a_regular_word_composes_nothing(monkeypatch):
+    h3 = henon(1, parse_poly("x^3 + x"))
+    f = compose_maps(h3, compose_maps(h3, h3))
+    calls = []
+    compose = BivarPoly.compose
+    monkeypatch.setattr(BivarPoly, "compose", lambda self, *args: calls.append(1) or compose(self, *args))
+    assert dynamical_degree(f) == 27
+    assert calls == []
 
 
 def test_word_concatenation():

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from planeheights.automorphism import cap_bits, compose_maps, henon, identity, triangular
+from planeheights.automorphism import IntegerForms, cap_bits, compose_maps, henon, identity, triangular
 from planeheights.canonical import (
     _canonical_height_clearly_positive,
     _default_certificate_depth,
@@ -191,6 +191,23 @@ def test_is_periodic_exact_orbit_walk():
     # (1,1) -> (0,1) -> (-1,0) -> (1,-1) -> (2,1) -> (3,2) -> ... heights grow
     verdict = is_periodic(HENON2, (Fraction(1), Fraction(1)), max_iter=80)
     assert verdict.kind == "not_periodic"
+
+
+def test_is_periodic_does_not_grow_a_finished_direction(monkeypatch):
+    # on C6 at (0, 1) the forward run completes first; stepping it on while
+    # the backward run completes would reach iterate +10, of 5.9M digits
+    c6 = compose_maps(HENON2, HENON3)
+    largest = []
+    step = IntegerForms.step
+
+    def recording_step(self, pt):
+        out = step(self, pt)
+        largest.append(max(map(abs, out)))
+        return out
+
+    monkeypatch.setattr(IntegerForms, "step", recording_step)
+    assert is_periodic(c6, (Fraction(0), Fraction(1))).kind == "not_periodic"
+    assert max(largest).bit_length() <= cap_bits(10**5)
 
 
 def test_is_periodic_three_cycle():

@@ -1,5 +1,5 @@
-"""Golden CLI outputs: the stdout bytes and exit code of fixed `orbit` and
-`canheight` commands must not change.  The files under tests/data/golden/
+"""Golden CLI outputs: the stdout bytes and exit code of fixed `orbit`,
+`canheight` and `dyndeg` commands must not change.  The files under tests/data/golden/
 hold the expected stdout of each case (`<name>.out`) and the map and point
 inputs; regenerate a file only for an intended change of output."""
 
@@ -29,6 +29,11 @@ CASES = {
     "canheight_conj_h2_json": (["canheight", "--map", "conj_h2.json", "--points", "points.txt",
                                 "--format", "json"], 0),
 }
+# dyndeg on a regular composite, an affine conjugate and a conjugate by the
+# nonlinear, rational triangular map (x + y^2/2, -y + 1), which is not regular
+for _map in ("c6", "conj_h2", "conj_tri_h3"):
+    for _fmt in ("json", "text"):
+        CASES[f"dyndeg_{_map}_{_fmt}"] = (["dyndeg", "--map", f"{_map}.json", "--format", _fmt], 0)
 
 
 def resolve(argv):

@@ -5,6 +5,8 @@ import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from planeheights.errors import DegreeUndefinedError, PolyParseError
 from planeheights.ratpoly import BivarPoly, format_int, format_rat, parse_poly, parse_rat
@@ -145,6 +147,40 @@ def test_evaluate_commutes_with_compose():
         a = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
         b = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
         assert p.compose(u, v).evaluate(a, b) == p.evaluate(u.evaluate(a, b), v.evaluate(a, b))
+
+
+_rats = st.fractions(min_value=-6, max_value=6, max_denominator=6)
+_points = st.tuples(_rats, _rats)
+# mixed denominators, with the zero polynomial and constants drawn often
+_polys = st.one_of(
+    st.just(BivarPoly.zero()),
+    _rats.map(BivarPoly.const),
+    st.dictionaries(st.tuples(st.integers(0, 3), st.integers(0, 3)), _rats, max_size=6).map(BivarPoly),
+)
+
+
+def _assert_canonical(poly):
+    assert all(type(c) is Fraction and c != 0 for c in poly.terms.values())
+    assert BivarPoly(poly.terms).terms == poly.terms
+
+
+@settings(max_examples=150, deadline=None)
+@given(a=_polys, b=_polys, pt=_points)
+@example(a=parse_poly("x + 1/2"), b=parse_poly("x - 1/2"), pt=(Fraction(1, 3), Fraction(2)))  # x cancels
+def test_product_evaluates_to_product_of_evaluations(a, b, pt):
+    product = a * b
+    _assert_canonical(product)
+    assert product.evaluate(*pt) == a.evaluate(*pt) * b.evaluate(*pt)
+
+
+@settings(max_examples=150, deadline=None)
+@given(a=_polys, q=_polys, r=_polys, pt=_points)
+@example(a=parse_poly("x - y"), q=parse_poly("1/2*x^2 + 1/3*y"), r=parse_poly("1/2*x^2 + 1/3*y"),
+         pt=(Fraction(1, 3), Fraction(2)))  # everything cancels
+def test_composite_evaluates_at_the_substituted_point(a, q, r, pt):
+    composite = a.compose(q, r)
+    _assert_canonical(composite)
+    assert composite.evaluate(*pt) == a.evaluate(q.evaluate(*pt), r.evaluate(*pt))
 
 
 def test_rat_helpers():
