@@ -124,12 +124,18 @@ class Orbit:
     iterate between the furthest one held and l, so a reader that applies a
     size cap reads the iterates in order and stops at the first one refused.
     Reads are not locked: threads that share a map need the caller's lock.
+
+    `tails` holds what the orbit tracker of :mod:`planeheights.orbit` keeps
+    past the exact window (its interval chains and height enclosures), by
+    switch bit length, so every tracker of this orbit and switch point reads
+    one copy, and replacing the orbit drops it.
     """
 
-    __slots__ = ("start", "_forms", "_chains")
+    __slots__ = ("start", "tails", "_forms", "_chains")
 
     def __init__(self, fwd: IntegerForms, inv: IntegerForms, start: ProjPoint):
         self.start = start
+        self.tails = {}
         self._forms = (inv, fwd)  # indexed by l >= 0
         self._chains = ([start], [start])
 

@@ -40,8 +40,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Tuple
 
-from mpmath import mp
-
 from .automorphism import (
     DEFAULT_DIGIT_CAP,
     Orbit,
@@ -389,6 +387,8 @@ def classify_quadratic_recursion(a, big_d, length: int) -> RecursionClassificati
         regime = "tends_to_one"
     else:
         regime = "tends_to_zero"
+
+    from mpmath import mp  # imported here: nothing else needs mpmath at import time
 
     trajectory = []
     with mp.workdps(60):

@@ -48,13 +48,9 @@ def normalize(raw: Sequence[Fraction]) -> ProjPoint:
     coords = [Fraction(c) for c in raw]
     if all(c == 0 for c in coords):
         raise ValueError("projective point cannot be all zero")
-    lcm = 1
-    for c in coords:
-        lcm = lcm * c.denominator // math.gcd(lcm, c.denominator)
-    ints = [int(c * lcm) for c in coords]
-    g = 0
-    for v in ints:
-        g = math.gcd(g, v)
+    lcm = math.lcm(*(c.denominator for c in coords))
+    ints = [c.numerator * (lcm // c.denominator) for c in coords]
+    g = math.gcd(*ints)
     ints = [v // g for v in ints]
     for v in ints:
         if v != 0:

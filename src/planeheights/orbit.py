@@ -8,8 +8,9 @@ two phases: exact triples (X : Y : Z) read off the orbit the map holds (see
 `PlaneAutomorphism.orbit` in :mod:`planeheights.automorphism`) while the
 triple's largest coordinate stays below a size threshold, then a certified
 switch to outward-rounded interval arithmetic on the coordinates themselves
-(mpmath intervals carry bignum exponents, so e^(10^9)-sized values are
-fine).  The switch is only taken when the map provably preserves integer
+(an `Interval` is a pair of integer mantissas of at most 192 bits under a
+Python-int binary exponent, so e^(10^9)-sized values cost no more than small
+ones).  The switch is only taken when the map provably preserves integer
 points in both directions (all forward and inverse coefficients integral,
 integral start), which keeps h = log max(|X|, |Y|, 1) the exact naive
 height; otherwise exceeding the cap raises the resource error.  Both phases
@@ -17,7 +18,9 @@ step with the map's `IntegerForms`: on a certified map m = 1 and Z = 1, so
 its step is ring arithmetic alone and takes the interval triple
 (X, Y, 1) unchanged.  Interval widths stay certified, so a count is exact
 unless an enclosure straddles the threshold, which the scan reports instead
-of hiding.
+of hiding.  The interval chains and the height enclosures are kept with the
+orbit the map holds, by switch point, so every tracker of one (map, start,
+switch point) steps each interval iterate once.
 
 The tracker, the orbit record, the periodicity verdicts and the canonical
 heights at f^(+/-1)(x) behind (hhat+, hhat-) all read the same exact orbit,
@@ -34,8 +37,6 @@ import math
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
-from mpmath.ctx_iv import MPIntervalContext
-
 from .automorphism import DEFAULT_DIGIT_CAP, PlaneAutomorphism, cap_bits
 from .canonical import HeightEngine, hcanonical_iterates, is_periodic
 from .errors import (
@@ -44,20 +45,120 @@ from .errors import (
     ResourceCapError,
     UndecidedPeriodicityError,
 )
-from .heights import AffinePoint, affine, capped_height, lift, naive_height, top
+from .heights import _LN2, AffinePoint, affine, capped_height, lift, log_int, naive_height, top
 
 NEG_INFINITY = float("-inf")  # distinguished 'finite orbit' value, never used in arithmetic
 
 DEFAULT_PATIENCE = 5
-DEFAULT_EXACT_DIGITS = 20_000
+# The switch to intervals.  An orbit-count pass takes the same time (within
+# run-to-run noise) for any switch from 100 to 5000 digits, and 1.7x as long
+# at 20000: past a few thousand digits one exact step costs more than an
+# interval step, and below that the other readers of the orbit (the
+# canonical heights) have mostly stepped those iterates already.
+DEFAULT_EXACT_DIGITS = 2_000
 INTERVAL_PRECISION_BITS = 192
+
+
+class Interval:
+    """The real interval [lo 2^e, hi 2^e], with integer mantissas and e >= 0,
+    rounded outward.
+
+    Each result is cut back to INTERVAL_PRECISION_BITS bits of mantissa, lo
+    by a floor shift and hi by a ceiling shift, so it encloses the exact
+    result of the operation at every pair of points of its operands.  Only
+    `*` and `+` are defined, with an int or an Interval on either side: that
+    is all the ring arithmetic `IntegerForms.step` does (its `powers`, its
+    `sum` and its integer coefficients), so the tracker steps intervals with
+    the map's own forms.
+    """
+
+    __slots__ = ("lo", "hi", "e")
+
+    def __init__(self, lo: int, hi: int, e: int = 0):
+        shift = max(-lo, hi).bit_length() - INTERVAL_PRECISION_BITS  # lo <= hi
+        if shift > 0:
+            lo >>= shift
+            hi = -(-hi >> shift)
+            e += shift
+        self.lo, self.hi, self.e = lo, hi, e
+
+    def __mul__(self, other):
+        if type(other) is int:
+            if other == 1:
+                return self
+            if other >= 0:
+                return Interval(self.lo * other, self.hi * other, self.e)
+            return Interval(self.hi * other, self.lo * other, self.e)
+        if type(other) is not Interval:
+            return NotImplemented
+        a, b, c, d = self.lo, self.hi, other.lo, other.hi
+        if a >= 0 and c >= 0:
+            return Interval(a * c, b * d, self.e + other.e)
+        products = (a * c, a * d, b * c, b * d)
+        return Interval(min(products), max(products), self.e + other.e)
+
+    __rmul__ = __mul__
+
+    def __add__(self, other):
+        if type(other) is int:
+            if other == 0:
+                return self
+            other = Interval(other, other)
+        elif type(other) is not Interval:
+            return NotImplemented
+        big, small = (self, other) if self.e >= other.e else (other, self)
+        lo, hi, e = small.lo, small.hi, small.e
+        gap = big.e - e
+        guard = 2 * INTERVAL_PRECISION_BITS
+        if gap > guard:
+            # Far below big's last bit: round small outward to the exponent
+            # big.e - guard rather than shift big left by the whole gap.
+            shift = gap - guard
+            lo >>= shift
+            hi = -(-hi >> shift)
+            e += shift
+            gap = guard
+        return Interval((big.lo << gap) + lo, (big.hi << gap) + hi, e)
+
+    __radd__ = __add__
+
+    def log_abs(self) -> Tuple[float, float]:
+        """(log min |v|, log max |v|) over the interval, each read as
+        log_int(mantissa) + e log 2, so accurate to a few ulps; -inf for a
+        bound at 0."""
+        lo, hi = self.lo, self.hi
+        if lo > 0:
+            least, most = lo, hi
+        elif hi < 0:
+            least, most = -hi, -lo
+        else:
+            least, most = 0, max(-lo, hi)
+        scale = self.e * _LN2
+        return (log_int(least) + scale if least else -math.inf,
+                log_int(most) + scale if most else -math.inf)
+
+
+class _Tail:
+    """What the trackers of one orbit and switch point share: per direction
+    (indexed by l >= 0) how many iterates from 0 on are held exactly and the
+    interval chain after them (None while exact), and the height enclosures
+    read so far."""
+
+    __slots__ = ("exact", "chains", "bounds")
+
+    def __init__(self):
+        self.exact = [1, 1]
+        self.chains = [None, None]
+        self.bounds: Dict[int, Tuple[float, float]] = {}
 
 
 class OrbitHeightTracker:
     """Lazy h_nv(f^l(x)) for l in Z, exact below the size threshold and by
     certified interval recurrences beyond it.  The exact iterates are read
     off the orbit the map holds; the interval phase of each direction starts
-    from the orbit's triple at the first iterate above the threshold."""
+    from the orbit's triple at the first iterate above the threshold.  The
+    interval chains and enclosures are kept in the orbit's `tails`, so
+    trackers of the same orbit and switch point share them."""
 
     def __init__(
         self,
@@ -67,44 +168,38 @@ class OrbitHeightTracker:
         digit_cap: int = DEFAULT_DIGIT_CAP,
     ):
         self._auto = auto
-        self._exact_bits = cap_bits(exact_digits)
-        self._cap_bits = cap_bits(digit_cap)
-        self._ctx = MPIntervalContext()
-        self._ctx.prec = INTERVAL_PRECISION_BITS
         start = lift(x)
         self._orbit = auto.orbit(start)
         self._certified = auto.is_integral and start[2] == 1
-        # per direction (indexed by l >= 0): how many iterates from 0 on are
-        # held exactly, and the interval states after them (None while exact)
-        self._exact = [1, 1]
-        self._intervals = [None, None]
-        self._bounds: Dict[int, Tuple[float, float]] = {}
+        # the bit length past which no iterate is held exactly: the switch to
+        # intervals on a certified map, the digit cap on any other
+        self._limit = cap_bits(exact_digits if self._certified else digit_cap)
+        self._tail = self._orbit.tails.setdefault(self._limit, _Tail())
 
     # -- coordinate states ---------------------------------------------------
 
     def _state(self, l: int):
         forward = l >= 0
         sign, k = (1, l) if forward else (-1, -l)
-        n = self._exact[forward]
-        while self._intervals[forward] is None and n <= k:
+        tail = self._tail
+        n = tail.exact[forward]
+        while tail.chains[forward] is None and n <= k:
             pt = self._orbit[sign * n]
-            bits = top(pt).bit_length()
-            if bits > self._exact_bits:
-                if self._certified:
-                    # certified: Z == 1, so X and Y are the coordinates themselves,
-                    # and the forms' m == 1, Z == 1 step applies to intervals
-                    self._intervals[forward] = [(self._ctx.mpf(pt[0]), self._ctx.mpf(pt[1]), 1)]
-                    break
-                if bits > self._cap_bits:
+            if top(pt).bit_length() > self._limit:
+                if not self._certified:
                     raise ResourceCapError(
                         "orbit coordinates exceeded the digit cap and the map is not "
                         "certified integral, so interval tracking cannot take over"
                     )
+                # certified: Z == 1, so X and Y are the coordinates themselves,
+                # and the forms' m == 1, Z == 1 step applies to intervals
+                tail.chains[forward] = [(Interval(pt[0], pt[0]), Interval(pt[1], pt[1]), 1)]
+                break
             n += 1
-            self._exact[forward] = n
+            tail.exact[forward] = n
         if k < n:
             return ("exact", self._orbit[l])
-        chain = self._intervals[forward]
+        chain = tail.chains[forward]
         step = self._auto.forms(forward).step
         while len(chain) <= k - n:
             chain.append(step(chain[-1]))
@@ -120,41 +215,39 @@ class OrbitHeightTracker:
     # -- heights ---------------------------------------------------------------
 
     def h_bounds(self, l: int) -> Tuple[float, float]:
-        """Certified [lo, hi] enclosure of h_nv(f^l(x))."""
-        cached = self._bounds.get(l)
+        """Certified [lo, hi] enclosure of h_nv(f^l(x)).
+
+        Past the switch, h = log max(|X|, |Y|, 1) is read off the interval
+        coordinates as log_int(mantissa) + e log 2 at each endpoint.  Both
+        terms are non-negative, so the sum is within a few ulps of the true
+        log of the endpoint (log_int is good to a few ulps, the product and
+        the sum add one rounding each).  The pad 1e-12 max(1, |h|) + 1e-12
+        is more than 1000 ulps of h, so the padded bounds still enclose h.
+        """
+        bounds = self._tail.bounds
+        cached = bounds.get(l)
         if cached is not None:
             return cached
         kind, pt = self._state(l)
         if kind == "exact":
             h = naive_height(pt)
             pad = 2.0**-40 * max(1.0, abs(h))
-            bounds = (h - pad, h + pad)
+            found = (h - pad, h + pad)
         else:
-            # max and log stay in mpf space: the coordinates themselves can be
-            # far beyond float range even though their logs are modest.
-            enclosure = self._ctx.log(_iv_max(self._ctx, abs(pt[0]), abs(pt[1])))
-            h_lo, h_hi = float(enclosure.a), float(enclosure.b)
+            (x_lo, x_hi), (y_lo, y_hi) = pt[0].log_abs(), pt[1].log_abs()
+            h_lo, h_hi = max(x_lo, y_lo, 0.0), max(x_hi, y_hi, 0.0)
             pad = 1e-12 * max(1.0, abs(h_hi)) + 1e-12
-            bounds = (h_lo - pad, h_hi + pad)
-            if bounds[1] - bounds[0] > 1e-6 * max(1.0, abs(bounds[1])):
+            found = (h_lo - pad, h_hi + pad)
+            if found[1] - found[0] > 1e-6 * max(1.0, abs(found[1])):
                 raise ResourceCapError(
                     f"interval arithmetic lost precision at iterate {l}"
                 )
-        self._bounds[l] = bounds
-        return bounds
+        bounds[l] = found
+        return found
 
     def h(self, l: int) -> float:
         lo, hi = self.h_bounds(l)
         return 0.5 * (lo + hi)
-
-
-def _iv_max(ctx, a, b):
-    lo = a.a if a.a > b.a else b.a
-    hi = a.b if a.b > b.b else b.b
-    one = ctx.mpf(1)
-    lo = lo if lo > one.a else one.a
-    hi = hi if hi > one.b else one.b
-    return ctx.mpf([lo, hi])
 
 
 # -- hhat+/hhat- from the functional identities --------------------------------

@@ -297,13 +297,26 @@ def test_determinism_repeated_runs(capsys, maps):
     assert first == second
 
 
-def test_console_entry_point(maps):
+def _child_env():
     # the child imports the package from wherever this process found it
     src = os.path.dirname(os.path.dirname(planeheights.__file__))
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path}
+
+
+def test_console_entry_point(maps):
     proc = subprocess.run(
         [sys.executable, "-m", "planeheights.cli", "height", "--point", "3,0"],
-        capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
+        capture_output=True, text=True, env=_child_env(),
     )
     assert proc.returncode == 0
     assert "log 3" in proc.stdout
+
+
+def test_cli_import_leaves_mpmath_unloaded():
+    # only classify_recursion uses mpmath, and it imports it when called
+    code = "import sys, planeheights.cli; print('mpmath' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=_child_env(), timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

@@ -6,10 +6,11 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from planeheights.automorphism import compose_maps, henon, inverse, triangular
+from planeheights import orbit as orbit_mod
+from planeheights.automorphism import IntegerForms, compose_maps, henon, inverse, triangular
 from planeheights.canonical import functional_equation_residual, hminus, hplus, is_periodic, make_engine
 from planeheights.errors import (
     OutOfRangeError,
@@ -18,7 +19,9 @@ from planeheights.errors import (
 )
 from planeheights.heights import naive_height_affine
 from planeheights.orbit import (
+    INTERVAL_PRECISION_BITS,
     NEG_INFINITY,
+    Interval,
     OrbitHeightTracker,
     build_orbit_record,
     count_below,
@@ -81,6 +84,7 @@ INTEGRAL = {
 INTEGRAL["C6"] = compose_maps(INTEGRAL["H2"], INTEGRAL["H3"])
 DEPTH_BY_DELTA = {2: 12, 3: 8, 4: 6, 6: 5}
 SWITCH_DIGITS = 50
+EXACT_DIGITS = 20_000  # the reference runs: far above any switch point under test
 
 
 def infinite_orbit_engine(name, x, y):
@@ -102,7 +106,7 @@ def test_counts_do_not_depend_on_the_switch_point(name, x, y, thresholds):
     engine, pt = infinite_orbit_engine(name, x, y)
     counts = {}
     for which, f in (("naive", engine.g), ("canonical", engine)):
-        counts[which] = [count_below(f, pt, t, which) for t in sorted(thresholds)]
+        counts[which] = [count_below(f, pt, t, which, exact_digits=EXACT_DIGITS) for t in sorted(thresholds)]
         early = [count_below(f, pt, t, which, exact_digits=SWITCH_DIGITS) for t in sorted(thresholds)]
         assert early == counts[which]
         assert counts[which] == sorted(counts[which])
@@ -113,7 +117,7 @@ def test_counts_do_not_depend_on_the_switch_point(name, x, y, thresholds):
 def test_early_switch_encloses_the_exact_run(name, x, y):
     engine, pt = infinite_orbit_engine(name, x, y)
     small = OrbitHeightTracker(engine.g, pt, exact_digits=SWITCH_DIGITS)
-    exact = OrbitHeightTracker(engine.g, pt)
+    exact = OrbitHeightTracker(engine.g, pt, exact_digits=EXACT_DIGITS)
     switched = False
     for sign in (1, -1):
         for k in range(25):
@@ -143,6 +147,34 @@ def test_tracker_reaches_far_iterates():
     assert lo > 1e11  # heights double per step: ~2^40 * 1.09
 
 
+def test_tracker_refuses_when_intervals_lose_precision(monkeypatch):
+    # Fresh maps hold no orbit, so no interval chain of another precision.
+    lo, hi = OrbitHeightTracker(henon(1, parse_poly("x^2")), X3, exact_digits=50).h_bounds(60)
+    assert hi - lo < 1e-6 * hi
+    monkeypatch.setattr(orbit_mod, "INTERVAL_PRECISION_BITS", 24)
+    tracker = OrbitHeightTracker(henon(1, parse_poly("x^2")), X3, exact_digits=50)
+    with pytest.raises(ResourceCapError, match="interval arithmetic lost precision at iterate 60"):
+        tracker.h_bounds(60)
+
+
+def test_second_counting_run_steps_no_interval(monkeypatch):
+    engine = make_engine(henon(1, parse_poly("x^2")), depth=12)
+    interval_steps = []
+    step = IntegerForms.step
+
+    def counted(self, point):
+        if isinstance(point[0], Interval):
+            interval_steps.append(point)
+        return step(self, point)
+
+    monkeypatch.setattr(IntegerForms, "step", counted)
+    first = counting_enclosure(engine, X3, math.exp(21))
+    assert interval_steps
+    interval_steps.clear()
+    assert counting_enclosure(engine, X3, math.exp(21)) == first
+    assert interval_steps == []
+
+
 def test_tracker_noncertified_map_hits_cap():
     f = henon(Fraction(1, 2), parse_poly("x^2"))  # non-integral coefficients
     tracker = OrbitHeightTracker(f, X3, exact_digits=100, digit_cap=10_000)
@@ -160,6 +192,65 @@ def test_noncertified_map_counts_exactly_below_the_cap():
     with pytest.raises(ResourceCapError):
         count_below(f, X3, math.exp(18), "naive", exact_digits=100, max_iter=60,
                     digit_cap=10_000)
+
+
+# -- the interval kernel -------------------------------------------------------------
+
+def _endpoints(v):
+    """The exact endpoints of an Interval and its exponent (exponents are
+    never negative, so the endpoints are integers)."""
+    return v.lo << v.e, v.hi << v.e, v.e
+
+
+def _assert_encloses(result, exact_values, exponent):
+    """result holds every exact value, and its width exceeds theirs by at
+    most 2^(2-P) M + 2^(E+2-2P): M the largest exact |value|, E the larger
+    operand exponent, P the mantissa bits."""
+    lo, hi, _ = _endpoints(result)
+    assert lo <= min(exact_values) and max(exact_values) <= hi
+    p = INTERVAL_PRECISION_BITS
+    extra = (hi - lo) - (max(exact_values) - min(exact_values))
+    largest = max(abs(v) for v in exact_values)
+    assert extra << (2 * p) <= (largest << (p + 2)) + (1 << (exponent + 2))
+
+
+MANTISSAS = st.integers(-(1 << (INTERVAL_PRECISION_BITS + 40)), 1 << (INTERVAL_PRECISION_BITS + 40))
+INTERVALS = st.builds(lambda a, b, e: Interval(min(a, b), max(a, b), e),
+                      MANTISSAS, MANTISSAS, st.integers(0, 600))
+SCALARS = st.one_of(st.integers(-3, 3), st.integers(-(1 << 300), 1 << 300))
+GAPS = st.one_of(st.integers(0, 10), st.integers(2 * INTERVAL_PRECISION_BITS - 4, 5 * INTERVAL_PRECISION_BITS))
+
+
+@settings(max_examples=300, deadline=None)
+@given(u=INTERVALS, v=INTERVALS)
+@example(u=Interval(-5, 7), v=Interval(-(1 << 200), 3 << 190, 10))
+def test_interval_product_encloses_every_endpoint_product(u, v):
+    u_lo, u_hi, u_e = _endpoints(u)
+    v_lo, v_hi, v_e = _endpoints(v)
+    exact = [a * b for a in (u_lo, u_hi) for b in (v_lo, v_hi)]
+    _assert_encloses(u * v, exact, max(u_e, v_e))
+
+
+@settings(max_examples=300, deadline=None)
+@given(u=INTERVALS, v=INTERVALS, gap=GAPS)
+@example(u=Interval(-(1 << 191), 1 << 191), v=Interval(1, 3), gap=2 * INTERVAL_PRECISION_BITS + 5)
+def test_interval_sum_encloses_every_endpoint_sum(u, v, gap):
+    v = Interval(v.lo, v.hi, u.e + gap)  # exponents `gap` apart, past 2P bits too
+    u_lo, u_hi, u_e = _endpoints(u)
+    v_lo, v_hi, v_e = _endpoints(v)
+    exact = [a + b for a in (u_lo, u_hi) for b in (v_lo, v_hi)]
+    _assert_encloses(u + v, exact, max(u_e, v_e))
+    _assert_encloses(v + u, exact, max(u_e, v_e))
+
+
+@settings(max_examples=300, deadline=None)
+@given(u=INTERVALS, k=SCALARS)
+def test_interval_int_arithmetic_on_either_side(u, k):
+    u_lo, u_hi, u_e = _endpoints(u)
+    for result in (u * k, k * u):
+        _assert_encloses(result, [u_lo * k, u_hi * k], u_e)
+    for result in (u + k, k + u):
+        _assert_encloses(result, [u_lo + k, u_hi + k], u_e)
 
 
 # -- hhat+/- from the functional identities --------------------------------------
