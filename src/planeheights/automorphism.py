@@ -21,7 +21,7 @@ same step wrapped in a lift from and a return to `Fraction` coordinates.
 
 Every walk reads one `Orbit`: the exact two-sided orbit of a start, as a list
 of primitive triples per time direction, extended lazily.  It holds the only
-exact iteration loop of the package.  A map keeps one orbit, the one of the
+iteration loop of the package.  A map keeps one orbit, the one of the
 start it was last queried at (`PlaneAutomorphism.orbit`); a query from
 another start replaces it.  Heights, the functional equation, periodicity, the counting
 tracker and the orbit record all read the same orbit at shifted indices, so
@@ -126,9 +126,9 @@ class Orbit:
     Reads are not locked: threads that share a map need the caller's lock.
 
     `tails` holds what the orbit tracker of :mod:`planeheights.orbit` keeps
-    past the exact window (its interval chains and height enclosures), by
-    switch bit length, so every tracker of this orbit and switch point reads
-    one copy, and replacing the orbit drops it.
+    past the exact window (`Orbit`s of interval triples, height enclosures),
+    by switch bit length, so every tracker of this orbit and switch point
+    reads one copy, and replacing the orbit drops it.
     """
 
     __slots__ = ("start", "tails", "_forms", "_chains")

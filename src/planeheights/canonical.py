@@ -72,13 +72,11 @@ class HeightEngine:
     c_lower: Optional[float]
     digit_cap: int
 
-    def tail_fwd(self, depth: Optional[int] = None) -> float:
-        n = self.depth if depth is None else depth
-        return self.c2_fwd / ((self.delta - 1) * self.delta**n)
+    def tail_fwd(self) -> float:
+        return self.c2_fwd / ((self.delta - 1) * self.delta**self.depth)
 
-    def tail_inv(self, depth: Optional[int] = None) -> float:
-        n = self.depth if depth is None else depth
-        return self.c2_inv / ((self.delta_minus - 1) * self.delta_minus**n)
+    def tail_inv(self) -> float:
+        return self.c2_inv / ((self.delta_minus - 1) * self.delta_minus**self.depth)
 
     def error_budget(self) -> float:
         """Combined tail bound of a canonical-height estimate at this depth."""

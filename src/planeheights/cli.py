@@ -253,8 +253,8 @@ def _parse_t_grid(spec: str) -> list:
     return [math.exp(lo + i * (hi - lo) / (steps - 1)) for i in range(steps)]
 
 
-def _counting_row(engine, pt, t, patience):
-    enc = orbit_mod.counting_enclosure(engine, pt, t, patience=patience)
+def _counting_row(engine, pt, t):
+    enc = orbit_mod.counting_enclosure(engine, pt, t)
     return {
         "T": t,
         "count": enc.observed,
@@ -278,7 +278,7 @@ def cmd_orbit(args) -> int:
         thresholds.append(args.T)
     if args.T_grid:
         thresholds.extend(_parse_t_grid(args.T_grid))
-    counting = [_counting_row(engine, pt, t, args.patience) for t in thresholds]
+    counting = [_counting_row(engine, pt, t) for t in thresholds]
     scan = [
         {"l": s.l, "x": format_rat(s.point[0]), "y": format_rat(s.point[1]),
          "h_nv": s.h_nv, "hhat": s.h_hat}
@@ -446,7 +446,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("orbit", help="orbit scan CSV and counting table")
     _add_common(p)
     _add_engine_flags(p)
-    p.add_argument("--patience", type=_positive_int(1, "patience"), default=5)
     p.add_argument("--T", type=float, default=None, help="single counting threshold")
     p.add_argument("--T-grid", dest="T_grid", default=None,
                    help="lo:hi:steps in natural-log units (T = e^lo .. e^hi)")

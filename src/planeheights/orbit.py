@@ -14,13 +14,20 @@ ones).  The switch is only taken when the map provably preserves integer
 points in both directions (all forward and inverse coefficients integral,
 integral start), which keeps h = log max(|X|, |Y|, 1) the exact naive
 height; otherwise exceeding the cap raises the resource error.  Both phases
-step with the map's `IntegerForms`: on a certified map m = 1 and Z = 1, so
-its step is ring arithmetic alone and takes the interval triple
-(X, Y, 1) unchanged.  Interval widths stay certified, so a count is exact
-unless an enclosure straddles the threshold, which the scan reports instead
-of hiding.  The interval chains and the height enclosures are kept with the
-orbit the map holds, by switch point, so every tracker of one (map, start,
-switch point) steps each interval iterate once.
+read an `Orbit` stepped by the map's `IntegerForms`: on a certified map
+m = 1 and Z = 1, so its step is ring arithmetic alone, and the interval
+phase is the `Orbit` of the interval triple (X, Y, 1) at the switch.
+Interval widths stay certified, so a count is exact unless an enclosure
+straddles the threshold, which the scan reports instead of hiding.  The
+interval orbits and the height enclosures are kept with the orbit the map
+holds, by switch point, so every tracker of one (map, start, switch point)
+steps each interval iterate once.
+
+A counting scan walks downhill to the orbit's lowest sample and counts
+outward from it, so every point of one orbit gives the same count.  Canonical
+heights delta^l hhat+ + delta_-^(-l) hhat- are convex in l, so a canonical
+scan stops at the first sample above the threshold; `patience` bounds only
+naive scans, whose heights are not convex near the minimum.
 
 The tracker, the orbit record, the periodicity verdicts and the canonical
 heights at f^(+/-1)(x) behind (hhat+, hhat-) all read the same exact orbit,
@@ -37,7 +44,7 @@ import math
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
-from .automorphism import DEFAULT_DIGIT_CAP, PlaneAutomorphism, cap_bits
+from .automorphism import DEFAULT_DIGIT_CAP, Orbit, PlaneAutomorphism, cap_bits
 from .canonical import HeightEngine, hcanonical_iterates, is_periodic
 from .errors import (
     OutOfRangeError,
@@ -49,7 +56,6 @@ from .heights import _LN2, AffinePoint, affine, capped_height, lift, log_int, na
 
 NEG_INFINITY = float("-inf")  # distinguished 'finite orbit' value, never used in arithmetic
 
-DEFAULT_PATIENCE = 5
 # The switch to intervals.  An orbit-count pass takes the same time (within
 # run-to-run noise) for any switch from 100 to 5000 digits, and 1.7x as long
 # at 20000: past a few thousand digits one exact step costs more than an
@@ -141,14 +147,14 @@ class Interval:
 class _Tail:
     """What the trackers of one orbit and switch point share: per direction
     (indexed by l >= 0) how many iterates from 0 on are held exactly and the
-    interval chain after them (None while exact), and the height enclosures
-    read so far."""
+    interval `Orbit` from the switch triple on (None while exact), and the
+    height enclosures read so far."""
 
-    __slots__ = ("exact", "chains", "bounds")
+    __slots__ = ("exact", "orbits", "bounds")
 
     def __init__(self):
         self.exact = [1, 1]
-        self.chains = [None, None]
+        self.orbits = [None, None]
         self.bounds: Dict[int, Tuple[float, float]] = {}
 
 
@@ -157,7 +163,7 @@ class OrbitHeightTracker:
     certified interval recurrences beyond it.  The exact iterates are read
     off the orbit the map holds; the interval phase of each direction starts
     from the orbit's triple at the first iterate above the threshold.  The
-    interval chains and enclosures are kept in the orbit's `tails`, so
+    interval orbits and enclosures are kept in the orbit's `tails`, so
     trackers of the same orbit and switch point share them."""
 
     def __init__(
@@ -183,7 +189,7 @@ class OrbitHeightTracker:
         sign, k = (1, l) if forward else (-1, -l)
         tail = self._tail
         n = tail.exact[forward]
-        while tail.chains[forward] is None and n <= k:
+        while tail.orbits[forward] is None and n <= k:
             pt = self._orbit[sign * n]
             if top(pt).bit_length() > self._limit:
                 if not self._certified:
@@ -193,17 +199,14 @@ class OrbitHeightTracker:
                     )
                 # certified: Z == 1, so X and Y are the coordinates themselves,
                 # and the forms' m == 1, Z == 1 step applies to intervals
-                tail.chains[forward] = [(Interval(pt[0], pt[0]), Interval(pt[1], pt[1]), 1)]
+                switch = (Interval(pt[0], pt[0]), Interval(pt[1], pt[1]), 1)
+                tail.orbits[forward] = Orbit(self._auto.forms(True), self._auto.forms(False), switch)
                 break
             n += 1
             tail.exact[forward] = n
         if k < n:
             return ("exact", self._orbit[l])
-        chain = tail.chains[forward]
-        step = self._auto.forms(forward).step
-        while len(chain) <= k - n:
-            chain.append(step(chain[-1]))
-        return ("iv", chain[k - n])
+        return ("iv", tail.orbits[forward][sign * (k - n)])
 
     def point(self, l: int) -> AffinePoint:
         """Exact coordinates of f^l(x); available only inside the exact window."""
@@ -341,14 +344,23 @@ def _infinite_components(engine: HeightEngine, x: AffinePoint, periodic_message:
 
 # -- counting -------------------------------------------------------------------
 
-def _scan(values, threshold: float, patience: int, slop: float) -> Tuple[int, int]:
-    """values(l) yields (lo, hi) enclosures; counts the samples at or below
-    the threshold over l = 0, 1, 2, ... and then l = -1, -2, ..., each
-    direction ending after `patience` consecutive samples above it, and
-    counts the enclosures that straddle the threshold."""
-    count = 0
-    straddles = 0
-    for l, step in ((0, 1), (-1, -1)):
+def _scan(values, threshold: float, slop: float, patience: int = 1) -> Tuple[int, int]:
+    """values(l) yields (lo, hi) enclosures.  Walks downhill from l = 0 by
+    midpoints to the lowest sample m, then counts the samples at or below the
+    threshold over l = m, m + 1, ... and l = m - 1, m - 2, ..., each direction
+    ending after `patience` consecutive samples above it (1 suits the convex
+    canonical heights), and counts the enclosures read there that straddle
+    the threshold."""
+    def mid(l):
+        lo, hi = values(l)
+        return 0.5 * (lo + hi)
+
+    step = 1 if mid(1) < mid(0) else -1
+    m = 0
+    while mid(m + step) < mid(m):
+        m += step
+    count = straddles = 0
+    for l, step in ((m, 1), (m - 1, -1)):
         misses = 0
         while misses < patience:
             lo, hi = values(l)
@@ -386,7 +398,7 @@ def count_below(
     x: AffinePoint,
     threshold: float,
     which: str = "naive",
-    patience: int = DEFAULT_PATIENCE,
+    patience: int = 5,
     exact_digits: int = DEFAULT_EXACT_DIGITS,
     max_iter: int = 200,
     digit_cap: Optional[int] = None,
@@ -395,8 +407,10 @@ def count_below(
 
     `f` may be a PlaneAutomorphism or a HeightEngine; canonical-height counts
     need the engine.  The point must have an infinite orbit (so l -> f^l(x)
-    is injective and the enumeration is a genuine point count); each direction
-    stops after `patience` consecutive samples above the threshold.
+    is injective and the enumeration is a genuine point count).  Counting
+    starts at the orbit's lowest sample, so every point of the orbit gives
+    the same count.  A canonical scan stops each direction at the first
+    sample above the threshold; `patience` bounds only naive scans.
     """
     engine = f if isinstance(f, HeightEngine) else None
     if which not in ("naive", "canonical"):
@@ -413,9 +427,9 @@ def count_below(
         raise PeriodicPointError(f"point is periodic with period {verdict.period}")
     if which == "naive":
         tracker = OrbitHeightTracker(outer, x, exact_digits=exact_digits, digit_cap=digit_cap)
-        return _scan(tracker.h_bounds, threshold, patience, 0.0)[0]
+        return _scan(tracker.h_bounds, threshold, 0.0, patience)[0]
     values = _canonical_bounds(engine, x, exact_digits, digit_cap)
-    return _scan(values, threshold, patience, engine.error_budget())[0]
+    return _scan(values, threshold, engine.error_budget())[0]
 
 
 @dataclass(frozen=True)
@@ -429,12 +443,7 @@ class CountingEnclosure:
     slack: float
 
 
-def counting_enclosure(
-    engine: HeightEngine,
-    x: AffinePoint,
-    threshold: float,
-    patience: int = DEFAULT_PATIENCE,
-) -> CountingEnclosure:
+def counting_enclosure(engine: HeightEngine, x: AffinePoint, threshold: float) -> CountingEnclosure:
     """Check the two-sided counting law: the observed canonical-height count
     must lie within half-width log2/log(delta) + log2/log(delta_-) + 1 of
     (1/log delta + 1/log delta_-) log T - hhat(O), widened by the propagated
@@ -449,7 +458,7 @@ def counting_enclosure(
             "threshold below the orbit height: the counting set is empty there"
         )
     values = _canonical_bounds(engine, x, DEFAULT_EXACT_DIGITS, engine.digit_cap)
-    observed, straddles = _scan(values, threshold, patience, engine.error_budget())
+    observed, straddles = _scan(values, threshold, engine.error_budget())
     predicted = coeff * math.log(threshold) - oh
     halfwidth = math.log(2) / log_d + math.log(2) / log_dm + 1
 
@@ -498,26 +507,19 @@ def count_exponential(a_coef: float, b_coef: float, delta: int, delta_minus: int
     return count, lower, upper
 
 
-def min_orbit_height_bounds(engine: HeightEngine, x: AffinePoint, window: int = 3) -> Tuple[bool, bool]:
+def min_orbit_height_bounds(engine: HeightEngine, x: AffinePoint) -> Tuple[bool, bool]:
     """Check the two-sided bound tying hhat(O) to min over the orbit of
     log hhat: hhat(O) + eps1 <= (1/log d + 1/log d_-) min log hhat <= hhat(O) + eps2.
 
-    The minimum of g(t) = delta^t hhat+ + delta_-^(-t) hhat- over integers is
-    attained at floor(t0) or floor(t0) + 1, so the sampled window is centred
-    there.
+    g(t) = delta^t hhat+ + delta_-^(-t) hhat- is convex, so its minimum over
+    the integers is attained at floor(t0) or floor(t0) + 1.
     """
-    log_d = math.log(engine.delta)
-    log_dm = math.log(engine.delta_minus)
-    coeff = 1 / log_d + 1 / log_dm
+    coeff = 1 / math.log(engine.delta) + 1 / math.log(engine.delta_minus)
     h_plus, h_minus = _infinite_components(engine, x, "finite orbit has no minimum-height law")
     oh = _log_height(engine, h_plus, h_minus)
-    t0 = minimum_location(engine.delta, engine.delta_minus, h_plus, h_minus)
-    base = math.floor(t0)
-    candidates = [
-        engine.delta**l * h_plus + float(engine.delta_minus) ** (-l) * h_minus
-        for l in range(base - window, base + 2 + window)
-    ]
-    mid = coeff * math.log(min(candidates))
+    base = math.floor(minimum_location(engine.delta, engine.delta_minus, h_plus, h_minus))
+    mid = coeff * math.log(min(engine.delta**l * h_plus + float(engine.delta_minus) ** (-l) * h_minus
+                               for l in (base, base + 1)))
     eps1, eps2 = min_height_epsilons(engine.delta, engine.delta_minus)
     pad = 1e-9
     return (oh + eps1 <= mid + pad, mid <= oh + eps2 + pad)

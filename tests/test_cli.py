@@ -260,7 +260,8 @@ def test_run_config_invariants_enforced(maps):
         ["canheight", "--map", maps["henon2"], "--point", "3,0", "--depth", "1"],
         ["periodic", "--map", maps["henon2"], "--point", "3,0", "--patience", "0"],
         ["canheight", "--map", maps["henon2"], "--point", "3,0", "--digit-cap", "100"],
-        ["canheight", "--map", maps["henon2"], "--point", "3,0", "--patience", "3"],  # orbit only
+        ["canheight", "--map", maps["henon2"], "--point", "3,0", "--patience", "3"],  # periodic only
+        ["orbit", "--map", maps["henon2"], "--point", "3,0", "--patience", "3"],  # periodic only
     ):
         with pytest.raises(SystemExit) as exc:
             main(argv)

@@ -6,15 +6,16 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import assume, example, given, reject, settings
 from hypothesis import strategies as st
 
 from planeheights import orbit as orbit_mod
-from planeheights.automorphism import IntegerForms, compose_maps, henon, inverse, triangular
+from planeheights.automorphism import DEFAULT_DIGIT_CAP, IntegerForms, compose_maps, henon, inverse, triangular
 from planeheights.canonical import functional_equation_residual, hminus, hplus, is_periodic, make_engine
 from planeheights.errors import (
     OutOfRangeError,
     PeriodicPointError,
+    PlaneHeightsError,
     ResourceCapError,
 )
 from planeheights.heights import naive_height_affine
@@ -352,6 +353,58 @@ def test_count_below_invariant_under_orbit_shift(engine):
     fx = HENON2.apply(X3)
     for t in (30.0, 200.0):
         assert count_below(HENON2, X3, t, "naive") == count_below(HENON2, fx, t, "naive")
+
+
+def _shifted(f, pt, k):
+    """f^k(pt)."""
+    for _ in range(abs(k)):
+        pt = f.apply(pt) if k > 0 else f.apply_inverse(pt)
+    return pt
+
+
+BASE_POINT_THRESHOLDS = (2.0, 5.0, 20.0)
+
+
+@pytest.mark.parametrize("k", range(-8, 9))
+def test_counts_do_not_depend_on_the_base_point(engine, k):
+    # f^k(3, 0) counts like (3, 0): for |k| >= 6 the orbit's lowest samples
+    # lie more than five steps from l = 0, past a fixed run of misses
+    pt = _shifted(HENON2, X3, k)
+    for t, expected in zip(BASE_POINT_THRESHOLDS, (2, 6, 10)):
+        enc = counting_enclosure(engine, pt, t)
+        assert (enc.observed, enc.passed) == (expected, True), (k, t, enc)
+        assert count_below(HENON2, pt, t, "naive") == expected, (k, t)
+
+
+# depth and digit cap per map: at the default cap, H3 spends seconds per
+# refused far-shifted point before its periodicity verdict gives up
+SHIFT_ENGINES = {"H2": (12, DEFAULT_DIGIT_CAP), "H3": (4, 100_000)}
+
+
+@settings(max_examples=40, deadline=None)
+@given(name=st.sampled_from(sorted(SHIFT_ENGINES)), x=st.integers(-3, 3), y=st.integers(-3, 3),
+       k=st.integers(-8, 8))
+@example(name="H2", x=3, y=0, k=8)
+def test_counts_are_the_same_at_every_point_of_the_orbit(name, x, y, k):
+    f = INTEGRAL[name]
+    depth, cap = SHIFT_ENGINES[name]
+    engine = make_engine(f, depth=depth, digit_cap=cap)
+
+    def counts(pt):
+        """(canonical count, law passed, naive count) per threshold, or a
+        rejected example where the point is refused (periodic, undecided,
+        over the cap)."""
+        try:
+            encs = [counting_enclosure(engine, pt, t) for t in BASE_POINT_THRESHOLDS]
+            naive = [count_below(f, pt, t, "naive", digit_cap=cap) for t in BASE_POINT_THRESHOLDS]
+        except PlaneHeightsError:
+            reject()
+        return [(enc.observed, enc.passed, n) for enc, n in zip(encs, naive)]
+
+    base = (Fraction(x), Fraction(y))
+    shifted = counts(_shifted(f, base, k))
+    assert shifted == counts(base)
+    assert all(passed for _, passed, _ in shifted)
 
 
 def test_count_below_threshold_below_min_orbit_height(engine):
