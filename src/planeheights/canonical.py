@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from decimal import MAX_EMAX, MIN_EMIN, Context, Decimal, localcontext
 from fractions import Fraction
 from typing import List, Optional, Tuple
 
@@ -49,7 +50,7 @@ from .automorphism import (
     dynamical_degree,
     inverse,
 )
-from .errors import MapValidationError
+from .errors import MapValidationError, ResourceCapError
 from .heights import AffinePoint, capped_height, lift, log_int, naive_height, top
 from .heights import growth_constant as _growth_constant
 
@@ -256,28 +257,26 @@ class PeriodicityVerdict:
         return self.kind == "periodic"
 
 
-def _default_certificate_depth(delta: int) -> int:
-    # deep enough that the tail bound is ~c2/2000 regardless of delta
-    return max(3, math.ceil(math.log(2048) / math.log(delta)))
+GROWTH_RUN = 5  # steps of naive-height growth each direction needs before hcanonical is read
 
 
 def is_periodic(
     f: PlaneAutomorphism,
     x: AffinePoint,
     max_iter: int = 200,
-    patience: int = 5,
     digit_cap: int = DEFAULT_DIGIT_CAP,
 ) -> PeriodicityVerdict:
     """Decide periodicity by reading both directions of the orbit f holds.
 
     Cycle detection is complete: an automorphism orbit revisits a point only
     by returning to its start, so f^m(x) = x is detected at the first revisit.
-    The not_periodic certificate is the height-growth heuristic: naive heights
-    along both time directions must exceed h_nv(x) + c2/(delta-1) + 1 and grow
-    monotonically for `patience` consecutive steps, and (on regular maps) the
-    canonical-height estimate must exceed its error budget.  Anything else,
-    including a certificate that would need an iterate over the digit cap, is
-    reported as undecided, never as a wrong answer.
+    not_periodic is certified by the canonical height, zero exactly at
+    periodic points: once naive heights along both time directions exceed
+    h_nv(x) + c2/(delta-1) + 1 and grow monotonically for GROWTH_RUN steps,
+    the `hcanonical` estimate of a regular f, read off the same orbit, must
+    exceed its error budget (a non-regular frame relies on the growth run).
+    Anything else, an estimate needing an iterate over the digit cap
+    included, is reported as undecided, never as a wrong answer.
     """
     start = lift(x)
     orbit = f.orbit(start)
@@ -306,8 +305,8 @@ def is_periodic(
         # dies short of its run; then it catches up.  f^p x = x exactly when
         # f^-p x = x, so the stepping direction finds a cycle alone.
         for sign in (1, -1):
-            waits = (growth_ready and not height_check_done and run[sign] >= patience
-                     and (live[-sign] or run[-sign] >= patience))
+            waits = (growth_ready and not height_check_done and run[sign] >= GROWTH_RUN
+                     and (live[-sign] or run[-sign] >= GROWTH_RUN))
             while live[sign] and not waits and read[sign] < step:
                 read[sign] += 1
                 pt = orbit[sign * read[sign]]
@@ -321,14 +320,13 @@ def is_periodic(
                     run[sign] = run[sign] + 1 if (h > threshold[sign] and h > last[sign]) else 0
                     last[sign] = h
         if (growth_ready and not height_check_done
-                and run[1] >= patience and run[-1] >= patience):
+                and run[1] >= GROWTH_RUN and run[-1] >= GROWTH_RUN):
             height_check_done = True  # the estimate depends on x only
-            # a non-regular frame relies on the growth certificate alone
-            if delta != f.degree() or _canonical_height_clearly_positive(f, orbit, limit):
+            if delta != f.degree() or _canonical_height_positive(f, orbit, digit_cap):
                 return PeriodicityVerdict(
                     "not_periodic",
                     detail=(f"heights grew monotonically past the divergence threshold "
-                            f"for {patience} steps in both directions"),
+                            f"for {GROWTH_RUN} steps in both directions"),
                 )
         if not live[1] and not live[-1]:
             return PeriodicityVerdict(
@@ -337,19 +335,19 @@ def is_periodic(
     return PeriodicityVerdict("undecided", detail=f"no certificate after {max_iter} iterations")
 
 
-def _canonical_height_clearly_positive(f: PlaneAutomorphism, orbit: Orbit, limit: int) -> bool:
-    """On a regular f, hcanonical's value h(f^n x)/delta^n + h(f^-n x)/delta_-^n
-    at n = `_default_certificate_depth` exceeds its error budget, read off the
-    orbit f holds; False when an iterate up to depth n exceeds `limit` bits."""
-    n = _default_certificate_depth(f.degree())
-    value = budget = 0.0
-    for sign, delta, c2 in ((1, f.degree(), _growth_constant(f, "fwd")),
-                            (-1, f.inverse_degree(), _growth_constant(f, "inv"))):
-        if any(top(orbit[sign * k]).bit_length() > limit for k in range(1, n + 1)):
-            return False
-        value += naive_height(orbit[sign * n]) / delta**n
-        budget += c2 / ((delta - 1) * delta**n)
-    return value > budget
+def _canonical_height_positive(f: PlaneAutomorphism, orbit: Orbit, digit_cap: int) -> bool:
+    """Whether `hcanonical` of a regular f at depth max(3, ceil(log 2048 /
+    log delta)), a tail of about c2/2000 for every delta, exceeds its error
+    budget; False when the estimate needs an iterate over the digit cap."""
+    delta = f.degree()
+    engine = HeightEngine(
+        g=f, delta=delta, delta_minus=f.inverse_degree(), gamma=None, outer=f,
+        c2_fwd=_growth_constant(f, "fwd"), c2_inv=_growth_constant(f, "inv"),
+        depth=max(3, math.ceil(math.log(2048) / math.log(delta))), c_lower=None, digit_cap=digit_cap)
+    try:
+        return _hcanonical_at(engine, orbit, 0).value > engine.error_budget()
+    except ResourceCapError:
+        return False
 
 
 # -- the quadratic recursion behind the sharpness bound ------------------------
@@ -367,8 +365,10 @@ def classify_quadratic_recursion(a, big_d, length: int) -> RecursionClassificati
     limit 1, with a_l = 1 + D^(-2^l) in closed form; below: limit 0), so the
     comparison is done in exact rational arithmetic -- pass a and D as
     Fractions or strings when the boundary case matters.  The returned
-    trajectory is iterated at 60 significant digits and rounded to floats;
-    entries beyond float range come back as +inf.
+    trajectory is iterated in `decimal` at 60 significant digits over the
+    widest exponent range, with no trap (an overflow becomes Infinity), and
+    rounded to floats: entries beyond float range come back as +inf, and
+    entries below it as 0.
     """
     a = Fraction(a)
     big_d = Fraction(big_d)
@@ -386,21 +386,12 @@ def classify_quadratic_recursion(a, big_d, length: int) -> RecursionClassificati
     else:
         regime = "tends_to_zero"
 
-    from mpmath import mp  # imported here: nothing else needs mpmath at import time
-
     trajectory = []
-    with mp.workdps(60):
-        cur = mp.mpf(a.numerator) / a.denominator
-        d_mp = mp.mpf(big_d.numerator) / big_d.denominator
-        trajectory.append(_to_float(cur))
+    with localcontext(Context(prec=60, Emax=MAX_EMAX, Emin=MIN_EMIN, traps=[])):
+        cur = Decimal(a.numerator) / a.denominator
+        d_dec = Decimal(big_d.numerator) / big_d.denominator
+        trajectory.append(float(cur))
         for l in range(length):
-            cur = cur * cur - 2 * d_mp ** (-(2**l))
-            trajectory.append(_to_float(cur))
+            cur = cur * cur - 2 * d_dec ** (-(2**l))
+            trajectory.append(float(cur))
     return RecursionClassification(regime, tuple(trajectory))
-
-
-def _to_float(value) -> float:
-    try:
-        return float(value)
-    except OverflowError:
-        return math.inf if value > 0 else -math.inf

@@ -325,8 +325,7 @@ def cmd_periodic(args) -> int:
     if not args.point:
         raise PolyParseError("periodic needs --point X,Y")
     pt = parse_affine_point(args.point)
-    verdict = is_periodic(f, pt, max_iter=args.max_iter, patience=args.patience,
-                          digit_cap=args.digit_cap)
+    verdict = is_periodic(f, pt, max_iter=args.max_iter, digit_cap=args.digit_cap)
     payload = {
         "command": "periodic",
         "verdict": verdict.kind,
@@ -456,7 +455,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("periodic", help="periodicity verdict (exit 0/1/3)")
     _add_common(p)
     p.add_argument("--max-iter", dest="max_iter", type=_positive_int(1, "max-iter"), default=200)
-    p.add_argument("--patience", type=_positive_int(1, "patience"), default=5)
     p.add_argument("--digit-cap", dest="digit_cap", type=_positive_int(10_000, "digit-cap"),
                    default=DEFAULT_DIGIT_CAP)
     p.set_defaults(func=cmd_periodic)

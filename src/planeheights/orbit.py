@@ -314,10 +314,10 @@ def minimum_location(delta: int, delta_minus: int, h_plus: float, h_minus: float
     return (math.log(h_minus * log_dm) - math.log(h_plus * log_d)) / (log_d + log_dm)
 
 
-def orbit_height(engine: HeightEngine, x: AffinePoint, max_iter: int = 200) -> float:
+def orbit_height(engine: HeightEngine, x: AffinePoint) -> float:
     """log hhat+ / log delta + log hhat- / log delta_-, constant along the
     orbit; NEG_INFINITY exactly when the orbit is finite (periodic point)."""
-    if _verdict(engine.outer, x, max_iter, engine.digit_cap).is_periodic:
+    if _verdict(engine.outer, x, engine.digit_cap).is_periodic:
         return NEG_INFINITY
     return _log_height(engine, *_resolved(hpm_from_h(engine, x)))
 
@@ -326,9 +326,9 @@ def _log_height(engine: HeightEngine, h_plus: float, h_minus: float) -> float:
     return math.log(h_plus) / math.log(engine.delta) + math.log(h_minus) / math.log(engine.delta_minus)
 
 
-def _verdict(outer, x, max_iter, digit_cap):
+def _verdict(outer, x, digit_cap):
     """The periodicity verdict, refused when undecided."""
-    verdict = is_periodic(outer, x, max_iter=max_iter, digit_cap=digit_cap)
+    verdict = is_periodic(outer, x, digit_cap=digit_cap)
     if verdict.kind == "undecided":
         raise UndecidedPeriodicityError(verdict.detail)
     return verdict
@@ -337,7 +337,7 @@ def _verdict(outer, x, max_iter, digit_cap):
 def _infinite_components(engine: HeightEngine, x: AffinePoint, periodic_message: str) -> Tuple[float, float]:
     """(hhat+, hhat-) of a point with an infinite orbit, from one verdict and
     one reading; PeriodicPointError(periodic_message) for a periodic point."""
-    if _verdict(engine.outer, x, 200, engine.digit_cap).is_periodic:
+    if _verdict(engine.outer, x, engine.digit_cap).is_periodic:
         raise PeriodicPointError(periodic_message)
     return _resolved(hpm_from_h(engine, x))
 
@@ -400,7 +400,6 @@ def count_below(
     which: str = "naive",
     patience: int = 5,
     exact_digits: int = DEFAULT_EXACT_DIGITS,
-    max_iter: int = 200,
     digit_cap: Optional[int] = None,
 ) -> int:
     """#{ y in O_f(x) : h(y) <= threshold } by orbit enumeration.
@@ -422,7 +421,7 @@ def count_below(
     outer = f if engine is None else engine.outer
     if digit_cap is None:
         digit_cap = DEFAULT_DIGIT_CAP if engine is None else engine.digit_cap
-    verdict = _verdict(outer, x, max_iter, digit_cap)
+    verdict = _verdict(outer, x, digit_cap)
     if verdict.is_periodic:
         raise PeriodicPointError(f"point is periodic with period {verdict.period}")
     if which == "naive":
@@ -550,7 +549,7 @@ def build_orbit_record(engine: HeightEngine, x: AffinePoint, window: int) -> Orb
     are read off the orbit f holds, iterates +1, -1, +2, -2, ... in turn, each
     refused (ResourceCapError) above the engine's digit cap."""
     h_plus, h_minus = hpm_from_h(engine, x)
-    if _verdict(engine.outer, x, 200, engine.digit_cap).is_periodic:
+    if _verdict(engine.outer, x, engine.digit_cap).is_periodic:
         oh = NEG_INFINITY
     else:
         oh = _log_height(engine, *_resolved((h_plus, h_minus)))

@@ -3,15 +3,16 @@ quadratic-recursion classifier."""
 
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from planeheights import from_description
 from planeheights.automorphism import IntegerForms, cap_bits, compose_maps, henon, identity, triangular
 from planeheights.canonical import (
-    _canonical_height_clearly_positive,
-    _default_certificate_depth,
+    _canonical_height_positive,
     classify_quadratic_recursion,
     functional_equation_residual,
     hcanonical,
@@ -243,17 +244,58 @@ def test_is_periodic_accepts_caps_below_ten_thousand():
 @given(f=st.sampled_from([HENON2, HENON3, compose_maps(HENON2, HENON3)]),
        x=st.integers(-4, 4) | st.integers(10**2, 10**6), y=st.integers(-4, 4))
 def test_periodicity_certificate_matches_engine_estimate(f, x, y):
-    """The certificate read off the held orbit decides as the engine's
-    hcanonical at the certificate depth against its error budget does."""
+    """The certificate read off the held orbit decides as `make_engine`'s
+    hcanonical at the certificate depth against its error budget does, so
+    the engine built inside is_periodic is make_engine's."""
     cap = 10**4
     pt = (Fraction(x), Fraction(y))
-    engine = make_engine(f, depth=_default_certificate_depth(f.degree()), digit_cap=cap)
+    depth = max(3, math.ceil(math.log(2048) / math.log(f.degree())))
+    engine = make_engine(f, depth=depth, digit_cap=cap)
     try:
         estimate = hcanonical(engine, pt)
         expected = estimate.value > engine.error_budget()
     except ResourceCapError:
         expected = False
-    assert _canonical_height_clearly_positive(f, f.orbit(lift(pt)), cap_bits(cap)) == expected
+    assert _canonical_height_positive(f, f.orbit(lift(pt)), cap) == expected
+
+
+# The periodicity verdicts of the benchmark corpus (engine.outer of H2, H3,
+# H4, C6 = H2 o H3 and H2 conjugated by (x + 1, y)) at the integer points with
+# |x|, |y| <= 6 and four rational points, under digit caps 10^4 and 10^5.
+# The file holds one "map, cap, point, kind, period, detail" line per
+# verdict; regenerate it only for an intended change of verdicts.
+VERDICTS = Path(__file__).parent / "data" / "periodicity_verdicts.tsv"
+_H2 = {"type": "henon", "a": "1", "p": "x^2"}
+_H3 = {"type": "henon", "a": "-1", "p": "x^3 - 2*x + 1"}
+VERDICT_MAPS = {
+    "H2": (_H2, None),
+    "H3": (_H3, None),
+    "H4": ({"type": "henon", "a": "2", "p": "x^4 + x"}, None),
+    "C6": ({"type": "compose", "maps": [_H2, _H3]}, None),
+    "conj-H2": (_H2, {"type": "triangular", "a": "1", "b": "1", "c": "0", "P": "1"}),
+}
+VERDICT_POINTS = [(Fraction(x), Fraction(y)) for x in range(-6, 7) for y in range(-6, 7)] + [
+    (Fraction(1, 2), Fraction(1, 3)), (Fraction(-7, 2), Fraction(1, 6)),
+    (Fraction(3, 2), Fraction(5)), (Fraction(1, 3), Fraction(2, 5))]
+
+
+def verdict_lines():
+    for name, (core, gamma) in VERDICT_MAPS.items():
+        gamma = None if gamma is None else from_description(gamma)
+        outer = make_engine(from_description(core), gamma=gamma).outer
+        for cap in (10**4, 10**5):
+            for x, y in VERDICT_POINTS:
+                v = is_periodic(outer, (x, y), digit_cap=cap)
+                period = "-" if v.period is None else v.period
+                yield f"{name}\t{cap}\t{x},{y}\t{v.kind}\t{period}\t{v.detail}"
+
+
+def test_periodicity_verdicts_match_the_recorded_corpus():
+    expected = VERDICTS.read_text(encoding="utf-8").splitlines()
+    got = list(verdict_lines())
+    assert len(got) == len(expected) == 1730
+    for line, want in zip(got, expected):
+        assert line == want
 
 
 def test_recursion_boundary_case_exact_trajectory():
@@ -274,6 +316,47 @@ def test_recursion_to_zero():
     res = classify_quadratic_recursion("6/5", 4, 30)
     assert res.regime == "tends_to_zero"
     assert abs(res.trajectory[-1]) < 1e-3
+
+
+def _mpmath_trajectory(a, big_d, length):
+    """The classifier's trajectory iterated by mpmath at 60 digits, each
+    entry rounded to a float (+-inf past float range): the reference the
+    `decimal` iteration is checked against."""
+    mp = pytest.importorskip("mpmath").mp
+    a, big_d = Fraction(a), Fraction(big_d)
+    with mp.workdps(60):
+        cur = mp.mpf(a.numerator) / a.denominator
+        d_mp = mp.mpf(big_d.numerator) / big_d.denominator
+        values = [cur]
+        for l in range(length):
+            cur = cur * cur - 2 * d_mp ** (-(2**l))
+            values.append(cur)
+    floats = []
+    for value in values:
+        try:
+            floats.append(float(value))
+        except OverflowError:
+            floats.append(math.inf if value > 0 else -math.inf)
+    return floats
+
+
+@pytest.mark.parametrize("length", [30, 80])
+@pytest.mark.parametrize("a", ["5/4", "13/10", "6/5"])
+def test_recursion_trajectory_equals_mpmath(a, length):
+    got = classify_quadratic_recursion(a, 4, length).trajectory
+    assert list(got) == _mpmath_trajectory(a, 4, length)
+
+
+@settings(max_examples=60, deadline=None)
+@given(big_d=st.fractions(4, 40, max_denominator=60), k=st.integers(1, 70),
+       side=st.sampled_from([-1, 0, 1]), far=st.none() | st.fractions(1, 3, max_denominator=1000))
+def test_recursion_trajectory_within_an_ulp_of_mpmath(big_d, k, side, far):
+    """a near 1 + 1/D (10^-k away on either side, or on it) or anywhere in [1, 3]."""
+    a = far if far is not None else max(Fraction(1), 1 + 1 / big_d + side * Fraction(1, 10**k))
+    got = classify_quadratic_recursion(a, big_d, 30).trajectory
+    for g, want in zip(got, _mpmath_trajectory(a, big_d, 30), strict=True):
+        assert math.isinf(g) == math.isinf(want) and (g == 0) == (want == 0)
+        assert g == want or abs(g - want) <= math.ulp(want)
 
 
 def test_recursion_preconditions():

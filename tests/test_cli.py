@@ -255,13 +255,14 @@ def test_missing_map_file(capsys):
 
 
 def test_run_config_invariants_enforced(maps):
-    # depth >= 2, patience >= 1, digit cap >= 10^4 (argparse exits with 2)
+    # depth >= 2, digit cap >= 10^4 (argparse exits with 2)
     for argv in (
         ["canheight", "--map", maps["henon2"], "--point", "3,0", "--depth", "1"],
         ["periodic", "--map", maps["henon2"], "--point", "3,0", "--patience", "0"],
         ["canheight", "--map", maps["henon2"], "--point", "3,0", "--digit-cap", "100"],
-        ["canheight", "--map", maps["henon2"], "--point", "3,0", "--patience", "3"],  # periodic only
-        ["orbit", "--map", maps["henon2"], "--point", "3,0", "--patience", "3"],  # periodic only
+        ["canheight", "--map", maps["henon2"], "--point", "3,0", "--patience", "3"],  # no such flag
+        ["orbit", "--map", maps["henon2"], "--point", "3,0", "--patience", "3"],  # no such flag
+        ["periodic", "--map", maps["henon2"], "--point", "3,0", "--patience", "3"],  # no such flag
     ):
         with pytest.raises(SystemExit) as exc:
             main(argv)
@@ -315,7 +316,7 @@ def test_console_entry_point(maps):
 
 
 def test_cli_import_leaves_mpmath_unloaded():
-    # only classify_recursion uses mpmath, and it imports it when called
+    # the package has no runtime dependency; mpmath is only a test reference
     code = "import sys, planeheights.cli; print('mpmath' in sys.modules)"
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=_child_env(), timeout=60)

@@ -3,10 +3,14 @@
 hold the expected stdout of each case (`<name>.out`) and the map and point
 inputs; regenerate a file only for an intended change of output."""
 
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import planeheights
 from planeheights.cli import main
 
 GOLDEN = Path(__file__).parent / "data" / "golden"
@@ -47,3 +51,22 @@ def test_golden_output(capsys, name):
     out = capsys.readouterr().out
     assert code == expected_code
     assert out.encode("utf-8") == (GOLDEN / f"{name}.out").read_bytes()
+
+
+def test_runs_on_the_standard_library_alone():
+    """Under `python -S` no site-packages directory is importable, so the
+    package must need nothing outside the standard library: the classifier
+    runs, and the orbit H2 json case reproduces its golden output."""
+    env = {**os.environ, "PYTHONPATH": str(Path(planeheights.__file__).parents[1])}
+    code = ("import planeheights.cli\n"
+            "from planeheights.canonical import classify_quadratic_recursion\n"
+            "print(classify_quadratic_recursion('13/10', 4, 30).regime)")
+    proc = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "diverges\n"
+    argv, _ = CASES["orbit_h2_json"]
+    proc = subprocess.run([sys.executable, "-S", "-m", "planeheights.cli", *resolve(argv)],
+                          capture_output=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == (GOLDEN / "orbit_h2_json.out").read_bytes()

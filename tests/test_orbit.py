@@ -191,8 +191,7 @@ def test_noncertified_map_counts_exactly_below_the_cap():
     wide = count_below(f, X3, 30.0, "naive", patience=9)
     assert count == wide and count > 0
     with pytest.raises(ResourceCapError):
-        count_below(f, X3, math.exp(18), "naive", exact_digits=100, max_iter=60,
-                    digit_cap=10_000)
+        count_below(f, X3, math.exp(18), "naive", exact_digits=100, digit_cap=10_000)
 
 
 # -- the interval kernel -------------------------------------------------------------
