@@ -21,7 +21,9 @@ same step wrapped in a lift from and a return to `Fraction` coordinates.
 
 Every walk reads one `Orbit`: the exact two-sided orbit of a start, as a list
 of primitive triples per time direction, extended lazily.  It holds the only
-iteration loop of the package.  A map keeps one orbit, the one of the
+iteration loop of the package, and the digit cap of every walk but the
+periodicity test's (`Orbit.capped`, which refuses a step on its size bound
+before computing it).  A map keeps one orbit, the one of the
 start it was last queried at (`PlaneAutomorphism.orbit`); a query from
 another start replaces it.  Heights, the functional equation, periodicity, the counting
 tracker and the orbit record all read the same orbit at shifted indices, so
@@ -44,15 +46,15 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Tuple
 
-from .errors import MapValidationError, PolyParseError
-from .heights import ProjPoint, affine, lift, log_int
+from .errors import MapValidationError, PolyParseError, ResourceCapError
+from .heights import ProjPoint, affine, lift, log_int, top
 from .ratpoly import BivarPoly, _integer_numerators, parse_rat, powers
 
 _X = BivarPoly.var("x")
 _Y = BivarPoly.var("y")
 
 # Coordinates above this many decimal digits are refused (ResourceCapError);
-# the test is on the bit length of a triple's largest coordinate.
+# `Orbit.capped` tests the size bound of the step into an iterate.
 DEFAULT_DIGIT_CAP = 2_000_000
 _BITS_PER_DIGIT = math.log2(10)
 
@@ -75,10 +77,12 @@ class IntegerForms:
     `c2` is the growth constant of the direction, h(step x) <= d h(x) + c2:
     log C, where C is the largest coefficient sum of absolute values of the
     three forms F, G and m Z^d (the triangle inequality on a primitive lift;
-    the gcd removal only lowers the height).
+    the gcd removal only lowers the height).  `c_bits` = bits(C) is the same
+    bound on bit lengths: bits(top(step x)) <= d bits(top(x)) + c_bits, which
+    is what the digit cap of `Orbit.capped` tests before a step.
     """
 
-    __slots__ = ("degree", "m", "monomials", "f", "g", "c2", "_max_i", "_max_j")
+    __slots__ = ("degree", "m", "monomials", "f", "g", "c2", "c_bits", "_max_i", "_max_j")
 
     def __init__(self, components: Tuple[BivarPoly, BivarPoly]):
         self.degree = d = max(poly.total_degree() for poly in components)
@@ -89,6 +93,7 @@ class IntegerForms:
         self.f, self.g = (tuple((index[key], c) for key, c in terms.items()) for terms in numerators)
         c_max = max(self.m, *(sum(abs(c) for _, c in form) for form in (self.f, self.g)))
         self.c2 = log_int(c_max) if c_max > 1 else 0.0
+        self.c_bits = c_max.bit_length()
         self._max_i = max(i for i, _ in keys)
         self._max_j = max(j for _, j in keys)
 
@@ -121,9 +126,16 @@ class Orbit:
     """The exact two-sided orbit {g^l(x) : l in Z} of one start under a map,
     as primitive triples (X : Y : Z), Z > 0, extended lazily in either
     direction.  `orbit[l]` is the triple of g^l(x); reading it computes every
-    iterate between the furthest one held and l, so a reader that applies a
-    size cap reads the iterates in order and stops at the first one refused.
-    Reads are not locked: threads that share a map need the caller's lock.
+    iterate between the furthest one held and l.  Reads are not locked:
+    threads that share a map need the caller's lock.
+
+    `capped` is the one digit-cap rule: a walk reads its iterates in order
+    and is refused at the first whose step bound passes the cap, before that
+    step is computed.  The bound is an upper bound, so it refuses an iterate
+    one step earlier than a test of its real size only when the cap lies
+    within c_bits bits of that size.  `is_periodic` keeps its own test on the
+    real size of the first iterate past the cap, which counts in its growth
+    run.
 
     `tails` holds what the orbit tracker of :mod:`planeheights.orbit` keeps
     past the exact window (`Orbit`s of interval triples, height enclosures),
@@ -131,13 +143,14 @@ class Orbit:
     reads one copy, and replacing the orbit drops it.
     """
 
-    __slots__ = ("start", "tails", "_forms", "_chains")
+    __slots__ = ("start", "tails", "_forms", "_chains", "_bits")
 
     def __init__(self, fwd: IntegerForms, inv: IntegerForms, start: ProjPoint):
         self.start = start
         self.tails = {}
         self._forms = (inv, fwd)  # indexed by l >= 0
         self._chains = ([start], [start])
+        self._bits = ([], [])  # bits(top) of the held iterates, filled by capped reads
 
     def __getitem__(self, l: int) -> ProjPoint:
         forward = l >= 0
@@ -148,6 +161,21 @@ class Orbit:
             while len(chain) <= k:
                 chain.append(step(chain[-1]))
         return chain[k]
+
+    def capped(self, l: int, limit: int, base: int = 0) -> ProjPoint:
+        """orbit[l], l != base, read by a walk from g^base(x) that has read
+        every iterate before l; refused (ResourceCapError, naming l - base)
+        without computing it when d bits(top) + c_bits of the step into it,
+        from its neighbour on the side of base, is above `limit` bits."""
+        forward = l > base
+        prev = l - 1 if forward else l + 1
+        bits = self._bits[prev >= 0]
+        while len(bits) <= abs(prev):
+            bits.append(top(self[len(bits) if prev >= 0 else -len(bits)]).bit_length())
+        forms = self._forms[forward]
+        if forms.degree * bits[abs(prev)] + forms.c_bits > limit:
+            raise ResourceCapError(f"coordinate exceeded the digit cap at iterate {l - base:+d}")
+        return self[l]
 
 
 @dataclass(frozen=True)
@@ -444,7 +472,8 @@ def from_description(doc) -> PlaneAutomorphism:
                 result = compose_maps(node, result)
             return result
         if kind == "conjugate":
-            return conjugate(from_description(doc["inner"]), inverse(from_description(doc["by"])))
+            inner, by = conjugate_parts(doc)
+            return conjugate(inner, inverse(by))
         if kind == "pair":
             return pair(
                 BivarPoly.parse(doc["p"]),
@@ -455,6 +484,14 @@ def from_description(doc) -> PlaneAutomorphism:
     except KeyError as exc:
         raise MapValidationError(f"map description of type {kind!r} is missing field {exc}") from None
     raise MapValidationError(f"unknown map type {kind!r}")
+
+
+def conjugate_parts(doc) -> Tuple[PlaneAutomorphism, PlaneAutomorphism]:
+    """(inner, by) of a conjugate description, the map by o inner o by^-1."""
+    try:
+        return from_description(doc["inner"]), from_description(doc["by"])
+    except KeyError as exc:
+        raise MapValidationError(f"map description of type 'conjugate' is missing field {exc}") from None
 
 
 def read_map_doc(path):

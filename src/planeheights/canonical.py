@@ -27,10 +27,12 @@ from index s, which is exact because gamma^-1(f^s x) = g^s(z) and primitive
 triples with Z > 0 are unique; so hplus, hminus, hcanonical, the functional
 equation and the periodicity test at one point share one orbit, the one the
 core map keeps (see :mod:`planeheights.automorphism` for why only one).
-Each estimate tests the digit cap on the triple's largest coordinate, in the
-order of its own walk, and names the refused iterate relative to its own
-base point.  The dynamical degree and the growth constants are cached on the
-map, so building an engine costs no composition after the first.
+Each estimate reads its walk through `Orbit.capped`, which refuses an
+iterate when the size bound of the step into it passes the digit cap, before
+that step is computed, and names the refused iterate relative to the
+estimate's own base point.  The dynamical degree and the growth constants
+are cached on the map, so building an engine costs no composition after the
+first.
 """
 
 from __future__ import annotations
@@ -51,7 +53,7 @@ from .automorphism import (
     inverse,
 )
 from .errors import MapValidationError, ResourceCapError
-from .heights import AffinePoint, capped_height, lift, log_int, naive_height, top
+from .heights import AffinePoint, lift, log_int, naive_height, top
 from .heights import growth_constant as _growth_constant
 
 DEFAULT_DEPTH = 12
@@ -164,13 +166,11 @@ def _core_orbit(engine: HeightEngine, x: AffinePoint) -> Orbit:
 
 def _orbit_heights(engine: HeightEngine, orbit: Orbit, base: int, forward: bool) -> List[float]:
     """[h_nv(g^base z), ..., h_nv(g^(base +/- N) z)] read off the orbit, with
-    the digit cap on each iterate after the first, named relative to base."""
+    the digit cap on each step after the first iterate, named relative to base."""
     limit = cap_bits(engine.digit_cap)
-    sign, tag = (1, "+") if forward else (-1, "-")
-    hs = [naive_height(orbit[base])]
-    for step in range(1, engine.depth + 1):
-        hs.append(capped_height(orbit[base + sign * step], limit, f"{tag}{step}"))
-    return hs
+    sign = 1 if forward else -1
+    return [naive_height(orbit[base])] + [log_int(top(orbit.capped(base + sign * step, limit, base)))
+                                          for step in range(1, engine.depth + 1)]
 
 
 def hplus(engine: HeightEngine, x: AffinePoint) -> HeightEstimate:
@@ -312,6 +312,9 @@ def is_periodic(
                 pt = orbit[sign * read[sign]]
                 if pt == start:
                     return PeriodicityVerdict("periodic", period=read[sign])
+                # the real size, not `Orbit.capped`'s step bound: the first
+                # iterate past the cap still counts in the growth run, and
+                # the bound would turn some verdicts into undecided ones
                 largest = top(pt)
                 if largest.bit_length() > limit:
                     live[sign] = False

@@ -21,6 +21,7 @@ import sys
 from . import orbit as orbit_mod
 from .automorphism import (
     DEFAULT_DIGIT_CAP,
+    conjugate_parts,
     dynamical_degree,
     degree_sequence,
     from_description,
@@ -108,7 +109,7 @@ def _engine(args):
     document's map, by o inner o by^-1); anything else is the core itself."""
     doc = read_map_doc(args.map)
     if isinstance(doc, dict) and doc.get("type") == "conjugate":
-        g, gamma = from_description(doc["inner"]), from_description(doc["by"])
+        g, gamma = conjugate_parts(doc)
     else:
         g, gamma = from_description(doc), None
     try:
@@ -248,9 +249,13 @@ def _parse_t_grid(spec: str) -> list:
     lo, hi, steps = float(parts[0]), float(parts[1]), int(parts[2])
     if steps < 1:
         raise PolyParseError("--T-grid needs at least one step")
-    if steps == 1:
-        return [math.exp(lo)]
-    return [math.exp(lo + i * (hi - lo) / (steps - 1)) for i in range(steps)]
+    try:
+        grid = [math.exp(lo + i * (hi - lo) / max(steps - 1, 1)) for i in range(steps)]
+    except OverflowError:
+        grid = [math.inf]
+    if not all(map(math.isfinite, grid)):
+        raise PolyParseError(f"--T-grid gives a threshold that is not a finite number: {spec!r}")
+    return grid
 
 
 def _counting_row(engine, pt, t):
@@ -270,14 +275,14 @@ def cmd_orbit(args) -> int:
     if not args.point:
         raise PolyParseError("orbit needs --point X,Y")
     pt = parse_affine_point(args.point)
+    thresholds = [] if args.T is None else [args.T]
+    if args.T_grid:
+        thresholds.extend(_parse_t_grid(args.T_grid))
+    for t in thresholds:  # before the record, whose refusal would hide a bad threshold
+        orbit_mod.check_threshold(t)
     record = orbit_mod.build_orbit_record(engine, pt, window=args.window)
     if record.orbit_height == orbit_mod.NEG_INFINITY:
         raise PeriodicPointError("orbit scans need a non-periodic point")
-    thresholds = []
-    if args.T is not None:
-        thresholds.append(args.T)
-    if args.T_grid:
-        thresholds.extend(_parse_t_grid(args.T_grid))
     counting = [_counting_row(engine, pt, t) for t in thresholds]
     scan = [
         {"l": s.l, "x": format_rat(s.point[0]), "y": format_rat(s.point[1]),

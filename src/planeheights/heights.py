@@ -21,7 +21,7 @@ import math
 from fractions import Fraction
 from typing import Iterable, Sequence, Tuple
 
-from .errors import PolyParseError, ResourceCapError
+from .errors import PolyParseError
 from .ratpoly import parse_rat
 
 AffinePoint = Tuple[Fraction, Fraction]
@@ -68,15 +68,6 @@ def naive_height(point: ProjPoint) -> float:
 def top(point: ProjPoint) -> int:
     """max(|X|, |Y|, Z) of a triple with Z > 0: h_nv is its log."""
     return max(abs(point[0]), abs(point[1]), point[2])
-
-
-def capped_height(point: ProjPoint, limit: int, iterate: str) -> float:
-    """h_nv of a triple with Z > 0, refused when its largest coordinate has
-    more than `limit` bits; `iterate` ('+3', '-1') names it in the refusal."""
-    largest = top(point)
-    if largest.bit_length() > limit:
-        raise ResourceCapError(f"coordinate exceeded the digit cap at iterate {iterate}")
-    return log_int(largest)
 
 
 def lift(pt: AffinePoint) -> ProjPoint:

@@ -5,18 +5,20 @@ Counting runs need naive heights of iterates far past the point where exact
 coordinates stop being storable (a threshold T = e^21 pulls in iterates whose
 coordinates would have ~10^8 digits).  The orbit tracker therefore works in
 two phases: exact triples (X : Y : Z) read off the orbit the map holds (see
-`PlaneAutomorphism.orbit` in :mod:`planeheights.automorphism`) while the
-triple's largest coordinate stays below a size threshold, then a certified
+`PlaneAutomorphism.orbit` in :mod:`planeheights.automorphism`) until
+`Orbit.capped` refuses the next step on its size bound, then a certified
 switch to outward-rounded interval arithmetic on the coordinates themselves
 (an `Interval` is a pair of integer mantissas of at most 192 bits under a
 Python-int binary exponent, so e^(10^9)-sized values cost no more than small
 ones).  The switch is only taken when the map provably preserves integer
 points in both directions (all forward and inverse coefficients integral,
 integral start), which keeps h = log max(|X|, |Y|, 1) the exact naive
-height; otherwise exceeding the cap raises the resource error.  Both phases
-read an `Orbit` stepped by the map's `IntegerForms`: on a certified map
-m = 1 and Z = 1, so its step is ring arithmetic alone, and the interval
-phase is the `Orbit` of the interval triple (X, Y, 1) at the switch.
+height; otherwise the refused step raises the resource error, and the same
+bounded read refuses an orbit record's over-cap iterate before computing
+it.  Both phases read an `Orbit` stepped by the map's `IntegerForms`: on a
+certified map m = 1 and Z = 1, so its step is ring arithmetic alone, and
+the interval phase is the `Orbit` of the interval triple (X, Y, 1) of the
+last exact iterate.
 Interval widths stay certified, so a count is exact unless an enclosure
 straddles the threshold, which the scan reports instead of hiding.  The
 interval orbits and the height enclosures are kept with the orbit the map
@@ -52,7 +54,7 @@ from .errors import (
     ResourceCapError,
     UndecidedPeriodicityError,
 )
-from .heights import _LN2, AffinePoint, affine, capped_height, lift, log_int, naive_height, top
+from .heights import _LN2, AffinePoint, affine, lift, log_int, naive_height, top
 
 NEG_INFINITY = float("-inf")  # distinguished 'finite orbit' value, never used in arithmetic
 
@@ -147,8 +149,8 @@ class Interval:
 class _Tail:
     """What the trackers of one orbit and switch point share: per direction
     (indexed by l >= 0) how many iterates from 0 on are held exactly and the
-    interval `Orbit` from the switch triple on (None while exact), and the
-    height enclosures read so far."""
+    interval `Orbit` from the last exact triple on (None while exact), and
+    the height enclosures read so far."""
 
     __slots__ = ("exact", "orbits", "bounds")
 
@@ -162,8 +164,8 @@ class OrbitHeightTracker:
     """Lazy h_nv(f^l(x)) for l in Z, exact below the size threshold and by
     certified interval recurrences beyond it.  The exact iterates are read
     off the orbit the map holds; the interval phase of each direction starts
-    from the orbit's triple at the first iterate above the threshold.  The
-    interval orbits and enclosures are kept in the orbit's `tails`, so
+    from the last exact triple, the one whose step bound passes the threshold.
+    The interval orbits and enclosures are kept in the orbit's `tails`, so
     trackers of the same orbit and switch point share them."""
 
     def __init__(
@@ -190,15 +192,18 @@ class OrbitHeightTracker:
         tail = self._tail
         n = tail.exact[forward]
         while tail.orbits[forward] is None and n <= k:
-            pt = self._orbit[sign * n]
-            if top(pt).bit_length() > self._limit:
+            try:
+                self._orbit.capped(sign * n, self._limit)
+            except ResourceCapError:
                 if not self._certified:
                     raise ResourceCapError(
                         "orbit coordinates exceeded the digit cap and the map is not "
                         "certified integral, so interval tracking cannot take over"
-                    )
+                    ) from None
                 # certified: Z == 1, so X and Y are the coordinates themselves,
-                # and the forms' m == 1, Z == 1 step applies to intervals
+                # and the forms' m == 1, Z == 1 step applies to intervals; the
+                # interval orbit starts at the last exact iterate, n - 1
+                pt = self._orbit[sign * (n - 1)]
                 switch = (Interval(pt[0], pt[0]), Interval(pt[1], pt[1]), 1)
                 tail.orbits[forward] = Orbit(self._auto.forms(True), self._auto.forms(False), switch)
                 break
@@ -206,7 +211,7 @@ class OrbitHeightTracker:
             tail.exact[forward] = n
         if k < n:
             return ("exact", self._orbit[l])
-        return ("iv", tail.orbits[forward][sign * (k - n)])
+        return ("iv", tail.orbits[forward][sign * (k - n + 1)])
 
     def point(self, l: int) -> AffinePoint:
         """Exact coordinates of f^l(x); available only inside the exact window."""
@@ -375,6 +380,12 @@ def _scan(values, threshold: float, slop: float, patience: int = 1) -> Tuple[int
     return count, straddles
 
 
+def check_threshold(threshold: float) -> None:
+    """Refuse (ValueError) a counting threshold that is not a positive finite number."""
+    if not 0 < threshold < math.inf:  # NaN fails both comparisons
+        raise ValueError("threshold must be a positive finite number")
+
+
 def _canonical_bounds(engine: HeightEngine, x: AffinePoint, exact_digits: int, digit_cap: int):
     """values(l): enclosure of the depth-N canonical height at f^l(x),
     h_nv(g^(l+N) z)/delta^N + h_nv(g^(l-N) z)/delta_-^N with z = gamma^-1(x),
@@ -414,8 +425,7 @@ def count_below(
     engine = f if isinstance(f, HeightEngine) else None
     if which not in ("naive", "canonical"):
         raise ValueError("which must be 'naive' or 'canonical'")
-    if threshold <= 0:
-        raise ValueError("threshold must be positive")
+    check_threshold(threshold)
     if which == "canonical" and engine is None:
         raise ValueError("canonical-height counts need a HeightEngine")
     outer = f if engine is None else engine.outer
@@ -447,6 +457,7 @@ def counting_enclosure(engine: HeightEngine, x: AffinePoint, threshold: float) -
     must lie within half-width log2/log(delta) + log2/log(delta_-) + 1 of
     (1/log delta + 1/log delta_-) log T - hhat(O), widened by the propagated
     height-error slack."""
+    check_threshold(threshold)
     log_d = math.log(engine.delta)
     log_dm = math.log(engine.delta_minus)
     coeff = 1 / log_d + 1 / log_dm
@@ -547,7 +558,8 @@ def build_orbit_record(engine: HeightEngine, x: AffinePoint, window: int) -> Orb
     """Exact orbit samples over the symmetric window l in [-window, window],
     with naive heights and the scaling-law canonical heights.  The samples
     are read off the orbit f holds, iterates +1, -1, +2, -2, ... in turn, each
-    refused (ResourceCapError) above the engine's digit cap."""
+    refused (ResourceCapError) by `Orbit.capped` when the size bound of the
+    step into it passes the engine's digit cap."""
     h_plus, h_minus = hpm_from_h(engine, x)
     if _verdict(engine.outer, x, engine.digit_cap).is_periodic:
         oh = NEG_INFINITY
@@ -557,8 +569,8 @@ def build_orbit_record(engine: HeightEngine, x: AffinePoint, window: int) -> Orb
     limit = cap_bits(engine.digit_cap)
     h_nv = {0: naive_height(orbit[0])}
     for l in range(1, window + 1):
-        h_nv[l] = capped_height(orbit[l], limit, f"+{l}")
-        h_nv[-l] = capped_height(orbit[-l], limit, f"-{l}")
+        h_nv[l] = log_int(top(orbit.capped(l, limit)))
+        h_nv[-l] = log_int(top(orbit.capped(-l, limit)))
     samples = []
     for l in range(-window, window + 1):
         h_hat = engine.delta**l * h_plus + float(engine.delta_minus) ** (-l) * h_minus

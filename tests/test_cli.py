@@ -140,6 +140,39 @@ def test_invalid_map_json_reads_alike_in_every_command(capsys, tmp_path):
     assert len(errors) == 1 and "invalid JSON in map file" in errors.pop()
 
 
+@pytest.mark.parametrize("command", ["canheight", "orbit", "periodic"])
+@pytest.mark.parametrize("missing", ["inner", "by"])
+def test_conjugate_document_missing_a_field_is_an_input_error(capsys, tmp_path, command, missing):
+    path = tmp_path / "conj.json"
+    path.write_text(json.dumps({key: value for key, value in CONJ.items() if key != missing}))
+    code, out, err = run_cli(capsys, [command, "--map", str(path), "--point", "1,1"])
+    assert code == 2 and out == ""
+    assert f"map description of type 'conjugate' is missing field '{missing}'" in err
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--T", "nan"], "threshold must be a positive finite number"),
+    (["--T", "inf"], "threshold must be a positive finite number"),
+    (["--T", "0"], "threshold must be a positive finite number"),
+    (["--T", "-5"], "threshold must be a positive finite number"),
+    (["--T-grid", "5:nan:3"], "--T-grid"),
+    (["--T-grid", "5:800:2"], "--T-grid"),
+], ids=["T-nan", "T-inf", "T-0", "T-minus-5", "grid-nan", "grid-overflow"])
+def test_orbit_threshold_must_be_positive_and_finite(capsys, maps, flags, message):
+    code, out, err = run_cli(capsys, ["orbit", "--map", maps["henon2"], "--point", "3,0"] + flags)
+    assert code == 2 and out == ""
+    assert message in err
+
+
+def test_orbit_refuses_a_bad_threshold_before_the_record(capsys):
+    # the orbit record of C6 at (3, 0) hits the digit cap (exit 4); the
+    # threshold is the input error, and it is reported first
+    path = os.path.join(os.path.dirname(__file__), "data", "golden", "c6.json")
+    code, out, err = run_cli(capsys, ["orbit", "--map", path, "--point", "3,0", "--T", "nan"])
+    assert code == 2 and out == ""
+    assert "threshold must be a positive finite number" in err
+
+
 def test_orbit_json_schema(capsys, maps):
     code, out, _ = run_cli(capsys, [
         "orbit", "--map", maps["henon2"], "--point", "3,0",
@@ -288,6 +321,18 @@ def test_orbit_window_refused_at_the_digit_cap(capsys, maps):
     ])
     assert code == 4 and out == ""
     assert "coordinate exceeded the digit cap at iterate +15" in err
+    assert time.perf_counter() - started < 5
+
+
+def test_canheight_refuses_before_the_over_cap_step():
+    # C6 at (3, 0): iterate +9 would have about 5M digits, over the default cap;
+    # the refusal comes from the step bound, before that iterate is computed
+    path = os.path.join(os.path.dirname(__file__), "data", "golden", "c6.json")
+    started = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-m", "planeheights.cli", "canheight", "--map", path,
+                           "--point", "3,0"], capture_output=True, text=True, env=_child_env(), timeout=120)
+    assert proc.returncode == 4 and proc.stdout == ""
+    assert "coordinate exceeded the digit cap at iterate +9" in proc.stderr
     assert time.perf_counter() - started < 5
 
 

@@ -3,7 +3,9 @@
 Property tests (Hypothesis) compare kernel steps with `BivarPoly.evaluate`
 steps, naive heights on triples with `normalize`-based heights, and the
 digit-cap iterate with the coordinate-wise rule of a Fraction walk, also when
-the map already holds an orbit from earlier queries.
+the map already holds an orbit from earlier queries.  The cap refuses a step
+on its size bound, so the bound is checked on random Henon words, and a
+refusal is checked to build no triple over the cap.
 """
 
 import dataclasses
@@ -15,11 +17,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from planeheights.automorphism import cap_bits, compose_maps, conjugate, henon, triangular
+from planeheights.automorphism import IntegerForms, cap_bits, compose_maps, conjugate, henon, triangular
 from planeheights.canonical import hcanonical, hminus, hplus, is_periodic, make_engine
 from planeheights.errors import ResourceCapError
-from planeheights.heights import affine, lift, naive_height, naive_height_affine, normalize
-from planeheights.orbit import OrbitHeightTracker, hpm_from_h
+from planeheights.heights import affine, lift, naive_height, naive_height_affine, normalize, top
+from planeheights.orbit import OrbitHeightTracker, build_orbit_record, hpm_from_h
 from planeheights.ratpoly import BivarPoly, parse_poly
 
 H2 = henon(1, parse_poly("x^2"))
@@ -217,3 +219,62 @@ def test_shifted_reads_refuse_like_walks_from_the_image(name, pt, depth):
     expected = (refusal(lambda: hcanonical(fresh, f.apply(pt)))
                 or refusal(lambda: hcanonical(fresh, f.apply_inverse(pt))))
     assert refusal(lambda: hpm_from_h(engine, pt)) == expected
+
+
+# -- the step bound the cap refuses on ------------------------------------------
+
+nonzero = rationals.filter(bool)
+
+
+@st.composite
+def henon_words(draw):
+    """Words of one or two Henon maps with rational a and coefficients, degree <= 9."""
+    f = None
+    for _ in range(draw(st.integers(1, 2))):
+        degree = draw(st.integers(2, 3))
+        coeffs = draw(st.lists(rationals, min_size=degree, max_size=degree)) + [draw(nonzero)]
+        p = sum((BivarPoly.const(c) * BivarPoly.var("x") ** i for i, c in enumerate(coeffs)), BivarPoly.zero())
+        g = henon(draw(nonzero), p)
+        f = g if f is None else compose_maps(f, g)
+    return f
+
+
+@settings(max_examples=40, deadline=None)
+@given(f=henon_words(), pt=points)
+def test_step_bits_stay_under_the_step_bound(f, pt):
+    for forward in (True, False):
+        forms = f.forms(forward)
+        triple = lift(pt)
+        for _ in range(3):
+            image = forms.step(triple)
+            assert top(image).bit_length() <= forms.degree * top(triple).bit_length() + forms.c_bits
+            triple = image
+
+
+def walk_tracker(f, sign):
+    tracker = OrbitHeightTracker(f, X3, exact_digits=100, digit_cap=10_000)
+    for l in range(1, 41):
+        tracker.h_bounds(sign * l)
+
+
+@pytest.mark.parametrize("f, read", [
+    (H2, lambda f: hplus(make_engine(f, depth=40, digit_cap=10_000), X3)),
+    (H2, lambda f: hcanonical(make_engine(f, depth=40, digit_cap=10_000), X3)),
+    # depth 8 keeps (hhat+, hhat-) under the cap, so the window refuses
+    (H2, lambda f: build_orbit_record(make_engine(f, depth=8, digit_cap=10_000), X3, window=40)),
+    (H4, lambda f: walk_tracker(f, 1)),   # not certified integral
+    (H4, lambda f: walk_tracker(f, -1)),
+], ids=["hplus", "hcanonical", "build_orbit_record", "tracker+", "tracker-"])
+def test_a_refusal_builds_no_triple_over_the_cap(monkeypatch, f, read):
+    bits = []
+    step = IntegerForms.step
+
+    def recording_step(self, pt):
+        out = step(self, pt)
+        bits.append(top(out).bit_length())
+        return out
+
+    monkeypatch.setattr(IntegerForms, "step", recording_step)
+    with pytest.raises(ResourceCapError):
+        read(dataclasses.replace(f))  # a copy that holds no orbit
+    assert bits and max(bits) <= cap_bits(10_000)

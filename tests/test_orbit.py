@@ -539,3 +539,12 @@ def test_conjugated_engine_counting():
     pt = (Fraction(4), Fraction(0))
     enc = counting_enclosure(e, pt, math.exp(7))
     assert enc.passed
+
+
+@pytest.mark.parametrize("threshold", [0.0, -5.0, math.nan, math.inf])
+def test_thresholds_must_be_positive_and_finite(threshold):
+    engine = make_engine(HENON2)
+    for count in (lambda: count_below(HENON2, X3, threshold),
+                  lambda: counting_enclosure(engine, X3, threshold)):
+        with pytest.raises(ValueError, match="threshold must be a positive finite number"):
+            count()
