@@ -1,5 +1,5 @@
 """Golden CLI outputs: the stdout bytes and exit code of fixed `orbit`,
-`canheight` and `dyndeg` commands must not change.  The files under tests/data/golden/
+`canheight`, `dyndeg` and `periodic` commands must not change.  The files under tests/data/golden/
 hold the expected stdout of each case (`<name>.out`) and the map and point
 inputs; regenerate a file only for an intended change of output."""
 
@@ -32,6 +32,10 @@ CASES = {
                            "--format", "json"], 0),
     "canheight_conj_h2_json": (["canheight", "--map", "conj_h2.json", "--points", "points.txt",
                                 "--format", "json"], 0),
+    # a fixed point of H2, and one of H3 seen through the nonlinear conjugator
+    # of conj_tri_h3, whose own map is not regular
+    "periodic_h2_json": (["periodic", "--map", "h2.json", "--point", "2,2", "--format", "json"], 0),
+    "periodic_conj_tri_h3_text": (["periodic", "--map", "conj_tri_h3.json", "--point", "3/2,0"], 0),
 }
 # dyndeg on a regular composite, an affine conjugate and a conjugate by the
 # nonlinear, rational triangular map (x + y^2/2, -y + 1), which is not regular
