@@ -21,20 +21,20 @@ same step wrapped in a lift from and a return to `Fraction` coordinates.
 
 Every walk reads one `Orbit`: the exact two-sided orbit of a start, as a list
 of primitive triples per time direction, extended lazily.  It holds the only
-iteration loop of the package, and the digit cap of every walk but the
-periodicity test's (`Orbit.capped`, which refuses a step on its size bound
-before computing it).  A map keeps one orbit, the one of the
-start it was last queried at (`PlaneAutomorphism.orbit`); a query from
-another start replaces it.  Heights, the functional equation, periodicity, the counting
-tracker and the orbit record all read the same orbit at shifted indices, so
-one slot serves every query about one point.  The slot is deliberately one:
+iteration loop of the package, and the digit cap of every walk
+(`Orbit.capped`, which refuses a step on its size bound before computing
+it).  A map keeps one orbit, the one of the start it was last queried at
+(`PlaneAutomorphism.orbit`); a query from another start replaces it.
+Heights, the functional equation, periodicity, the counting tracker and the
+orbit record all read the same orbit at shifted indices, so one slot serves
+every query about one point.  The slot is deliberately one:
 a larger cache would mostly keep orbits that nothing reads again (at up to
 the digit cap per iterate), and a caller that repeats a whole batch of
 queries would be served from it and measure lookups rather than work.
 
 Map invariants are computed once per map object: the integer forms of each
-direction (with the growth constant c2 of that direction) and the dynamical
-degree are cached on the map on first use.
+direction (with the growth constant c2 of that direction), the dynamical
+degree and the escape box are cached on the map on first use.
 """
 
 from __future__ import annotations
@@ -133,9 +133,7 @@ class Orbit:
     and is refused at the first whose step bound passes the cap, before that
     step is computed.  The bound is an upper bound, so it refuses an iterate
     one step earlier than a test of its real size only when the cap lies
-    within c_bits bits of that size.  `is_periodic` keeps its own test on the
-    real size of the first iterate past the cap, which counts in its growth
-    run.
+    within c_bits bits of that size.
 
     `tails` holds what the orbit tracker of :mod:`planeheights.orbit` keeps
     past the exact window (`Orbit`s of interval triples, height enclosures),
@@ -182,9 +180,9 @@ class Orbit:
 class PlaneAutomorphism:
     """Forward/inverse polynomial pairs plus a generator word for provenance.
 
-    The compiled integer forms, the dynamical degree and the orbit of the last
-    queried start are cached on the instance (outside the dataclass fields, so
-    equality and hashing ignore them).
+    The compiled integer forms, the dynamical degree, the escape box and the
+    orbit of the last queried start are cached on the instance (outside the
+    dataclass fields, so equality and hashing ignore them).
     """
 
     fwd: Tuple[BivarPoly, BivarPoly]
@@ -212,6 +210,11 @@ class PlaneAutomorphism:
     @cached_property
     def _dynamical_degree(self) -> int:
         return _compute_dynamical_degree(self)
+
+    @cached_property
+    def escape_box(self):
+        """The `EscapeBox` of a regular map, None for any other."""
+        return _escape_box(self)
 
     def orbit(self, start: ProjPoint) -> Orbit:
         """The exact orbit of a primitive triple with Z > 0.
@@ -440,6 +443,71 @@ def is_regular(f: PlaneAutomorphism) -> bool:
     return indeterminacy_at_infinity(f) != indeterminacy_at_infinity(inverse(f))
 
 
+# -- the escape box ------------------------------------------------------------
+
+@dataclass(frozen=True)
+class EscapeBox:
+    """The filtration of a regular map f (Bedford-Smillie, Hubbard-Oberste-Vorth)
+    read off its coefficients: every periodic point of f lies in the box.
+
+    The coordinates (u, v) = B (x, y), B = [[q, -p], [-s, r]] with I+(f) = (p:q)
+    and I+(f^-1) = (r:s), make f = (alpha u^d + lower, Q), deg Q < d, and
+    f^-1 = (P, beta v^d_- + lower), deg P < d_-.  At infinity, with S the sum
+    of |c| over f's other coefficients and |alpha| R >= S + 2, R >= 1, a point
+    with |u| >= |v|, |u| > R maps to |u'| > |v'| + 2|u|^(d-1) >= 2|u|; f^-1
+    does the same for |v| >= |u|, |v| > R, and R is the larger radius.  At a
+    prime l, where v_l(w) > v_l(|num alpha| m) (m the lcm of the denominators)
+    and |u|_l >= |v|_l, alpha u^d is above every other term, so |u|_l grows
+    strictly.  With N the lcm of both directions' |num alpha| m, the box at l
+    is w | N.  An orbit unbounded at one place is infinite.
+    """
+
+    basis: Tuple[int, int, int, int]  # B = [[b0, b1], [b2, b3]]
+    radius: Fraction
+    modulus: int
+
+    def coordinates(self, point: ProjPoint) -> ProjPoint:
+        """The primitive triple (u : v : w), w > 0, of B (X, Y) over Z."""
+        x, y, z = point
+        b0, b1, b2, b3 = self.basis
+        u, v = b0 * x + b1 * y, b2 * x + b3 * y
+        common = math.gcd(u, v, z)
+        return (u // common, v // common, z // common)
+
+    def exit_place(self, point: ProjPoint):
+        """None for a triple in the box, else where it lies outside:
+        'infinity' when max(|u|, |v|) > R w, else a prime of w / gcd(w, N)."""
+        u, v, w = self.coordinates(point)
+        if max(abs(u), abs(v)) * self.radius.denominator > self.radius.numerator * w:
+            return "infinity"
+        rest = w // math.gcd(w, self.modulus)
+        if rest == 1:
+            return None
+        prime = next((q for q in range(2, min(math.isqrt(rest), 1000) + 1) if rest % q == 0), rest)
+        return f"the prime {prime}" if prime <= 10**6 else "a prime above 1000 of its denominator"
+
+
+def _escape_box(f: PlaneAutomorphism):
+    if f.degree() < 2 or f.inverse_degree() < 2:
+        return None
+    (p, q), (r, s) = indeterminacy_at_infinity(f).xy, indeterminacy_at_infinity(inverse(f)).xy
+    det = q * r - p * s
+    if det == 0:
+        return None
+    b_inv = (Fraction(r, det) * _X + Fraction(p, det) * _Y, Fraction(s, det) * _X + Fraction(q, det) * _Y)
+    b = _build((q * _X - p * _Y, r * _Y - s * _X), b_inv, (), check=False)
+    g = compose_maps(compose_maps(b, f), inverse(b))  # f in the coordinates (u, v), named (x, y)
+    radius, modulus = Fraction(1), 1
+    for (lead, low), key in ((g.fwd, (g.degree(), 0)), (g.inv[::-1], (0, g.inverse_degree()))):
+        alpha, d = lead.coefficient(*key), sum(key)
+        if alpha == 0 or lead.leading_form(d) != BivarPoly({key: alpha}) or low.total_degree() >= d:
+            raise MapValidationError(f"regular map not in the normal form {g} of its escape box")
+        coefficients = [*lead.terms.values(), *low.terms.values()]
+        radius = max(radius, (sum(map(abs, coefficients)) - abs(alpha) + 2) / abs(alpha))
+        modulus = math.lcm(modulus, abs(alpha.numerator) * math.lcm(*(c.denominator for c in coefficients)))
+    return EscapeBox((q, -p, -s, r), radius, modulus)
+
+
 # -- map-description documents ------------------------------------------------
 
 def from_description(doc) -> PlaneAutomorphism:
@@ -486,8 +554,11 @@ def from_description(doc) -> PlaneAutomorphism:
     raise MapValidationError(f"unknown map type {kind!r}")
 
 
-def conjugate_parts(doc) -> Tuple[PlaneAutomorphism, PlaneAutomorphism]:
-    """(inner, by) of a conjugate description, the map by o inner o by^-1."""
+def conjugate_parts(doc):
+    """(inner, by) of a conjugate description, the map by o inner o by^-1;
+    (map, None) of any other description."""
+    if not (isinstance(doc, dict) and doc.get("type") == "conjugate"):
+        return from_description(doc), None
     try:
         return from_description(doc["inner"]), from_description(doc["by"])
     except KeyError as exc:

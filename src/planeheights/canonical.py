@@ -27,17 +27,13 @@ from index s, which is exact because gamma^-1(f^s x) = g^s(z) and primitive
 triples with Z > 0 are unique; so hplus, hminus, hcanonical, the functional
 equation and the periodicity test at one point share one orbit, the one the
 core map keeps (see :mod:`planeheights.automorphism` for why only one).
-Each estimate reads its walk through `Orbit.capped`, which refuses an
-iterate when the size bound of the step into it passes the digit cap, before
-that step is computed, and names the refused iterate relative to the
-estimate's own base point.  The dynamical degree and the growth constants
-are cached on the map, so building an engine costs no composition after the
-first.
+Each walk reads through `Orbit.capped`, which names a refused iterate
+relative to the walk's own base point.  The dynamical degree, the growth
+constants and the escape box are cached on the map.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from decimal import MAX_EMAX, MIN_EMIN, Context, Decimal, localcontext
 from fractions import Fraction
@@ -257,100 +253,29 @@ class PeriodicityVerdict:
         return self.kind == "periodic"
 
 
-GROWTH_RUN = 5  # steps of naive-height growth each direction needs before hcanonical is read
-
-
-def is_periodic(
-    f: PlaneAutomorphism,
-    x: AffinePoint,
-    max_iter: int = 200,
-    digit_cap: int = DEFAULT_DIGIT_CAP,
-) -> PeriodicityVerdict:
-    """Decide periodicity by reading both directions of the orbit f holds.
-
-    Cycle detection is complete: an automorphism orbit revisits a point only
-    by returning to its start, so f^m(x) = x is detected at the first revisit.
-    not_periodic is certified by the canonical height, zero exactly at
-    periodic points: once naive heights along both time directions exceed
-    h_nv(x) + c2/(delta-1) + 1 and grow monotonically for GROWTH_RUN steps,
-    the `hcanonical` estimate of a regular f, read off the same orbit, must
-    exceed its error budget (a non-regular frame relies on the growth run).
-    Anything else, an estimate needing an iterate over the digit cap
-    included, is reported as undecided, never as a wrong answer.
-    """
+def is_periodic(f: PlaneAutomorphism, x: AffinePoint, digit_cap: int = DEFAULT_DIGIT_CAP):
+    """Walk the orbit of x forward until an iterate leaves f's escape box
+    (not_periodic: a point outside escapes forward or backward at the place
+    where it lies outside; the detail names the iterate and the place) or
+    returns to x (periodic, with the first return as period).  The box holds
+    finitely many rational points and f is a bijection, so the walk ends.
+    An iterate that `Orbit.capped` refuses gives undecided, naming it, and
+    so does a map that is not regular, which has no box, with no walk."""
+    box = f.escape_box
+    if box is None:
+        return PeriodicityVerdict("undecided", detail="the map is not regular, so it has no escape box")
     start = lift(x)
-    orbit = f.orbit(start)
-    limit = cap_bits(digit_cap)
-    delta = dynamical_degree(f)
-    growth_ready = delta >= 2
-    if growth_ready:
-        h0 = naive_height(start)
-        threshold = {
-            1: h0 + _growth_constant(f, "fwd") / (delta - 1) + 1,
-            -1: h0 + _growth_constant(f, "inv") / (delta - 1) + 1,
-        }
-
-    run = {1: 0, -1: 0}
-    last = {1: -math.inf, -1: -math.inf}
-    live = {1: True, -1: True}
-    read = {1: 0, -1: 0}  # iterates read so far in each direction
-    height_check_done = False
-    for step in range(1, max_iter + 1):
-        # cycle detection keeps running after the growth runs complete: a
-        # periodic orbit may ride a height excursion before closing, and its
-        # bounded coordinates make the extra iteration cheap.  Primitive
-        # triples with Z > 0 are unique, so equal points are equal triples.
-        # A direction whose growth run is complete waits (instead of growing
-        # toward the cap) until the height check fails or the other direction
-        # dies short of its run; then it catches up.  f^p x = x exactly when
-        # f^-p x = x, so the stepping direction finds a cycle alone.
-        for sign in (1, -1):
-            waits = (growth_ready and not height_check_done and run[sign] >= GROWTH_RUN
-                     and (live[-sign] or run[-sign] >= GROWTH_RUN))
-            while live[sign] and not waits and read[sign] < step:
-                read[sign] += 1
-                pt = orbit[sign * read[sign]]
-                if pt == start:
-                    return PeriodicityVerdict("periodic", period=read[sign])
-                # the real size, not `Orbit.capped`'s step bound: the first
-                # iterate past the cap still counts in the growth run, and
-                # the bound would turn some verdicts into undecided ones
-                largest = top(pt)
-                if largest.bit_length() > limit:
-                    live[sign] = False
-                if growth_ready:
-                    h = log_int(largest)
-                    run[sign] = run[sign] + 1 if (h > threshold[sign] and h > last[sign]) else 0
-                    last[sign] = h
-        if (growth_ready and not height_check_done
-                and run[1] >= GROWTH_RUN and run[-1] >= GROWTH_RUN):
-            height_check_done = True  # the estimate depends on x only
-            if delta != f.degree() or _canonical_height_positive(f, orbit, digit_cap):
-                return PeriodicityVerdict(
-                    "not_periodic",
-                    detail=(f"heights grew monotonically past the divergence threshold "
-                            f"for {GROWTH_RUN} steps in both directions"),
-                )
-        if not live[1] and not live[-1]:
-            return PeriodicityVerdict(
-                "undecided", detail="coordinate growth hit the digit cap before any certificate"
-            )
-    return PeriodicityVerdict("undecided", detail=f"no certificate after {max_iter} iterations")
-
-
-def _canonical_height_positive(f: PlaneAutomorphism, orbit: Orbit, digit_cap: int) -> bool:
-    """Whether `hcanonical` of a regular f at depth max(3, ceil(log 2048 /
-    log delta)), a tail of about c2/2000 for every delta, exceeds its error
-    budget; False when the estimate needs an iterate over the digit cap."""
-    delta = f.degree()
-    engine = HeightEngine(
-        g=f, delta=delta, delta_minus=f.inverse_degree(), gamma=None, outer=f,
-        c2_fwd=_growth_constant(f, "fwd"), c2_inv=_growth_constant(f, "inv"),
-        depth=max(3, math.ceil(math.log(2048) / math.log(delta))), c_lower=None, digit_cap=digit_cap)
-    try:
-        return _hcanonical_at(engine, orbit, 0).value > engine.error_budget()
-    except ResourceCapError:
-        return False
+    orbit, limit = f.orbit(start), cap_bits(digit_cap)
+    pt, l = start, 0
+    while (place := box.exit_place(pt)) is None:
+        l += 1
+        try:
+            pt = orbit.capped(l, limit)
+        except ResourceCapError as exc:
+            return PeriodicityVerdict("undecided", detail=str(exc))
+        if pt == start:
+            return PeriodicityVerdict("periodic", period=l)
+    return PeriodicityVerdict("not_periodic", detail=f"iterate {l:+d} lies outside the escape box at {place}")
 
 
 # -- the quadratic recursion behind the sharpness bound ------------------------

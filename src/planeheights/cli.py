@@ -5,6 +5,8 @@ deterministic (byte-identical across runs for identical inputs): floats are
 printed with 12 significant digits, JSON keys are sorted, CSV column order is
 fixed.
 
+`periodic` decides on the escape box of the core of --map, as `canheight`.
+
 Exit codes: 0 success (or semantic-true), 1 semantic-false (e.g. a point that
 is not periodic), 2 input error, 3 undecided, 4 resource cap exceeded.
 """
@@ -24,7 +26,6 @@ from .automorphism import (
     conjugate_parts,
     dynamical_degree,
     degree_sequence,
-    from_description,
     is_regular,
     load_map_file,
     read_map_doc,
@@ -104,14 +105,9 @@ def _gather_points(args) -> list:
 
 
 def _engine(args):
-    """The engine of --map.  A top-level conjugate document supplies the
-    engine's core and conjugator separately (its outer map is the
-    document's map, by o inner o by^-1); anything else is the core itself."""
-    doc = read_map_doc(args.map)
-    if isinstance(doc, dict) and doc.get("type") == "conjugate":
-        g, gamma = conjugate_parts(doc)
-    else:
-        g, gamma = from_description(doc), None
+    """The engine of --map, with the core and conjugator `conjugate_parts`
+    reads off a top-level conjugate document."""
+    g, gamma = conjugate_parts(read_map_doc(args.map))
     try:
         return make_engine(g, gamma=gamma, depth=args.depth,
                            c_lower=args.c_lower, digit_cap=args.digit_cap)
@@ -246,7 +242,11 @@ def _parse_t_grid(spec: str) -> list:
     parts = spec.split(":")
     if len(parts) != 3:
         raise PolyParseError(f"--T-grid expects lo:hi:steps, got {spec!r}")
-    lo, hi, steps = float(parts[0]), float(parts[1]), int(parts[2])
+    try:
+        lo, hi, steps = float(parts[0]), float(parts[1]), int(parts[2])
+    except ValueError:
+        raise PolyParseError(
+            f"--T-grid expects numbers lo:hi and an integer steps, got {spec!r}") from None
     if steps < 1:
         raise PolyParseError("--T-grid needs at least one step")
     try:
@@ -326,11 +326,13 @@ def cmd_orbit(args) -> int:
 # -- periodic ----------------------------------------------------------------------
 
 def cmd_periodic(args) -> int:
-    f = load_map_file(args.map)
+    g, gamma = conjugate_parts(read_map_doc(args.map))  # as in _engine
     if not args.point:
         raise PolyParseError("periodic needs --point X,Y")
     pt = parse_affine_point(args.point)
-    verdict = is_periodic(f, pt, max_iter=args.max_iter, digit_cap=args.digit_cap)
+    # x has the period under gamma o g o gamma^-1 that gamma^-1(x) has under g
+    z = pt if gamma is None else gamma.apply_inverse(pt)
+    verdict = is_periodic(g, z, digit_cap=args.digit_cap)
     payload = {
         "command": "periodic",
         "verdict": verdict.kind,
@@ -459,7 +461,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("periodic", help="periodicity verdict (exit 0/1/3)")
     _add_common(p)
-    p.add_argument("--max-iter", dest="max_iter", type=_positive_int(1, "max-iter"), default=200)
     p.add_argument("--digit-cap", dest="digit_cap", type=_positive_int(10_000, "digit-cap"),
                    default=DEFAULT_DIGIT_CAP)
     p.set_defaults(func=cmd_periodic)

@@ -4,26 +4,21 @@ enclosures.
 Counting runs need naive heights of iterates far past the point where exact
 coordinates stop being storable (a threshold T = e^21 pulls in iterates whose
 coordinates would have ~10^8 digits).  The orbit tracker therefore works in
-two phases: exact triples (X : Y : Z) read off the orbit the map holds (see
-`PlaneAutomorphism.orbit` in :mod:`planeheights.automorphism`) until
-`Orbit.capped` refuses the next step on its size bound, then a certified
-switch to outward-rounded interval arithmetic on the coordinates themselves
-(an `Interval` is a pair of integer mantissas of at most 192 bits under a
-Python-int binary exponent, so e^(10^9)-sized values cost no more than small
-ones).  The switch is only taken when the map provably preserves integer
-points in both directions (all forward and inverse coefficients integral,
-integral start), which keeps h = log max(|X|, |Y|, 1) the exact naive
-height; otherwise the refused step raises the resource error, and the same
-bounded read refuses an orbit record's over-cap iterate before computing
-it.  Both phases read an `Orbit` stepped by the map's `IntegerForms`: on a
-certified map m = 1 and Z = 1, so its step is ring arithmetic alone, and
-the interval phase is the `Orbit` of the interval triple (X, Y, 1) of the
-last exact iterate.
-Interval widths stay certified, so a count is exact unless an enclosure
-straddles the threshold, which the scan reports instead of hiding.  The
-interval orbits and the height enclosures are kept with the orbit the map
-holds, by switch point, so every tracker of one (map, start, switch point)
-steps each interval iterate once.
+two phases: exact triples (X : Y : Z) read off the orbit the map holds
+through `Orbit.capped`, then outward-rounded interval arithmetic on the
+coordinates themselves (an `Interval` is a pair of integer mantissas of at
+most 192 bits under a Python-int binary exponent, so e^(10^9)-sized values
+cost no more than small ones).  The switch is only taken when the map
+provably preserves integer points in both directions (all coefficients
+integral, integral start): there m = 1 and Z = 1, so h = log max(|X|, |Y|, 1)
+is the exact naive height, and the `IntegerForms` step is ring arithmetic
+alone, which steps the interval triple (X, Y, 1) of the last exact iterate
+as it is.  On any other map the digit cap's refusal stands.  Interval widths
+stay certified, so a count is exact unless an enclosure straddles the
+threshold, which the scan reports instead of hiding.  The interval orbits
+and the height enclosures are kept with the held orbit, by switch point, so
+every tracker of one (map, start, switch point) steps each interval iterate
+once.
 
 A counting scan walks downhill to the orbit's lowest sample and counts
 outward from it, so every point of one orbit gives the same count.  Canonical
@@ -31,13 +26,11 @@ heights delta^l hhat+ + delta_-^(-l) hhat- are convex in l, so a canonical
 scan stops at the first sample above the threshold; `patience` bounds only
 naive scans, whose heights are not convex near the minimum.
 
-The tracker, the orbit record, the periodicity verdicts and the canonical
-heights at f^(+/-1)(x) behind (hhat+, hhat-) all read the same exact orbit,
-which each map holds in a single slot: every query of one counting or orbit
-run is about one point, so one slot walks each iterate once, and a query at
-another point replaces the orbit rather than keeping it.  Each call decides
-periodicity once and reads (hhat+, hhat-) once: `counting_enclosure` takes
-hhat(O), the count and the slack from one verdict and one pair.
+The tracker, the periodicity verdict and the canonical heights at
+f^(+/-1)(x) behind (hhat+, hhat-) read the one orbit the engine's core holds.
+Each call decides periodicity once and reads (hhat+, hhat-) once:
+`counting_enclosure` takes hhat(O), the count and the slack from one verdict
+and one pair.
 """
 
 from __future__ import annotations
@@ -161,12 +154,12 @@ class _Tail:
 
 
 class OrbitHeightTracker:
-    """Lazy h_nv(f^l(x)) for l in Z, exact below the size threshold and by
-    certified interval recurrences beyond it.  The exact iterates are read
-    off the orbit the map holds; the interval phase of each direction starts
-    from the last exact triple, the one whose step bound passes the threshold.
-    The interval orbits and enclosures are kept in the orbit's `tails`, so
-    trackers of the same orbit and switch point share them."""
+    """Lazy h_nv(f^l(x)) for l in Z, exact up to the first iterate whose
+    real size passes the threshold, not its size bound (toward the orbit's
+    lowest point iterates shrink, and intervals there would lose the
+    precision the cancellation needs), and by certified interval recurrences
+    beyond it, kept in the orbit's `tails` for every tracker of the same
+    orbit and switch point."""
 
     def __init__(
         self,
@@ -182,6 +175,7 @@ class OrbitHeightTracker:
         # the bit length past which no iterate is held exactly: the switch to
         # intervals on a certified map, the digit cap on any other
         self._limit = cap_bits(exact_digits if self._certified else digit_cap)
+        self._cap = max(self._limit, cap_bits(digit_cap))
         self._tail = self._orbit.tails.setdefault(self._limit, _Tail())
 
     # -- coordinate states ---------------------------------------------------
@@ -193,13 +187,15 @@ class OrbitHeightTracker:
         n = tail.exact[forward]
         while tail.orbits[forward] is None and n <= k:
             try:
-                self._orbit.capped(sign * n, self._limit)
-            except ResourceCapError:
+                exact = top(self._orbit.capped(sign * n, self._cap)).bit_length() <= self._limit
+            except ResourceCapError as exc:
                 if not self._certified:
                     raise ResourceCapError(
-                        "orbit coordinates exceeded the digit cap and the map is not "
-                        "certified integral, so interval tracking cannot take over"
+                        f"orbit {exc}, and the map is not certified integral, so interval "
+                        "tracking cannot take over"
                     ) from None
+                exact = False
+            if not exact:
                 # certified: Z == 1, so X and Y are the coordinates themselves,
                 # and the forms' m == 1, Z == 1 step applies to intervals; the
                 # interval orbit starts at the last exact iterate, n - 1
@@ -322,7 +318,7 @@ def minimum_location(delta: int, delta_minus: int, h_plus: float, h_minus: float
 def orbit_height(engine: HeightEngine, x: AffinePoint) -> float:
     """log hhat+ / log delta + log hhat- / log delta_-, constant along the
     orbit; NEG_INFINITY exactly when the orbit is finite (periodic point)."""
-    if _verdict(engine.outer, x, engine.digit_cap).is_periodic:
+    if _verdict(engine, x, engine.digit_cap).is_periodic:
         return NEG_INFINITY
     return _log_height(engine, *_resolved(hpm_from_h(engine, x)))
 
@@ -331,9 +327,12 @@ def _log_height(engine: HeightEngine, h_plus: float, h_minus: float) -> float:
     return math.log(h_plus) / math.log(engine.delta) + math.log(h_minus) / math.log(engine.delta_minus)
 
 
-def _verdict(outer, x, digit_cap):
-    """The periodicity verdict, refused when undecided."""
-    verdict = is_periodic(outer, x, digit_cap=digit_cap)
+def _verdict(f, x, digit_cap):
+    """The periodicity verdict of x under the map f, refused when undecided;
+    for a HeightEngine f, of gamma^-1(x) under its core, with the same period."""
+    if isinstance(f, HeightEngine):
+        f, x = f.g, f.to_conjugated_frame(x)
+    verdict = is_periodic(f, x, digit_cap=digit_cap)
     if verdict.kind == "undecided":
         raise UndecidedPeriodicityError(verdict.detail)
     return verdict
@@ -342,7 +341,7 @@ def _verdict(outer, x, digit_cap):
 def _infinite_components(engine: HeightEngine, x: AffinePoint, periodic_message: str) -> Tuple[float, float]:
     """(hhat+, hhat-) of a point with an infinite orbit, from one verdict and
     one reading; PeriodicPointError(periodic_message) for a periodic point."""
-    if _verdict(engine.outer, x, engine.digit_cap).is_periodic:
+    if _verdict(engine, x, engine.digit_cap).is_periodic:
         raise PeriodicPointError(periodic_message)
     return _resolved(hpm_from_h(engine, x))
 
@@ -431,7 +430,7 @@ def count_below(
     outer = f if engine is None else engine.outer
     if digit_cap is None:
         digit_cap = DEFAULT_DIGIT_CAP if engine is None else engine.digit_cap
-    verdict = _verdict(outer, x, digit_cap)
+    verdict = _verdict(f, x, digit_cap)
     if verdict.is_periodic:
         raise PeriodicPointError(f"point is periodic with period {verdict.period}")
     if which == "naive":
@@ -561,7 +560,7 @@ def build_orbit_record(engine: HeightEngine, x: AffinePoint, window: int) -> Orb
     refused (ResourceCapError) by `Orbit.capped` when the size bound of the
     step into it passes the engine's digit cap."""
     h_plus, h_minus = hpm_from_h(engine, x)
-    if _verdict(engine.outer, x, engine.digit_cap).is_periodic:
+    if _verdict(engine, x, engine.digit_cap).is_periodic:
         oh = NEG_INFINITY
     else:
         oh = _log_height(engine, *_resolved((h_plus, h_minus)))

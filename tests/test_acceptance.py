@@ -132,9 +132,9 @@ def test_criterion_03_multiplicativity():
 
 
 def test_criterion_04_periodicity():
-    verdict0 = is_periodic(HENON2, ORIGIN, max_iter=100)
+    verdict0 = is_periodic(HENON2, ORIGIN)
     assert verdict0.kind == "periodic" and verdict0.period == 1
-    verdict3 = is_periodic(HENON2, X3, max_iter=100)
+    verdict3 = is_periodic(HENON2, X3)
     assert verdict3.kind == "not_periodic"
     engine = make_engine(HENON2, depth=12)
     fixed_estimate = hcanonical(engine, ORIGIN)

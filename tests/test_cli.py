@@ -157,7 +157,10 @@ def test_conjugate_document_missing_a_field_is_an_input_error(capsys, tmp_path, 
     (["--T", "-5"], "threshold must be a positive finite number"),
     (["--T-grid", "5:nan:3"], "--T-grid"),
     (["--T-grid", "5:800:2"], "--T-grid"),
-], ids=["T-nan", "T-inf", "T-0", "T-minus-5", "grid-nan", "grid-overflow"])
+    (["--T-grid", "5:21:x"], "--T-grid"),
+    (["--T-grid", "a:21:3"], "--T-grid"),
+], ids=["T-nan", "T-inf", "T-0", "T-minus-5", "grid-nan", "grid-overflow", "grid-steps-not-int",
+        "grid-lo-not-number"])
 def test_orbit_threshold_must_be_positive_and_finite(capsys, maps, flags, message):
     code, out, err = run_cli(capsys, ["orbit", "--map", maps["henon2"], "--point", "3,0"] + flags)
     assert code == 2 and out == ""
@@ -246,10 +249,22 @@ def test_periodic_exit_codes(capsys, maps):
     os.unlink(path)
 
 
-def test_periodic_certificate_over_the_cap_exits_undecided(capsys, maps):
+def test_periodic_far_point_leaves_the_box_under_any_cap(capsys, maps):
+    # (10^10, 0) lies outside H2's escape box (R = 4), so the verdict needs
+    # no iterate and no cap
     code, out, _ = run_cli(capsys, ["periodic", "--map", maps["henon2"], "--point", "10000000000,0",
                                     "--digit-cap", "10000"])
-    assert code == 3 and out.startswith("undecided")
+    assert code == 1
+    assert out == "not_periodic: iterate +0 lies outside the escape box at infinity\n"
+
+
+@pytest.mark.parametrize("point", ["1,1", "0,0", "2,1"])
+def test_periodic_decides_on_the_core_of_a_nonaffine_conjugate(capsys, point):
+    # conj_tri_h3 is H3 conjugated by the triangular (x + y^2/2, -y + 1): its
+    # own map is not regular, and the verdict is H3's at by^-1 of the point
+    path = os.path.join(os.path.dirname(__file__), "data", "golden", "conj_tri_h3.json")
+    code, out, _ = run_cli(capsys, ["periodic", "--map", path, "--point", point])
+    assert code == 1 and out.startswith("not_periodic: iterate +")
 
 
 def test_periodic_json_schema(capsys, maps):
@@ -296,6 +311,7 @@ def test_run_config_invariants_enforced(maps):
         ["canheight", "--map", maps["henon2"], "--point", "3,0", "--patience", "3"],  # no such flag
         ["orbit", "--map", maps["henon2"], "--point", "3,0", "--patience", "3"],  # no such flag
         ["periodic", "--map", maps["henon2"], "--point", "3,0", "--patience", "3"],  # no such flag
+        ["periodic", "--map", maps["henon2"], "--point", "3,0", "--max-iter", "5"],  # no such flag
     ):
         with pytest.raises(SystemExit) as exc:
             main(argv)

@@ -94,7 +94,7 @@ def test_integral_flag():
 @pytest.mark.parametrize("pt", [(Fraction(0), Fraction(0)), (Fraction(2), Fraction(2))])
 def test_is_periodic_finds_h2_fixed_points(pt):
     assert H2.apply(pt) == pt
-    verdict = is_periodic(H2, pt, max_iter=20)
+    verdict = is_periodic(H2, pt)
     assert verdict.kind == "periodic" and verdict.period == 1
 
 

@@ -375,9 +375,52 @@ def test_counts_do_not_depend_on_the_base_point(engine, k):
         assert count_below(HENON2, pt, t, "naive") == expected, (k, t)
 
 
-# depth and digit cap per map: at the default cap, H3 spends seconds per
-# refused far-shifted point before its periodicity verdict gives up
-SHIFT_ENGINES = {"H2": (12, DEFAULT_DIGIT_CAP), "H3": (4, 100_000)}
+H3 = henon(-1, parse_poly("x^3 - 2*x + 1"))
+
+
+def test_a_far_point_is_decided_and_counted_like_the_orbit(monkeypatch):
+    # f^8(2, 1) on H3 lies outside the escape box (R = 7): its verdict
+    # reads no iterate, where a walk for a growth certificate ran to the
+    # digit cap and gave up.  Its counts at depth 5 are those of (2, 1).
+    far = _shifted(H3, (Fraction(2), Fraction(1)), 8)
+    steps = []
+    step = IntegerForms.step
+
+    def counted(self, point):
+        steps.append(point)
+        return step(self, point)
+
+    monkeypatch.setattr(IntegerForms, "step", counted)
+    f = henon(-1, parse_poly("x^3 - 2*x + 1"))  # holds no orbit yet
+    verdict = is_periodic(f, far)
+    assert verdict.kind == "not_periodic" and len(steps) <= 1
+    assert verdict.detail == "iterate +0 lies outside the escape box at infinity"
+    monkeypatch.undo()
+    engine = make_engine(f, depth=5)
+    for t in (1e3, 1e5):
+        enc = counting_enclosure(engine, far, t)
+        assert enc.passed
+        assert enc.observed == counting_enclosure(engine, (Fraction(2), Fraction(1)), t).observed
+
+
+def test_tracker_walks_toward_the_lowest_point_exactly():
+    # backward from f^8(2, 1), of 1689 digits, each H3 iterate is about a
+    # third the size of the one before: all stay exact, though the size
+    # bound of each step passes the 2000-digit switch
+    tracker = OrbitHeightTracker(H3, _shifted(H3, (Fraction(2), Fraction(1)), 8))
+    assert not any(_is_interval(tracker, -l) for l in range(1, 9))
+    assert tracker.h(-8) == pytest.approx(math.log(2))
+
+
+def test_tracker_refusal_on_a_noncertified_map_names_the_iterate():
+    engine = make_engine(henon(2, parse_poly("x^4 + x")), depth=6)
+    with pytest.raises(ResourceCapError, match=r"^orbit coordinate exceeded the digit cap at "
+                                               r"iterate \+12, and the map is not certified integral"):
+        counting_enclosure(engine, (Fraction(2), Fraction(-3)), 1e5)
+
+
+# depth and digit cap per map
+SHIFT_ENGINES = {"H2": (12, DEFAULT_DIGIT_CAP), "H3": (4, DEFAULT_DIGIT_CAP)}
 
 
 @settings(max_examples=40, deadline=None)
