@@ -212,7 +212,7 @@ class PlaneAutomorphism:
         return _compute_dynamical_degree(self)
 
     @cached_property
-    def escape_box(self):
+    def escape_box(self) -> EscapeBox | None:
         """The `EscapeBox` of a regular map, None for any other."""
         return _escape_box(self)
 
@@ -474,7 +474,7 @@ class EscapeBox:
         common = math.gcd(u, v, z)
         return (u // common, v // common, z // common)
 
-    def exit_place(self, point: ProjPoint):
+    def exit_place(self, point: ProjPoint) -> str | None:
         """None for a triple in the box, else where it lies outside:
         'infinity' when max(|u|, |v|) > R w, else a prime of w / gcd(w, N)."""
         u, v, w = self.coordinates(point)
@@ -483,11 +483,12 @@ class EscapeBox:
         rest = w // math.gcd(w, self.modulus)
         if rest == 1:
             return None
-        prime = next((q for q in range(2, min(math.isqrt(rest), 1000) + 1) if rest % q == 0), rest)
-        return f"the prime {prime}" if prime <= 10**6 else "a prime above 1000 of its denominator"
+        if math.isqrt(rest) > 1000 and all(rest % q for q in range(2, 1001)):
+            return "a prime above 1000 of its denominator"
+        return f"the prime {next((q for q in range(2, math.isqrt(rest) + 1) if rest % q == 0), rest)}"
 
 
-def _escape_box(f: PlaneAutomorphism):
+def _escape_box(f: PlaneAutomorphism) -> EscapeBox | None:
     if f.degree() < 2 or f.inverse_degree() < 2:
         return None
     (p, q), (r, s) = indeterminacy_at_infinity(f).xy, indeterminacy_at_infinity(inverse(f)).xy

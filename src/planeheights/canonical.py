@@ -253,7 +253,8 @@ class PeriodicityVerdict:
         return self.kind == "periodic"
 
 
-def is_periodic(f: PlaneAutomorphism, x: AffinePoint, digit_cap: int = DEFAULT_DIGIT_CAP):
+def is_periodic(f: PlaneAutomorphism, x: AffinePoint,
+                digit_cap: int = DEFAULT_DIGIT_CAP) -> PeriodicityVerdict:
     """Walk the orbit of x forward until an iterate leaves f's escape box
     (not_periodic: a point outside escapes forward or backward at the place
     where it lies outside; the detail names the iterate and the place) or

@@ -5,7 +5,8 @@ deterministic (byte-identical across runs for identical inputs): floats are
 printed with 12 significant digits, JSON keys are sorted, CSV column order is
 fixed.
 
-`periodic` decides on the escape box of the core of --map, as `canheight`.
+Like `canheight` and `orbit`, `periodic` reads a top-level conjugate document
+as core and conjugator, and decides on the escape box of the core.
 
 Exit codes: 0 success (or semantic-true), 1 semantic-false (e.g. a point that
 is not periodic), 2 input error, 3 undecided, 4 resource cap exceeded.

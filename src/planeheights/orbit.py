@@ -175,7 +175,7 @@ class OrbitHeightTracker:
         # the bit length past which no iterate is held exactly: the switch to
         # intervals on a certified map, the digit cap on any other
         self._limit = cap_bits(exact_digits if self._certified else digit_cap)
-        self._cap = max(self._limit, cap_bits(digit_cap))
+        self._cap = cap_bits(digit_cap)
         self._tail = self._orbit.tails.setdefault(self._limit, _Tail())
 
     # -- coordinate states ---------------------------------------------------

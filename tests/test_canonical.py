@@ -21,7 +21,7 @@ from planeheights.canonical import (
     make_engine,
 )
 from planeheights.errors import MapValidationError, ResourceCapError
-from planeheights.heights import lift, naive_height_affine
+from planeheights.heights import naive_height_affine
 from planeheights.ratpoly import BivarPoly, parse_poly
 
 PAD = 2.0**-40

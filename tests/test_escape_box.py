@@ -61,6 +61,19 @@ def test_maps_with_no_box():
     assert triangular(-1, -1, 0, BivarPoly.zero()).escape_box is None  # degree 1
 
 
+@pytest.mark.parametrize("p, a, pt, detail", [
+    ("x^2", 1, (Fraction(1, 35), Fraction(0)), "iterate +0 lies outside the escape box at the prime 5"),
+    ("x^2", 1, (Fraction(1, 1000003), Fraction(0)), "iterate +0 lies outside the escape box at the prime 1000003"),
+    ("x^2", 1, (Fraction(1, 1000003 * 1000033), Fraction(0)),
+     "iterate +0 lies outside the escape box at a prime above 1000 of its denominator"),
+    # H4 has N = 2: (1/2, 0) lies in the box, and its image (9/16, 1/2) does not
+    ("x^4 + x", 2, (Fraction(1, 2), Fraction(0)), "iterate +1 lies outside the escape box at the prime 2"),
+])
+def test_the_place_at_a_prime_is_named(p, a, pt, detail):
+    verdict = is_periodic(henon(a, parse_poly(p)), pt)
+    assert (verdict.kind, verdict.detail) == ("not_periodic", detail)
+
+
 def test_the_normal_form_is_checked(monkeypatch):
     # a regular map whose forward image of the line at infinity is not
     # I+(f^-1) breaks the normal form; no automorphism does, so feed one a

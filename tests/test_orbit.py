@@ -375,14 +375,11 @@ def test_counts_do_not_depend_on_the_base_point(engine, k):
         assert count_below(HENON2, pt, t, "naive") == expected, (k, t)
 
 
-H3 = henon(-1, parse_poly("x^3 - 2*x + 1"))
-
-
 def test_a_far_point_is_decided_and_counted_like_the_orbit(monkeypatch):
     # f^8(2, 1) on H3 lies outside the escape box (R = 7): its verdict
     # reads no iterate, where a walk for a growth certificate ran to the
     # digit cap and gave up.  Its counts at depth 5 are those of (2, 1).
-    far = _shifted(H3, (Fraction(2), Fraction(1)), 8)
+    far = _shifted(INTEGRAL["H3"], (Fraction(2), Fraction(1)), 8)
     steps = []
     step = IntegerForms.step
 
@@ -407,7 +404,8 @@ def test_tracker_walks_toward_the_lowest_point_exactly():
     # backward from f^8(2, 1), of 1689 digits, each H3 iterate is about a
     # third the size of the one before: all stay exact, though the size
     # bound of each step passes the 2000-digit switch
-    tracker = OrbitHeightTracker(H3, _shifted(H3, (Fraction(2), Fraction(1)), 8))
+    h3 = INTEGRAL["H3"]
+    tracker = OrbitHeightTracker(h3, _shifted(h3, (Fraction(2), Fraction(1)), 8))
     assert not any(_is_interval(tracker, -l) for l in range(1, 9))
     assert tracker.h(-8) == pytest.approx(math.log(2))
 
