@@ -345,7 +345,7 @@ def degree_sequence(f: PlaneAutomorphism, n_max: int) -> list:
     p, q = cur_p, cur_q = f.fwd
     degrees = [f.degree()]
     for _ in range(n_max - 1):
-        cur_p, cur_q = cur_p.compose(p, q), cur_q.compose(p, q)
+        cur_p, cur_q = p.compose(cur_p, cur_q), q.compose(cur_p, cur_q)
         degrees.append(max(cur_p.total_degree(), cur_q.total_degree()))
     return degrees
 

@@ -24,7 +24,7 @@ class MapValidationError(PlaneHeightsError, ValueError):
 
 
 class ResourceCapError(PlaneHeightsError, RuntimeError):
-    """Coordinate sizes exceeded the configured digit cap (never a wrong answer)."""
+    """Work exceeded a configured bound (digit cap or depth); never a wrong answer."""
 
 
 class UndecidedPeriodicityError(PlaneHeightsError, RuntimeError):

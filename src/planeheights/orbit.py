@@ -282,9 +282,15 @@ def orbit_height_slack(engine: HeightEngine, x: AffinePoint) -> float:
     return _slack(engine, *_resolved(hpm_from_h(engine, x)))
 
 
-def _resolved(hpm: Tuple[float, float]) -> Tuple[float, float]:
-    """The pair, refused unless both components resolved above zero."""
+def _resolved(hpm: Tuple[float, float], depth: Optional[int] = None) -> Tuple[float, float]:
+    """The pair, refused unless both components resolved above zero; given
+    the depth of an engine whose verdict was not_periodic, as a depth cap."""
     if hpm[0] <= 0 or hpm[1] <= 0:
+        if depth is not None:
+            raise ResourceCapError(
+                f"canonical-height components did not resolve above zero at depth {depth}; "
+                "the orbit is infinite (not periodic), and a larger --depth resolves them"
+            )
         raise UndecidedPeriodicityError(
             "canonical-height components did not resolve above zero at this depth"
         )
@@ -320,7 +326,7 @@ def orbit_height(engine: HeightEngine, x: AffinePoint) -> float:
     orbit; NEG_INFINITY exactly when the orbit is finite (periodic point)."""
     if _verdict(engine, x, engine.digit_cap).is_periodic:
         return NEG_INFINITY
-    return _log_height(engine, *_resolved(hpm_from_h(engine, x)))
+    return _log_height(engine, *_resolved(hpm_from_h(engine, x), engine.depth))
 
 
 def _log_height(engine: HeightEngine, h_plus: float, h_minus: float) -> float:
@@ -343,7 +349,7 @@ def _infinite_components(engine: HeightEngine, x: AffinePoint, periodic_message:
     one reading; PeriodicPointError(periodic_message) for a periodic point."""
     if _verdict(engine, x, engine.digit_cap).is_periodic:
         raise PeriodicPointError(periodic_message)
-    return _resolved(hpm_from_h(engine, x))
+    return _resolved(hpm_from_h(engine, x), engine.depth)
 
 
 # -- counting -------------------------------------------------------------------
@@ -563,7 +569,7 @@ def build_orbit_record(engine: HeightEngine, x: AffinePoint, window: int) -> Orb
     if _verdict(engine, x, engine.digit_cap).is_periodic:
         oh = NEG_INFINITY
     else:
-        oh = _log_height(engine, *_resolved((h_plus, h_minus)))
+        oh = _log_height(engine, *_resolved((h_plus, h_minus), engine.depth))
     orbit = engine.outer.orbit(lift(x))
     limit = cap_bits(engine.digit_cap)
     h_nv = {0: naive_height(orbit[0])}

@@ -1,5 +1,6 @@
 """Automorphism constructors, composition algebra, dynamical degrees, regularity."""
 
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -291,6 +292,63 @@ def test_compose_check_holds_on_random_words(factors):
     for g in factors[1:]:
         f = compose_maps(f, g)
     assert f.compose_check()
+
+
+_unit = st.sampled_from([1, -1])
+_integral_henon = st.builds(
+    lambda a, lead, d, lin, c: henon(a, BivarPoly.const(lead) * X**d + BivarPoly.const(lin) * X + BivarPoly.const(c)),
+    _unit, _unit, st.integers(2, 3), _small, _small)
+_UNIMODULAR = [m for m in itertools.product(range(-2, 3), repeat=4) if abs(m[0] * m[3] - m[1] * m[2]) == 1]
+_unimodular = st.builds(_affine_map, st.sampled_from(_UNIMODULAR), st.tuples(_small, _small))
+_integral_triangular = st.builds(
+    lambda a, b, c, lead, d, lin: triangular(a, b, c, BivarPoly.const(lead) * Y**d + BivarPoly.const(lin) * Y),
+    _unit, _unit, _small, _unit, st.integers(2, 3), _small)
+
+
+@st.composite
+def _conjugated_words(draw):
+    """A word of one to three integral factors (Henon, affine, triangular),
+    at least one of them Henon, optionally conjugated by an affine or
+    triangular map, of degree <= 6."""
+    factors = draw(st.lists(st.one_of(_integral_henon, _unimodular, _integral_triangular), min_size=1, max_size=3))
+    assume(any(g.word[0].startswith("henon") for g in factors))
+    f = factors[0]
+    for g in factors[1:]:
+        f = compose_maps(f, g)
+    gamma = draw(st.none() | _unimodular | _integral_triangular)
+    f = f if gamma is None else conjugate(f, gamma)
+    assume(2 <= f.degree() <= 6)
+    return f
+
+
+def _check_orientations(f, k_max):
+    # degree_sequence composes f o f^k; f^k o f, the orientation it used
+    # before, is the same polynomial map with the same degrees
+    p, q = f.fwd
+    outer = inner = (p, q)
+    degrees = [f.degree()]
+    for _ in range(k_max):
+        outer = p.compose(*outer), q.compose(*outer)
+        inner = inner[0].compose(p, q), inner[1].compose(p, q)
+        assert outer == inner
+        degrees.append(max(c.total_degree() for c in inner))
+    assert degree_sequence(f, k_max + 1) == degrees
+
+
+@settings(max_examples=25, deadline=None)
+@given(_conjugated_words())
+def test_iterates_commute_in_both_orientations(f):
+    # f^3 of a dense degree-6 conjugate (degree 216) takes 3-20 s: k <= 2
+    # up to degree 4, and k = 1 beyond
+    _check_orientations(f, 2 if f.degree() <= 4 else 1)
+
+
+def test_iterates_commute_in_both_orientations_at_degree_6():
+    h2, h3 = henon(-1, parse_poly("-x^2 + 3*x - 2")), henon(1, parse_poly("x^3 - 3*x + 1"))
+    _check_orientations(compose_maps(h2, h3), 2)
+    f = conjugate(h3, triangular(1, -1, 2, parse_poly("-y^2 + 3*y")))
+    assert f.degree() == 6 and not is_regular(f)
+    _check_orientations(f, 2)
 
 
 def test_dynamical_degree_of_a_regular_word_composes_nothing(monkeypatch):

@@ -327,6 +327,24 @@ def test_resource_cap_exit_code(capsys, maps):
     assert "resource cap" in err
 
 
+def test_orbit_unresolved_at_depth_is_a_resource_cap(capsys, tmp_path):
+    # f^8(2, 1) on H3: certified not periodic, but hhat- reads <= 0 at depth 3
+    h3 = {"type": "henon", "a": "-1", "p": "x^3 - 2*x + 1"}
+    path = tmp_path / "h3.json"
+    path.write_text(json.dumps(h3))
+    f = load_map_file(str(path))
+    pt = (2, 1)
+    for _ in range(8):
+        pt = f.apply(pt)
+    code, out, err = run_cli(capsys, [
+        "orbit", "--map", str(path), "--point", f"{format_int(int(pt[0]))},{format_int(int(pt[1]))}",
+        "--depth", "3",
+    ])
+    assert code == 4 and out == ""
+    assert err.startswith("resource cap: canonical-height components did not resolve above zero at depth 3;")
+    assert "the orbit is infinite" in err and "a larger --depth resolves them" in err
+
+
 def test_orbit_window_refused_at_the_digit_cap(capsys, maps):
     # iterate 25 of (3, 0) under H2 has about 16M digits; the window is
     # capped like the canonical walks, so the refusal comes at iterate +15

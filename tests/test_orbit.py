@@ -17,6 +17,7 @@ from planeheights.errors import (
     PeriodicPointError,
     PlaneHeightsError,
     ResourceCapError,
+    UndecidedPeriodicityError,
 )
 from planeheights.heights import naive_height_affine
 from planeheights.orbit import (
@@ -415,6 +416,24 @@ def test_tracker_refusal_on_a_noncertified_map_names_the_iterate():
     with pytest.raises(ResourceCapError, match=r"^orbit coordinate exceeded the digit cap at "
                                                r"iterate \+12, and the map is not certified integral"):
         counting_enclosure(engine, (Fraction(2), Fraction(-3)), 1e5)
+
+
+UNRESOLVED = r"did not resolve above zero at depth 3; the orbit is infinite .*a larger --depth resolves them"
+
+
+def test_unresolved_components_of_an_infinite_orbit_are_a_depth_cap():
+    # f^8(2, 1) on H3 is not_periodic at iterate +0, but at depth 3 hhat-
+    # reads <= 0 there: the bound that refuses is the depth, not the verdict
+    engine = make_engine(INTEGRAL["H3"], depth=3)
+    x = _shifted(INTEGRAL["H3"], (Fraction(2), Fraction(1)), 8)
+    assert is_periodic(INTEGRAL["H3"], x).kind == "not_periodic"
+    for call in (lambda: orbit_height(engine, x), lambda: build_orbit_record(engine, x, 4),
+                 lambda: counting_enclosure(engine, x, math.exp(9))):
+        with pytest.raises(ResourceCapError, match=UNRESOLVED):
+            call()
+    # the slack alone has no verdict behind it
+    with pytest.raises(UndecidedPeriodicityError, match="at this depth"):
+        orbit_mod.orbit_height_slack(engine, x)
 
 
 # depth and digit cap per map

@@ -1,5 +1,6 @@
 """Exact polynomial substrate: parsing, ring laws, composition, evaluation."""
 
+import math
 import random
 import sys
 from fractions import Fraction
@@ -8,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from planeheights import ratpoly
 from planeheights.errors import DegreeUndefinedError, PolyParseError
 from planeheights.ratpoly import BivarPoly, format_int, format_rat, parse_poly, parse_rat
 
@@ -205,3 +207,148 @@ def test_format_int_is_exact_past_the_str_limit():
     assert [format_int(v) for v in values] == expected
     big = Fraction(3**20000, 2**20000)
     assert format_rat(big) == f"{expected[5]}/{format_int(2**20000)}"
+
+
+# -- the product kernel against a schoolbook reference -------------------------
+#
+# `*`, `**` and `compose` all run through `ratpoly._product`, which packs
+# dense operands into one int (Kronecker substitution) and keeps a schoolbook
+# loop for tiny, sparse or wide ones.  The references below work on Fraction
+# term maps, term by term, with no packing.
+
+def _nonzero(terms: dict) -> dict:
+    return {key: c for key, c in terms.items() if c}
+
+
+def _ref_product(a: dict, b: dict) -> dict:
+    out = {}
+    for (i1, j1), c1 in a.items():
+        for (i2, j2), c2 in b.items():
+            key = (i1 + i2, j1 + j2)
+            out[key] = out.get(key, 0) + c1 * c2
+    return _nonzero(out)
+
+
+def _ref_power(a: dict, n: int) -> dict:
+    out = {(0, 0): Fraction(1)}
+    for _ in range(n):
+        out = _ref_product(out, a)
+    return out
+
+
+def _ref_compose(p: dict, u: dict, v: dict) -> dict:
+    out = {}
+    top = max((max(key) for key in p), default=0)
+    u_pows, v_pows = ([_ref_power(w, n) for n in range(top + 1)] for w in (u, v))
+    for (i, j), c in p.items():
+        for key, t in _ref_product(u_pows[i], v_pows[j]).items():
+            out[key] = out.get(key, 0) + c * t
+    return _nonzero(out)
+
+
+_wide = st.integers(-(2**300), 2**300)
+_coeffs = st.one_of(
+    st.integers(-9, 9),
+    st.builds(Fraction, st.integers(-50, 50), st.integers(1, 12)),  # mixed denominators
+    st.builds(Fraction, _wide, st.sampled_from((1, 3, 2**61 - 1))),
+)
+_keys = st.tuples(st.integers(0, 6), st.integers(0, 6))
+
+
+@st.composite
+def _dense(draw):
+    """A full triangle of total degree 5-8, mostly with narrow coefficients:
+    dense enough for the packed path."""
+    d = draw(st.integers(5, 8))
+    cells = [(i, j) for i in range(d + 1) for j in range(d + 1 - i)]
+    coeff = draw(st.sampled_from((st.integers(-9, 9), st.integers(-9, 9), _coeffs)))
+    return BivarPoly(dict(zip(cells, draw(st.lists(coeff, min_size=len(cells), max_size=len(cells))))))
+
+
+_kernel_polys = st.one_of(
+    st.just(BivarPoly.zero()),
+    _coeffs.map(BivarPoly.const),
+    st.dictionaries(_keys, _coeffs, max_size=8).map(BivarPoly),
+    st.dictionaries(st.tuples(st.just(0), st.integers(0, 6)), _coeffs, max_size=4).map(BivarPoly),  # y only
+)
+_operands = st.one_of(_dense(), _dense(), _kernel_polys)
+
+
+def _triangle(d: int, seed: int, den: int = 1) -> BivarPoly:
+    """A fixed dense triangle with narrow coefficients: the packed path."""
+    rng = random.Random(seed)
+    return BivarPoly({(i, j): Fraction(rng.randint(-9, 9), den) for i in range(d + 1) for j in range(d + 1 - i)})
+
+
+@settings(max_examples=200, deadline=None)
+@given(a=_operands, b=_operands)
+@example(a=_triangle(6, 1), b=_triangle(7, 2, den=2))
+def test_product_matches_the_schoolbook_reference(a, b):
+    assert (a * b).terms == _ref_product(a.terms, b.terms)
+
+
+@settings(max_examples=60, deadline=None)
+@given(a=_operands, n=st.integers(0, 4))
+@example(a=_triangle(5, 3, den=3), n=3)
+def test_power_matches_the_schoolbook_reference(a, n):
+    if len(a.terms) > 8:
+        n = min(n, 3)  # reference cost
+    assert (a**n).terms == _ref_power(a.terms, n)
+
+
+@settings(max_examples=60, deadline=None)
+@given(p=_operands, u=_operands, v=_operands)
+@example(p=_triangle(3, 4, den=5), u=_triangle(5, 5), v=_triangle(5, 6, den=2))
+@example(p=parse_poly("3*y^2 - y + 1/2"), u=BivarPoly.const(2**300), v=parse_poly("x - 2*y"))  # self has only y-terms
+@example(p=parse_poly("x^3*y + 5*x - 1/3"), u=BivarPoly.zero(), v=parse_poly("1/2*x + y"))
+@example(p=parse_poly("x^3*y + 5*x - 1/3"), u=parse_poly("1/2*x + y"), v=BivarPoly.zero())
+def test_compose_matches_the_schoolbook_reference(p, u, v):
+    if max(len(u.terms), len(v.terms)) > 8:  # reference cost
+        p = BivarPoly({key: c for key, c in p.terms.items() if key[0] + key[1] <= 3})
+    assert p.compose(u, v).terms == _ref_compose(p.terms, u.terms, v.terms)
+
+
+_int_maps = st.dictionaries(_keys, _wide, min_size=1, max_size=10)
+
+
+@settings(max_examples=150, deadline=None)
+@given(a=_int_maps, b=_int_maps)
+def test_packed_product_matches_the_schoolbook_reference(a, b):
+    # the packed path alone, whatever the cost rule would pick
+    assert _nonzero(ratpoly._kronecker(a, b, *ratpoly._layout(a, b))) == _ref_product(a, b)
+
+
+@pytest.mark.parametrize("sign", (1, -1))
+@pytest.mark.parametrize("bits", (3, 4, 5, 6, 299, 300, 301, 302))
+def test_packed_product_at_the_signed_digit_limit(bits, sign):
+    # |a|_1 |b|_1 = 2^bits - 1 is the widest coefficient a digit of that
+    # layout holds: when bits = k - 1, it is exactly 2^(k-1) - 1
+    top = 2**bits - 1
+    for a, b in (
+        ({(0, 0): top}, {(0, 0): sign}),
+        ({(2, 1): sign * top, (1, 3): 0}, {(0, 0): 0, (3, 0): 1}),  # zero entries widen the layout
+    ):
+        layout = ratpoly._layout(a, b)
+        k = 4 * layout[2]
+        assert top < 2 ** (k - 1)
+        if bits % 4 == 3:
+            assert top == 2 ** (k - 1) - 1
+        assert _nonzero(ratpoly._kronecker(a, b, *layout)) == _ref_product(a, b)
+
+
+def test_packed_product_of_wide_dense_operands():
+    # degree-27 triangles with 300-bit coefficients: dense enough that
+    # the cost rule packs them
+    rng = random.Random(5)
+    a, b = ({(i, j): rng.randint(-(2**300), 2**300) for i in range(28) for j in range(28 - i)}
+            for _ in range(2))
+    assert _nonzero(ratpoly._product(a, b)) == _ref_product(a, b)
+
+
+def test_sparse_product_and_banded_compose_stay_exact():
+    # two layouts with far more slots than terms; the schoolbook loop keeps
+    # them fast
+    product = parse_poly("x^400 + 1") * parse_poly("y^400 - 1")
+    assert product == parse_poly("x^400*y^400 - x^400 + y^400 - 1")
+    banded = parse_poly("x^300").compose(parse_poly("x^2 - y"), X)
+    assert banded.terms == {(2 * (300 - m), m): Fraction((-1) ** m * math.comb(300, m)) for m in range(301)}
