@@ -25,7 +25,7 @@ iteration loop of the package, and the digit cap of every walk
 (`Orbit.capped`, which refuses a step on its size bound before computing
 it).  A map keeps one orbit, the one of the start it was last queried at
 (`PlaneAutomorphism.orbit`); a query from another start replaces it.
-Heights, the functional equation, periodicity, the counting tracker and the
+Heights, the functional equation, periodicity, point counts and the
 orbit record all read the same orbit at shifted indices, so one slot serves
 every query about one point.  The slot is deliberately one:
 a larger cache would mostly keep orbits that nothing reads again (at up to
@@ -99,8 +99,8 @@ class IntegerForms:
 
     def step(self, point: ProjPoint) -> ProjPoint:
         """The primitive triple, Z > 0, of the image of a primitive triple
-        with Z > 0.  With m = 1 and Z = 1 it is ring arithmetic alone, so
-        the orbit tracker also steps interval coordinates (X, Y, 1) here."""
+        with Z > 0.  With m = 1 and Z = 1 it is ring arithmetic alone, so it
+        also steps interval coordinates (X, Y, 1) (:mod:`planeheights.orbit`)."""
         x, y, z = point
         xp = powers(x, self._max_i)
         yp = powers(y, self._max_j)
@@ -134,18 +134,12 @@ class Orbit:
     step is computed.  The bound is an upper bound, so it refuses an iterate
     one step earlier than a test of its real size only when the cap lies
     within c_bits bits of that size.
-
-    `tails` holds what the orbit tracker of :mod:`planeheights.orbit` keeps
-    past the exact window (`Orbit`s of interval triples, height enclosures),
-    by switch bit length, so every tracker of this orbit and switch point
-    reads one copy, and replacing the orbit drops it.
     """
 
-    __slots__ = ("start", "tails", "_forms", "_chains", "_bits")
+    __slots__ = ("start", "_forms", "_chains", "_bits")
 
     def __init__(self, fwd: IntegerForms, inv: IntegerForms, start: ProjPoint):
         self.start = start
-        self.tails = {}
         self._forms = (inv, fwd)  # indexed by l >= 0
         self._chains = ([start], [start])
         self._bits = ([], [])  # bits(top) of the held iterates, filled by capped reads
@@ -524,16 +518,11 @@ def from_description(doc) -> PlaneAutomorphism:
     kind = doc["type"]
     try:
         if kind == "henon":
-            return henon(parse_rat(str(doc["a"])), BivarPoly.parse(doc["p"]))
+            return henon(parse_rat(str(doc["a"])), BivarPoly.parse(_field(doc, "p")))
         if kind == "triangular":
-            return triangular(
-                parse_rat(str(doc["a"])),
-                parse_rat(str(doc["b"])),
-                parse_rat(str(doc["c"])),
-                BivarPoly.parse(doc["P"]),
-            )
+            return triangular(*(parse_rat(str(doc[name])) for name in "abc"), BivarPoly.parse(_field(doc, "P")))
         if kind == "compose":
-            maps = [from_description(node) for node in doc["maps"]]
+            maps = [from_description(node) for node in _field(doc, "maps", list)]
             if not maps:
                 raise MapValidationError("compose needs at least one map")
             result = maps[-1]
@@ -544,15 +533,19 @@ def from_description(doc) -> PlaneAutomorphism:
             inner, by = conjugate_parts(doc)
             return conjugate(inner, inverse(by))
         if kind == "pair":
-            return pair(
-                BivarPoly.parse(doc["p"]),
-                BivarPoly.parse(doc["q"]),
-                BivarPoly.parse(doc["pinv"]),
-                BivarPoly.parse(doc["qinv"]),
-            )
+            return pair(*(BivarPoly.parse(_field(doc, name)) for name in ("p", "q", "pinv", "qinv")))
     except KeyError as exc:
         raise MapValidationError(f"map description of type {kind!r} is missing field {exc}") from None
     raise MapValidationError(f"unknown map type {kind!r}")
+
+
+def _field(doc, name, kind=str):
+    """doc[name], refused unless it is a JSON string (kind str) or array (list)."""
+    value = doc[name]
+    if not isinstance(value, kind):
+        raise MapValidationError(f"map description of type {doc['type']!r}: field {name!r} "
+                                 f"must be a JSON {'string' if kind is str else 'array'}")
+    return value
 
 
 def conjugate_parts(doc):

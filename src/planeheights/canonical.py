@@ -58,7 +58,8 @@ DEFAULT_DEPTH = 12
 @dataclass(frozen=True)
 class HeightEngine:
     """Immutable bundle of the regular core g, its degrees, growth constants,
-    optional conjugator, truncation depth, and resource limits."""
+    optional conjugator, truncation depth, and resource limits.  The orbit
+    module holds the last point asked about on it, outside the fields."""
 
     g: PlaneAutomorphism
     delta: int

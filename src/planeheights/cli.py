@@ -66,8 +66,6 @@ EXIT_RESOURCE = 4
 
 
 def _fmt(x: float) -> str:
-    if x == float("-inf"):
-        return "-inf"
     return f"{x:.12g}"
 
 

@@ -15,9 +15,8 @@ is the exact naive height, and the `IntegerForms` step is ring arithmetic
 alone, which steps the interval triple (X, Y, 1) of the last exact iterate
 as it is.  On any other map the digit cap's refusal stands.  Interval widths
 stay certified, so a count is exact unless an enclosure straddles the
-threshold, which the scan reports instead of hiding.  The interval orbits
-and the height enclosures are kept with the held orbit, by switch point, so
-every tracker of one (map, start, switch point) steps each interval iterate
+threshold, which the scan reports instead of hiding.  A tracker keeps its
+own interval orbits and height enclosures, so it steps each interval iterate
 once.
 
 A counting scan walks downhill to the orbit's lowest sample and counts
@@ -28,9 +27,10 @@ naive scans, whose heights are not convex near the minimum.
 
 The tracker, the periodicity verdict and the canonical heights at
 f^(+/-1)(x) behind (hhat+, hhat-) read the one orbit the engine's core holds.
-Each call decides periodicity once and reads (hhat+, hhat-) once:
-`counting_enclosure` takes hhat(O), the count and the slack from one verdict
-and one pair.
+An engine holds the point it was last asked about, as a map holds one orbit:
+its verdict per digit cap, its (hhat+, hhat-) pair and its canonical tracker
+per (switch, cap), each filled on first use.  So the orbit record and every
+threshold of a counting run share one verdict, one pair and one tracker.
 """
 
 from __future__ import annotations
@@ -139,27 +139,14 @@ class Interval:
                 log_int(most) + scale if most else -math.inf)
 
 
-class _Tail:
-    """What the trackers of one orbit and switch point share: per direction
-    (indexed by l >= 0) how many iterates from 0 on are held exactly and the
-    interval `Orbit` from the last exact triple on (None while exact), and
-    the height enclosures read so far."""
-
-    __slots__ = ("exact", "orbits", "bounds")
-
-    def __init__(self):
-        self.exact = [1, 1]
-        self.orbits = [None, None]
-        self.bounds: Dict[int, Tuple[float, float]] = {}
-
-
 class OrbitHeightTracker:
     """Lazy h_nv(f^l(x)) for l in Z, exact up to the first iterate whose
     real size passes the threshold, not its size bound (toward the orbit's
     lowest point iterates shrink, and intervals there would lose the
     precision the cancellation needs), and by certified interval recurrences
-    beyond it, kept in the orbit's `tails` for every tracker of the same
-    orbit and switch point."""
+    beyond it.  The tracker keeps per direction (indexed by l >= 0) how many
+    iterates from 0 on are held exactly and the interval `Orbit` from the
+    last exact triple on (None while exact), and the enclosures read so far."""
 
     def __init__(
         self,
@@ -176,16 +163,17 @@ class OrbitHeightTracker:
         # intervals on a certified map, the digit cap on any other
         self._limit = cap_bits(exact_digits if self._certified else digit_cap)
         self._cap = cap_bits(digit_cap)
-        self._tail = self._orbit.tails.setdefault(self._limit, _Tail())
+        self._exact = [1, 1]
+        self._intervals = [None, None]
+        self._bounds: Dict[int, Tuple[float, float]] = {}
 
     # -- coordinate states ---------------------------------------------------
 
     def _state(self, l: int):
         forward = l >= 0
         sign, k = (1, l) if forward else (-1, -l)
-        tail = self._tail
-        n = tail.exact[forward]
-        while tail.orbits[forward] is None and n <= k:
+        n = self._exact[forward]
+        while self._intervals[forward] is None and n <= k:
             try:
                 exact = top(self._orbit.capped(sign * n, self._cap)).bit_length() <= self._limit
             except ResourceCapError as exc:
@@ -201,13 +189,13 @@ class OrbitHeightTracker:
                 # interval orbit starts at the last exact iterate, n - 1
                 pt = self._orbit[sign * (n - 1)]
                 switch = (Interval(pt[0], pt[0]), Interval(pt[1], pt[1]), 1)
-                tail.orbits[forward] = Orbit(self._auto.forms(True), self._auto.forms(False), switch)
+                self._intervals[forward] = Orbit(self._auto.forms(True), self._auto.forms(False), switch)
                 break
             n += 1
-            tail.exact[forward] = n
+            self._exact[forward] = n
         if k < n:
             return ("exact", self._orbit[l])
-        return ("iv", tail.orbits[forward][sign * (k - n + 1)])
+        return ("iv", self._intervals[forward][sign * (k - n + 1)])
 
     def point(self, l: int) -> AffinePoint:
         """Exact coordinates of f^l(x); available only inside the exact window."""
@@ -228,8 +216,7 @@ class OrbitHeightTracker:
         the sum add one rounding each).  The pad 1e-12 max(1, |h|) + 1e-12
         is more than 1000 ulps of h, so the padded bounds still enclose h.
         """
-        bounds = self._tail.bounds
-        cached = bounds.get(l)
+        cached = self._bounds.get(l)
         if cached is not None:
             return cached
         kind, pt = self._state(l)
@@ -243,10 +230,8 @@ class OrbitHeightTracker:
             pad = 1e-12 * max(1.0, abs(h_hi)) + 1e-12
             found = (h_lo - pad, h_hi + pad)
             if found[1] - found[0] > 1e-6 * max(1.0, abs(found[1])):
-                raise ResourceCapError(
-                    f"interval arithmetic lost precision at iterate {l}"
-                )
-        bounds[l] = found
+                raise ResourceCapError(f"interval arithmetic lost precision at iterate {l}")
+        self._bounds[l] = found
         return found
 
     def h(self, l: int) -> float:
@@ -279,7 +264,7 @@ def _hpm_error_budget(engine: HeightEngine) -> float:
 
 def orbit_height_slack(engine: HeightEngine, x: AffinePoint) -> float:
     """First-order error of orbit_height induced by the component budgets."""
-    return _slack(engine, *_resolved(hpm_from_h(engine, x)))
+    return _slack(engine, *_resolved(_hpm(engine, x)))
 
 
 def _resolved(hpm: Tuple[float, float], depth: Optional[int] = None) -> Tuple[float, float]:
@@ -326,18 +311,44 @@ def orbit_height(engine: HeightEngine, x: AffinePoint) -> float:
     orbit; NEG_INFINITY exactly when the orbit is finite (periodic point)."""
     if _verdict(engine, x, engine.digit_cap).is_periodic:
         return NEG_INFINITY
-    return _log_height(engine, *_resolved(hpm_from_h(engine, x), engine.depth))
+    return _log_height(engine, *_resolved(_hpm(engine, x), engine.depth))
 
 
 def _log_height(engine: HeightEngine, h_plus: float, h_minus: float) -> float:
     return math.log(h_plus) / math.log(engine.delta) + math.log(h_minus) / math.log(engine.delta_minus)
 
 
+# -- the point an engine was last asked about ------------------------------------
+
+def _held(engine: HeightEngine, x: AffinePoint, key, compute):
+    """compute(), held under `key` in the engine's one slot, which holds
+    the last point asked about and is replaced by a call about another.  A
+    refusal raises out of compute() and is not held.  The slot is not a
+    dataclass field, so equality, hashing and repr ignore it.  It holds the
+    orbit (through the tracker), never the reverse: a tracker kept on the
+    orbit closes an orbit <-> tracker cycle, which only the cyclic collector
+    frees, so replaced orbits, of up to the digit cap per iterate, would
+    outlive their slot until it runs."""
+    held = engine.__dict__.get("_held")
+    if held is None or held[0] != x:
+        held = (x, {})
+        object.__setattr__(engine, "_held", held)  # a cache, not a field
+    values = held[1]
+    if key not in values:
+        values[key] = compute()
+    return values[key]
+
+
+def _hpm(engine: HeightEngine, x: AffinePoint) -> Tuple[float, float]:
+    return _held(engine, x, "hpm", lambda: hpm_from_h(engine, x))
+
+
 def _verdict(f, x, digit_cap):
     """The periodicity verdict of x under the map f, refused when undecided;
-    for a HeightEngine f, of gamma^-1(x) under its core, with the same period."""
+    for a HeightEngine f, held for x: of gamma^-1(x) under its core (same period)."""
     if isinstance(f, HeightEngine):
-        f, x = f.g, f.to_conjugated_frame(x)
+        return _held(f, x, ("verdict", digit_cap),
+                     lambda: _verdict(f.g, f.to_conjugated_frame(x), digit_cap))
     verdict = is_periodic(f, x, digit_cap=digit_cap)
     if verdict.kind == "undecided":
         raise UndecidedPeriodicityError(verdict.detail)
@@ -349,7 +360,7 @@ def _infinite_components(engine: HeightEngine, x: AffinePoint, periodic_message:
     one reading; PeriodicPointError(periodic_message) for a periodic point."""
     if _verdict(engine, x, engine.digit_cap).is_periodic:
         raise PeriodicPointError(periodic_message)
-    return _resolved(hpm_from_h(engine, x), engine.depth)
+    return _resolved(_hpm(engine, x), engine.depth)
 
 
 # -- counting -------------------------------------------------------------------
@@ -394,9 +405,9 @@ def check_threshold(threshold: float) -> None:
 def _canonical_bounds(engine: HeightEngine, x: AffinePoint, exact_digits: int, digit_cap: int):
     """values(l): enclosure of the depth-N canonical height at f^l(x),
     h_nv(g^(l+N) z)/delta^N + h_nv(g^(l-N) z)/delta_-^N with z = gamma^-1(x),
-    read off one tracker."""
-    z = engine.to_conjugated_frame(x)
-    tracker = OrbitHeightTracker(engine.g, z, exact_digits=exact_digits, digit_cap=digit_cap)
+    read off the tracker held for x."""
+    tracker = _held(engine, x, ("tracker", exact_digits, digit_cap), lambda: OrbitHeightTracker(
+        engine.g, engine.to_conjugated_frame(x), exact_digits=exact_digits, digit_cap=digit_cap))
     n = engine.depth
     d_pow = float(engine.delta**n)
     dm_pow = float(engine.delta_minus**n)
@@ -565,11 +576,8 @@ def build_orbit_record(engine: HeightEngine, x: AffinePoint, window: int) -> Orb
     are read off the orbit f holds, iterates +1, -1, +2, -2, ... in turn, each
     refused (ResourceCapError) by `Orbit.capped` when the size bound of the
     step into it passes the engine's digit cap."""
-    h_plus, h_minus = hpm_from_h(engine, x)
-    if _verdict(engine, x, engine.digit_cap).is_periodic:
-        oh = NEG_INFINITY
-    else:
-        oh = _log_height(engine, *_resolved((h_plus, h_minus), engine.depth))
+    h_plus, h_minus = _hpm(engine, x)
+    oh = orbit_height(engine, x)
     orbit = engine.outer.orbit(lift(x))
     limit = cap_bits(engine.digit_cap)
     h_nv = {0: naive_height(orbit[0])}
@@ -580,10 +588,5 @@ def build_orbit_record(engine: HeightEngine, x: AffinePoint, window: int) -> Orb
     for l in range(-window, window + 1):
         h_hat = engine.delta**l * h_plus + float(engine.delta_minus) ** (-l) * h_minus
         samples.append(OrbitSample(l, affine(orbit[l]), h_nv[l], h_hat))
-    return OrbitRecord(
-        base=samples[window].point,
-        samples=tuple(samples),
-        hplus0=h_plus,
-        hminus0=h_minus,
-        orbit_height=oh,
-    )
+    return OrbitRecord(base=samples[window].point, samples=tuple(samples), hplus0=h_plus,
+                       hminus0=h_minus, orbit_height=oh)

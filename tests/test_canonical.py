@@ -6,7 +6,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
 from planeheights import from_description
@@ -153,6 +153,49 @@ def test_uniqueness_surrogate_depths_agree():
             v1 = hcanonical(e1, pt)
             v2 = hcanonical(e2, pt)
             assert abs(v1.value - v2.value) <= e1.error_budget() + e2.error_budget()
+
+
+small = st.builds(Fraction, st.integers(-3, 3), st.sampled_from([1, 1, 1, 2, 3]))
+integers = st.integers(-3, 3).map(Fraction)
+
+
+@st.composite
+def henon_words(draw):
+    """Words of one or two Henon maps, delta <= 6, with integer
+    coefficients (a = +/-1, so the inverse is integral too) or rational ones."""
+    integral = draw(st.booleans())
+    coefficient = integers if integral else small
+    f = None
+    for degree in draw(st.sampled_from([(2,), (3,), (2, 2), (2, 3), (3, 2)])):
+        coeffs = draw(st.lists(coefficient, min_size=degree, max_size=degree))
+        coeffs.append(draw(coefficient.filter(bool)))
+        p = sum((BivarPoly.const(c) * BivarPoly.var("x")**i for i, c in enumerate(coeffs)), BivarPoly.zero())
+        g = henon(draw(st.sampled_from([Fraction(1), Fraction(-1)]) if integral else small.filter(bool)), p)
+        f = g if f is None else compose_maps(f, g)
+    return f
+
+
+Y = BivarPoly.var("y")
+triangulars = st.builds(
+    lambda a, b, c, p1, p2: triangular(a, b, c, BivarPoly.const(p2) * Y**2 + BivarPoly.const(p1) * Y),
+    small.filter(bool), small.filter(bool), small, small, small)
+WORD_DEPTH = {2: 6, 3: 4, 4: 3, 6: 2}  # depth N by delta
+
+
+@settings(max_examples=150, deadline=None)
+@given(word=henon_words(), gamma=st.none() | triangulars, pt=st.tuples(small, small))
+def test_a_deeper_estimate_stays_below_the_upper_bound(word, gamma, pt):
+    # h(g y) <= delta h(y) + c2 telescopes to v_(N+k) <= v_N + c2 / ((delta - 1) delta^N)
+    # in each direction: the depth-N upper bound holds every deeper estimate
+    n = WORD_DEPTH[word.degree()]
+    shallow, deep = (make_engine(word, gamma=gamma, depth=depth, digit_cap=20_000) for depth in (n, n + 2))
+    z = shallow.to_conjugated_frame(pt)
+    try:
+        pairs = [(fn(shallow, at), fn(deep, at)) for fn, at in ((hplus, z), (hminus, z), (hcanonical, pt))]
+    except ResourceCapError:
+        reject()
+    for at_n, deeper in pairs:
+        assert deeper.value <= at_n.upper_bound
 
 
 def test_rigorous_lower_bound_route():

@@ -1,5 +1,7 @@
 """CLI surface: formats, exit codes, schema validity, determinism."""
 
+import csv
+import io
 import json
 import os
 import subprocess
@@ -93,6 +95,47 @@ def test_canheight_json_schema(capsys, maps):
     assert payload["points"][0]["residual"] <= 1e-3
 
 
+def _json_and_csv(capsys, argv):
+    """The JSON payload and the CSV rows (header first) of one command."""
+    outputs = []
+    for fmt in ("json", "csv"):
+        code, out, _ = run_cli(capsys, argv + ["--format", fmt])
+        assert code in (0, 1)
+        outputs.append(out)
+    return json.loads(outputs[0]), list(csv.reader(io.StringIO(outputs[1])))
+
+
+def test_canheight_csv_cells_are_the_json_values(capsys, maps, tmp_path):
+    pts = tmp_path / "pts.txt"
+    pts.write_text("3 0\n1/2 -7\n")
+    payload, rows = _json_and_csv(capsys, ["canheight", "--map", maps["conj"], "--points", str(pts)])
+    assert rows[0] == ["x", "y", "hplus", "hminus", "hcanonical", "upper_bound", "residual"]
+    assert len(rows) == 1 + len(payload["points"]) == 3
+    for row, e in zip(rows[1:], payload["points"]):
+        values = (e["hplus"]["value"], e["hminus"]["value"], e["hcanonical"]["value"],
+                  e["hcanonical"]["upper_bound"], e["residual"])
+        assert row == [e["x"], e["y"], *(f"{v:.12g}" for v in values)]
+
+
+@pytest.mark.parametrize("point, period", [("0,0", "1"), ("3,0", "")])
+def test_periodic_csv_cells_are_the_json_values(capsys, maps, point, period):
+    payload, rows = _json_and_csv(capsys, ["periodic", "--map", maps["henon2"], "--point", point])
+    assert rows == [["verdict", "period"], [payload["verdict"], period]]
+    assert payload["period"] == (int(period) if period else None)
+
+
+def test_canheight_text_shows_the_rigorous_lower_bound(capsys, maps):
+    argv = ["canheight", "--map", maps["henon2"], "--point", "3,0", "--c-lower", "1"]
+    code, out, _ = run_cli(capsys, argv + ["--format", "json"])
+    est = json.loads(out)["points"][0]["hcanonical"]
+    code, out, _ = run_cli(capsys, argv)
+    assert code == 0
+    assert (f"  hcanonical = {est['value']:.12g}  (<= {est['upper_bound']:.12g})"
+            f"  (>= {est['rigorous_lower']:.12g})\n") in out
+    code, out, _ = run_cli(capsys, argv[:-2])
+    assert "(>=" not in out
+
+
 def test_canheight_refuses_triangularizable(capsys, maps):
     code, _, err = run_cli(capsys, ["canheight", "--map", maps["tri"], "--point", "3,0"])
     assert code == 2
@@ -148,6 +191,23 @@ def test_conjugate_document_missing_a_field_is_an_input_error(capsys, tmp_path, 
     code, out, err = run_cli(capsys, [command, "--map", str(path), "--point", "1,1"])
     assert code == 2 and out == ""
     assert f"map description of type 'conjugate' is missing field '{missing}'" in err
+
+
+@pytest.mark.parametrize("doc, kind, field", [
+    ({"type": "henon", "a": "1", "p": 5}, "henon", "p"),
+    ({**TRI, "P": 3}, "triangular", "P"),
+    ({"type": "pair", "p": "y", "q": "x", "pinv": "y", "qinv": 7}, "pair", "qinv"),
+    ({"type": "compose", "maps": 5}, "compose", "maps"),
+    ({"type": "compose", "maps": "abc"}, "compose", "maps"),
+    ({**CONJ, "inner": {**HENON2, "p": ["x^2"]}}, "henon", "p"),
+])
+def test_map_document_field_of_the_wrong_type_is_an_input_error(capsys, tmp_path, doc, kind, field):
+    path = tmp_path / "map.json"
+    path.write_text(json.dumps(doc))
+    for argv in (["dyndeg"], ["canheight", "--point", "1,1"]):
+        code, out, err = run_cli(capsys, argv + ["--map", str(path)])
+        assert code == 2 and out == ""
+        assert f"map description of type '{kind}': field '{field}' must be a JSON" in err
 
 
 @pytest.mark.parametrize("flags, message", [

@@ -150,7 +150,7 @@ def test_tracker_reaches_far_iterates():
 
 
 def test_tracker_refuses_when_intervals_lose_precision(monkeypatch):
-    # Fresh maps hold no orbit, so no interval chain of another precision.
+    # Each tracker holds its own interval orbit, at its own precision.
     lo, hi = OrbitHeightTracker(henon(1, parse_poly("x^2")), X3, exact_digits=50).h_bounds(60)
     assert hi - lo < 1e-6 * hi
     monkeypatch.setattr(orbit_mod, "INTERVAL_PRECISION_BITS", 24)
@@ -182,6 +182,25 @@ def test_tracker_noncertified_map_hits_cap():
     tracker = OrbitHeightTracker(f, X3, exact_digits=100, digit_cap=10_000)
     with pytest.raises(ResourceCapError):
         tracker.h_bounds(40)
+
+
+def test_certified_map_switches_to_intervals_at_a_cap_refusal():
+    # under a 10^4-digit cap, Orbit.capped refuses iterate +15 of (3, 0)
+    # (15497 digits) before its real size passes a 20000-digit switch: the
+    # integral map goes on in intervals from iterate +14, where the default
+    # tracker switches past its 2000 digits at +13 (3874 digits)
+    capped = OrbitHeightTracker(HENON2, X3, exact_digits=20_000, digit_cap=10_000)
+    default = OrbitHeightTracker(HENON2, X3)
+    assert [sum(not _is_interval(t, l) for l in range(20)) for t in (capped, default)] == [15, 13]
+    for l in range(-40, 41):
+        lo, hi = capped.h_bounds(l)
+        d_lo, d_hi = default.h_bounds(l)
+        assert lo <= d_hi and d_lo <= hi, l
+    engine = make_engine(HENON2, depth=12)
+    for which, f in (("naive", HENON2), ("canonical", engine)):
+        for t in (math.exp(9), math.exp(15), math.exp(21)):
+            assert count_below(f, X3, t, which, exact_digits=20_000, digit_cap=10_000) == \
+                count_below(f, X3, t, which), (which, t)
 
 
 def test_noncertified_map_counts_exactly_below_the_cap():

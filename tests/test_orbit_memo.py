@@ -1,4 +1,5 @@
-"""The one-slot exact orbit a map holds, against maps that hold none.
+"""The one-slot exact orbit a map holds and the one point an engine holds,
+against maps and engines that hold none.
 
 Hypothesis drives random interleaved query sequences at random rational
 points through one engine per map; every answer (value or refusal text)
@@ -7,6 +8,7 @@ hold at most one orbit afterwards.
 """
 
 import math
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -15,6 +17,7 @@ from hypothesis import strategies as st
 
 from planeheights import (
     PlaneHeightsError,
+    build_orbit_record,
     counting_enclosure,
     dynamical_degree,
     from_description,
@@ -25,7 +28,9 @@ from planeheights import (
     hplus,
     is_periodic,
     make_engine,
+    orbit_height,
 )
+from planeheights import orbit as orbit_mod
 from planeheights.automorphism import Orbit
 from planeheights.heights import lift
 
@@ -45,7 +50,7 @@ DOCS = {
 DEPTH = {"H2": 5, "H3": 4, "H4": 3, "C6": 2, "conj-H2": 5, "half": 5}
 DEEP = {"H2": 15, "H3": 9, "H4": 7, "C6": 5, "conj-H2": 15, "half": 15}
 CAP = 10_000
-QUERIES = ("hplus", "hminus", "hcanonical", "residual", "hpm", "periodic", "counting")
+QUERIES = ("hplus", "hminus", "hcanonical", "residual", "hpm", "periodic", "counting", "height", "record")
 
 rationals = st.builds(Fraction, st.integers(-4, 4), st.sampled_from([1, 1, 1, 2, 3]))
 points = st.tuples(rationals, rationals)
@@ -69,6 +74,8 @@ def answer(engine, query, pt, threshold):
         "hpm": lambda: hpm_from_h(engine, pt),
         "periodic": lambda: is_periodic(engine.outer, pt, digit_cap=CAP),
         "counting": lambda: counting_enclosure(engine, pt, threshold),
+        "height": lambda: orbit_height(engine, pt),
+        "record": lambda: build_orbit_record(engine, pt, 3),
     }
     try:
         return repr(calls[query]())
@@ -154,3 +161,51 @@ def test_neighbour_reads_match_walks_from_the_images(name, pt):
     assert functional_equation_residual(engine, pt) == residual
     kappa = (d * dm) / ((d * dm) ** 2 - 1)
     assert hpm_from_h(engine, pt) == (kappa * (dm * at_fx - at_fix / dm), kappa * (d * at_fix - at_fx / d))
+
+
+def _counted(monkeypatch):
+    """Calls of is_periodic and hpm_from_h through the orbit module, and
+    trackers built, from here on."""
+    calls = Counter()
+    for name in ("is_periodic", "hpm_from_h"):
+        def wrapper(*args, _name=name, _original=getattr(orbit_mod, name), **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+        monkeypatch.setattr(orbit_mod, name, wrapper)
+    init = orbit_mod.OrbitHeightTracker.__init__
+
+    def counted_init(self, *args, **kwargs):
+        calls["tracker"] += 1
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(orbit_mod.OrbitHeightTracker, "__init__", counted_init)
+    return calls
+
+
+def test_an_engine_holds_one_verdict_pair_and_tracker_per_point(monkeypatch):
+    engine = build_engine("conj-H2")
+    calls = _counted(monkeypatch)
+    x, other = (Fraction(3), Fraction(0)), (Fraction(-2), Fraction(1))
+    record = build_orbit_record(engine, x, 4)
+    counts = [counting_enclosure(engine, x, math.exp(t)).observed for t in (9, 15, 21)]
+    assert orbit_height(engine, x) == record.orbit_height
+    assert calls == {"is_periodic": 1, "hpm_from_h": 1, "tracker": 1}
+    counting_enclosure(engine, other, math.exp(9))  # another point replaces the slot
+    assert counting_enclosure(engine, x, math.exp(21)).observed == counts[-1]
+    assert calls == {"is_periodic": 3, "hpm_from_h": 3, "tracker": 3}
+    fresh = build_engine("conj-H2")
+    assert engine == fresh and repr(engine) == repr(fresh)
+
+
+def test_an_engine_holds_no_refusal(monkeypatch):
+    # C6 at depth 5 under a 10^4-digit cap: the verdict is decided, but the
+    # walks behind (hhat+, hhat-) pass the cap
+    engine = make_engine(from_description(DOCS["C6"]), depth=5, digit_cap=CAP)
+    calls = _counted(monkeypatch)
+    refusals = []
+    for _ in range(2):
+        with pytest.raises(PlaneHeightsError) as caught:
+            orbit_height(engine, (Fraction(3), Fraction(0)))
+        refusals.append(f"{type(caught.value).__name__}: {caught.value}")
+    assert refusals == ["ResourceCapError: coordinate exceeded the digit cap at iterate +5"] * 2
+    assert calls == {"is_periodic": 1, "hpm_from_h": 2}
