@@ -32,9 +32,10 @@ a larger cache would mostly keep orbits that nothing reads again (at up to
 the digit cap per iterate), and a caller that repeats a whole batch of
 queries would be served from it and measure lookups rather than work.
 
-Map invariants are computed once per map object: the integer forms of each
-direction (with the growth constant c2 of that direction), the dynamical
-degree and the escape box are cached on the map on first use.
+Map invariants are computed once per map object, on first use: the integer
+forms of each direction (with its growth constant c2), the points at infinity
+(I+(f), I+(f^-1)) read off `fwd` and `inv`, whose one comparison is
+regularity, the dynamical degree and the escape box.
 """
 
 from __future__ import annotations
@@ -174,9 +175,9 @@ class Orbit:
 class PlaneAutomorphism:
     """Forward/inverse polynomial pairs plus a generator word for provenance.
 
-    The compiled integer forms, the dynamical degree, the escape box and the
-    orbit of the last queried start are cached on the instance (outside the
-    dataclass fields, so equality and hashing ignore them).
+    The compiled integer forms, the points at infinity, the dynamical degree,
+    the escape box and the orbit of the last queried start are cached on the
+    instance (outside the dataclass fields, so equality and hashing ignore them).
     """
 
     fwd: Tuple[BivarPoly, BivarPoly]
@@ -200,6 +201,11 @@ class PlaneAutomorphism:
     def forms(self, forward: bool = True) -> IntegerForms:
         """The integer kernel of one direction, compiled on first use."""
         return self._fwd_forms if forward else self._inv_forms
+
+    @cached_property
+    def _at_infinity(self) -> Tuple[InfinityPoint, InfinityPoint]:
+        """(I+(f), I+(f^-1)), read off the leading forms of `fwd` and `inv`."""
+        return _indeterminacy(self.fwd), _indeterminacy(self.inv)
 
     @cached_property
     def _dynamical_degree(self) -> int:
@@ -355,7 +361,7 @@ def dynamical_degree(f: PlaneAutomorphism) -> int:
 
 def _compute_dynamical_degree(f: PlaneAutomorphism) -> int:
     d1 = f.degree()
-    if d1 >= 2 and f.inverse_degree() >= 2 and is_regular(f):
+    if d1 >= 2 and is_regular(f):
         return d1
     tau = Fraction(degree_sequence(f, 2)[1], d1)
     if tau <= 1:
@@ -397,8 +403,13 @@ def _normalize_pair(x: int, y: int) -> Tuple[int, int]:
 
 
 def indeterminacy_at_infinity(f: PlaneAutomorphism) -> InfinityPoint:
+    """I+(f), the first of the pair the map caches (see `_indeterminacy`)."""
+    return f._at_infinity[0]
+
+
+def _indeterminacy(components: Tuple[BivarPoly, BivarPoly]) -> InfinityPoint:
     """The common zero on the line at infinity of the nonzero degree-d
-    leading forms F of the components of f, d = deg f >= 2.
+    leading forms F of the components of one direction, d = its degree >= 2.
 
     The point is always rational.  A plane automorphism is a composite of
     affine and triangular maps (Jung 1942, van der Kulk 1953), so each F is
@@ -407,11 +418,11 @@ def indeterminacy_at_infinity(f: PlaneAutomorphism) -> InfinityPoint:
     F = c * l^d is checked exactly.  A form that is not such a power, or two
     forms with different zeros, mean f is not an automorphism: refused.
     """
-    d = f.degree()
+    d = max(poly.total_degree() for poly in components)
     if d < 2:
         raise MapValidationError("indeterminacy at infinity requires degree >= 2")
     points = set()
-    for form in (poly.leading_form(d) for poly in f.fwd):
+    for form in (poly.leading_form(d) for poly in components):
         if form.is_zero():
             continue  # a component of lower degree imposes no condition
         a = form.coefficient(d, 0)
@@ -432,9 +443,7 @@ def indeterminacy_at_infinity(f: PlaneAutomorphism) -> InfinityPoint:
 
 def is_regular(f: PlaneAutomorphism) -> bool:
     """True when the indeterminacy points at infinity of f and f^-1 differ."""
-    if f.degree() < 2 or f.inverse_degree() < 2:
-        raise MapValidationError("regularity test requires degree >= 2 in both directions")
-    return indeterminacy_at_infinity(f) != indeterminacy_at_infinity(inverse(f))
+    return f._at_infinity[0] != f._at_infinity[1]
 
 
 # -- the escape box ------------------------------------------------------------
@@ -483,12 +492,10 @@ class EscapeBox:
 
 
 def _escape_box(f: PlaneAutomorphism) -> EscapeBox | None:
-    if f.degree() < 2 or f.inverse_degree() < 2:
+    if f.degree() < 2 or not is_regular(f):
         return None
-    (p, q), (r, s) = indeterminacy_at_infinity(f).xy, indeterminacy_at_infinity(inverse(f)).xy
-    det = q * r - p * s
-    if det == 0:
-        return None
+    (p, q), (r, s) = (point.xy for point in f._at_infinity)
+    det = q * r - p * s  # nonzero: two distinct normalized points
     b_inv = (Fraction(r, det) * _X + Fraction(p, det) * _Y, Fraction(s, det) * _X + Fraction(q, det) * _Y)
     b = _build((q * _X - p * _Y, r * _Y - s * _X), b_inv, (), check=False)
     g = compose_maps(compose_maps(b, f), inverse(b))  # f in the coordinates (u, v), named (x, y)
@@ -510,17 +517,18 @@ def from_description(doc) -> PlaneAutomorphism:
 
     Supported nodes: henon, triangular, compose (right-to-left), conjugate
     (by o inner o by^-1, the outer map of an engine with core inner and
-    conjugator by), pair.  Rationals are strings 'num/den' or 'int';
-    polynomials use the text grammar of :mod:`planeheights.ratpoly`.
+    conjugator by), pair.  Rationals are JSON strings 'num/den' or 'int';
+    polynomials use the text grammar of :mod:`planeheights.ratpoly`.  A field
+    of the wrong JSON type is refused, naming the map type and the field.
     """
     if not isinstance(doc, dict) or "type" not in doc:
         raise MapValidationError("map description must be an object with a 'type' field")
     kind = doc["type"]
     try:
         if kind == "henon":
-            return henon(parse_rat(str(doc["a"])), BivarPoly.parse(_field(doc, "p")))
+            return henon(parse_rat(_field(doc, "a")), BivarPoly.parse(_field(doc, "p")))
         if kind == "triangular":
-            return triangular(*(parse_rat(str(doc[name])) for name in "abc"), BivarPoly.parse(_field(doc, "P")))
+            return triangular(*(parse_rat(_field(doc, name)) for name in "abc"), BivarPoly.parse(_field(doc, "P")))
         if kind == "compose":
             maps = [from_description(node) for node in _field(doc, "maps", list)]
             if not maps:
@@ -540,11 +548,12 @@ def from_description(doc) -> PlaneAutomorphism:
 
 
 def _field(doc, name, kind=str):
-    """doc[name], refused unless it is a JSON string (kind str) or array (list)."""
+    """doc[name], refused unless it is a JSON string, array or object (kind str, list, dict)."""
     value = doc[name]
     if not isinstance(value, kind):
+        what = {str: "string", list: "array", dict: "object"}[kind]
         raise MapValidationError(f"map description of type {doc['type']!r}: field {name!r} "
-                                 f"must be a JSON {'string' if kind is str else 'array'}")
+                                 f"must be a JSON {what}")
     return value
 
 
@@ -554,7 +563,7 @@ def conjugate_parts(doc):
     if not (isinstance(doc, dict) and doc.get("type") == "conjugate"):
         return from_description(doc), None
     try:
-        return from_description(doc["inner"]), from_description(doc["by"])
+        return from_description(_field(doc, "inner", dict)), from_description(_field(doc, "by", dict))
     except KeyError as exc:
         raise MapValidationError(f"map description of type 'conjugate' is missing field {exc}") from None
 

@@ -47,6 +47,7 @@ from .automorphism import (
     compose_maps,
     dynamical_degree,
     inverse,
+    is_regular,
 )
 from .errors import MapValidationError, ResourceCapError
 from .heights import AffinePoint, lift, log_int, naive_height, top
@@ -103,32 +104,31 @@ def make_engine(
 ) -> HeightEngine:
     """Validate the core map and precompute its degrees and growth constants.
 
-    The core must be regular with dynamical degree >= 2 (equivalently
-    delta = deg g >= 2); triangularizable maps have no canonical height.
+    The core must have dynamical degree >= 2 (triangularizable maps have no
+    canonical height) and be regular; then delta = deg g = deg g^-1 = delta_minus.
     """
     if depth < 2:
         raise ValueError("depth must be >= 2")
     if digit_cap < 10_000:
         raise ValueError("digit cap must be >= 10^4")
-    d = g.degree()
-    if d < 2:
-        raise MapValidationError("canonical heights need dynamical degree >= 2 (degree-1 core)")
     delta = dynamical_degree(g)
-    if delta != d:
+    if delta < 2:
         raise MapValidationError(
-            f"core map is not regular (dynamical degree {delta} < degree {d}); "
+            f"core map has dynamical degree {delta}: canonical heights exist only for "
+            "dynamical degree >= 2; triangularizable maps are excluded"
+        )
+    if not is_regular(g):
+        raise MapValidationError(
+            f"core map is not regular (dynamical degree {delta} < degree {g.degree()}); "
             "supply a conjugate composed of Henon maps plus the conjugator gamma"
         )
-    delta_minus = g.inverse_degree()
-    if delta_minus < 2:
-        raise MapValidationError("inverse degree must be >= 2")
     if gamma is not None and gamma.is_identity():
         gamma = None
     outer = g if gamma is None else compose_maps(compose_maps(gamma, g), inverse(gamma))
     return HeightEngine(
         g=g,
         delta=delta,
-        delta_minus=delta_minus,
+        delta_minus=g.inverse_degree(),
         gamma=gamma,
         outer=outer,
         c2_fwd=_growth_constant(g, "fwd"),

@@ -41,7 +41,6 @@ from .canonical import (
     make_engine,
 )
 from .errors import (
-    MapValidationError,
     PeriodicPointError,
     PlaneHeightsError,
     PolyParseError,
@@ -107,14 +106,7 @@ def _engine(args):
     """The engine of --map, with the core and conjugator `conjugate_parts`
     reads off a top-level conjugate document."""
     g, gamma = conjugate_parts(read_map_doc(args.map))
-    try:
-        return make_engine(g, gamma=gamma, depth=args.depth,
-                           c_lower=args.c_lower, digit_cap=args.digit_cap)
-    except MapValidationError as exc:
-        raise MapValidationError(
-            f"{exc} (canonical heights exist only for dynamical degree >= 2; "
-            "triangularizable maps are excluded)"
-        ) from None
+    return make_engine(g, gamma=gamma, depth=args.depth, c_lower=args.c_lower, digit_cap=args.digit_cap)
 
 
 # -- height ---------------------------------------------------------------------
@@ -153,7 +145,7 @@ def cmd_dyndeg(args) -> int:
     f = load_map_file(args.map)
     d = f.degree()
     delta = dynamical_degree(f)
-    regular = bool(d >= 2 and f.inverse_degree() >= 2 and is_regular(f))
+    regular = d >= 2 and is_regular(f)
     n = args.N if args.N else _default_prefix_length(max(d, 2))
     seq = degree_sequence(f, n)
     payload = {

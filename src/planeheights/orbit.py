@@ -31,6 +31,10 @@ An engine holds the point it was last asked about, as a map holds one orbit:
 its verdict per digit cap, its (hhat+, hhat-) pair and its canonical tracker
 per (switch, cap), each filled on first use.  So the orbit record and every
 threshold of a counting run share one verdict, one pair and one tracker.
+The verdict comes first, since hhat = 0 exactly at periodic points: every
+engine reader takes (hhat+, hhat-) through `_infinite_components`, which reads
+the verdict, then the pair, then refuses a pair not resolved above zero as a
+depth cap.  So only the verdict refuses as undecided.
 """
 
 from __future__ import annotations
@@ -264,22 +268,7 @@ def _hpm_error_budget(engine: HeightEngine) -> float:
 
 def orbit_height_slack(engine: HeightEngine, x: AffinePoint) -> float:
     """First-order error of orbit_height induced by the component budgets."""
-    return _slack(engine, *_resolved(_hpm(engine, x)))
-
-
-def _resolved(hpm: Tuple[float, float], depth: Optional[int] = None) -> Tuple[float, float]:
-    """The pair, refused unless both components resolved above zero; given
-    the depth of an engine whose verdict was not_periodic, as a depth cap."""
-    if hpm[0] <= 0 or hpm[1] <= 0:
-        if depth is not None:
-            raise ResourceCapError(
-                f"canonical-height components did not resolve above zero at depth {depth}; "
-                "the orbit is infinite (not periodic), and a larger --depth resolves them"
-            )
-        raise UndecidedPeriodicityError(
-            "canonical-height components did not resolve above zero at this depth"
-        )
-    return hpm
+    return _slack(engine, *_infinite_components(engine, x, "finite orbit has no orbit-height slack"))
 
 
 def _slack(engine: HeightEngine, h_plus: float, h_minus: float) -> float:
@@ -309,9 +298,9 @@ def minimum_location(delta: int, delta_minus: int, h_plus: float, h_minus: float
 def orbit_height(engine: HeightEngine, x: AffinePoint) -> float:
     """log hhat+ / log delta + log hhat- / log delta_-, constant along the
     orbit; NEG_INFINITY exactly when the orbit is finite (periodic point)."""
-    if _verdict(engine, x, engine.digit_cap).is_periodic:
+    if _verdict(engine, x, engine.digit_cap).is_periodic:  # held: the verdict _infinite_components reads
         return NEG_INFINITY
-    return _log_height(engine, *_resolved(_hpm(engine, x), engine.depth))
+    return _log_height(engine, *_infinite_components(engine, x, "finite orbit has no orbit height"))
 
 
 def _log_height(engine: HeightEngine, h_plus: float, h_minus: float) -> float:
@@ -356,11 +345,19 @@ def _verdict(f, x, digit_cap):
 
 
 def _infinite_components(engine: HeightEngine, x: AffinePoint, periodic_message: str) -> Tuple[float, float]:
-    """(hhat+, hhat-) of a point with an infinite orbit, from one verdict and
-    one reading; PeriodicPointError(periodic_message) for a periodic point."""
+    """(hhat+, hhat-) of a point with an infinite orbit: the held verdict
+    (refused when undecided; PeriodicPointError(periodic_message) when
+    periodic), then the held pair, refused as a depth cap unless both
+    components resolved above zero."""
     if _verdict(engine, x, engine.digit_cap).is_periodic:
         raise PeriodicPointError(periodic_message)
-    return _resolved(_hpm(engine, x), engine.depth)
+    h_plus, h_minus = _hpm(engine, x)
+    if h_plus <= 0 or h_minus <= 0:
+        raise ResourceCapError(
+            f"canonical-height components did not resolve above zero at depth {engine.depth}; "
+            "the orbit is infinite (not periodic), and a larger --depth resolves them"
+        )
+    return h_plus, h_minus
 
 
 # -- counting -------------------------------------------------------------------
@@ -576,8 +573,8 @@ def build_orbit_record(engine: HeightEngine, x: AffinePoint, window: int) -> Orb
     are read off the orbit f holds, iterates +1, -1, +2, -2, ... in turn, each
     refused (ResourceCapError) by `Orbit.capped` when the size bound of the
     step into it passes the engine's digit cap."""
-    h_plus, h_minus = _hpm(engine, x)
     oh = orbit_height(engine, x)
+    h_plus, h_minus = _hpm(engine, x)
     orbit = engine.outer.orbit(lift(x))
     limit = cap_bits(engine.digit_cap)
     h_nv = {0: naive_height(orbit[0])}

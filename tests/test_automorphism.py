@@ -284,6 +284,18 @@ def test_indeterminacy_point_of_random_words(factors):
     assert is_regular(f) == (dynamical_degree(f) == d)
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.one_of(_henon_factor, _triangular_factor, _affine_factor), min_size=1, max_size=4))
+def test_the_inverse_has_the_degree_of_the_map(factors):
+    # the multidegree of f^-1 is that of f reversed (Jung, van der Kulk), so
+    # deg f^-1 = deg f, which no reader of the degree guards again
+    assume(math.prod(g.degree() for g in factors) <= 18)
+    f = factors[0]
+    for g in factors[1:]:
+        f = compose_maps(f, g)
+    assert f.inverse_degree() == f.degree()
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.lists(st.one_of(_henon_factor, _triangular_factor, _affine_factor), min_size=2, max_size=3))
 def test_compose_check_holds_on_random_words(factors):

@@ -10,7 +10,15 @@ from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
 from planeheights import from_description
-from planeheights.automorphism import IntegerForms, cap_bits, compose_maps, henon, identity, triangular
+from planeheights.automorphism import (
+    IntegerForms,
+    cap_bits,
+    compose_maps,
+    dynamical_degree,
+    henon,
+    identity,
+    triangular,
+)
 from planeheights.canonical import (
     classify_quadratic_recursion,
     functional_equation_residual,
@@ -42,6 +50,20 @@ def test_engine_rejects_triangularizable():
         make_engine(triangular(1, 1, 0, parse_poly("y^2")))
     with pytest.raises(MapValidationError):
         make_engine(triangular(2, 1, 0, BivarPoly.zero()))
+
+
+def test_engine_refusals_name_their_cause():
+    with pytest.raises(MapValidationError, match="canonical heights exist only for dynamical degree >= 2; "
+                                                 "triangularizable maps are excluded"):
+        make_engine(triangular(1, 1, 0, parse_poly("y^2")))
+    # (x + y^2, y) o (x^3 - y, x) o (x - y^2, y): a conjugate of a Henon map,
+    # delta 3 but degree 6, so not regular, and not triangularizable either
+    f = compose_maps(triangular(1, 1, 0, parse_poly("y^2")),
+                     compose_maps(henon(1, parse_poly("x^3")), triangular(1, 1, 0, parse_poly("-y^2"))))
+    assert (f.degree(), dynamical_degree(f)) == (6, 3)
+    with pytest.raises(MapValidationError, match="core map is not regular") as refusal:
+        make_engine(f)
+    assert "triangulariz" not in str(refusal.value)
 
 
 def test_engine_growth_constants(engine):

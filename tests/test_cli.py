@@ -200,6 +200,13 @@ def test_conjugate_document_missing_a_field_is_an_input_error(capsys, tmp_path, 
     ({"type": "compose", "maps": 5}, "compose", "maps"),
     ({"type": "compose", "maps": "abc"}, "compose", "maps"),
     ({**CONJ, "inner": {**HENON2, "p": ["x^2"]}}, "henon", "p"),
+    # rationals are JSON strings: no str() of an array, a boolean, null or a float
+    ({**HENON2, "a": [1]}, "henon", "a"),
+    ({**HENON2, "a": True}, "henon", "a"),
+    ({**HENON2, "a": 1.5}, "henon", "a"),
+    ({**TRI, "b": None}, "triangular", "b"),
+    ({**CONJ, "inner": 5}, "conjugate", "inner"),
+    ({**CONJ, "by": "x^2"}, "conjugate", "by"),
 ])
 def test_map_document_field_of_the_wrong_type_is_an_input_error(capsys, tmp_path, doc, kind, field):
     path = tmp_path / "map.json"

@@ -74,15 +74,14 @@ def test_the_place_at_a_prime_is_named(p, a, pt, detail):
     assert (verdict.kind, verdict.detail) == ("not_periodic", detail)
 
 
-def test_the_normal_form_is_checked(monkeypatch):
+def test_the_normal_form_is_checked():
     # a regular map whose forward image of the line at infinity is not
-    # I+(f^-1) breaks the normal form; no automorphism does, so feed one a
-    # wrong indeterminacy point
+    # I+(f^-1) breaks the normal form; no automorphism does, so put a wrong
+    # I+(f) into the pair of points at infinity the map caches
     from planeheights import automorphism
 
     f = henon(1, parse_poly("x^2"))
-    monkeypatch.setattr(automorphism, "indeterminacy_at_infinity",
-                        lambda g: automorphism.InfinityPoint((1, 1) if g is f else (1, 0)))
+    f.__dict__["_at_infinity"] = (automorphism.InfinityPoint((1, 1)), automorphism.InfinityPoint((1, 0)))
     with pytest.raises(MapValidationError, match="normal form"):
         automorphism._escape_box(f)
 

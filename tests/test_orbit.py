@@ -17,7 +17,6 @@ from planeheights.errors import (
     PeriodicPointError,
     PlaneHeightsError,
     ResourceCapError,
-    UndecidedPeriodicityError,
 )
 from planeheights.heights import naive_height_affine
 from planeheights.orbit import (
@@ -450,9 +449,38 @@ def test_unresolved_components_of_an_infinite_orbit_are_a_depth_cap():
                  lambda: counting_enclosure(engine, x, math.exp(9))):
         with pytest.raises(ResourceCapError, match=UNRESOLVED):
             call()
-    # the slack alone has no verdict behind it
-    with pytest.raises(UndecidedPeriodicityError, match="at this depth"):
+    # the slack reads the same verdict first, so the same depth cap refuses it
+    with pytest.raises(ResourceCapError, match=UNRESOLVED):
         orbit_mod.orbit_height_slack(engine, x)
+
+
+ENGINE_READERS = {
+    "orbit_height": orbit_height,
+    "orbit_height_slack": orbit_mod.orbit_height_slack,
+    "counting_enclosure": lambda engine, x: counting_enclosure(engine, x, math.exp(9)),
+    "min_orbit_height_bounds": min_orbit_height_bounds,
+    "build_orbit_record": lambda engine, x: build_orbit_record(engine, x, 4).orbit_height,
+}
+
+
+@pytest.mark.parametrize("name, start, k, depth, cap, refusal, message", [
+    ("H2", (2, 2), 0, 12, DEFAULT_DIGIT_CAP, PeriodicPointError, None),  # a fixed point
+    ("H3", (2, 1), 8, 2, DEFAULT_DIGIT_CAP, ResourceCapError, "did not resolve above zero at depth 2"),
+    ("C6", (3, 0), 0, 5, 10**4, ResourceCapError, r"digit cap at iterate \+5"),
+])
+def test_every_engine_reader_refuses_alike(name, start, k, depth, cap, refusal, message):
+    # one reading order, the verdict, then (hhat+, hhat-), then the depth
+    # cap, so each reader refuses a point with the same error; a periodic
+    # point has orbit height -inf where the others raise PeriodicPointError
+    f = INTEGRAL[name]
+    x = _shifted(f, tuple(map(Fraction, start)), k)
+    for reader, call in ENGINE_READERS.items():
+        engine = make_engine(f, depth=depth, digit_cap=cap)
+        if refusal is PeriodicPointError and reader in ("orbit_height", "build_orbit_record"):
+            assert call(engine, x) == NEG_INFINITY
+            continue
+        with pytest.raises(refusal, match=message):
+            call(engine, x)
 
 
 # depth and digit cap per map
