@@ -1,8 +1,9 @@
 """Golden CLI outputs: the stdout bytes and exit code of fixed `orbit`,
-`canheight`, `dyndeg` and `periodic` commands must not change.  The files under tests/data/golden/
+`canheight`, `dyndeg`, `periodic` and `picard` commands must not change.  The files under tests/data/golden/
 hold the expected stdout of each case (`<name>.out`) and the map and point
 inputs; regenerate a file only for an intended change of output."""
 
+import hashlib
 import os
 import subprocess
 import sys
@@ -55,6 +56,22 @@ def test_golden_output(capsys, name):
     out = capsys.readouterr().out
     assert code == expected_code
     assert out.encode("utf-8") == (GOLDEN / f"{name}.out").read_bytes()
+
+
+def _picard_digests():
+    lines = (GOLDEN / "picard_json.sha256").read_text().splitlines()
+    return dict(line.split() for line in lines)
+
+
+@pytest.mark.parametrize("d", range(2, 17))
+def test_golden_picard_json(capsys, d):
+    """`picard --d N --format json` for d = 2..16 is pinned by the sha256 of
+    its stdout; the d = 16 output is also kept whole, for the CI `cmp` step."""
+    assert main(["picard", "--d", str(d), "--format", "json"]) == 0
+    out = capsys.readouterr().out.encode("utf-8")
+    assert hashlib.sha256(out).hexdigest() == _picard_digests()[str(d)]
+    if d == 16:
+        assert out == (GOLDEN / "picard_d16_json.out").read_bytes()
 
 
 def test_runs_on_the_standard_library_alone():
