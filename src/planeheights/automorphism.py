@@ -530,7 +530,7 @@ def from_description(doc) -> PlaneAutomorphism:
         if kind == "triangular":
             return triangular(*(parse_rat(_field(doc, name)) for name in "abc"), BivarPoly.parse(_field(doc, "P")))
         if kind == "compose":
-            maps = [from_description(node) for node in _field(doc, "maps", list)]
+            maps = [_compose_element(index, node) for index, node in enumerate(_field(doc, "maps", list))]
             if not maps:
                 raise MapValidationError("compose needs at least one map")
             result = maps[-1]
@@ -545,6 +545,14 @@ def from_description(doc) -> PlaneAutomorphism:
     except KeyError as exc:
         raise MapValidationError(f"map description of type {kind!r} is missing field {exc}") from None
     raise MapValidationError(f"unknown map type {kind!r}")
+
+
+def _compose_element(index, node):
+    """The map of compose maps[index]; a refusal names the field and index."""
+    try:
+        return from_description(node)
+    except MapValidationError as exc:
+        raise MapValidationError(f"compose maps[{index}]: {exc}") from None
 
 
 def _field(doc, name, kind=str):

@@ -7,7 +7,9 @@ matrix is reconstructed from the configuration's adjacency data (H# meets E_2
 and F_2; E_1 meets E_d; the chain E_i - E_{i+1} for 2 <= i <= 2d-2; mirrored
 for F) together with the self-intersection list (H#^2 = -3, E_1^2 = F_1^2 =
 -d, interior curves -2, the last exceptional curves -1).  At d = 2 the index
-ranges degenerate but the formulas remain valid verbatim.
+ranges degenerate but the formulas remain valid verbatim.  The 4d-1 curves
+meet in 4d-2 pairs and form a connected graph, a tree, so the pullback
+systems are solved by elimination from the leaves toward H#, with no fill-in.
 
 Everything here is exact rational arithmetic; no floating point.
 """
@@ -52,18 +54,13 @@ class DivisorClass:
         return DivisorClass(self.d, tuple(factor * a for a in self.coeffs))
 
     def dot(self, other) -> Fraction:
-        """Intersection number via the lattice Gram matrix."""
+        """Intersection number: each curve's self-intersection times a_i b_i,
+        plus a_i b_j + a_j b_i for each pair of curves that meet."""
         self._check(other)
-        m = _intersection_matrix_cached(self.d)
-        total = Fraction(0)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            row = m[i]
-            for j, b in enumerate(other.coeffs):
-                if b != 0 and row[j] != 0:
-                    total += a * b * row[j]
-        return total
+        diag, edges = _configuration(self.d)
+        a, b = self.coeffs, other.coeffs
+        total = sum(s * x * y for s, x, y in zip(diag, a, b))
+        return Fraction(total + sum(a[i] * b[j] + a[j] * b[i] for i, j in edges))
 
     def is_effective(self) -> bool:
         return all(c >= 0 for c in self.coeffs)
@@ -83,68 +80,66 @@ class DivisorClass:
         return " + ".join(parts) if parts else "0"
 
 
-def intersection_matrix(d: int) -> List[List[int]]:
-    """Symmetric (4d-1) x (4d-1) integer intersection matrix of the basis."""
-    return [list(row) for row in _intersection_matrix_cached(d)]
+def _configuration(d: int) -> Tuple[List[int], List[Tuple[int, int]]]:
+    """(self-intersections, meeting pairs) of the 4d-1 curves, by basis index.
 
-
-@lru_cache(maxsize=None)
-def _intersection_matrix_cached(d: int) -> Tuple[Tuple[int, ...], ...]:
+    The 4d-2 pairs connect all 4d-1 curves, so the configuration is a tree.
+    """
     if d < 2:
         raise ValueError("d must be >= 2")
-    n = 4 * d - 1
-    h = 0
-    e = lambda i: i            # E_i at index i, 1 <= i <= 2d-1
-    f = lambda j: 2 * d - 1 + j  # F_j after the E block
-    m = [[0] * n for _ in range(n)]
-
-    m[h][h] = -3
-    for idx, self_int in ((e(1), -d), (f(1), -d)):
-        m[idx][idx] = self_int
+    f = 2 * d - 1  # F_j sits at index f + j, E_i at index i
+    diag = [-3] + ([-d] + [-2] * (2 * d - 3) + [-1]) * 2
+    edges = [(0, 2), (0, f + 2), (1, d), (f + 1, f + d)]
     for i in range(2, 2 * d - 1):
-        m[e(i)][e(i)] = -2
-        m[f(i)][f(i)] = -2
-    m[e(2 * d - 1)][e(2 * d - 1)] = -1
-    m[f(2 * d - 1)][f(2 * d - 1)] = -1
-
-    def meet(i, j):
-        m[i][j] = 1
-        m[j][i] = 1
-
-    meet(h, e(2))
-    meet(h, f(2))
-    meet(e(1), e(d))
-    meet(f(1), f(d))
-    for i in range(2, 2 * d - 1):
-        meet(e(i), e(i + 1))
-        meet(f(i), f(i + 1))
-    return tuple(tuple(row) for row in m)
+        edges += [(i, i + 1), (f + i, f + i + 1)]
+    return diag, edges
 
 
-def _solve_exact(matrix, rhs_columns: List[List[Fraction]]) -> List[List[Fraction]]:
-    """Exact Gauss-Jordan elimination with partial pivoting on numerator
-    magnitude, solving all right-hand sides in one sweep."""
-    n = len(matrix)
-    k = len(rhs_columns)
-    a = [[Fraction(v) for v in row] + [col[i] for col in rhs_columns]
-         for i, row in enumerate(matrix)]
-    width = n + k
-    for col in range(n):
-        pivot = max(range(col, n), key=lambda r: abs(a[r][col].numerator))
-        if a[pivot][col] == 0:
-            raise ValueError("singular intersection system (configuration bug)")
-        a[col], a[pivot] = a[pivot], a[col]
-        inv = 1 / a[col][col]
-        a[col] = [v * inv for v in a[col]]
-        prow = a[col]
-        for r in range(n):
-            if r != col and a[r][col] != 0:
-                factor = a[r][col]
-                row = a[r]
-                for j in range(col, width):
-                    if prow[j]:
-                        row[j] -= factor * prow[j]
-    return [[a[i][n + j] for i in range(n)] for j in range(k)]
+def intersection_matrix(d: int) -> List[List[int]]:
+    """Symmetric (4d-1) x (4d-1) integer intersection matrix of the basis."""
+    diag, edges = _configuration(d)
+    m = [[0] * len(diag) for _ in diag]
+    for i, self_int in enumerate(diag):
+        m[i][i] = self_int
+    for i, j in edges:
+        m[i][j] = m[j][i] = 1
+    return m
+
+
+def _solve_on_tree(labels, diag, edges, columns) -> List[List[Fraction]]:
+    """Solve G x = b exactly for each column b, where G has diagonal `diag` and
+    a 1 at each pair of `edges`, a tree on the vertices rooted at index 0.
+
+    Each vertex folds into its parent, leaves first, so there is no fill-in;
+    the root is solved, then the solution is substituted back down the tree.
+    A zero pivot is refused, naming its curve in `labels`.
+    """
+    n = len(diag)
+    neighbours = [[] for _ in range(n)]
+    for i, j in edges:
+        neighbours[i].append(j)
+        neighbours[j].append(i)
+    parent = [0] + [None] * (n - 1)
+    order = [0]  # every vertex after its parent
+    for v in order:
+        for w in neighbours[v]:
+            if parent[w] is None:
+                parent[w] = v
+                order.append(w)
+    piv = [Fraction(a) for a in diag]
+    rhs = [[Fraction(col[v]) for col in columns] for v in range(n)]
+    for v in reversed(order):
+        if piv[v] == 0:
+            raise ValueError(f"zero pivot at {labels[v]}: singular intersection system")
+        if v:
+            p = parent[v]
+            piv[p] -= 1 / piv[v]
+            rhs[p] = [bp - bv / piv[v] for bp, bv in zip(rhs[p], rhs[v])]
+    x = [None] * n
+    x[0] = [b / piv[0] for b in rhs[0]]
+    for v in order[1:]:
+        x[v] = [(b - xp) / piv[v] for b, xp in zip(rhs[v], x[parent[v]])]
+    return [[x[v][k] for v in range(n)] for k in range(len(columns))]
 
 
 @lru_cache(maxsize=None)
@@ -153,17 +148,12 @@ def solve_pullbacks(d: int):
 
     phi*H meets nothing in the configuration except E_{2d-1}, which it meets
     once; psi*H is the E<->F mirror; pi*H meets only H#, once.  Each gives a
-    nonsingular linear system over the Gram matrix.
+    nonsingular linear system over the Gram matrix, solved on its tree.
     """
-    m = _intersection_matrix_cached(d)
+    diag, edges = _configuration(d)
     n = 4 * d - 1
-
-    def rhs_for(index: int) -> List[Fraction]:
-        rhs = [Fraction(0)] * n
-        rhs[index] = Fraction(1)
-        return rhs
-
-    solutions = _solve_exact(m, [rhs_for(0), rhs_for(2 * d - 1), rhs_for(4 * d - 2)])
+    columns = [[int(v == k) for v in range(n)] for k in (0, 2 * d - 1, n - 1)]
+    solutions = _solve_on_tree(basis_labels(d), diag, edges, columns)
     pi, phi, psi = (DivisorClass(d, tuple(sol)) for sol in solutions)
     return pi, phi, psi
 

@@ -217,6 +217,20 @@ def test_map_document_field_of_the_wrong_type_is_an_input_error(capsys, tmp_path
         assert f"map description of type '{kind}': field '{field}' must be a JSON" in err
 
 
+@pytest.mark.parametrize("maps, index", [
+    ([5, HENON2], 0),  # an element that is not an object
+    ([HENON2, {"a": "1", "p": "x^2"}], 1),  # an element with no type
+    ([HENON2, HENON2, []], 2),
+])
+def test_compose_element_that_is_not_a_map_is_refused_naming_its_index(capsys, tmp_path, maps, index):
+    path = tmp_path / "map.json"
+    path.write_text(json.dumps({"type": "compose", "maps": maps}))
+    for argv in (["dyndeg"], ["canheight", "--point", "1,1"]):
+        code, out, err = run_cli(capsys, argv + ["--map", str(path)])
+        assert code == 2 and out == ""
+        assert f"compose maps[{index}]: map description must be an object with a 'type' field" in err
+
+
 @pytest.mark.parametrize("flags, message", [
     (["--T", "nan"], "threshold must be a positive finite number"),
     (["--T", "inf"], "threshold must be a positive finite number"),

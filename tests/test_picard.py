@@ -3,9 +3,12 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from planeheights.picard import (
     DivisorClass,
+    _solve_on_tree,
     basis_labels,
     closed_form_excess,
     closed_form_pullbacks,
@@ -73,7 +76,7 @@ def test_closed_form_coefficient_spot_checks():
 
 
 def test_solver_matches_closed_forms():
-    for d in range(2, 13):
+    for d in range(2, 33):
         assert solve_pullbacks(d) == closed_form_pullbacks(d)
 
 
@@ -83,7 +86,7 @@ def test_excess_divisor_d2():
 
 
 def test_excess_divisor_closed_form_and_effectivity():
-    for d in range(2, 13):
+    for d in range(2, 33):
         excess = effective_excess(d)
         assert excess == closed_form_excess(d)
         assert excess.is_effective()
@@ -104,6 +107,42 @@ def test_intersection_products():
         assert psi.dot(psi) == 1
         assert pi.dot(phi) == d
         assert pi.dot(psi) == d
+
+
+def test_tree_solve_refuses_a_zero_pivot_naming_its_curve():
+    # root A (diagonal 1) with one leaf B of diagonal 0: B has no pivot
+    with pytest.raises(ValueError, match="zero pivot at B"):
+        _solve_on_tree(["A", "B"], [1, 0], [(0, 1)], [[1, 0]])
+    # the same two curves with a nonzero leaf solve exactly: [[1, 1], [1, 2]] x = (1, 0)
+    assert _solve_on_tree(["A", "B"], [1, 2], [(0, 1)], [[1, 0]]) == [[2, -1]]
+
+
+def _dense_dot(d, a, b):
+    return sum(a[i] * entry * b[j]
+               for i, row in enumerate(intersection_matrix(d))
+               for j, entry in enumerate(row) if entry)
+
+
+@st.composite
+def _class_pair(draw):
+    """(d, a, b): two integer classes or two rational ones on the degree-d surface."""
+    d = draw(st.integers(2, 12))
+    numerators = st.integers(-50, 50)
+    if draw(st.booleans()):
+        coefficient = st.builds(Fraction, numerators, st.integers(1, 40))
+    else:
+        coefficient = numerators.map(Fraction)
+    vectors = st.lists(coefficient, min_size=4 * d - 1, max_size=4 * d - 1)
+    return d, draw(vectors), draw(vectors)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_class_pair())
+def test_dot_on_the_edge_list_equals_the_dense_product(pair):
+    d, a, b = pair
+    got = DivisorClass(d, tuple(a)).dot(DivisorClass(d, tuple(b)))
+    assert isinstance(got, Fraction)
+    assert got == _dense_dot(d, a, b)
 
 
 def test_rejects_small_d():
