@@ -33,6 +33,16 @@ CASES = {
                            "--format", "json"], 0),
     "canheight_conj_h2_json": (["canheight", "--map", "conj_h2.json", "--points", "points.txt",
                                 "--format", "json"], 0),
+    # rational points where the exact walk meets common factors at the primes
+    # of the escape box's K: H4, whose inverse has denominator 2 (K = 4); C6
+    # at denominator 2 (K = 1); and H2 conjugated by (x + y, x - y), whose
+    # box basis has determinant -2
+    "canheight_h4_json": (["canheight", "--map", "h4.json", "--points", "points.txt",
+                           "--format", "json", "--depth", "6"], 0),
+    "canheight_c6_half_json": (["canheight", "--map", "c6.json", "--points", "c6_half_points.txt",
+                                "--format", "json", "--depth", "5"], 0),
+    "canheight_conj_det2_h2_json": (["canheight", "--map", "conj_det2_h2.json", "--points",
+                                     "points.txt", "--format", "json"], 0),
     # a fixed point of H2, and one of H3 seen through the nonlinear conjugator
     # of conj_tri_h3, whose own map is not regular
     "periodic_h2_json": (["periodic", "--map", "h2.json", "--point", "2,2", "--format", "json"], 0),
