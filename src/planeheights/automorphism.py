@@ -15,7 +15,9 @@ is compiled once, on first use, into integer homogeneous forms
 with denominators cleared by their lcm m.  A point travels as its primitive
 integer triple (X : Y : Z), Z > 0, and one step is the pure-integer
 evaluation of (F, G, m Z^d) followed by a single gcd (skipped when Z = m = 1,
-so integral maps iterate integral points with no gcd at all).  The naive
+so integral maps iterate integral points with no gcd at all); once a rational
+orbit has settled, by the escape box, the gcd is taken only against the small
+modulus K of the box, and not at all when K = 1.  The naive
 height is read straight off the triple, and `apply`/`apply_inverse` are the
 same step wrapped in a lift from and a return to `Fraction` coordinates.
 
@@ -98,10 +100,19 @@ class IntegerForms:
         self._max_i = max(i for i, _ in keys)
         self._max_j = max(j for _, j in keys)
 
-    def step(self, point: ProjPoint) -> ProjPoint:
+    def step(self, point: ProjPoint, bad: int | None = None) -> ProjPoint:
         """The primitive triple, Z > 0, of the image of a primitive triple
         with Z > 0.  With m = 1 and Z = 1 it is ring arithmetic alone, so it
-        also steps interval coordinates (X, Y, 1) (:mod:`planeheights.orbit`)."""
+        also steps interval coordinates (X, Y, 1) (:mod:`planeheights.orbit`).
+
+        `bad` is K of the map's `EscapeBox`, given by an `Orbit` once its
+        walk has settled in this direction (a triple with Z > 1).  The good-
+        prime rule: at a prime p not dividing K, a triple in V+ at p (V-
+        going backward) or with p not dividing Z maps to a triple that is
+        already primitive at p.  So every common factor of (F, G, m Z^d) is
+        on the primes of K, and it is removed by gcds against K, each linear
+        in the size of F, until one is 1; with K = 1 no gcd is taken.
+        Without `bad` the common factor is gcd(m Z^d, F, G) itself."""
         x, y, z = point
         xp = powers(x, self._max_i)
         yp = powers(y, self._max_j)
@@ -114,10 +125,13 @@ class IntegerForms:
             h = self.m * zp[-1]
         f = sum(c * mono[n] for n, c in self.f)
         g = sum(c * mono[n] for n, c in self.g)
+        if bad is not None:
+            while bad != 1 and (common := math.gcd(bad, f, g, h)) != 1:
+                f, g, h = f // common, g // common, h // common
         # A prime divides m Z^d exactly when it divides m Z, so the triple is
         # already primitive when gcd(m Z, F, G) = 1: a gcd against m Z, about
         # 1/d the size of m Z^d, settles the common case.
-        if h != 1 and math.gcd(self.m * z, f, g) != 1:
+        elif h != 1 and math.gcd(self.m * z, f, g) != 1:
             common = math.gcd(h, f, g)
             f, g, h = f // common, g // common, h // common
         return (f, g, h)
@@ -135,15 +149,28 @@ class Orbit:
     step is computed.  The bound is an upper bound, so it refuses an iterate
     one step earlier than a test of its real size only when the cap lies
     within c_bits bits of that size.
+
+    Each direction holds one flag: whether the walk has settled, so that its
+    steps reduce only at the primes of K (`IntegerForms.step`).  The first
+    time a direction steps a triple with Z > 1, the orbit reads the escape
+    box of its `owner` map (never a map without one, such as the interval
+    orbits of :mod:`planeheights.orbit`), and tests each such triple until
+    `EscapeBox.settled` holds.  Once settled, a direction stays settled: a
+    prime of the next Z divides m Z, so a prime of it outside K divides Z,
+    where the orbit lies in V+ (V-), which the step maps into itself.  Triples
+    with Z = 1, unsettled directions and maps with no box take the full gcd.
     """
 
-    __slots__ = ("start", "_forms", "_chains", "_bits")
+    __slots__ = ("start", "_forms", "_chains", "_bits", "_owner", "_settled")
 
-    def __init__(self, fwd: IntegerForms, inv: IntegerForms, start: ProjPoint):
+    def __init__(self, fwd: IntegerForms, inv: IntegerForms, start: ProjPoint,
+                 owner: PlaneAutomorphism | None = None):
         self.start = start
         self._forms = (inv, fwd)  # indexed by l >= 0
         self._chains = ([start], [start])
         self._bits = ([], [])  # bits(top) of the held iterates, filled by capped reads
+        self._owner = owner  # the map whose box decides settling; None once known to have none
+        self._settled = [None, None]  # K of a settled direction, indexed by l >= 0
 
     def __getitem__(self, l: int) -> ProjPoint:
         forward = l >= 0
@@ -152,8 +179,20 @@ class Orbit:
         if k >= len(chain):
             step = self._forms[forward].step
             while len(chain) <= k:
-                chain.append(step(chain[-1]))
+                pt = chain[-1]
+                chain.append(step(pt) if pt[2] == 1 else step(pt, self._bad(forward, pt)))
         return chain[k]
+
+    def _bad(self, forward: bool, point: ProjPoint) -> int | None:
+        """K once the direction has settled at or before `point`, else None."""
+        bad = self._settled[forward]
+        if bad is None and self._owner is not None:
+            box = self._owner.escape_box
+            if box is None:
+                self._owner = None
+            elif box.settled(point, forward):
+                bad = self._settled[forward] = box.bad
+        return bad
 
     def capped(self, l: int, limit: int, base: int = 0) -> ProjPoint:
         """orbit[l], l != base, read by a walk from g^base(x) that has read
@@ -224,7 +263,7 @@ class PlaneAutomorphism:
         """
         held = self.__dict__.get("_orbit")
         if held is None or held.start != start:
-            held = Orbit(self.forms(True), self.forms(False), start)
+            held = Orbit(self.forms(True), self.forms(False), start, self)
             object.__setattr__(self, "_orbit", held)  # a cache, not a field
         return held
 
@@ -463,11 +502,22 @@ class EscapeBox:
     and |u|_l >= |v|_l, alpha u^d is above every other term, so |u|_l grows
     strictly.  With N the lcm of both directions' |num alpha| m, the box at l
     is w | N.  An orbit unbounded at one place is infinite.
+
+    `bad` is K = N |det B| m_f m_f^-1, with m_f and m_f^-1 the denominators
+    of the integer forms of f and f^-1.  At a prime p not dividing K, B is
+    invertible over Z_p, every coefficient of f, f^-1 and of their normal
+    forms is p-integral, alpha and beta are units, and any p in w puts the
+    point outside the box.  So a triple (U : V : W) with p | W and p not
+    dividing U lies in V+ at p, where |u'|_p = |u|_p^d, and its image
+    (F : G : m W^d) has max(|F|_p, |G|_p) = |U|_p^d = 1: it is already
+    primitive at p.  At a prime of neither K nor W, m W^d is a unit.  This is
+    the good-prime rule of `IntegerForms.step`.
     """
 
     basis: Tuple[int, int, int, int]  # B = [[b0, b1], [b2, b3]]
     radius: Fraction
     modulus: int
+    bad: int  # K, whose primes carry every common factor of a settled step
 
     def coordinates(self, point: ProjPoint) -> ProjPoint:
         """The primitive triple (u : v : w), w > 0, of B (X, Y) over Z."""
@@ -476,6 +526,18 @@ class EscapeBox:
         u, v = b0 * x + b1 * y, b2 * x + b3 * y
         common = math.gcd(u, v, z)
         return (u // common, v // common, z // common)
+
+    def settled(self, point: ProjPoint, forward: bool = True) -> bool:
+        """True when no prime outside K divides both W and U (V going
+        backward) of the triple in B coordinates: every prime of its
+        denominator outside K sees it in V+ (V-), so no step from it or from
+        any later iterate makes a common factor outside K."""
+        x, y, z = point
+        b0, b1, b2, b3 = self.basis
+        common = math.gcd(z, b0 * x + b1 * y if forward else b2 * x + b3 * y)
+        while (part := math.gcd(common, self.bad)) != 1:
+            common //= part
+        return common == 1
 
     def exit_place(self, point: ProjPoint) -> str | None:
         """None for a triple in the box, else where it lies outside:
@@ -507,7 +569,8 @@ def _escape_box(f: PlaneAutomorphism) -> EscapeBox | None:
         coefficients = [*lead.terms.values(), *low.terms.values()]
         radius = max(radius, (sum(map(abs, coefficients)) - abs(alpha) + 2) / abs(alpha))
         modulus = math.lcm(modulus, abs(alpha.numerator) * math.lcm(*(c.denominator for c in coefficients)))
-    return EscapeBox((q, -p, -s, r), radius, modulus)
+    bad = modulus * abs(det) * f.forms(True).m * f.forms(False).m
+    return EscapeBox((q, -p, -s, r), radius, modulus, bad)
 
 
 # -- map-description documents ------------------------------------------------
@@ -519,16 +582,17 @@ def from_description(doc) -> PlaneAutomorphism:
     (by o inner o by^-1, the outer map of an engine with core inner and
     conjugator by), pair.  Rationals are JSON strings 'num/den' or 'int';
     polynomials use the text grammar of :mod:`planeheights.ratpoly`.  A field
-    of the wrong JSON type is refused, naming the map type and the field.
+    of the wrong JSON type, or whose text does not parse, is refused, naming
+    the map type and the field.
     """
     if not isinstance(doc, dict) or "type" not in doc:
         raise MapValidationError("map description must be an object with a 'type' field")
     kind = doc["type"]
     try:
         if kind == "henon":
-            return henon(parse_rat(_field(doc, "a")), BivarPoly.parse(_field(doc, "p")))
+            return henon(_parsed(doc, "a", parse_rat), _parsed(doc, "p", BivarPoly.parse))
         if kind == "triangular":
-            return triangular(*(parse_rat(_field(doc, name)) for name in "abc"), BivarPoly.parse(_field(doc, "P")))
+            return triangular(*(_parsed(doc, name, parse_rat) for name in "abc"), _parsed(doc, "P", BivarPoly.parse))
         if kind == "compose":
             maps = [_compose_element(index, node) for index, node in enumerate(_field(doc, "maps", list))]
             if not maps:
@@ -541,7 +605,7 @@ def from_description(doc) -> PlaneAutomorphism:
             inner, by = conjugate_parts(doc)
             return conjugate(inner, inverse(by))
         if kind == "pair":
-            return pair(*(BivarPoly.parse(_field(doc, name)) for name in ("p", "q", "pinv", "qinv")))
+            return pair(*(_parsed(doc, name, BivarPoly.parse) for name in ("p", "q", "pinv", "qinv")))
     except KeyError as exc:
         raise MapValidationError(f"map description of type {kind!r} is missing field {exc}") from None
     raise MapValidationError(f"unknown map type {kind!r}")
@@ -551,8 +615,16 @@ def _compose_element(index, node):
     """The map of compose maps[index]; a refusal names the field and index."""
     try:
         return from_description(node)
-    except MapValidationError as exc:
-        raise MapValidationError(f"compose maps[{index}]: {exc}") from None
+    except (MapValidationError, PolyParseError) as exc:
+        raise type(exc)(f"compose maps[{index}]: {exc}") from None
+
+
+def _parsed(doc, name, parse):
+    """parse(doc[name]) of a string field; a parse error names the map type and the field."""
+    try:
+        return parse(_field(doc, name))
+    except PolyParseError as exc:
+        raise PolyParseError(f"map description of type {doc['type']!r}: field {name!r}: {exc}") from None
 
 
 def _field(doc, name, kind=str):

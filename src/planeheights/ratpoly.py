@@ -45,8 +45,10 @@ def parse_rat(text: str) -> Fraction:
     """Parse 'num/den' or 'int' into a Fraction."""
     try:
         value = Fraction(text.strip())
-    except (ValueError, ZeroDivisionError) as exc:
+    except ValueError as exc:
         raise PolyParseError(f"malformed rational {text!r}: {exc}") from None
+    except ZeroDivisionError:
+        raise PolyParseError(f"malformed rational {text!r}: zero denominator") from None
     return value
 
 

@@ -266,8 +266,8 @@ def test_is_periodic_does_not_grow_a_finished_direction(monkeypatch):
     largest = []
     step = IntegerForms.step
 
-    def recording_step(self, pt):
-        out = step(self, pt)
+    def recording_step(self, pt, *rest):
+        out = step(self, pt, *rest)
         largest.append(max(map(abs, out)))
         return out
 

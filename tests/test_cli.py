@@ -231,6 +231,25 @@ def test_compose_element_that_is_not_a_map_is_refused_naming_its_index(capsys, t
         assert f"compose maps[{index}]: map description must be an object with a 'type' field" in err
 
 
+@pytest.mark.parametrize("doc, message", [
+    ({"type": "compose", "maps": [{**HENON2, "p": "x^^2"}]},
+     "compose maps[0]: map description of type 'henon': field 'p': expected a number (at position 2)"),
+    ({**HENON2, "a": "1/0"},
+     "map description of type 'henon': field 'a': malformed rational '1/0': zero denominator"),
+    ({"type": "compose", "maps": [HENON2, {**TRI, "b": "x"}]},
+     "compose maps[1]: map description of type 'triangular': field 'b': malformed rational 'x'"),
+    ({"type": "pair", "p": "y", "q": "x +", "pinv": "y", "qinv": "x"},
+     "map description of type 'pair': field 'q': "),
+], ids=["compose-poly", "zero-denominator", "compose-rational", "pair-poly"])
+def test_map_text_that_does_not_parse_is_refused_naming_its_field(capsys, tmp_path, doc, message):
+    path = tmp_path / "map.json"
+    path.write_text(json.dumps(doc))
+    for argv in (["dyndeg"], ["canheight", "--point", "1,1"]):
+        code, out, err = run_cli(capsys, argv + ["--map", str(path)])
+        assert code == 2 and out == ""
+        assert message in err
+
+
 @pytest.mark.parametrize("flags, message", [
     (["--T", "nan"], "threshold must be a positive finite number"),
     (["--T", "inf"], "threshold must be a positive finite number"),

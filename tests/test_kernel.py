@@ -5,7 +5,10 @@ steps, naive heights on triples with `normalize`-based heights, and the
 digit-cap iterate with the coordinate-wise rule of a Fraction walk, also when
 the map already holds an orbit from earlier queries.  The cap refuses a step
 on its size bound, so the bound is checked on random Henon words, and a
-refusal is checked to build no triple over the cap.
+refusal is checked to build no triple over the cap.  Orbit triples, whose
+settled steps reduce only at the primes of the escape box's K, are compared
+with a walk that takes the full gcd at every step, on random Henon words and
+their linear conjugates.
 """
 
 import dataclasses
@@ -17,7 +20,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from planeheights.automorphism import IntegerForms, cap_bits, compose_maps, conjugate, henon, triangular
+from planeheights.automorphism import (IntegerForms, cap_bits, compose_maps, conjugate, henon, inverse,
+                                       pair, triangular)
 from planeheights.canonical import hcanonical, hminus, hplus, is_periodic, make_engine
 from planeheights.errors import ResourceCapError
 from planeheights.heights import affine, lift, naive_height, naive_height_affine, normalize, top
@@ -251,6 +255,77 @@ def test_step_bits_stay_under_the_step_bound(f, pt):
             triple = image
 
 
+# -- settled steps reduce only at the primes of K -------------------------------
+
+def linear(a, b, c, e):
+    """The automorphism (a x + b y, c x + e y), ae - bc != 0."""
+    det = Fraction(a * e - b * c)
+    x, y, k = BivarPoly.var("x"), BivarPoly.var("y"), BivarPoly.const
+    return pair(k(a) * x + k(b) * y, k(c) * x + k(e) * y,
+                k(e / det) * x - k(b / det) * y, k(a / det) * y - k(c / det) * x)
+
+
+def full_gcd_walk(forms, triple, steps):
+    """The iterates of a walk that takes gcd(m Z^d, F, G) out at every step."""
+    out = []
+    for _ in range(steps):
+        triple = forms.step(triple)
+        out.append(triple)
+    return out
+
+
+@settings(max_examples=40, deadline=None)
+@given(word=henon_words(), det=st.sampled_from([None, 2, 3, 5]), k=st.integers(-3, 3), j=st.integers(-2, 2),
+       pt=points, forward=st.booleans())
+# (5 : 1 : 5): 5 divides W and U, so the walk is unsettled at iterate 0 and settles after it
+@example(word=H2, det=None, k=0, j=0, pt=(Fraction(1), Fraction(1, 5)), forward=True)
+def test_orbit_triples_match_the_full_gcd_walk(word, det, k, j, pt, forward):
+    f = dataclasses.replace(word)  # a copy that holds no orbit
+    if det is not None:
+        # L sends the word's points at infinity (0:1) and (1:0) to the
+        # primitive columns (b, jb + det) and (1, j), b = k det + 1, so |det B| = det
+        b = k * det + 1
+        lin = linear(1, b, j, j * b + det)
+        f = compose_maps(compose_maps(lin, f), inverse(lin))
+        b0, b1, b2, b3 = f.escape_box.basis
+        assert abs(b0 * b3 - b1 * b2) == det
+    sign = 1 if forward else -1
+    orbit = f.orbit(lift(pt))
+    expected = full_gcd_walk(f.forms(forward), lift(pt), 3)
+    assert [orbit[sign * l] for l in range(1, 4)] == expected
+
+
+def test_a_walk_settles_once_no_prime_outside_k_divides_w_and_u():
+    f = dataclasses.replace(H2)  # K = 1
+    orbit = f.orbit(lift((Fraction(1), Fraction(1, 5))))
+    assert orbit[0] == (5, 1, 5) and not f.escape_box.settled(orbit[0])
+    orbit[1]
+    assert orbit._settled == [None, None]
+    orbit[2]  # (4 : 5 : 5) is settled
+    assert orbit._settled == [None, 1]
+    assert f.escape_box.settled(orbit[-1], forward=False)  # (5 : 5 : 1): w = 1
+
+
+def test_only_a_walk_with_z_above_one_reads_the_box():
+    f = dataclasses.replace(H2)
+    make_engine(f)
+    orbit = f.orbit(lift(X3))
+    orbit[6], orbit[-6]
+    tracker = OrbitHeightTracker(f, X3, exact_digits=50)
+    tracker.h_bounds(20), tracker.h_bounds(-20)  # past the switch to intervals
+    assert "escape_box" not in f.__dict__
+    f.orbit(lift((Fraction(1, 2), Fraction(3))))[1]
+    assert f.escape_box.bad == 1
+
+
+def test_k_is_read_off_the_box():
+    # K = N |det B| m_f m_f^-1: H4's inverse has denominator 2 and alpha = 1/2
+    assert H4.escape_box.bad == 4 and H2.escape_box.bad == C6.escape_box.bad == 1
+    # H2 conjugated by (x + y, x - y): N = 2, |det B| = 2 and both directions have denominator 4
+    lin = linear(1, 1, 1, -1)
+    assert compose_maps(compose_maps(lin, H2), inverse(lin)).escape_box.bad == 64
+
+
 def walk_tracker(f, sign):
     tracker = OrbitHeightTracker(f, X3, exact_digits=100, digit_cap=10_000)
     for l in range(1, 41):
@@ -269,8 +344,8 @@ def test_a_refusal_builds_no_triple_over_the_cap(monkeypatch, f, read):
     bits = []
     step = IntegerForms.step
 
-    def recording_step(self, pt):
-        out = step(self, pt)
+    def recording_step(self, pt, *rest):
+        out = step(self, pt, *rest)
         bits.append(top(out).bit_length())
         return out
 
