@@ -17,20 +17,20 @@ integer triple (X : Y : Z), Z > 0, and one step is the pure-integer
 evaluation of (F, G, m Z^d) followed by a single gcd (skipped when Z = m = 1,
 so integral maps iterate integral points with no gcd at all); once a rational
 orbit has settled, by the escape box, the gcd is taken only against the small
-modulus K of the box, and not at all when K = 1.  The naive
-height is read straight off the triple, and `apply`/`apply_inverse` are the
-same step wrapped in a lift from and a return to `Fraction` coordinates.
+modulus K of the box, and not at all when K = 1.  `apply`/`apply_inverse`
+are the same step wrapped in a lift from and a return to `Fraction` coordinates.
 
 Every walk reads one `Orbit`: the exact two-sided orbit of a start, as a list
 of primitive triples per time direction, extended lazily.  It holds the only
-iteration loop of the package, and the digit cap of every walk
-(`Orbit.capped`, which refuses a step on its size bound before computing
-it).  A map keeps one orbit, the one of the start it was last queried at
-(`PlaneAutomorphism.orbit`); a query from another start replaces it.
-Heights, the functional equation, periodicity, point counts and the
-orbit record all read the same orbit at shifted indices, so one slot serves
-every query about one point.  The slot is deliberately one:
-a larger cache would mostly keep orbits that nothing reads again (at up to
+iteration loop of the package, measures each iterate once (`Orbit.size`: its
+bit length and naive height, read off the triple), and holds the digit cap
+of every walk (`Orbit.capped`, which refuses a step on that size before
+computing the next).  A map keeps one orbit, the one of the start it was
+last queried at (`PlaneAutomorphism.orbit`); a query from another start
+replaces it.  Heights, the functional equation, periodicity, point counts
+and the orbit record all read the same orbit at shifted indices, so one
+slot serves every query about one point.  The slot is deliberately one: a
+larger cache would mostly keep orbits that nothing reads again (at up to
 the digit cap per iterate), and a caller that repeats a whole batch of
 queries would be served from it and measure lookups rather than work.
 
@@ -144,11 +144,14 @@ class Orbit:
     iterate between the furthest one held and l.  Reads are not locked:
     threads that share a map need the caller's lock.
 
-    `capped` is the one digit-cap rule: a walk reads its iterates in order
-    and is refused at the first whose step bound passes the cap, before that
-    step is computed.  The bound is an upper bound, so it refuses an iterate
-    one step earlier than a test of its real size only when the cap lies
-    within c_bits bits of that size.
+    `size(l)` is (bits(top), h_nv = log top) of orbit[l], top = max(|X|, |Y|,
+    Z), measured the first time it is read: the one place a triple becomes a
+    size, which every bit length and naive height of a walk reads.  `capped`
+    is the one digit-cap rule: a walk reads its iterates in order and is
+    refused at the first whose step bound passes the cap, before that step is
+    computed.  The bound is an upper bound, so it refuses an iterate one step
+    earlier than a test of its real size only when the cap lies within c_bits
+    bits of that size.
 
     Each direction holds one flag: whether the walk has settled, so that its
     steps reduce only at the primes of K (`IntegerForms.step`).  The first
@@ -161,14 +164,14 @@ class Orbit:
     with Z = 1, unsettled directions and maps with no box take the full gcd.
     """
 
-    __slots__ = ("start", "_forms", "_chains", "_bits", "_owner", "_settled")
+    __slots__ = ("start", "_forms", "_chains", "_sizes", "_owner", "_settled")
 
     def __init__(self, fwd: IntegerForms, inv: IntegerForms, start: ProjPoint,
                  owner: PlaneAutomorphism | None = None):
         self.start = start
         self._forms = (inv, fwd)  # indexed by l >= 0
         self._chains = ([start], [start])
-        self._bits = ([], [])  # bits(top) of the held iterates, filled by capped reads
+        self._sizes = ([], [])  # (bits(top), h_nv) of each measured iterate, by l >= 0
         self._owner = owner  # the map whose box decides settling; None once known to have none
         self._settled = [None, None]  # K of a settled direction, indexed by l >= 0
 
@@ -200,14 +203,19 @@ class Orbit:
         without computing it when d bits(top) + c_bits of the step into it,
         from its neighbour on the side of base, is above `limit` bits."""
         forward = l > base
-        prev = l - 1 if forward else l + 1
-        bits = self._bits[prev >= 0]
-        while len(bits) <= abs(prev):
-            bits.append(top(self[len(bits) if prev >= 0 else -len(bits)]).bit_length())
         forms = self._forms[forward]
-        if forms.degree * bits[abs(prev)] + forms.c_bits > limit:
+        if forms.degree * self.size(l - 1 if forward else l + 1)[0] + forms.c_bits > limit:
             raise ResourceCapError(f"coordinate exceeded the digit cap at iterate {l - base:+d}")
         return self[l]
+
+    def size(self, l: int) -> Tuple[int, float]:
+        """(bits(top), h_nv) of orbit[l], measuring each iterate from 0 to l
+        once; a walk reads l through `capped` first, so nothing over the cap is built."""
+        sizes = self._sizes[l >= 0]
+        while len(sizes) <= abs(l):
+            t = top(self[len(sizes) if l >= 0 else -len(sizes)])
+            sizes.append((t.bit_length(), log_int(t)))
+        return sizes[abs(l)]
 
 
 @dataclass(frozen=True)
@@ -594,7 +602,7 @@ def from_description(doc) -> PlaneAutomorphism:
         if kind == "triangular":
             return triangular(*(_parsed(doc, name, parse_rat) for name in "abc"), _parsed(doc, "P", BivarPoly.parse))
         if kind == "compose":
-            maps = [_compose_element(index, node) for index, node in enumerate(_field(doc, "maps", list))]
+            maps = [_part(f"compose maps[{index}]", node) for index, node in enumerate(_field(doc, "maps", list))]
             if not maps:
                 raise MapValidationError("compose needs at least one map")
             result = maps[-1]
@@ -611,12 +619,12 @@ def from_description(doc) -> PlaneAutomorphism:
     raise MapValidationError(f"unknown map type {kind!r}")
 
 
-def _compose_element(index, node):
-    """The map of compose maps[index]; a refusal names the field and index."""
+def _part(where, node):
+    """The map of a nested description; a refusal names where it sits (`where`)."""
     try:
         return from_description(node)
     except (MapValidationError, PolyParseError) as exc:
-        raise type(exc)(f"compose maps[{index}]: {exc}") from None
+        raise type(exc)(f"{where}: {exc}") from None
 
 
 def _parsed(doc, name, parse):
@@ -643,7 +651,7 @@ def conjugate_parts(doc):
     if not (isinstance(doc, dict) and doc.get("type") == "conjugate"):
         return from_description(doc), None
     try:
-        return from_description(_field(doc, "inner", dict)), from_description(_field(doc, "by", dict))
+        return _part("conjugate inner", _field(doc, "inner", dict)), _part("conjugate by", _field(doc, "by", dict))
     except KeyError as exc:
         raise MapValidationError(f"map description of type 'conjugate' is missing field {exc}") from None
 

@@ -20,16 +20,17 @@ map f = gamma o g o gamma^-1 via evaluation at gamma^-1(x).
 
 Every quantity here is a reading along the one exact orbit of
 z = gamma^-1(x) under g, which the core map holds (`PlaneAutomorphism.orbit`,
-on the integer projective kernel of :mod:`planeheights.automorphism`):
-h_nv = log max(|X|, |Y|, Z) is read off the primitive triples, so no
-`Fraction` is built inside a walk.  Values at f^s(x) are the same orbit read
-from index s, which is exact because gamma^-1(f^s x) = g^s(z) and primitive
-triples with Z > 0 are unique; so hplus, hminus, hcanonical, the functional
-equation and the periodicity test at one point share one orbit, the one the
-core map keeps (see :mod:`planeheights.automorphism` for why only one).
-Each walk reads through `Orbit.capped`, which names a refused iterate
-relative to the walk's own base point.  The dynamical degree, the growth
-constants and the escape box are cached on the map.
+on the integer projective kernel of :mod:`planeheights.automorphism`), and
+no `Fraction` is built inside a walk.  Values at f^s(x) are the same orbit
+read from index s, which is exact because gamma^-1(f^s x) = g^s(z) and
+primitive triples with Z > 0 are unique; so hplus, hminus, hcanonical, the
+functional equation and the periodicity test at one point share one orbit,
+the one the core map keeps (see :mod:`planeheights.automorphism` for why
+only one).  Each walk steps through `Orbit.capped`, which names a refused
+iterate relative to the walk's own base point, and reads h_nv =
+log max(|X|, |Y|, Z) off `Orbit.size`, which measures each iterate once for
+all of them.  The dynamical degree, the growth constants and the escape box
+are cached on the map.
 """
 
 from __future__ import annotations
@@ -50,7 +51,7 @@ from .automorphism import (
     is_regular,
 )
 from .errors import MapValidationError, ResourceCapError
-from .heights import AffinePoint, lift, log_int, naive_height, top
+from .heights import AffinePoint, lift
 from .heights import growth_constant as _growth_constant
 
 DEFAULT_DEPTH = 12
@@ -161,15 +162,6 @@ def _core_orbit(engine: HeightEngine, x: AffinePoint) -> Orbit:
     return engine.g.orbit(lift(engine.to_conjugated_frame(x)))
 
 
-def _orbit_heights(engine: HeightEngine, orbit: Orbit, base: int, forward: bool) -> List[float]:
-    """[h_nv(g^base z), ..., h_nv(g^(base +/- N) z)] read off the orbit, with
-    the digit cap on each step after the first iterate, named relative to base."""
-    limit = cap_bits(engine.digit_cap)
-    sign = 1 if forward else -1
-    return [naive_height(orbit[base])] + [log_int(top(orbit.capped(base + sign * step, limit, base)))
-                                          for step in range(1, engine.depth + 1)]
-
-
 def hplus(engine: HeightEngine, x: AffinePoint) -> HeightEstimate:
     """Forward component: v_N = h_nv(g^N x)/delta^N with its tail bound."""
     return _half_estimate(engine, engine.g.orbit(lift(x)), 0, forward=True)
@@ -181,20 +173,20 @@ def hminus(engine: HeightEngine, x: AffinePoint) -> HeightEstimate:
 
 
 def _half_estimate(engine: HeightEngine, orbit: Orbit, base: int, forward: bool) -> HeightEstimate:
+    """v_N from g^base z: N steps through `Orbit.capped`, then three sizes read."""
     n = engine.depth
-    base_degree = engine.delta if forward else engine.delta_minus
+    sign, base_degree = (1, engine.delta) if forward else (-1, engine.delta_minus)
     tail = engine.tail_fwd() if forward else engine.tail_inv()
-    hs = _orbit_heights(engine, orbit, base, forward)
-    v_n = hs[n] / base_degree**n
-    v_prev = hs[n - 1] / base_degree ** (n - 1)
+    limit = cap_bits(engine.digit_cap)
+    for step in range(1, n + 1):
+        orbit.capped(base + sign * step, limit, base)
+    h_0, h_prev, h_n = (orbit.size(base + sign * step)[1] for step in (0, n - 1, n))
+    v_n = h_n / base_degree**n
+    v_prev = h_prev / base_degree ** (n - 1)
     rigorous = None
     if engine.c_lower is not None:
-        floor_shift = engine.lower_bound_constant()
-        if forward:
-            ceiling_other = hs[0] + engine.c2_inv / (engine.delta_minus - 1)
-        else:
-            ceiling_other = hs[0] + engine.c2_fwd / (engine.delta - 1)
-        rigorous = v_n - (floor_shift + ceiling_other) / base_degree**n
+        c2_other = engine.c2_inv / (engine.delta_minus - 1) if forward else engine.c2_fwd / (engine.delta - 1)
+        rigorous = v_n - (engine.lower_bound_constant() + (h_0 + c2_other)) / base_degree**n
     return HeightEstimate(
         value=v_n,
         tail=tail,
@@ -209,7 +201,7 @@ def _hcanonical_at(engine: HeightEngine, orbit: Orbit, base: int) -> HeightEstim
     hm = _half_estimate(engine, orbit, base, forward=False)
     rigorous = None
     if engine.c_lower is not None:
-        floor = naive_height(orbit[base]) - engine.lower_bound_constant()
+        floor = orbit.size(base)[1] - engine.lower_bound_constant()
         rigorous = max(hp.rigorous_lower + hm.rigorous_lower, floor)
     return HeightEstimate(
         value=hp.value + hm.value,

@@ -5,19 +5,20 @@ Counting runs need naive heights of iterates far past the point where exact
 coordinates stop being storable (a threshold T = e^21 pulls in iterates whose
 coordinates would have ~10^8 digits).  The orbit tracker therefore works in
 two phases: exact triples (X : Y : Z) read off the orbit the map holds
-through `Orbit.capped`, then outward-rounded interval arithmetic on the
-coordinates themselves (an `Interval` is a pair of integer mantissas of at
-most 192 bits under a Python-int binary exponent, so e^(10^9)-sized values
-cost no more than small ones).  The switch is only taken when the map
-provably preserves integer points in both directions (all coefficients
-integral, integral start): there m = 1 and Z = 1, so h = log max(|X|, |Y|, 1)
-is the exact naive height, and the `IntegerForms` step is ring arithmetic
-alone, which steps the interval triple (X, Y, 1) of the last exact iterate
-as it is.  On any other map the digit cap's refusal stands.  Interval widths
-stay certified, so a count is exact unless an enclosure straddles the
-threshold, which the scan reports instead of hiding.  A tracker keeps its
-own interval orbits and height enclosures, so it steps each interval iterate
-once.
+through `Orbit.capped`, with the sizes the orbit measured once (the switch
+test reads their bit lengths, the exact heights their logs), then
+outward-rounded interval arithmetic on the coordinates themselves (an
+`Interval` is a pair of integer mantissas of at most 192 bits under a
+Python-int binary exponent, so e^(10^9)-sized values cost no more than
+small ones).  The switch is only taken when the map provably preserves
+integer points in both directions (all coefficients integral, integral
+start): there m = 1 and Z = 1, so h = log max(|X|, |Y|, 1) is the exact
+naive height, and the `IntegerForms` step is ring arithmetic alone, which
+steps the interval triple (X, Y, 1) of the last exact iterate as it is.  On
+any other map the digit cap's refusal stands.  Interval widths stay
+certified, so a count is exact unless an enclosure straddles the threshold,
+which the scan reports instead of hiding.  A tracker keeps its own interval
+orbits and height enclosures, so it steps each interval iterate once.
 
 A counting scan walks downhill to the orbit's lowest sample and counts
 outward from it, so every point of one orbit gives the same count.  Canonical
@@ -51,7 +52,7 @@ from .errors import (
     ResourceCapError,
     UndecidedPeriodicityError,
 )
-from .heights import _LN2, AffinePoint, affine, lift, log_int, naive_height, top
+from .heights import _LN2, AffinePoint, affine, lift, log_int
 
 NEG_INFINITY = float("-inf")  # distinguished 'finite orbit' value, never used in arithmetic
 
@@ -179,7 +180,8 @@ class OrbitHeightTracker:
         n = self._exact[forward]
         while self._intervals[forward] is None and n <= k:
             try:
-                exact = top(self._orbit.capped(sign * n, self._cap)).bit_length() <= self._limit
+                self._orbit.capped(sign * n, self._cap)
+                exact = self._orbit.size(sign * n)[0] <= self._limit
             except ResourceCapError as exc:
                 if not self._certified:
                     raise ResourceCapError(
@@ -225,7 +227,7 @@ class OrbitHeightTracker:
             return cached
         kind, pt = self._state(l)
         if kind == "exact":
-            h = naive_height(pt)
+            h = self._orbit.size(l)[1]
             pad = 2.0**-40 * max(1.0, abs(h))
             found = (h - pad, h + pad)
         else:
@@ -577,13 +579,11 @@ def build_orbit_record(engine: HeightEngine, x: AffinePoint, window: int) -> Orb
     h_plus, h_minus = _hpm(engine, x)
     orbit = engine.outer.orbit(lift(x))
     limit = cap_bits(engine.digit_cap)
-    h_nv = {0: naive_height(orbit[0])}
     for l in range(1, window + 1):
-        h_nv[l] = log_int(top(orbit.capped(l, limit)))
-        h_nv[-l] = log_int(top(orbit.capped(-l, limit)))
-    samples = []
-    for l in range(-window, window + 1):
-        h_hat = engine.delta**l * h_plus + float(engine.delta_minus) ** (-l) * h_minus
-        samples.append(OrbitSample(l, affine(orbit[l]), h_nv[l], h_hat))
+        orbit.capped(l, limit)
+        orbit.capped(-l, limit)
+    samples = [OrbitSample(l, affine(orbit[l]), orbit.size(l)[1],
+                           engine.delta**l * h_plus + float(engine.delta_minus) ** (-l) * h_minus)
+               for l in range(-window, window + 1)]
     return OrbitRecord(base=samples[window].point, samples=tuple(samples), hplus0=h_plus,
                        hminus0=h_minus, orbit_height=oh)

@@ -2,6 +2,7 @@
 quadratic-recursion classifier."""
 
 import math
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -29,7 +30,7 @@ from planeheights.canonical import (
     make_engine,
 )
 from planeheights.errors import MapValidationError, ResourceCapError
-from planeheights.heights import naive_height_affine
+from planeheights.heights import log_int, naive_height_affine
 from planeheights.ratpoly import BivarPoly, parse_poly
 
 PAD = 2.0**-40
@@ -154,6 +155,21 @@ def test_functional_equation_residual(engine):
     res = functional_equation_residual(engine, X3)
     assert res <= 3 * engine.c2_fwd / ((engine.delta - 1) * engine.delta**12)
     assert res <= 1e-3
+
+
+def test_each_iterate_is_measured_once(monkeypatch):
+    # hplus, hminus, hcanonical and the residual at depth 12 read iterates
+    # -13..13 of one orbit: 27 logs of a size, plus the start measured once
+    # more, since each direction keeps its own record
+    engine = make_engine(henon(1, parse_poly("x^2")), depth=12)  # a fresh map holds no orbit
+    logs = []
+    for module in [m for name, m in sys.modules.items() if name.startswith("planeheights") and m]:
+        if getattr(module, "log_int", None) is log_int:
+            monkeypatch.setattr(module, "log_int", lambda n: logs.append(n) or log_int(n))
+    pt = (Fraction(1, 2), Fraction(1, 3))
+    for read in (hplus, hminus, hcanonical, functional_equation_residual):
+        read(engine, pt)
+    assert len(logs) <= 28
 
 
 def test_residual_decreases_with_depth():

@@ -250,6 +250,23 @@ def test_map_text_that_does_not_parse_is_refused_naming_its_field(capsys, tmp_pa
         assert message in err
 
 
+@pytest.mark.parametrize("doc, message", [
+    ({**CONJ, "by": {"type": "pair", "p": "x +", "q": "y", "pinv": "x", "qinv": "y"}},
+     "conjugate by: map description of type 'pair': field 'p': expected a term (at position 3)"),
+    ({**CONJ, "inner": {"type": "henon", "a": "1"}},
+     "conjugate inner: map description of type 'henon' is missing field 'p'"),
+    ({"type": "compose", "maps": [HENON2, {**CONJ, "inner": {"type": "henon", "a": "1"}}]},
+     "compose maps[1]: conjugate inner: map description of type 'henon' is missing field 'p'"),
+], ids=["by-parse", "inner-missing-field", "compose-conjugate"])
+def test_a_refusal_inside_a_conjugate_names_inner_or_by(capsys, tmp_path, doc, message):
+    path = tmp_path / "map.json"
+    path.write_text(json.dumps(doc))
+    for argv in (["dyndeg"], ["canheight", "--point", "1,1"], ["periodic", "--point", "1,1"]):
+        code, out, err = run_cli(capsys, argv + ["--map", str(path)])
+        assert code == 2 and out == ""
+        assert message in err
+
+
 @pytest.mark.parametrize("flags, message", [
     (["--T", "nan"], "threshold must be a positive finite number"),
     (["--T", "inf"], "threshold must be a positive finite number"),

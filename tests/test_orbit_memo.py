@@ -31,8 +31,8 @@ from planeheights import (
     orbit_height,
 )
 from planeheights import orbit as orbit_mod
-from planeheights.automorphism import Orbit
-from planeheights.heights import lift
+from planeheights.automorphism import Orbit, cap_bits
+from planeheights.heights import lift, naive_height, top
 
 H2 = {"type": "henon", "a": "1", "p": "x^2"}
 H3 = {"type": "henon", "a": "-1", "p": "x^3 - 2*x + 1"}
@@ -135,6 +135,11 @@ def test_orbit_reads_match_steps(name):
         for k in range(1, 4):
             pt = auto.forms(forward).step(pt)
             assert orbit[sign * k] == pt
+            if k % 2:  # every other read through the cap, which measures the iterate before it
+                assert orbit.capped(sign * k, cap_bits(CAP)) == pt
+    for l in range(-3, 4):
+        t = orbit[l]
+        assert orbit.size(l) == (top(t).bit_length(), naive_height(t))
 
 
 def test_invariants_are_computed_once_per_map():
