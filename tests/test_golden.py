@@ -1,7 +1,8 @@
-"""Golden CLI outputs: the stdout bytes and exit code of fixed `orbit`,
-`canheight`, `dyndeg`, `periodic` and `picard` commands must not change.  The files under tests/data/golden/
-hold the expected stdout of each case (`<name>.out`) and the map and point
-inputs; regenerate a file only for an intended change of output."""
+"""Golden CLI outputs: the stdout bytes and exit code of fixed `height`,
+`orbit`, `canheight`, `dyndeg`, `periodic` and `picard` commands must not
+change.  The files under tests/data/golden/ hold the expected stdout of each
+case (`<name>.out`) and the map and point inputs; regenerate a file only for
+an intended change of output."""
 
 import hashlib
 import os
@@ -47,7 +48,23 @@ CASES = {
     # of conj_tri_h3, whose own map is not regular
     "periodic_h2_json": (["periodic", "--map", "h2.json", "--point", "2,2", "--format", "json"], 0),
     "periodic_conj_tri_h3_text": (["periodic", "--map", "conj_tri_h3.json", "--point", "3/2,0"], 0),
+    "periodic_h2_csv": (["periodic", "--map", "h2.json", "--point", "2,2", "--format", "csv"], 0),
+    # not periodic: the first iterate leaves the escape box
+    "periodic_h2_not_text": (["periodic", "--map", "h2.json", "--point", "3,0"], 1),
+    "canheight_h2_csv": (["canheight", "--map", "h2.json", "--points", "points.txt",
+                          "--format", "csv"], 0),
+    "canheight_h2_text": (["canheight", "--map", "h2.json", "--points", "points.txt"], 0),
+    # --c-lower adds the rigorous lower bound `(>= ...)` to the hcanonical line
+    "canheight_h2_clower_text": (["canheight", "--map", "h2.json", "--point", "3,0",
+                                  "--c-lower", "1"], 0),
+    "dyndeg_c6_csv": (["dyndeg", "--map", "c6.json", "--format", "csv"], 0),
+    "picard_d3_csv": (["picard", "--d", "3", "--format", "csv"], 0),
+    "picard_d3_text": (["picard", "--d", "3"], 0),
 }
+# one --point and a point file, in every format
+for _fmt in ("json", "csv", "text"):
+    CASES[f"height_{_fmt}"] = (["height", "--point", "3/2,5", "--points", "points.txt",
+                                "--format", _fmt], 0)
 # dyndeg on a regular composite, an affine conjugate and a conjugate by the
 # nonlinear, rational triangular map (x + y^2/2, -y + 1), which is not regular
 for _map in ("c6", "conj_h2", "conj_tri_h3"):
