@@ -35,6 +35,7 @@ are cached on the map.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from decimal import MAX_EMAX, MIN_EMIN, Context, Decimal, localcontext
 from fractions import Fraction
@@ -123,6 +124,11 @@ def make_engine(
             f"core map is not regular (dynamical degree {delta} < degree {g.degree()}); "
             "supply a conjugate composed of Henon maps plus the conjugator gamma"
         )
+    # the tail bounds divide by (delta - 1) delta^depth, delta_minus = delta on a
+    # regular core; past depth 1024 that passes the float range for any delta >= 2
+    if depth > 1024 or (delta - 1) * delta**depth > sys.float_info.max:
+        raise ValueError(f"depth {depth} is too large for delta {delta}: "
+                         "(delta - 1) * delta^depth does not fit a float")
     if gamma is not None and gamma.is_identity():
         gamma = None
     outer = g if gamma is None else compose_maps(compose_maps(gamma, g), inverse(gamma))

@@ -1,9 +1,11 @@
 """Command-line front end.
 
-Commands: height, dyndeg, canheight, orbit, periodic, picard.  Output is
-deterministic (byte-identical across runs for identical inputs): floats are
-printed with 12 significant digits, JSON keys are sorted, CSV column order is
-fixed.
+Commands: height, dyndeg, canheight, orbit, periodic, picard.  Each command
+builds its result once, as a JSON payload, CSV header and rows, and text
+lines that share their formatted cells, and `_emit` writes the one that
+--format names.  Output is deterministic (byte-identical across runs for
+identical inputs): floats are printed with 12 significant digits, JSON keys
+are sorted, CSV column order is fixed.
 
 Like `canheight` and `orbit`, `periodic` reads a top-level conjugate document
 as core and conjugator, and decides on the escape box of the core.
@@ -16,7 +18,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import math
 import sys
@@ -47,7 +48,7 @@ from .errors import (
     ResourceCapError,
     UndecidedPeriodicityError,
 )
-from .heights import lift, naive_height_affine, parse_affine_point, read_point_file
+from .heights import lift, log_int, parse_affine_point, read_point_file, top
 from .picard import (
     basis_labels,
     closed_form_excess,
@@ -78,24 +79,29 @@ def _estimate_dict(est: HeightEstimate) -> dict:
     }
 
 
-def _print_json(obj: dict):
-    sys.stdout.write(json.dumps(obj, sort_keys=True, indent=2) + "\n")
+def _emit(fmt: str, payload: dict, header, rows, lines) -> None:
+    """Write a command's one result in the format --format names: the JSON
+    payload, the CSV header and rows, or the text lines."""
+    if fmt == "json":
+        sys.stdout.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    elif fmt == "csv":
+        writer = csv.writer(sys.stdout, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+    else:
+        sys.stdout.write("".join(line + "\n" for line in lines))
 
 
-def _print_csv(rows, header):
-    out = io.StringIO()
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow(row)
-    sys.stdout.write(out.getvalue())
+def _line(cells) -> str:
+    """One row of a space-separated text table."""
+    return " ".join(map(str, cells))
 
 
 def _gather_points(args) -> list:
     points = []
     if args.point:
         points.append(parse_affine_point(args.point))
-    if getattr(args, "points", None):
+    if args.points:
         points.extend(read_point_file(args.points))
     if not points:
         raise PolyParseError("no point given: use --point X,Y or --points FILE")
@@ -106,29 +112,24 @@ def _engine(args):
     """The engine of --map, with the core and conjugator `conjugate_parts`
     reads off a top-level conjugate document."""
     g, gamma = conjugate_parts(read_map_doc(args.map))
-    return make_engine(g, gamma=gamma, depth=args.depth, c_lower=args.c_lower, digit_cap=args.digit_cap)
+    return make_engine(g, gamma=gamma, depth=args.depth, c_lower=getattr(args, "c_lower", None),
+                       digit_cap=args.digit_cap)
 
 
 # -- height ---------------------------------------------------------------------
 
 def cmd_height(args) -> int:
-    points = _gather_points(args)
-    entries = []
-    for pt in points:
-        entries.append({
-            "x": format_rat(pt[0]),
-            "y": format_rat(pt[1]),
-            "max_abs": format_int(max(abs(c) for c in lift(pt))),
-            "h_nv": naive_height_affine(pt),
-        })
-    if args.format == "json":
-        _print_json({"command": "height", "points": entries})
-    elif args.format == "csv":
-        _print_csv([(e["x"], e["y"], _fmt(e["h_nv"])) for e in entries], ("x", "y", "h_nv"))
-    else:
-        for e in entries:
-            shown = e["max_abs"] if len(e["max_abs"]) <= 30 else f"<{len(e['max_abs'])}-digit integer>"
-            print(f"h_nv({e['x']},{e['y']}) = log {shown} = {_fmt(e['h_nv'])}")
+    entries, rows, lines = [], [], []
+    for pt in _gather_points(args):
+        x, y = format_rat(pt[0]), format_rat(pt[1])
+        m = top(lift(pt))
+        h_nv, max_abs = log_int(m), format_int(m)
+        entries.append({"x": x, "y": y, "max_abs": max_abs, "h_nv": h_nv})
+        cell = _fmt(h_nv)
+        rows.append((x, y, cell))
+        shown = max_abs if len(max_abs) <= 30 else f"<{len(max_abs)}-digit integer>"
+        lines.append(f"h_nv({x},{y}) = log {shown} = {cell}")
+    _emit(args.format, {"command": "height", "points": entries}, ("x", "y", "h_nv"), rows, lines)
     return EXIT_OK
 
 
@@ -144,6 +145,7 @@ def _default_prefix_length(d: int) -> int:
 def cmd_dyndeg(args) -> int:
     f = load_map_file(args.map)
     d = f.degree()
+    d_minus = f.inverse_degree()
     delta = dynamical_degree(f)
     regular = d >= 2 and is_regular(f)
     n = args.N if args.N else _default_prefix_length(max(d, 2))
@@ -151,43 +153,52 @@ def cmd_dyndeg(args) -> int:
     payload = {
         "command": "dyndeg",
         "degree": d,
-        "inverse_degree": f.inverse_degree(),
+        "inverse_degree": d_minus,
         "dynamical_degree": delta,
         "regular": regular,
         "degree_sequence": seq,
     }
-    if args.format == "json":
-        _print_json(payload)
-    elif args.format == "csv":
-        _print_csv([(d, f.inverse_degree(), delta, str(regular).lower(), " ".join(map(str, seq)))],
-                   ("d", "d_minus", "delta", "regular", "degree_sequence"))
-    else:
-        print(f"d={d} d_minus={f.inverse_degree()} delta={delta} regular={str(regular).lower()}")
-        print(f"degree_sequence: {seq}")
+    flag = str(regular).lower()
+    _emit(args.format, payload, ("d", "d_minus", "delta", "regular", "degree_sequence"),
+          [(d, d_minus, delta, flag, " ".join(map(str, seq)))],
+          [f"d={d} d_minus={d_minus} delta={delta} regular={flag}", f"degree_sequence: {seq}"])
     return EXIT_OK
 
 
 # -- canheight --------------------------------------------------------------------
 
-def _canheight_entry(engine, pt):
-    hp = hplus(engine, engine.to_conjugated_frame(pt))
-    hm = hminus(engine, engine.to_conjugated_frame(pt))
-    hc = hcanonical(engine, pt)
-    res = functional_equation_residual(engine, pt)
-    return {
-        "x": format_rat(pt[0]),
-        "y": format_rat(pt[1]),
-        "hplus": _estimate_dict(hp),
-        "hminus": _estimate_dict(hm),
-        "hcanonical": _estimate_dict(hc),
-        "residual": res,
-    }
-
-
 def cmd_canheight(args) -> int:
     engine = _engine(args)
-    points = _gather_points(args)
-    entries = [_canheight_entry(engine, pt) for pt in points]
+    budget = engine.error_budget()
+    entries, rows = [], []
+    lines = [f"delta={engine.delta} delta_minus={engine.delta_minus} depth={engine.depth} "
+             f"error_budget={_fmt(budget)}"]
+    for pt in _gather_points(args):
+        z = engine.to_conjugated_frame(pt)
+        hp = hplus(engine, z)
+        hm = hminus(engine, z)
+        hc = hcanonical(engine, pt)
+        res = functional_equation_residual(engine, pt)
+        x, y = format_rat(pt[0]), format_rat(pt[1])
+        entries.append({
+            "x": x,
+            "y": y,
+            "hplus": _estimate_dict(hp),
+            "hminus": _estimate_dict(hm),
+            "hcanonical": _estimate_dict(hc),
+            "residual": res,
+        })
+        row = (x, y, _fmt(hp.value), _fmt(hm.value), _fmt(hc.value), _fmt(hc.upper_bound), _fmt(res))
+        rows.append(row)
+        hp_cell, hm_cell, hc_cell, upper_cell, res_cell = row[2:]
+        floor = "" if hc.rigorous_lower is None else f"  (>= {_fmt(hc.rigorous_lower)})"
+        lines += [
+            f"point ({x},{y}):",
+            f"  hplus      = {hp_cell}  (<= {_fmt(hp.upper_bound)}, slack {_fmt(hp.lower_slack)})",
+            f"  hminus     = {hm_cell}  (<= {_fmt(hm.upper_bound)}, slack {_fmt(hm.lower_slack)})",
+            f"  hcanonical = {hc_cell}  (<= {upper_cell}){floor}",
+            f"  residual   = {res_cell}",
+        ]
     payload = {
         "command": "canheight",
         "delta": engine.delta,
@@ -195,34 +206,11 @@ def cmd_canheight(args) -> int:
         "depth": engine.depth,
         "c2_fwd": engine.c2_fwd,
         "c2_inv": engine.c2_inv,
-        "error_budget": engine.error_budget(),
+        "error_budget": budget,
         "points": entries,
     }
-    if args.format == "json":
-        _print_json(payload)
-    elif args.format == "csv":
-        rows = [
-            (e["x"], e["y"], _fmt(e["hplus"]["value"]), _fmt(e["hminus"]["value"]),
-             _fmt(e["hcanonical"]["value"]), _fmt(e["hcanonical"]["upper_bound"]),
-             _fmt(e["residual"]))
-            for e in entries
-        ]
-        _print_csv(rows, ("x", "y", "hplus", "hminus", "hcanonical", "upper_bound", "residual"))
-    else:
-        print(f"delta={engine.delta} delta_minus={engine.delta_minus} depth={engine.depth} "
-              f"error_budget={_fmt(engine.error_budget())}")
-        for e in entries:
-            print(f"point ({e['x']},{e['y']}):")
-            print(f"  hplus      = {_fmt(e['hplus']['value'])}  (<= {_fmt(e['hplus']['upper_bound'])},"
-                  f" slack {_fmt(e['hplus']['lower_slack'])})")
-            print(f"  hminus     = {_fmt(e['hminus']['value'])}  (<= {_fmt(e['hminus']['upper_bound'])},"
-                  f" slack {_fmt(e['hminus']['lower_slack'])})")
-            line = (f"  hcanonical = {_fmt(e['hcanonical']['value'])}  "
-                    f"(<= {_fmt(e['hcanonical']['upper_bound'])})")
-            if e["hcanonical"]["rigorous_lower"] is not None:
-                line += f"  (>= {_fmt(e['hcanonical']['rigorous_lower'])})"
-            print(line)
-            print(f"  residual   = {_fmt(e['residual'])}")
+    _emit(args.format, payload, ("x", "y", "hplus", "hminus", "hcanonical", "upper_bound", "residual"),
+          rows, lines)
     return EXIT_OK
 
 
@@ -249,37 +237,39 @@ def _parse_t_grid(spec: str) -> list:
     return grid
 
 
-def _counting_row(engine, pt, t):
-    enc = orbit_mod.counting_enclosure(engine, pt, t)
-    return {
-        "T": t,
-        "count": enc.observed,
-        "predicted": enc.predicted,
-        "lower": enc.lower,
-        "upper": enc.upper,
-        "pass": enc.passed,
-    }
-
-
 def cmd_orbit(args) -> int:
     engine = _engine(args)
-    if not args.point:
-        raise PolyParseError("orbit needs --point X,Y")
     pt = parse_affine_point(args.point)
     thresholds = [] if args.T is None else [args.T]
     if args.T_grid:
         thresholds.extend(_parse_t_grid(args.T_grid))
     for t in thresholds:  # before the record, whose refusal would hide a bad threshold
         orbit_mod.check_threshold(t)
-    record = orbit_mod.build_orbit_record(engine, pt, window=args.window)
-    if record.orbit_height == orbit_mod.NEG_INFINITY:
+    # before the record, whose samples at a periodic point pass the float
+    # range at a wide window
+    if orbit_mod.orbit_height(engine, pt) == orbit_mod.NEG_INFINITY:
         raise PeriodicPointError("orbit scans need a non-periodic point")
-    counting = [_counting_row(engine, pt, t) for t in thresholds]
-    scan = [
-        {"l": s.l, "x": format_rat(s.point[0]), "y": format_rat(s.point[1]),
-         "h_nv": s.h_nv, "hhat": s.h_hat}
-        for s in record.samples
-    ]
+    record = orbit_mod.build_orbit_record(engine, pt, window=args.window)
+    scan, rows = [], []
+    for s in record.samples:
+        x, y = format_rat(s.point[0]), format_rat(s.point[1])
+        scan.append({"l": s.l, "x": x, "y": y, "h_nv": s.h_nv, "hhat": s.h_hat})
+        rows.append((s.l, x, y, _fmt(s.h_nv), _fmt(s.h_hat)))
+    counting, count_rows = [], []
+    for t in thresholds:
+        enc = orbit_mod.counting_enclosure(engine, pt, t)
+        counting.append({"T": t, "count": enc.observed, "predicted": enc.predicted,
+                         "lower": enc.lower, "upper": enc.upper, "pass": enc.passed})
+        count_rows.append((_fmt(t), enc.observed, _fmt(enc.predicted), _fmt(enc.lower), _fmt(enc.upper)))
+    header = ("l", "x", "y", "h_nv", "hhat")
+    lines = [f"orbit_height = {_fmt(record.orbit_height)}  "
+             f"(hplus0 {_fmt(record.hplus0)}, hminus0 {_fmt(record.hminus0)})",
+             _line(header), *map(_line, rows)]
+    if counting:
+        count_header = ("T", "count", "predicted", "lower", "upper")
+        lines.append(_line((*count_header, "pass")))
+        lines += [_line((*row, str(c["pass"]).lower())) for row, c in zip(count_rows, counting)]
+        rows += [(), count_header, *count_rows]
     payload = {
         "command": "orbit",
         "orbit_height": record.orbit_height,
@@ -288,29 +278,7 @@ def cmd_orbit(args) -> int:
         "scan": scan,
         "counting": counting,
     }
-    if args.format == "json":
-        _print_json(payload)
-    elif args.format == "csv":
-        _print_csv([(s["l"], s["x"], s["y"], _fmt(s["h_nv"]), _fmt(s["hhat"])) for s in scan],
-                   ("l", "x", "y", "h_nv", "hhat"))
-        if counting:
-            sys.stdout.write("\n")
-            _print_csv(
-                [(_fmt(c["T"]), c["count"], _fmt(c["predicted"]), _fmt(c["lower"]),
-                  _fmt(c["upper"])) for c in counting],
-                ("T", "count", "predicted", "lower", "upper"),
-            )
-    else:
-        print(f"orbit_height = {_fmt(record.orbit_height)}  "
-              f"(hplus0 {_fmt(record.hplus0)}, hminus0 {_fmt(record.hminus0)})")
-        print("l x y h_nv hhat")
-        for s in scan:
-            print(f"{s['l']} {s['x']} {s['y']} {_fmt(s['h_nv'])} {_fmt(s['hhat'])}")
-        if counting:
-            print("T count predicted lower upper pass")
-            for c in counting:
-                print(f"{_fmt(c['T'])} {c['count']} {_fmt(c['predicted'])} "
-                      f"{_fmt(c['lower'])} {_fmt(c['upper'])} {str(c['pass']).lower()}")
+    _emit(args.format, payload, header, rows, lines)
     return EXIT_OK
 
 
@@ -318,8 +286,6 @@ def cmd_orbit(args) -> int:
 
 def cmd_periodic(args) -> int:
     g, gamma = conjugate_parts(read_map_doc(args.map))  # as in _engine
-    if not args.point:
-        raise PolyParseError("periodic needs --point X,Y")
     pt = parse_affine_point(args.point)
     # x has the period under gamma o g o gamma^-1 that gamma^-1(x) has under g
     z = pt if gamma is None else gamma.apply_inverse(pt)
@@ -330,29 +296,19 @@ def cmd_periodic(args) -> int:
         "period": verdict.period,
         "detail": verdict.detail,
     }
-    if args.format == "json":
-        _print_json(payload)
-    elif args.format == "csv":
-        _print_csv([(verdict.kind, verdict.period if verdict.period is not None else "")],
-                   ("verdict", "period"))
-    else:
-        if verdict.kind == "periodic":
-            print(f"periodic with period {verdict.period}")
-        else:
-            print(verdict.kind + (f": {verdict.detail}" if verdict.detail else ""))
     if verdict.kind == "periodic":
-        return EXIT_OK
-    if verdict.kind == "not_periodic":
-        return EXIT_FALSE
-    return EXIT_UNDECIDED
+        line = f"periodic with period {verdict.period}"
+    else:
+        line = verdict.kind + (f": {verdict.detail}" if verdict.detail else "")
+    period = "" if verdict.period is None else verdict.period
+    _emit(args.format, payload, ("verdict", "period"), [(verdict.kind, period)], [line])
+    return {"periodic": EXIT_OK, "not_periodic": EXIT_FALSE}.get(verdict.kind, EXIT_UNDECIDED)
 
 
 # -- picard ------------------------------------------------------------------------
 
 def cmd_picard(args) -> int:
     d = args.d
-    if d is None:
-        raise PolyParseError("picard needs --d INT")
     pi, phi, psi = solve_pullbacks(d)
     excess = effective_excess(d)
     checks = {
@@ -364,35 +320,24 @@ def cmd_picard(args) -> int:
             and pi.dot(phi) == d and pi.dot(psi) == d
         ),
     }
-    labels = basis_labels(d)
-    if args.format == "json":
-        payload = {
-            "command": "picard",
-            "d": d,
-            "classes": {
-                name: [{"label": lab, "coefficient": format_rat(c)}
-                       for lab, c in zip(labels, cls.coeffs)]
-                for name, cls in (("pi", pi), ("phi", phi), ("psi", psi), ("D", excess))
-            },
-            "checks": checks,
-        }
-        _print_json(payload)
-    elif args.format == "csv":
-        rows = [
-            (lab, format_rat(pi.coeffs[i]), format_rat(phi.coeffs[i]),
-             format_rat(psi.coeffs[i]), format_rat(excess.coeffs[i]))
-            for i, lab in enumerate(labels)
-        ]
-        _print_csv(rows, ("label", "pi", "phi", "psi", "D"))
-    else:
-        print(f"Picard classes for the degree-{d} Henon blow-up (dimension {4 * d - 1})")
-        width = max(len(lab) for lab in labels)
-        print(f"{'label':<{width}}  {'pi':>8} {'phi':>8} {'psi':>8} {'D':>8}")
-        for i, lab in enumerate(labels):
-            print(f"{lab:<{width}}  {format_rat(pi.coeffs[i]):>8} {format_rat(phi.coeffs[i]):>8} "
-                  f"{format_rat(psi.coeffs[i]):>8} {format_rat(excess.coeffs[i]):>8}")
-        for name, ok in checks.items():
-            print(f"check {name}: {str(ok).lower()}")
+    header = ("label", "pi", "phi", "psi", "D")
+    classes = (pi, phi, psi, excess)
+    rows = [(lab, *(format_rat(cls.coeffs[i]) for cls in classes))
+            for i, lab in enumerate(basis_labels(d))]
+    payload = {
+        "command": "picard",
+        "d": d,
+        "classes": {
+            name: [{"label": row[0], "coefficient": row[k]} for row in rows]
+            for k, name in enumerate(header[1:], 1)
+        },
+        "checks": checks,
+    }
+    width = max(len(row[0]) for row in rows)
+    lines = [f"Picard classes for the degree-{d} Henon blow-up (dimension {4 * d - 1})"]
+    lines += [f"{row[0]:<{width}}  " + " ".join(f"{c:>8}" for c in row[1:]) for row in (header, *rows)]
+    lines += [f"check {name}: {str(ok).lower()}" for name, ok in checks.items()]
+    _emit(args.format, payload, header, rows, lines)
     return EXIT_OK
 
 
@@ -402,7 +347,8 @@ def _add_common(parser, needs_map=True, needs_point=True, multi_point=False):
     if needs_map:
         parser.add_argument("--map", required=True, help="map-description JSON file")
     if needs_point:
-        parser.add_argument("--point", help="affine point 'X,Y' with rational entries")
+        parser.add_argument("--point", required=not multi_point,
+                            help="affine point 'X,Y' with rational entries")
         if multi_point:
             parser.add_argument("--points", help="point file: one 'x y' per line")
     parser.add_argument("--format", choices=("text", "csv", "json"), default="text")
@@ -438,6 +384,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("canheight", help="canonical heights with error fields")
     _add_common(p, multi_point=True)
     _add_engine_flags(p)
+    p.add_argument("--c-lower", dest="c_lower", type=float, default=None,
+                   help="constant c of the regular-map height inequality (enables rigorous lower bounds)")
     p.set_defaults(func=cmd_canheight)
 
     p = sub.add_parser("orbit", help="orbit scan CSV and counting table")
@@ -468,8 +416,6 @@ def _add_engine_flags(parser):
     parser.add_argument("--depth", type=_positive_int(2, "depth"), default=12)
     parser.add_argument("--digit-cap", dest="digit_cap", type=_positive_int(10_000, "digit-cap"),
                         default=DEFAULT_DIGIT_CAP)
-    parser.add_argument("--c-lower", dest="c_lower", type=float, default=None,
-                        help="constant c of the regular-map height inequality (enables rigorous lower bounds)")
 
 
 def main(argv=None) -> int:

@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import jsonschema
 import pytest
@@ -17,6 +18,7 @@ from planeheights.cli import _engine, build_parser, main
 from planeheights.ratpoly import format_int, parse_poly
 from planeheights.schemas import SCHEMAS
 
+GOLDEN = Path(__file__).parent / "data" / "golden"
 HENON2 = {"type": "henon", "a": "1", "p": "x^2"}
 TRI = {"type": "triangular", "a": "1", "b": "1", "c": "0", "P": "y^2"}
 COMP = {"type": "compose", "maps": [HENON2, {"type": "henon", "a": "-1", "p": "x^3 - 2*x + 1"}]}
@@ -346,9 +348,32 @@ def test_height_of_point_with_huge_lift(capsys):
 
 
 def test_orbit_periodic_point_rejected(capsys, maps):
-    code, _, err = run_cli(capsys, ["orbit", "--map", maps["henon2"], "--point", "0,0"])
-    assert code == 2
-    assert "non-periodic" in err
+    # refused before the record, whose samples at a fixed point would pass
+    # the float range from window 1024 on
+    for extra in ([], ["--window", "1024"]):
+        code, _, err = run_cli(capsys, ["orbit", "--map", maps["henon2"], "--point", "0,0", *extra])
+        assert code == 2
+        assert err == "error: orbit scans need a non-periodic point\n"
+
+
+@pytest.mark.parametrize("command, map_name, depth, delta, code", [
+    ("canheight", "h2", 1023, 2, 0),
+    ("canheight", "h2", 1024, 2, 2),
+    ("canheight", "c6", 395, 6, 4),
+    ("canheight", "c6", 396, 6, 2),
+    ("orbit", "h2", 1100, 2, 2),
+])
+def test_depth_past_the_float_range_refused(capsys, command, map_name, depth, delta, code):
+    # the tail bounds divide by (delta - 1) delta^depth; at the last depth
+    # where that is a float, H2 runs at its fixed point and C6 reaches the
+    # digit cap
+    got, out, err = run_cli(capsys, [command, "--map", str(GOLDEN / f"{map_name}.json"),
+                                     "--point", "0,0", "--depth", str(depth)])
+    assert got == code
+    if code == 2:
+        assert out == ""
+        assert err == (f"error: depth {depth} is too large for delta {delta}: "
+                       "(delta - 1) * delta^depth does not fit a float\n")
 
 
 def test_periodic_exit_codes(capsys, maps):
@@ -429,6 +454,9 @@ def test_run_config_invariants_enforced(maps):
         ["orbit", "--map", maps["henon2"], "--point", "3,0", "--patience", "3"],  # no such flag
         ["periodic", "--map", maps["henon2"], "--point", "3,0", "--patience", "3"],  # no such flag
         ["periodic", "--map", maps["henon2"], "--point", "3,0", "--max-iter", "5"],  # no such flag
+        ["orbit", "--map", maps["henon2"], "--point", "3,0", "--c-lower", "1"],  # canheight only
+        ["orbit", "--map", maps["henon2"]],  # --point is required
+        ["periodic", "--map", maps["henon2"]],
     ):
         with pytest.raises(SystemExit) as exc:
             main(argv)
