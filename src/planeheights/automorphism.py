@@ -60,6 +60,7 @@ _Y = BivarPoly.var("y")
 # `Orbit.capped` tests the size bound of the step into an iterate.
 DEFAULT_DIGIT_CAP = 2_000_000
 _BITS_PER_DIGIT = math.log2(10)
+DEGREE_SEQUENCE_CAP = 256  # the largest bound on deg f^n that `degree_sequence` composes to
 
 
 def cap_bits(digits: int) -> int:
@@ -386,9 +387,15 @@ def conjugate(f: PlaneAutomorphism, gamma: PlaneAutomorphism) -> PlaneAutomorphi
 
 
 def degree_sequence(f: PlaneAutomorphism, n_max: int) -> list:
-    """[deg f, deg f^2, ..., deg f^n_max] by exact iterated composition."""
+    """[deg f, deg f^2, ..., deg f^n_max] by exact iterated composition;
+    past n_max = 2, refused (ResourceCapError) before any composition when
+    deg f * delta^(n_max - 1) is above DEGREE_SEQUENCE_CAP, since each
+    composition near that degree costs seconds, and the next many times more."""
     if n_max < 1:
         raise ValueError("degree_sequence needs n_max >= 1")
+    if n_max > 2 and (bound := f.degree() * dynamical_degree(f) ** (n_max - 1)) > DEGREE_SEQUENCE_CAP:
+        raise ResourceCapError(f"degree sequence to N = {n_max}: deg f * delta^{n_max - 1} = {bound} "
+                               f"is above {DEGREE_SEQUENCE_CAP}")
     p, q = cur_p, cur_q = f.fwd
     degrees = [f.degree()]
     for _ in range(n_max - 1):
@@ -408,7 +415,7 @@ def dynamical_degree(f: PlaneAutomorphism) -> int:
 
 def _compute_dynamical_degree(f: PlaneAutomorphism) -> int:
     d1 = f.degree()
-    if d1 >= 2 and is_regular(f):
+    if is_regular(f):
         return d1
     tau = Fraction(degree_sequence(f, 2)[1], d1)
     if tau <= 1:
@@ -489,8 +496,9 @@ def _indeterminacy(components: Tuple[BivarPoly, BivarPoly]) -> InfinityPoint:
 
 
 def is_regular(f: PlaneAutomorphism) -> bool:
-    """True when the indeterminacy points at infinity of f and f^-1 differ."""
-    return f._at_infinity[0] != f._at_infinity[1]
+    """True when the indeterminacy points at infinity of f and f^-1 differ;
+    False for a map of degree < 2, which has none."""
+    return f.degree() >= 2 and f._at_infinity[0] != f._at_infinity[1]
 
 
 # -- the escape box ------------------------------------------------------------
@@ -562,7 +570,7 @@ class EscapeBox:
 
 
 def _escape_box(f: PlaneAutomorphism) -> EscapeBox | None:
-    if f.degree() < 2 or not is_regular(f):
+    if not is_regular(f):
         return None
     (p, q), (r, s) = (point.xy for point in f._at_infinity)
     det = q * r - p * s  # nonzero: two distinct normalized points

@@ -35,6 +35,7 @@ are cached on the map.
 
 from __future__ import annotations
 
+import math
 import sys
 from dataclasses import dataclass
 from decimal import MAX_EMAX, MIN_EMIN, Context, Decimal, localcontext
@@ -132,7 +133,7 @@ def make_engine(
     if gamma is not None and gamma.is_identity():
         gamma = None
     outer = g if gamma is None else compose_maps(compose_maps(gamma, g), inverse(gamma))
-    return HeightEngine(
+    engine = HeightEngine(
         g=g,
         delta=delta,
         delta_minus=g.inverse_degree(),
@@ -144,6 +145,9 @@ def make_engine(
         c_lower=c_lower,
         digit_cap=digit_cap,
     )
+    if c_lower is not None and not math.isfinite(engine.lower_bound_constant()):
+        raise ValueError(f"c_lower {c_lower} gives a lower-bound constant that is not a finite number")
+    return engine
 
 
 @dataclass(frozen=True)

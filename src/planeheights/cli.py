@@ -42,7 +42,6 @@ from .canonical import (
     make_engine,
 )
 from .errors import (
-    PeriodicPointError,
     PlaneHeightsError,
     PolyParseError,
     ResourceCapError,
@@ -147,7 +146,7 @@ def cmd_dyndeg(args) -> int:
     d = f.degree()
     d_minus = f.inverse_degree()
     delta = dynamical_degree(f)
-    regular = d >= 2 and is_regular(f)
+    regular = is_regular(f)
     n = args.N if args.N else _default_prefix_length(max(d, 2))
     seq = degree_sequence(f, n)
     payload = {
@@ -245,10 +244,6 @@ def cmd_orbit(args) -> int:
         thresholds.extend(_parse_t_grid(args.T_grid))
     for t in thresholds:  # before the record, whose refusal would hide a bad threshold
         orbit_mod.check_threshold(t)
-    # before the record, whose samples at a periodic point pass the float
-    # range at a wide window
-    if orbit_mod.orbit_height(engine, pt) == orbit_mod.NEG_INFINITY:
-        raise PeriodicPointError("orbit scans need a non-periodic point")
     record = orbit_mod.build_orbit_record(engine, pt, window=args.window)
     scan, rows = [], []
     for s in record.samples:

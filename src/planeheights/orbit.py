@@ -28,21 +28,22 @@ naive scans, whose heights are not convex near the minimum.
 
 The tracker, the periodicity verdict and the canonical heights at
 f^(+/-1)(x) behind (hhat+, hhat-) read the one orbit the engine's core holds.
-An engine holds the point it was last asked about, as a map holds one orbit:
-its verdict per digit cap, its (hhat+, hhat-) pair and its canonical tracker
-per (switch, cap), each filled on first use.  So the orbit record and every
-threshold of a counting run share one verdict, one pair and one tracker.
-The verdict comes first, since hhat = 0 exactly at periodic points: every
-engine reader takes (hhat+, hhat-) through `_infinite_components`, which reads
-the verdict, then the pair, then refuses a pair not resolved above zero as a
-depth cap.  So only the verdict refuses as undecided.
+Every reader takes a `HeightEngine`, at its digit cap.  An engine holds the
+point it was last asked about, as a map holds one orbit: one verdict, one
+(hhat+, hhat-) pair and one canonical tracker per switch, each filled on
+first use.  So the orbit record and every threshold of a counting run share
+one verdict, one pair and one tracker.  The verdict comes first, since hhat
+= 0 exactly at periodic points: every engine reader but `orbit_height` (-inf
+there) takes (hhat+, hhat-) through `_infinite_components`, which refuses a
+periodic point, then a pair not resolved above zero as a depth cap.  So
+only the verdict refuses as undecided.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Dict, Tuple
 
 from .automorphism import DEFAULT_DIGIT_CAP, Orbit, PlaneAutomorphism, cap_bits
 from .canonical import HeightEngine, hcanonical_iterates, is_periodic
@@ -300,7 +301,7 @@ def minimum_location(delta: int, delta_minus: int, h_plus: float, h_minus: float
 def orbit_height(engine: HeightEngine, x: AffinePoint) -> float:
     """log hhat+ / log delta + log hhat- / log delta_-, constant along the
     orbit; NEG_INFINITY exactly when the orbit is finite (periodic point)."""
-    if _verdict(engine, x, engine.digit_cap).is_periodic:  # held: the verdict _infinite_components reads
+    if _verdict(engine, x).is_periodic:  # held: the verdict _infinite_components reads
         return NEG_INFINITY
     return _log_height(engine, *_infinite_components(engine, x, "finite orbit has no orbit height"))
 
@@ -334,13 +335,11 @@ def _hpm(engine: HeightEngine, x: AffinePoint) -> Tuple[float, float]:
     return _held(engine, x, "hpm", lambda: hpm_from_h(engine, x))
 
 
-def _verdict(f, x, digit_cap):
-    """The periodicity verdict of x under the map f, refused when undecided;
-    for a HeightEngine f, held for x: of gamma^-1(x) under its core (same period)."""
-    if isinstance(f, HeightEngine):
-        return _held(f, x, ("verdict", digit_cap),
-                     lambda: _verdict(f.g, f.to_conjugated_frame(x), digit_cap))
-    verdict = is_periodic(f, x, digit_cap=digit_cap)
+def _verdict(engine: HeightEngine, x: AffinePoint):
+    """The periodicity verdict of x, held for x and refused when undecided:
+    that of gamma^-1(x) under the core (same period), at the engine's digit cap."""
+    verdict = _held(engine, x, "verdict", lambda: is_periodic(
+        engine.g, engine.to_conjugated_frame(x), digit_cap=engine.digit_cap))
     if verdict.kind == "undecided":
         raise UndecidedPeriodicityError(verdict.detail)
     return verdict
@@ -351,7 +350,7 @@ def _infinite_components(engine: HeightEngine, x: AffinePoint, periodic_message:
     (refused when undecided; PeriodicPointError(periodic_message) when
     periodic), then the held pair, refused as a depth cap unless both
     components resolved above zero."""
-    if _verdict(engine, x, engine.digit_cap).is_periodic:
+    if _verdict(engine, x).is_periodic:
         raise PeriodicPointError(periodic_message)
     h_plus, h_minus = _hpm(engine, x)
     if h_plus <= 0 or h_minus <= 0:
@@ -401,12 +400,12 @@ def check_threshold(threshold: float) -> None:
         raise ValueError("threshold must be a positive finite number")
 
 
-def _canonical_bounds(engine: HeightEngine, x: AffinePoint, exact_digits: int, digit_cap: int):
+def _canonical_bounds(engine: HeightEngine, x: AffinePoint, exact_digits: int):
     """values(l): enclosure of the depth-N canonical height at f^l(x),
     h_nv(g^(l+N) z)/delta^N + h_nv(g^(l-N) z)/delta_-^N with z = gamma^-1(x),
     read off the tracker held for x."""
-    tracker = _held(engine, x, ("tracker", exact_digits, digit_cap), lambda: OrbitHeightTracker(
-        engine.g, engine.to_conjugated_frame(x), exact_digits=exact_digits, digit_cap=digit_cap))
+    tracker = _held(engine, x, ("tracker", exact_digits), lambda: OrbitHeightTracker(
+        engine.g, engine.to_conjugated_frame(x), exact_digits=exact_digits, digit_cap=engine.digit_cap))
     n = engine.depth
     d_pow = float(engine.delta**n)
     dm_pow = float(engine.delta_minus**n)
@@ -420,39 +419,32 @@ def _canonical_bounds(engine: HeightEngine, x: AffinePoint, exact_digits: int, d
 
 
 def count_below(
-    f,
+    engine: HeightEngine,
     x: AffinePoint,
     threshold: float,
     which: str = "naive",
     patience: int = 5,
     exact_digits: int = DEFAULT_EXACT_DIGITS,
-    digit_cap: Optional[int] = None,
 ) -> int:
-    """#{ y in O_f(x) : h(y) <= threshold } by orbit enumeration.
+    """#{ y in O_f(x) : h(y) <= threshold } by orbit enumeration, f the
+    engine's outer map and h its naive or canonical height, at its digit cap.
 
-    `f` may be a PlaneAutomorphism or a HeightEngine; canonical-height counts
-    need the engine.  The point must have an infinite orbit (so l -> f^l(x)
-    is injective and the enumeration is a genuine point count).  Counting
-    starts at the orbit's lowest sample, so every point of the orbit gives
-    the same count.  A canonical scan stops each direction at the first
-    sample above the threshold; `patience` bounds only naive scans.
+    The point must have an infinite orbit (so l -> f^l(x) is injective and
+    the enumeration is a genuine point count).  Counting starts at the
+    orbit's lowest sample, so every point of the orbit gives the same count.
+    A canonical scan stops each direction at the first sample above the
+    threshold; `patience` bounds only naive scans.
     """
-    engine = f if isinstance(f, HeightEngine) else None
     if which not in ("naive", "canonical"):
         raise ValueError("which must be 'naive' or 'canonical'")
     check_threshold(threshold)
-    if which == "canonical" and engine is None:
-        raise ValueError("canonical-height counts need a HeightEngine")
-    outer = f if engine is None else engine.outer
-    if digit_cap is None:
-        digit_cap = DEFAULT_DIGIT_CAP if engine is None else engine.digit_cap
-    verdict = _verdict(f, x, digit_cap)
+    verdict = _verdict(engine, x)
     if verdict.is_periodic:
         raise PeriodicPointError(f"point is periodic with period {verdict.period}")
     if which == "naive":
-        tracker = OrbitHeightTracker(outer, x, exact_digits=exact_digits, digit_cap=digit_cap)
+        tracker = OrbitHeightTracker(engine.outer, x, exact_digits=exact_digits, digit_cap=engine.digit_cap)
         return _scan(tracker.h_bounds, threshold, 0.0, patience)[0]
-    values = _canonical_bounds(engine, x, exact_digits, digit_cap)
+    values = _canonical_bounds(engine, x, exact_digits)
     return _scan(values, threshold, engine.error_budget())[0]
 
 
@@ -482,7 +474,7 @@ def counting_enclosure(engine: HeightEngine, x: AffinePoint, threshold: float) -
         raise OutOfRangeError(
             "threshold below the orbit height: the counting set is empty there"
         )
-    values = _canonical_bounds(engine, x, DEFAULT_EXACT_DIGITS, engine.digit_cap)
+    values = _canonical_bounds(engine, x, DEFAULT_EXACT_DIGITS)
     observed, straddles = _scan(values, threshold, engine.error_budget())
     predicted = coeff * math.log(threshold) - oh
     halfwidth = math.log(2) / log_d + math.log(2) / log_dm + 1
@@ -574,9 +566,9 @@ def build_orbit_record(engine: HeightEngine, x: AffinePoint, window: int) -> Orb
     with naive heights and the scaling-law canonical heights.  The samples
     are read off the orbit f holds, iterates +1, -1, +2, -2, ... in turn, each
     refused (ResourceCapError) by `Orbit.capped` when the size bound of the
-    step into it passes the engine's digit cap."""
-    oh = orbit_height(engine, x)
-    h_plus, h_minus = _hpm(engine, x)
+    step into it passes the engine's digit cap.  A periodic point is refused
+    first (PeriodicPointError), as every reader of (hhat+, hhat-) refuses it."""
+    h_plus, h_minus = _infinite_components(engine, x, "orbit scans need a non-periodic point")
     orbit = engine.outer.orbit(lift(x))
     limit = cap_bits(engine.digit_cap)
     for l in range(1, window + 1):
@@ -586,4 +578,4 @@ def build_orbit_record(engine: HeightEngine, x: AffinePoint, window: int) -> Orb
                            engine.delta**l * h_plus + float(engine.delta_minus) ** (-l) * h_minus)
                for l in range(-window, window + 1)]
     return OrbitRecord(base=samples[window].point, samples=tuple(samples), hplus0=h_plus,
-                       hminus0=h_minus, orbit_height=oh)
+                       hminus0=h_minus, orbit_height=_log_height(engine, h_plus, h_minus))

@@ -162,7 +162,8 @@ def test_criterion_05_counting_enclosure():
 
 
 def test_criterion_06_slope_law():
-    counts = [count_below(HENON2, X3, threshold, "naive") for threshold in GRID]
+    engine = make_engine(HENON2)
+    counts = [count_below(engine, X3, threshold, "naive") for threshold in GRID]
     logs = [math.log(t) for t in GRID]
     mean_x = sum(logs) / len(logs)
     mean_y = sum(counts) / len(counts)

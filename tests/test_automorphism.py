@@ -25,7 +25,7 @@ from planeheights.automorphism import (
     pair,
     triangular,
 )
-from planeheights.errors import MapValidationError
+from planeheights.errors import MapValidationError, ResourceCapError
 from planeheights.ratpoly import BivarPoly, parse_poly
 
 X = BivarPoly.var("x")
@@ -118,6 +118,16 @@ def test_conjugate_by_translation_keeps_degree():
 
 def test_degree_sequence_henon():
     assert degree_sequence(HENON2, 4) == [2, 4, 8, 16]
+
+
+def test_degree_sequence_refuses_past_the_degree_bound():
+    # deg f * delta^(N - 1): 2 * 2^7 = 256 is composed, 2 * 2^8 = 512 is
+    # refused before any composition; a triangular map never grows
+    assert degree_sequence(HENON2, 8)[-1] == 256
+    with pytest.raises(ResourceCapError, match=r"^degree sequence to N = 9: deg f \* delta\^8 = 512 "
+                                               r"is above 256$"):
+        degree_sequence(HENON2, 9)
+    assert degree_sequence(TRI, 9) == [2] * 9
 
 
 def test_degree_sequence_triangular():
@@ -218,6 +228,7 @@ def test_is_regular():
     assert is_regular(HENON2)
     assert is_regular(compose_maps(HENON2, HENON3))
     assert not is_regular(TRI)
+    assert not is_regular(triangular(2, 3, 1, parse_poly("y + 1")))  # affine: degree 1
 
 
 def test_regularity_matches_dynamical_degree_dichotomy():

@@ -87,6 +87,15 @@ def test_dyndeg_composite(capsys, maps):
     assert payload["dynamical_degree"] == 6
 
 
+def test_dyndeg_prefix_past_the_degree_bound_is_a_resource_cap(capsys):
+    # conj_tri_h3 has degree 6 and delta 3: N = 4 composes up to degree
+    # 6 * 3^3 = 162, N = 5 would reach 486 and is refused with no composition
+    path = str(GOLDEN / "conj_tri_h3.json")
+    code, out, err = run_cli(capsys, ["dyndeg", "--map", path, "--N", "5"])
+    assert (code, out) == (4, "")
+    assert err == "resource cap: degree sequence to N = 5: deg f * delta^4 = 486 is above 256\n"
+
+
 def test_canheight_json_schema(capsys, maps):
     code, out, _ = run_cli(capsys, [
         "canheight", "--map", maps["henon2"], "--point", "3,0", "--format", "json",
@@ -269,21 +278,29 @@ def test_a_refusal_inside_a_conjugate_names_inner_or_by(capsys, tmp_path, doc, m
         assert message in err
 
 
-@pytest.mark.parametrize("flags, message", [
-    (["--T", "nan"], "threshold must be a positive finite number"),
-    (["--T", "inf"], "threshold must be a positive finite number"),
-    (["--T", "0"], "threshold must be a positive finite number"),
-    (["--T", "-5"], "threshold must be a positive finite number"),
-    (["--T-grid", "5:nan:3"], "--T-grid"),
-    (["--T-grid", "5:800:2"], "--T-grid"),
-    (["--T-grid", "5:21:x"], "--T-grid"),
-    (["--T-grid", "a:21:3"], "--T-grid"),
+@pytest.mark.parametrize("command, flags, message", [
+    ("orbit", ["--T", "nan"], "threshold must be a positive finite number"),
+    ("orbit", ["--T", "inf"], "threshold must be a positive finite number"),
+    ("orbit", ["--T", "0"], "threshold must be a positive finite number"),
+    ("orbit", ["--T", "-5"], "threshold must be a positive finite number"),
+    ("orbit", ["--T-grid", "5:nan:3"], "--T-grid"),
+    ("orbit", ["--T-grid", "5:800:2"], "--T-grid"),
+    ("orbit", ["--T-grid", "5:21:x"], "--T-grid"),
+    ("orbit", ["--T-grid", "a:21:3"], "--T-grid"),
+    # 1e308 is finite, but its lower-bound constant 4 * c_lower is not
+    ("canheight", ["--c-lower", "nan"], "c_lower nan gives a lower-bound constant that is not a finite"),
+    ("canheight", ["--c-lower", "inf"], "c_lower inf gives a lower-bound constant that is not a finite"),
+    ("canheight", ["--c-lower", "1e308"], "c_lower 1e+308 gives a lower-bound constant that is not a"),
 ], ids=["T-nan", "T-inf", "T-0", "T-minus-5", "grid-nan", "grid-overflow", "grid-steps-not-int",
-        "grid-lo-not-number"])
-def test_orbit_threshold_must_be_positive_and_finite(capsys, maps, flags, message):
-    code, out, err = run_cli(capsys, ["orbit", "--map", maps["henon2"], "--point", "3,0"] + flags)
-    assert code == 2 and out == ""
-    assert message in err
+        "grid-lo-not-number", "c-lower-nan", "c-lower-inf", "c-lower-1e308"])
+def test_orbit_threshold_must_be_positive_and_finite(capsys, maps, command, flags, message):
+    # a number flag that is not finite, or that makes a bound that is not
+    # (canheight's --c-lower), is an input error with nothing on stdout
+    for fmt in ("text", "json"):
+        code, out, err = run_cli(capsys, [command, "--map", maps["henon2"], "--point", "3,0", *flags,
+                                          "--format", fmt])
+        assert code == 2 and out == ""
+        assert message in err
 
 
 def test_orbit_refuses_a_bad_threshold_before_the_record(capsys):
@@ -348,7 +365,7 @@ def test_height_of_point_with_huge_lift(capsys):
 
 
 def test_orbit_periodic_point_rejected(capsys, maps):
-    # refused before the record, whose samples at a fixed point would pass
+    # the record refuses a fixed point before any sample, which would pass
     # the float range from window 1024 on
     for extra in ([], ["--window", "1024"]):
         code, _, err = run_cli(capsys, ["orbit", "--map", maps["henon2"], "--point", "0,0", *extra])

@@ -106,9 +106,9 @@ def infinite_orbit_engine(name, x, y):
 def test_counts_do_not_depend_on_the_switch_point(name, x, y, thresholds):
     engine, pt = infinite_orbit_engine(name, x, y)
     counts = {}
-    for which, f in (("naive", engine.g), ("canonical", engine)):
-        counts[which] = [count_below(f, pt, t, which, exact_digits=EXACT_DIGITS) for t in sorted(thresholds)]
-        early = [count_below(f, pt, t, which, exact_digits=SWITCH_DIGITS) for t in sorted(thresholds)]
+    for which in ("naive", "canonical"):
+        counts[which] = [count_below(engine, pt, t, which, exact_digits=EXACT_DIGITS) for t in sorted(thresholds)]
+        early = [count_below(engine, pt, t, which, exact_digits=SWITCH_DIGITS) for t in sorted(thresholds)]
         assert early == counts[which]
         assert counts[which] == sorted(counts[which])
 
@@ -196,21 +196,23 @@ def test_certified_map_switches_to_intervals_at_a_cap_refusal():
         d_lo, d_hi = default.h_bounds(l)
         assert lo <= d_hi and d_lo <= hi, l
     engine = make_engine(HENON2, depth=12)
-    for which, f in (("naive", HENON2), ("canonical", engine)):
+    capped_engine = make_engine(HENON2, depth=12, digit_cap=10_000)
+    for which in ("naive", "canonical"):
         for t in (math.exp(9), math.exp(15), math.exp(21)):
-            assert count_below(f, X3, t, which, exact_digits=20_000, digit_cap=10_000) == \
-                count_below(f, X3, t, which), (which, t)
+            assert count_below(capped_engine, X3, t, which, exact_digits=20_000) == \
+                count_below(engine, X3, t, which), (which, t)
 
 
 def test_noncertified_map_counts_exactly_below_the_cap():
     # rational-coefficient inverse produces denominators; exact phase handles
     # the gcd bookkeeping and small-threshold counts stay available
     f = henon(2, parse_poly("x^2"))
-    count = count_below(f, X3, 30.0, "naive")
-    wide = count_below(f, X3, 30.0, "naive", patience=9)
+    engine = make_engine(f)
+    count = count_below(engine, X3, 30.0, "naive")
+    wide = count_below(engine, X3, 30.0, "naive", patience=9)
     assert count == wide and count > 0
     with pytest.raises(ResourceCapError):
-        count_below(f, X3, math.exp(18), "naive", exact_digits=100, digit_cap=10_000)
+        count_below(make_engine(f, digit_cap=10_000), X3, math.exp(18), "naive", exact_digits=100)
 
 
 # -- the interval kernel -------------------------------------------------------------
@@ -352,13 +354,13 @@ def test_enclosure_halfwidth_at_two_two(engine):
 def test_count_below_naive_frozen_value(engine):
     # enumeration oracle: forward heights 1.10, 2.20, 4.36, 8.71, 17.4, 34.8 (6 pts <= 50),
     # backward similarly 6 points; 69.7+ exceeds.
-    assert count_below(HENON2, X3, 50.0, "naive") == 12
+    assert count_below(engine, X3, 50.0, "naive") == 12
 
 
 def test_count_below_wider_window_cross_check(engine):
     for t in (50.0, math.exp(8)):
-        narrow = count_below(HENON2, X3, t, "naive", patience=5)
-        wide = count_below(HENON2, X3, t, "naive", patience=10)
+        narrow = count_below(engine, X3, t, "naive", patience=5)
+        wide = count_below(engine, X3, t, "naive", patience=10)
         assert narrow == wide
 
 
@@ -370,7 +372,7 @@ def test_count_below_monotone(engine):
 def test_count_below_invariant_under_orbit_shift(engine):
     fx = HENON2.apply(X3)
     for t in (30.0, 200.0):
-        assert count_below(HENON2, X3, t, "naive") == count_below(HENON2, fx, t, "naive")
+        assert count_below(engine, X3, t, "naive") == count_below(engine, fx, t, "naive")
 
 
 def _shifted(f, pt, k):
@@ -391,7 +393,7 @@ def test_counts_do_not_depend_on_the_base_point(engine, k):
     for t, expected in zip(BASE_POINT_THRESHOLDS, (2, 6, 10)):
         enc = counting_enclosure(engine, pt, t)
         assert (enc.observed, enc.passed) == (expected, True), (k, t, enc)
-        assert count_below(HENON2, pt, t, "naive") == expected, (k, t)
+        assert count_below(engine, pt, t, "naive") == expected, (k, t)
 
 
 def test_a_far_point_is_decided_and_counted_like_the_orbit(monkeypatch):
@@ -476,7 +478,7 @@ def test_every_engine_reader_refuses_alike(name, start, k, depth, cap, refusal, 
     x = _shifted(f, tuple(map(Fraction, start)), k)
     for reader, call in ENGINE_READERS.items():
         engine = make_engine(f, depth=depth, digit_cap=cap)
-        if refusal is PeriodicPointError and reader in ("orbit_height", "build_orbit_record"):
+        if refusal is PeriodicPointError and reader == "orbit_height":
             assert call(engine, x) == NEG_INFINITY
             continue
         with pytest.raises(refusal, match=message):
@@ -502,7 +504,7 @@ def test_counts_are_the_same_at_every_point_of_the_orbit(name, x, y, k):
         over the cap)."""
         try:
             encs = [counting_enclosure(engine, pt, t) for t in BASE_POINT_THRESHOLDS]
-            naive = [count_below(f, pt, t, "naive", digit_cap=cap) for t in BASE_POINT_THRESHOLDS]
+            naive = [count_below(engine, pt, t, "naive") for t in BASE_POINT_THRESHOLDS]
         except PlaneHeightsError:
             reject()
         return [(enc.observed, enc.passed, n) for enc, n in zip(encs, naive)]
@@ -522,11 +524,6 @@ def test_count_below_threshold_below_min_orbit_height(engine):
 def test_count_below_rejects_periodic(engine):
     with pytest.raises(PeriodicPointError):
         count_below(engine, ORIGIN, 10.0, "canonical")
-
-
-def test_count_below_needs_engine_for_canonical():
-    with pytest.raises(ValueError):
-        count_below(HENON2, X3, 10.0, "canonical")
 
 
 def test_count_canonical_agrees_with_scaling_law(engine):
@@ -599,7 +596,7 @@ def test_count_exponential_preconditions():
 
 def test_slope_law_short_grid(engine):
     ts = [math.exp(k) for k in range(4, 13, 2)]
-    counts = [count_below(HENON2, X3, t, "naive") for t in ts]
+    counts = [count_below(engine, X3, t, "naive") for t in ts]
     slope = _least_squares_slope([math.log(t) for t in ts], counts)
     assert abs(slope - 2 / math.log(2)) <= 0.1 * (2 / math.log(2))
 
@@ -651,7 +648,7 @@ def test_conjugated_engine_counting():
 @pytest.mark.parametrize("threshold", [0.0, -5.0, math.nan, math.inf])
 def test_thresholds_must_be_positive_and_finite(threshold):
     engine = make_engine(HENON2)
-    for count in (lambda: count_below(HENON2, X3, threshold),
+    for count in (lambda: count_below(engine, X3, threshold),
                   lambda: counting_enclosure(engine, X3, threshold)):
         with pytest.raises(ValueError, match="threshold must be a positive finite number"):
             count()
