@@ -49,16 +49,13 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Tuple
 
-from .errors import MapValidationError, PolyParseError, ResourceCapError
+from .errors import DEFAULT_DIGIT_CAP, MapValidationError, PolyParseError, ResourceCapError
 from .heights import ProjPoint, affine, lift, log_int, top
 from .ratpoly import BivarPoly, _integer_numerators, parse_rat, powers
 
 _X = BivarPoly.var("x")
 _Y = BivarPoly.var("y")
 
-# Coordinates above this many decimal digits are refused (ResourceCapError);
-# `Orbit.capped` tests the size bound of the step into an iterate.
-DEFAULT_DIGIT_CAP = 2_000_000
 _BITS_PER_DIGIT = math.log2(10)
 DEGREE_SEQUENCE_CAP = 256  # the largest bound on deg f^n that `degree_sequence` composes to
 

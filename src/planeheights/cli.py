@@ -7,6 +7,11 @@ lines that share their formatted cells, and `_emit` writes the one that
 identical inputs): floats are printed with 12 significant digits, JSON keys
 are sorted, CSV column order is fixed.
 
+Each command imports the modules it calls inside its `cmd_*` function, and
+the csv module only under --format csv, so a process loads no more of the
+package than its one command uses: `picard` never loads the map modules,
+and `height` loads only `heights` and `ratpoly`.
+
 Like `canheight` and `orbit`, `periodic` reads a top-level conjugate document
 as core and conjugator, and decides on the escape box of the core.
 
@@ -17,45 +22,16 @@ is not periodic), 2 input error, 3 undecided, 4 resource cap exceeded.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
-import math
 import sys
 
-from . import orbit as orbit_mod
-from .automorphism import (
-    DEFAULT_DIGIT_CAP,
-    conjugate_parts,
-    dynamical_degree,
-    degree_sequence,
-    is_regular,
-    load_map_file,
-    read_map_doc,
-)
-from .canonical import (
-    HeightEstimate,
-    functional_equation_residual,
-    hcanonical,
-    hminus,
-    hplus,
-    is_periodic,
-    make_engine,
-)
 from .errors import (
+    DEFAULT_DIGIT_CAP,
     PlaneHeightsError,
     PolyParseError,
     ResourceCapError,
     UndecidedPeriodicityError,
 )
-from .heights import lift, log_int, parse_affine_point, read_point_file, top
-from .picard import (
-    basis_labels,
-    closed_form_excess,
-    closed_form_pullbacks,
-    effective_excess,
-    solve_pullbacks,
-)
-from .ratpoly import format_int, format_rat
 
 EXIT_OK = 0
 EXIT_FALSE = 1
@@ -68,7 +44,8 @@ def _fmt(x: float) -> str:
     return f"{x:.12g}"
 
 
-def _estimate_dict(est: HeightEstimate) -> dict:
+def _estimate_dict(est) -> dict:
+    """A `canonical.HeightEstimate` as a JSON object."""
     return {
         "value": est.value,
         "upper_bound": est.upper_bound,
@@ -84,6 +61,8 @@ def _emit(fmt: str, payload: dict, header, rows, lines) -> None:
     if fmt == "json":
         sys.stdout.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
     elif fmt == "csv":
+        import csv
+
         writer = csv.writer(sys.stdout, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(rows)
@@ -97,6 +76,8 @@ def _line(cells) -> str:
 
 
 def _gather_points(args) -> list:
+    from .heights import parse_affine_point, read_point_file
+
     points = []
     if args.point:
         points.append(parse_affine_point(args.point))
@@ -110,6 +91,9 @@ def _gather_points(args) -> list:
 def _engine(args):
     """The engine of --map, with the core and conjugator `conjugate_parts`
     reads off a top-level conjugate document."""
+    from .automorphism import conjugate_parts, read_map_doc
+    from .canonical import make_engine
+
     g, gamma = conjugate_parts(read_map_doc(args.map))
     return make_engine(g, gamma=gamma, depth=args.depth, c_lower=getattr(args, "c_lower", None),
                        digit_cap=args.digit_cap)
@@ -118,6 +102,9 @@ def _engine(args):
 # -- height ---------------------------------------------------------------------
 
 def cmd_height(args) -> int:
+    from .heights import lift, log_int, top
+    from .ratpoly import format_int, format_rat
+
     entries, rows, lines = [], [], []
     for pt in _gather_points(args):
         x, y = format_rat(pt[0]), format_rat(pt[1])
@@ -142,6 +129,8 @@ def _default_prefix_length(d: int) -> int:
 
 
 def cmd_dyndeg(args) -> int:
+    from .automorphism import degree_sequence, dynamical_degree, is_regular, load_map_file
+
     f = load_map_file(args.map)
     d = f.degree()
     d_minus = f.inverse_degree()
@@ -167,6 +156,9 @@ def cmd_dyndeg(args) -> int:
 # -- canheight --------------------------------------------------------------------
 
 def cmd_canheight(args) -> int:
+    from .canonical import functional_equation_residual, hcanonical, hminus, hplus
+    from .ratpoly import format_rat
+
     engine = _engine(args)
     budget = engine.error_budget()
     entries, rows = [], []
@@ -217,6 +209,8 @@ def cmd_canheight(args) -> int:
 
 def _parse_t_grid(spec: str) -> list:
     """lo:hi:steps in natural-log units: T = exp(lo), ..., exp(hi)."""
+    import math
+
     parts = spec.split(":")
     if len(parts) != 3:
         raise PolyParseError(f"--T-grid expects lo:hi:steps, got {spec!r}")
@@ -237,14 +231,18 @@ def _parse_t_grid(spec: str) -> list:
 
 
 def cmd_orbit(args) -> int:
+    from .heights import parse_affine_point
+    from .orbit import build_orbit_record, check_threshold, counting_enclosure
+    from .ratpoly import format_rat
+
     engine = _engine(args)
     pt = parse_affine_point(args.point)
     thresholds = [] if args.T is None else [args.T]
     if args.T_grid:
         thresholds.extend(_parse_t_grid(args.T_grid))
     for t in thresholds:  # before the record, whose refusal would hide a bad threshold
-        orbit_mod.check_threshold(t)
-    record = orbit_mod.build_orbit_record(engine, pt, window=args.window)
+        check_threshold(t)
+    record = build_orbit_record(engine, pt, window=args.window)
     scan, rows = [], []
     for s in record.samples:
         x, y = format_rat(s.point[0]), format_rat(s.point[1])
@@ -252,7 +250,7 @@ def cmd_orbit(args) -> int:
         rows.append((s.l, x, y, _fmt(s.h_nv), _fmt(s.h_hat)))
     counting, count_rows = [], []
     for t in thresholds:
-        enc = orbit_mod.counting_enclosure(engine, pt, t)
+        enc = counting_enclosure(engine, pt, t)
         counting.append({"T": t, "count": enc.observed, "predicted": enc.predicted,
                          "lower": enc.lower, "upper": enc.upper, "pass": enc.passed})
         count_rows.append((_fmt(t), enc.observed, _fmt(enc.predicted), _fmt(enc.lower), _fmt(enc.upper)))
@@ -280,6 +278,10 @@ def cmd_orbit(args) -> int:
 # -- periodic ----------------------------------------------------------------------
 
 def cmd_periodic(args) -> int:
+    from .automorphism import conjugate_parts, read_map_doc
+    from .canonical import is_periodic
+    from .heights import parse_affine_point
+
     g, gamma = conjugate_parts(read_map_doc(args.map))  # as in _engine
     pt = parse_affine_point(args.point)
     # x has the period under gamma o g o gamma^-1 that gamma^-1(x) has under g
@@ -303,6 +305,15 @@ def cmd_periodic(args) -> int:
 # -- picard ------------------------------------------------------------------------
 
 def cmd_picard(args) -> int:
+    from .picard import (
+        basis_labels,
+        closed_form_excess,
+        closed_form_pullbacks,
+        effective_excess,
+        solve_pullbacks,
+    )
+    from .ratpoly import format_rat
+
     d = args.d
     pi, phi, psi = solve_pullbacks(d)
     excess = effective_excess(d)

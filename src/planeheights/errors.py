@@ -1,4 +1,11 @@
-"""Shared exception types."""
+"""Shared exception types, and the default digit cap past which work is
+refused with `ResourceCapError`."""
+
+# Coordinates above this many decimal digits are refused (ResourceCapError);
+# `automorphism.Orbit.capped` tests the size bound of the step into an
+# iterate.  It lives here so the CLI parser can show it as a default without
+# importing the map modules.
+DEFAULT_DIGIT_CAP = 2_000_000
 
 
 class PlaneHeightsError(Exception):

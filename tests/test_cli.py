@@ -556,10 +556,46 @@ def test_console_entry_point(maps):
     assert "log 3" in proc.stdout
 
 
-def test_cli_import_leaves_mpmath_unloaded():
-    # the package has no runtime dependency; mpmath is only a test reference
-    code = "import sys, planeheights.cli; print('mpmath' in sys.modules)"
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                          env=_child_env(), timeout=60)
+def _child_imports(args, cwd=None) -> set:
+    """The modules a `python <args>` child imports, from its -X importtime report."""
+    proc = subprocess.run([sys.executable, "-X", "importtime", *args], capture_output=True, text=True,
+                          env=_child_env(), cwd=cwd, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    return {line.rpartition("|")[2].strip() for line in proc.stderr.splitlines()
+            if line.startswith("import time:")}
+
+
+def _package_modules(names) -> set:
+    return {name for name in names if name.split(".")[0] == "planeheights"}
+
+
+def test_cli_import_leaves_mpmath_unloaded():
+    # the package has no runtime dependency; mpmath is only a test reference.
+    # The parser needs only the errors module (DEFAULT_DIGIT_CAP), so a bare
+    # import of the CLI loads none of the modules a command calls.
+    imported = _child_imports(["-c", "import planeheights.cli"])
+    assert "mpmath" not in imported
+    assert _package_modules(imported) == {"planeheights", "planeheights.errors", "planeheights.cli"}
+
+
+_MAP_MODULES = ("automorphism", "heights", "ratpoly")
+
+
+@pytest.mark.parametrize("argv, modules", [
+    (["height", "--point", "3,0"], ("heights", "ratpoly")),
+    (["height", "--point", "3,0", "--format", "csv"], ("heights", "ratpoly")),
+    (["dyndeg", "--map", "h2.json"], _MAP_MODULES),
+    (["canheight", "--map", "h2.json", "--point", "3,0"], (*_MAP_MODULES, "canonical")),
+    (["periodic", "--map", "h2.json", "--point", "2,2"], (*_MAP_MODULES, "canonical")),
+    (["orbit", "--map", "h2.json", "--point", "3,0", "--window", "2", "--T", "1e5", "--format", "csv"],
+     (*_MAP_MODULES, "canonical", "orbit")),
+    (["picard", "--d", "3"], ("picard", "ratpoly")),
+], ids=["height", "height-csv", "dyndeg", "canheight", "periodic", "orbit-csv", "picard"])
+def test_each_command_loads_only_the_modules_it_calls(argv, modules):
+    # a whole `python -m planeheights.cli` process, as a user runs it; the
+    # cli module itself runs as __main__
+    imported = _child_imports(["-m", "planeheights.cli", *argv], cwd=GOLDEN)
+    assert _package_modules(imported) == {"planeheights", "planeheights.errors",
+                                          *(f"planeheights.{name}" for name in modules)}
+    assert "mpmath" not in imported
+    assert ("csv" in imported) == ("csv" in argv)
