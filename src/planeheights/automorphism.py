@@ -24,12 +24,19 @@ Every walk reads one `Orbit`: the exact two-sided orbit of a start, as a list
 of primitive triples per time direction, extended lazily.  It holds the only
 iteration loop of the package, measures each iterate once (`Orbit.size`: its
 bit length and naive height, read off the triple), and holds the digit cap
-of every walk (`Orbit.capped`, which refuses a step on that size before
-computing the next).  A map keeps one orbit, the one of the start it was
-last queried at (`PlaneAutomorphism.orbit`); a query from another start
-replaces it.  Heights, the functional equation, periodicity, point counts
-and the orbit record all read the same orbit at shifted indices, so one
-slot serves every query about one point.  The slot is deliberately one: a
+of every walk (`Orbit.capped`, a check that builds the neighbour it tests
+and refuses a step on its size before the step is computed).  A walk reads
+only the size of its outermost iterate, its largest triple, so the orbit
+sizes the iterate just past the triples it holds without building it when
+the step into it takes no gcd: the same forms (`IntegerForms.image`) at
+`Interval` coordinates of the last held triple, when the enclosure pins the
+size bit for bit (`pinned_size`).  The intervals live here, next to the
+orbit, and the orbit tracker of :mod:`planeheights.orbit` steps them too.
+A map keeps one orbit, the one of the start it was last queried at
+(`PlaneAutomorphism.orbit`); a query from another start replaces it.
+Heights, the functional equation, periodicity, point counts and the orbit
+record all read the same orbit at shifted indices, so one slot serves every
+query about one point.  The slot is deliberately one: a
 larger cache would mostly keep orbits that nothing reads again (at up to
 the digit cap per iterate), and a caller that repeats a whole batch of
 queries would be served from it and measure lookups rather than work.
@@ -50,7 +57,7 @@ from functools import cached_property
 from typing import Tuple
 
 from .errors import DEFAULT_DIGIT_CAP, MapValidationError, PolyParseError, ResourceCapError
-from .heights import ProjPoint, affine, lift, log_int, top
+from .heights import _LN2, ProjPoint, affine, lift, log_int, top
 from .ratpoly import BivarPoly, _integer_numerators, parse_rat, powers
 
 _X = BivarPoly.var("x")
@@ -98,19 +105,9 @@ class IntegerForms:
         self._max_i = max(i for i, _ in keys)
         self._max_j = max(j for _, j in keys)
 
-    def step(self, point: ProjPoint, bad: int | None = None) -> ProjPoint:
-        """The primitive triple, Z > 0, of the image of a primitive triple
-        with Z > 0.  With m = 1 and Z = 1 it is ring arithmetic alone, so it
-        also steps interval coordinates (X, Y, 1) (:mod:`planeheights.orbit`).
-
-        `bad` is K of the map's `EscapeBox`, given by an `Orbit` once its
-        walk has settled in this direction (a triple with Z > 1).  The good-
-        prime rule: at a prime p not dividing K, a triple in V+ at p (V-
-        going backward) or with p not dividing Z maps to a triple that is
-        already primitive at p.  So every common factor of (F, G, m Z^d) is
-        on the primes of K, and it is removed by gcds against K, each linear
-        in the size of F, until one is 1; with K = 1 no gcd is taken.
-        Without `bad` the common factor is gcd(m Z^d, F, G) itself."""
+    def image(self, point) -> tuple:
+        """(F, G, m Z^d) at a triple, before any gcd: ring arithmetic alone,
+        so it also maps `Interval` coordinates (an int Z = 1 keeps h = m)."""
         x, y, z = point
         xp = powers(x, self._max_i)
         yp = powers(y, self._max_j)
@@ -121,18 +118,142 @@ class IntegerForms:
             zp = powers(z, self.degree)
             mono = [xp[i] * yp[j] * zp[k] for i, j, k in self.monomials]
             h = self.m * zp[-1]
-        f = sum(c * mono[n] for n, c in self.f)
-        g = sum(c * mono[n] for n, c in self.g)
+        return (sum(c * mono[n] for n, c in self.f), sum(c * mono[n] for n, c in self.g), h)
+
+    def step(self, point: ProjPoint, bad: int | None = None) -> ProjPoint:
+        """The primitive triple, Z > 0, of the image of a primitive triple
+        with Z > 0.  With m = 1 and Z = 1 it is `image` alone, so it also
+        steps interval coordinates (X, Y, 1) (:mod:`planeheights.orbit`).
+
+        `bad` is K of the map's `EscapeBox`, given by an `Orbit` once its
+        walk has settled in this direction (a triple with Z > 1).  The good-
+        prime rule: at a prime p not dividing K, a triple in V+ at p (V-
+        going backward) or with p not dividing Z maps to a triple that is
+        already primitive at p.  So every common factor of (F, G, m Z^d) is
+        on the primes of K, and it is removed by gcds against K, each linear
+        in the size of F, until one is 1; with K = 1 no gcd is taken.
+        Without `bad` the common factor is gcd(m Z^d, F, G) itself."""
+        f, g, h = self.image(point)
         if bad is not None:
             while bad != 1 and (common := math.gcd(bad, f, g, h)) != 1:
                 f, g, h = f // common, g // common, h // common
         # A prime divides m Z^d exactly when it divides m Z, so the triple is
         # already primitive when gcd(m Z, F, G) = 1: a gcd against m Z, about
         # 1/d the size of m Z^d, settles the common case.
-        elif h != 1 and math.gcd(self.m * z, f, g) != 1:
+        elif h != 1 and math.gcd(self.m * point[2], f, g) != 1:
             common = math.gcd(h, f, g)
             f, g, h = f // common, g // common, h // common
         return (f, g, h)
+
+
+INTERVAL_PRECISION_BITS = 192
+
+
+class Interval:
+    """The real interval [lo 2^e, hi 2^e], with integer mantissas and e >= 0,
+    rounded outward.
+
+    Each result is cut back to INTERVAL_PRECISION_BITS bits of mantissa, lo
+    by a floor shift and hi by a ceiling shift, so it encloses the exact
+    result of the operation at every pair of points of its operands.  Only
+    `*` and `+` are defined, with an int or an Interval on either side: that
+    is all the ring arithmetic `IntegerForms.image` does (its `powers`, its
+    `sum` and its integer coefficients), so intervals step with the map's own
+    forms: at the frontier of an `Orbit`, and in the tracker of
+    :mod:`planeheights.orbit`.
+    """
+
+    __slots__ = ("lo", "hi", "e")
+
+    def __init__(self, lo: int, hi: int, e: int = 0):
+        shift = max(-lo, hi).bit_length() - INTERVAL_PRECISION_BITS  # lo <= hi
+        if shift > 0:
+            lo >>= shift
+            hi = -(-hi >> shift)
+            e += shift
+        self.lo, self.hi, self.e = lo, hi, e
+
+    def __mul__(self, other):
+        if type(other) is int:
+            if other == 1:
+                return self
+            if other >= 0:
+                return Interval(self.lo * other, self.hi * other, self.e)
+            return Interval(self.hi * other, self.lo * other, self.e)
+        if type(other) is not Interval:
+            return NotImplemented
+        a, b, c, d = self.lo, self.hi, other.lo, other.hi
+        if a >= 0 and c >= 0:
+            return Interval(a * c, b * d, self.e + other.e)
+        products = (a * c, a * d, b * c, b * d)
+        return Interval(min(products), max(products), self.e + other.e)
+
+    __rmul__ = __mul__
+
+    def __add__(self, other):
+        if type(other) is int:
+            if other == 0:
+                return self
+            other = Interval(other, other)
+        elif type(other) is not Interval:
+            return NotImplemented
+        big, small = (self, other) if self.e >= other.e else (other, self)
+        lo, hi, e = small.lo, small.hi, small.e
+        gap = big.e - e
+        guard = 2 * INTERVAL_PRECISION_BITS
+        if gap > guard:
+            # Far below big's last bit: round small outward to the exponent
+            # big.e - guard rather than shift big left by the whole gap.
+            shift = gap - guard
+            lo >>= shift
+            hi = -(-hi >> shift)
+            e += shift
+            gap = guard
+        return Interval((big.lo << gap) + lo, (big.hi << gap) + hi, e)
+
+    __radd__ = __add__
+
+    def magnitude(self) -> Tuple[int, int]:
+        """(least, most) mantissas of |v| over the interval, under the same 2^e."""
+        lo, hi = self.lo, self.hi
+        if lo > 0:
+            return lo, hi
+        if hi < 0:
+            return -hi, -lo
+        return 0, max(-lo, hi)
+
+    def log_abs(self) -> Tuple[float, float]:
+        """(log min |v|, log max |v|) over the interval, each read as
+        log_int(mantissa) + e log 2, so accurate to a few ulps; -inf for a
+        bound at 0."""
+        least, most = self.magnitude()
+        scale = self.e * _LN2
+        return (log_int(least) + scale if least else -math.inf,
+                log_int(most) + scale if most else -math.inf)
+
+
+def _leading(m: int, e: int) -> Tuple[int, int]:
+    """(bit length, leading 53 bits) of m 2^e, m >= 0, ordered as m 2^e is;
+    (0, 0) for 0."""
+    k = m.bit_length()
+    if not k:
+        return (0, 0)
+    return (k + e, m >> (k - 53) if k >= 53 else m << (53 - k))
+
+
+def pinned_size(triple) -> Tuple[int, float] | None:
+    """(bits(top), log_int(top)) of the integer triple that `triple`, of ints
+    and Intervals, encloses, top = max(|X|, |Y|, Z); None unless the
+    enclosure fixes both top's bit length B >= 53 and the 53 leading bits
+    that log_int reads, so the pair is the exact one bit for bit."""
+    least = most = (0, 0)
+    for c in triple:
+        lo, hi, e = (*c.magnitude(), c.e) if type(c) is Interval else (abs(c), abs(c), 0)
+        least, most = max(least, _leading(lo, e)), max(most, _leading(hi, e))
+    bits, lead = least
+    if least != most or bits < 53:
+        return None
+    return bits, math.log(lead) + (bits - 53) * _LN2  # log_int: log(top >> shift) + shift log 2
 
 
 class Orbit:
@@ -144,12 +265,21 @@ class Orbit:
 
     `size(l)` is (bits(top), h_nv = log top) of orbit[l], top = max(|X|, |Y|,
     Z), measured the first time it is read: the one place a triple becomes a
-    size, which every bit length and naive height of a walk reads.  `capped`
-    is the one digit-cap rule: a walk reads its iterates in order and is
-    refused at the first whose step bound passes the cap, before that step is
-    computed.  The bound is an upper bound, so it refuses an iterate one step
-    earlier than a test of its real size only when the cap lies within c_bits
-    bits of that size.
+    size, which every bit length and naive height of a walk reads.  The
+    iterate just past the held triples is sized without being built when the
+    step into it takes no gcd (Z = 1 with m = 1, or a settled direction with
+    K = 1): `IntegerForms.image` at `Interval` coordinates of its neighbour
+    gives its size when `pinned_size` pins it, and the exact step runs
+    otherwise.  A walk only reads the size of its outermost iterate, the
+    largest triple of the walk, so that triple is never built unless some
+    reader indexes it later.
+
+    `capped` is the one digit-cap rule, a check that builds only the
+    neighbour it tests: a walk reads its iterates in order and is refused at
+    the first whose step bound passes the cap, before that step is computed.
+    The bound is an upper bound, so it refuses an iterate one step earlier
+    than a test of its real size only when the cap lies within c_bits bits
+    of that size.
 
     Each direction holds one flag: whether the walk has settled, so that its
     steps reduce only at the primes of K (`IntegerForms.step`).  The first
@@ -195,25 +325,46 @@ class Orbit:
                 bad = self._settled[forward] = box.bad
         return bad
 
-    def capped(self, l: int, limit: int, base: int = 0) -> ProjPoint:
-        """orbit[l], l != base, read by a walk from g^base(x) that has read
-        every iterate before l; refused (ResourceCapError, naming l - base)
-        without computing it when d bits(top) + c_bits of the step into it,
-        from its neighbour on the side of base, is above `limit` bits."""
+    def capped(self, l: int, limit: int, base: int = 0) -> None:
+        """Check orbit[l], l != base, for a walk from g^base(x) that has read
+        every iterate before l: build its neighbour on the side of base and
+        refuse (ResourceCapError, naming l - base) when d bits(top) + c_bits
+        of the step from there is above `limit` bits.  orbit[l] is not built."""
         forward = l > base
         forms = self._forms[forward]
-        if forms.degree * self.size(l - 1 if forward else l + 1)[0] + forms.c_bits > limit:
-            raise ResourceCapError(f"coordinate exceeded the digit cap at iterate {l - base:+d}")
-        return self[l]
+        near = l - 1 if forward else l + 1
+        self[near]
+        bound = forms.degree * self.size(near)[0] + forms.c_bits
+        if bound > limit:
+            raise ResourceCapError(f"coordinate exceeded the digit cap at iterate {l - base:+d}",
+                                   iterate=l - base, bound_bits=bound)
 
     def size(self, l: int) -> Tuple[int, float]:
         """(bits(top), h_nv) of orbit[l], measuring each iterate from 0 to l
-        once; a walk reads l through `capped` first, so nothing over the cap is built."""
-        sizes = self._sizes[l >= 0]
-        while len(sizes) <= abs(l):
-            t = top(self[len(sizes) if l >= 0 else -len(sizes)])
-            sizes.append((t.bit_length(), log_int(t)))
-        return sizes[abs(l)]
+        once; a walk reads l through `capped` first, so nothing over the cap
+        is built.  l itself, when it is just past the held triples, is read
+        at the frontier (`_frontier_size`) if that pins it."""
+        forward = l >= 0
+        sizes, k = self._sizes[forward], abs(l)
+        while len(sizes) <= k:
+            n = len(sizes)
+            size = self._frontier_size(forward) if n == k == len(self._chains[forward]) else None
+            if size is None:
+                t = top(self[n if forward else -n])
+                size = (t.bit_length(), log_int(t))
+            sizes.append(size)
+        return sizes[k]
+
+    def _frontier_size(self, forward: bool) -> Tuple[int, float] | None:
+        """The size of the iterate just past the held chain, read off the
+        image of the last held triple on Interval coordinates, when that step
+        takes no gcd and the enclosure pins the size; else None."""
+        pt = self._chains[forward][-1]
+        forms = self._forms[forward]
+        x, y, z = pt
+        if (forms.m if z == 1 else self._bad(forward, pt)) != 1:
+            return None  # the step takes a gcd
+        return pinned_size(forms.image((Interval(x, x), Interval(y, y), 1 if z == 1 else Interval(z, z))))
 
 
 @dataclass(frozen=True)

@@ -26,11 +26,15 @@ read from index s, which is exact because gamma^-1(f^s x) = g^s(z) and
 primitive triples with Z > 0 are unique; so hplus, hminus, hcanonical, the
 functional equation and the periodicity test at one point share one orbit,
 the one the core map keeps (see :mod:`planeheights.automorphism` for why
-only one).  Each walk steps through `Orbit.capped`, which names a refused
-iterate relative to the walk's own base point, and reads h_nv =
+only one).  Each walk checks its steps through `Orbit.capped`, which names
+a refused iterate relative to the walk's own base point, and reads h_nv =
 log max(|X|, |Y|, Z) off `Orbit.size`, which measures each iterate once for
-all of them.  The dynamical degree, the growth constants and the escape box
-are cached on the map.
+all of them.  A walk never reads the coordinates of its outermost iterate
+g^(base +- N) z, only its size, so the orbit sizes it off an interval step
+at its frontier and the walk builds triples only to one step short of it:
+at depth N, the functional equation's walks from f(x) and f^-1(x) build to
++-N and read sizes to +-(N + 1).  The dynamical degree, the growth
+constants and the escape box are cached on the map.
 """
 
 from __future__ import annotations
@@ -183,7 +187,8 @@ def hminus(engine: HeightEngine, x: AffinePoint) -> HeightEstimate:
 
 
 def _half_estimate(engine: HeightEngine, orbit: Orbit, base: int, forward: bool) -> HeightEstimate:
-    """v_N from g^base z: N steps through `Orbit.capped`, then three sizes read."""
+    """v_N from g^base z: N steps checked by `Orbit.capped`, then three sizes
+    read; the last, of the outermost iterate, off the orbit's frontier."""
     n = engine.depth
     sign, base_degree = (1, engine.delta) if forward else (-1, engine.delta_minus)
     tail = engine.tail_fwd() if forward else engine.tail_inv()
@@ -274,9 +279,10 @@ def is_periodic(f: PlaneAutomorphism, x: AffinePoint,
     while (place := box.exit_place(pt)) is None:
         l += 1
         try:
-            pt = orbit.capped(l, limit)
+            orbit.capped(l, limit)
         except ResourceCapError as exc:
             return PeriodicityVerdict("undecided", detail=str(exc))
+        pt = orbit[l]
         if pt == start:
             return PeriodicityVerdict("periodic", period=l)
     return PeriodicityVerdict("not_periodic", detail=f"iterate {l:+d} lies outside the escape box at {place}")

@@ -31,7 +31,16 @@ class MapValidationError(PlaneHeightsError, ValueError):
 
 
 class ResourceCapError(PlaneHeightsError, RuntimeError):
-    """Work exceeded a configured bound (digit cap or depth); never a wrong answer."""
+    """Work exceeded a configured bound (digit cap or depth); never a wrong answer.
+
+    A digit-cap refusal of `Orbit.capped` also carries the refused iterate,
+    relative to the walk's base (`iterate`), and the bit bound of the step
+    into it that passed the cap (`bound_bits`); both are None on any other."""
+
+    def __init__(self, message, iterate: int | None = None, bound_bits: int | None = None):
+        super().__init__(message)
+        self.iterate = iterate
+        self.bound_bits = bound_bits
 
 
 class UndecidedPeriodicityError(PlaneHeightsError, RuntimeError):

@@ -4,13 +4,16 @@ enclosures.
 Counting runs need naive heights of iterates far past the point where exact
 coordinates stop being storable (a threshold T = e^21 pulls in iterates whose
 coordinates would have ~10^8 digits).  The orbit tracker therefore works in
-two phases: exact triples (X : Y : Z) read off the orbit the map holds
-through `Orbit.capped`, with the sizes the orbit measured once (the switch
-test reads their bit lengths, the exact heights their logs), then
+two phases: exact triples (X : Y : Z) of the orbit the map holds, checked
+by `Orbit.capped`, with the sizes the orbit measured once (the switch test
+reads their bit lengths, the exact heights their logs; the orbit sizes an
+iterate past its held triples at its frontier, so the first iterate over
+the switch is not built), then
 outward-rounded interval arithmetic on the coordinates themselves (an
-`Interval` is a pair of integer mantissas of at most 192 bits under a
-Python-int binary exponent, so e^(10^9)-sized values cost no more than
-small ones).  The switch is only taken when the map provably preserves
+`Interval`, which lives with `Orbit` in :mod:`planeheights.automorphism` and
+is re-exported here, is a pair of integer mantissas of at most 192 bits
+under a Python-int binary exponent, so e^(10^9)-sized values cost no more
+than small ones).  The switch is only taken when the map provably preserves
 integer points in both directions (all coefficients integral, integral
 start): there m = 1 and Z = 1, so h = log max(|X|, |Y|, 1) is the exact
 naive height, and the `IntegerForms` step is ring arithmetic alone, which
@@ -45,7 +48,8 @@ import math
 from dataclasses import dataclass
 from typing import Dict, Tuple
 
-from .automorphism import DEFAULT_DIGIT_CAP, Orbit, PlaneAutomorphism, cap_bits
+from .automorphism import DEFAULT_DIGIT_CAP, Interval, Orbit, PlaneAutomorphism, cap_bits
+from .automorphism import INTERVAL_PRECISION_BITS  # noqa: F401 (re-exported with Interval)
 from .canonical import HeightEngine, hcanonical_iterates, is_periodic
 from .errors import (
     OutOfRangeError,
@@ -53,7 +57,7 @@ from .errors import (
     ResourceCapError,
     UndecidedPeriodicityError,
 )
-from .heights import _LN2, AffinePoint, affine, lift, log_int
+from .heights import AffinePoint, affine, lift
 
 NEG_INFINITY = float("-inf")  # distinguished 'finite orbit' value, never used in arithmetic
 
@@ -63,86 +67,6 @@ NEG_INFINITY = float("-inf")  # distinguished 'finite orbit' value, never used i
 # interval step, and below that the other readers of the orbit (the
 # canonical heights) have mostly stepped those iterates already.
 DEFAULT_EXACT_DIGITS = 2_000
-INTERVAL_PRECISION_BITS = 192
-
-
-class Interval:
-    """The real interval [lo 2^e, hi 2^e], with integer mantissas and e >= 0,
-    rounded outward.
-
-    Each result is cut back to INTERVAL_PRECISION_BITS bits of mantissa, lo
-    by a floor shift and hi by a ceiling shift, so it encloses the exact
-    result of the operation at every pair of points of its operands.  Only
-    `*` and `+` are defined, with an int or an Interval on either side: that
-    is all the ring arithmetic `IntegerForms.step` does (its `powers`, its
-    `sum` and its integer coefficients), so the tracker steps intervals with
-    the map's own forms.
-    """
-
-    __slots__ = ("lo", "hi", "e")
-
-    def __init__(self, lo: int, hi: int, e: int = 0):
-        shift = max(-lo, hi).bit_length() - INTERVAL_PRECISION_BITS  # lo <= hi
-        if shift > 0:
-            lo >>= shift
-            hi = -(-hi >> shift)
-            e += shift
-        self.lo, self.hi, self.e = lo, hi, e
-
-    def __mul__(self, other):
-        if type(other) is int:
-            if other == 1:
-                return self
-            if other >= 0:
-                return Interval(self.lo * other, self.hi * other, self.e)
-            return Interval(self.hi * other, self.lo * other, self.e)
-        if type(other) is not Interval:
-            return NotImplemented
-        a, b, c, d = self.lo, self.hi, other.lo, other.hi
-        if a >= 0 and c >= 0:
-            return Interval(a * c, b * d, self.e + other.e)
-        products = (a * c, a * d, b * c, b * d)
-        return Interval(min(products), max(products), self.e + other.e)
-
-    __rmul__ = __mul__
-
-    def __add__(self, other):
-        if type(other) is int:
-            if other == 0:
-                return self
-            other = Interval(other, other)
-        elif type(other) is not Interval:
-            return NotImplemented
-        big, small = (self, other) if self.e >= other.e else (other, self)
-        lo, hi, e = small.lo, small.hi, small.e
-        gap = big.e - e
-        guard = 2 * INTERVAL_PRECISION_BITS
-        if gap > guard:
-            # Far below big's last bit: round small outward to the exponent
-            # big.e - guard rather than shift big left by the whole gap.
-            shift = gap - guard
-            lo >>= shift
-            hi = -(-hi >> shift)
-            e += shift
-            gap = guard
-        return Interval((big.lo << gap) + lo, (big.hi << gap) + hi, e)
-
-    __radd__ = __add__
-
-    def log_abs(self) -> Tuple[float, float]:
-        """(log min |v|, log max |v|) over the interval, each read as
-        log_int(mantissa) + e log 2, so accurate to a few ulps; -inf for a
-        bound at 0."""
-        lo, hi = self.lo, self.hi
-        if lo > 0:
-            least, most = lo, hi
-        elif hi < 0:
-            least, most = -hi, -lo
-        else:
-            least, most = 0, max(-lo, hi)
-        scale = self.e * _LN2
-        return (log_int(least) + scale if least else -math.inf,
-                log_int(most) + scale if most else -math.inf)
 
 
 class OrbitHeightTracker:
@@ -175,7 +99,9 @@ class OrbitHeightTracker:
 
     # -- coordinate states ---------------------------------------------------
 
-    def _state(self, l: int):
+    def _interval(self, l: int):
+        """The interval triple of f^l(x), or None while l is held exactly
+        (its triple and size are the orbit's)."""
         forward = l >= 0
         sign, k = (1, l) if forward else (-1, -l)
         n = self._exact[forward]
@@ -187,7 +113,7 @@ class OrbitHeightTracker:
                 if not self._certified:
                     raise ResourceCapError(
                         f"orbit {exc}, and the map is not certified integral, so interval "
-                        "tracking cannot take over"
+                        "tracking cannot take over", exc.iterate, exc.bound_bits
                     ) from None
                 exact = False
             if not exact:
@@ -201,15 +127,14 @@ class OrbitHeightTracker:
             n += 1
             self._exact[forward] = n
         if k < n:
-            return ("exact", self._orbit[l])
-        return ("iv", self._intervals[forward][sign * (k - n + 1)])
+            return None
+        return self._intervals[forward][sign * (k - n + 1)]
 
     def point(self, l: int) -> AffinePoint:
         """Exact coordinates of f^l(x); available only inside the exact window."""
-        kind, pt = self._state(l)
-        if kind != "exact":
+        if self._interval(l) is not None:
             raise ResourceCapError(f"iterate {l} is no longer held exactly")
-        return affine(pt)
+        return affine(self._orbit[l])
 
     # -- heights ---------------------------------------------------------------
 
@@ -226,8 +151,8 @@ class OrbitHeightTracker:
         cached = self._bounds.get(l)
         if cached is not None:
             return cached
-        kind, pt = self._state(l)
-        if kind == "exact":
+        pt = self._interval(l)
+        if pt is None:
             h = self._orbit.size(l)[1]
             pad = 2.0**-40 * max(1.0, abs(h))
             found = (h - pad, h + pad)

@@ -4,8 +4,10 @@ Property tests (Hypothesis) compare kernel steps with `BivarPoly.evaluate`
 steps, naive heights on triples with `normalize`-based heights, and the
 digit-cap iterate with the coordinate-wise rule of a Fraction walk, also when
 the map already holds an orbit from earlier queries.  The cap refuses a step
-on its size bound, so the bound is checked on random Henon words, and a
-refusal is checked to build no triple over the cap.  Orbit triples, whose
+on its size bound, so the bound is checked on random Henon words, a refusal
+is checked to build no triple over the cap, and it carries its iterate and
+bound.  Sizes read at an orbit's frontier, off an interval step, are compared
+with the triples built afterwards on random words with K = 1.  Orbit triples, whose
 settled steps reduce only at the primes of the escape box's K, are compared
 with a walk that takes the full gcd at every step, on random Henon words and
 their linear conjugates.
@@ -17,14 +19,15 @@ import re
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
-from planeheights.automorphism import (IntegerForms, cap_bits, compose_maps, conjugate, henon, inverse,
-                                       pair, triangular)
-from planeheights.canonical import hcanonical, hminus, hplus, is_periodic, make_engine
+from planeheights.automorphism import (IntegerForms, Interval, cap_bits, compose_maps, conjugate, degree_sequence,
+                                       henon, inverse, pair, pinned_size, triangular)
+from planeheights.canonical import (functional_equation_residual, hcanonical, hcanonical_iterates, hminus, hplus,
+                                    is_periodic, make_engine)
 from planeheights.errors import ResourceCapError
-from planeheights.heights import affine, lift, naive_height, naive_height_affine, normalize, top
+from planeheights.heights import affine, lift, log_int, naive_height, naive_height_affine, normalize, top
 from planeheights.orbit import OrbitHeightTracker, build_orbit_record, hpm_from_h
 from planeheights.ratpoly import BivarPoly, parse_poly
 
@@ -353,3 +356,120 @@ def test_a_refusal_builds_no_triple_over_the_cap(monkeypatch, f, read):
     with pytest.raises(ResourceCapError):
         read(dataclasses.replace(f))  # a copy that holds no orbit
     assert bits and max(bits) <= cap_bits(10_000)
+
+
+def test_a_cap_refusal_carries_its_iterate_and_bound():
+    f = dataclasses.replace(H2)  # a copy that holds no orbit
+    engine = make_engine(f, depth=40, digit_cap=10_000)
+    orbit, forms, limit = f.orbit(lift(X3)), f.forms(True), cap_bits(10_000)
+    iterates = []
+    for base in (0, 1):  # hcanonical at x, then at f(x): iterates named from the walk's base
+        with pytest.raises(ResourceCapError) as info:
+            hcanonical_iterates(engine, X3, (base,))
+        exc = info.value
+        assert str(exc) == f"coordinate exceeded the digit cap at iterate {exc.iterate:+d}"
+        assert exc.bound_bits == forms.degree * orbit.size(base + exc.iterate - 1)[0] + forms.c_bits
+        assert forms.degree * orbit.size(base + exc.iterate - 2)[0] + forms.c_bits <= limit < exc.bound_bits
+        iterates.append(exc.iterate)
+    assert iterates[1] == iterates[0] - 1
+    # the tracker's refusal on a map it cannot switch passes them on
+    with pytest.raises(ResourceCapError, match="not certified integral") as info:
+        walk_tracker(H4, 1)
+    assert info.value.iterate == raised_iterate(lambda: walk_tracker(H4, 1)) and info.value.bound_bits > limit
+    with pytest.raises(ResourceCapError) as info:
+        degree_sequence(H2, 9)
+    assert (info.value.iterate, info.value.bound_bits) == (None, None)
+
+
+# -- sizes read at the frontier ---------------------------------------------------
+
+def unimodular(b, j, s, t):
+    """The affine automorphism (x + b y + s, j x + (j b + 1) y + t), of determinant 1."""
+    x, y, k = BivarPoly.var("x"), BivarPoly.var("y"), BivarPoly.const
+    u, v = x - k(s), y - k(t)
+    return pair(x + k(b) * y + k(s), k(j) * x + k(j * b + 1) * y + k(t),
+                k(j * b + 1) * u - k(b) * v, v - k(j) * u)
+
+
+@st.composite
+def unit_henon_words(draw):
+    """Words of one or two integral Henon maps with integral inverses (a and
+    the leading coefficient of p are +-1), degree <= 9, and their conjugates
+    by integral affine maps of determinant 1: every one has K = 1."""
+    f = None
+    for _ in range(draw(st.integers(1, 2))):
+        degree = draw(st.integers(2, 3))
+        coeffs = draw(st.lists(st.integers(-4, 4), min_size=degree, max_size=degree)) + [draw(st.sampled_from([1, -1]))]
+        p = sum((BivarPoly.const(c) * BivarPoly.var("x") ** i for i, c in enumerate(coeffs)), BivarPoly.zero())
+        g = henon(draw(st.sampled_from([1, -1])), p)
+        f = g if f is None else compose_maps(f, g)
+    if draw(st.booleans()):
+        lin = unimodular(*(draw(st.integers(-2, 2)) for _ in range(4)))
+        f = compose_maps(compose_maps(lin, f), inverse(lin))
+    return f
+
+
+@settings(max_examples=60, deadline=None)
+@given(f=unit_henon_words(), pt=points, forward=st.booleans())
+@example(f=H2, pt=(Fraction(1, 2), Fraction(1, 3)), forward=True)
+@example(f=C6, pt=X3, forward=False)
+def test_a_size_read_at_the_frontier_is_the_built_triples(f, pt, forward):
+    f = dataclasses.replace(f)  # a copy that holds no orbit
+    assert f.is_integral and f.escape_box.bad == 1
+    orbit, sign = f.orbit(lift(pt)), 1 if forward else -1
+    chain = orbit._chains[forward]
+    for k in range(1, 6):
+        try:
+            orbit.capped(sign * k, cap_bits(10_000))
+        except ResourceCapError:
+            break
+        size = orbit.size(sign * k)
+        event("sized at the frontier" if len(chain) == k else "built")
+        t = top(orbit[sign * k])
+        assert size == (t.bit_length(), log_int(t))
+
+
+def test_the_outermost_iterates_are_sized_not_built():
+    # each walk reads only the size of its outermost iterate: the residual's
+    # walks from f(x) and f^-1(x) reach +-13 at depth 12, and build to +-12
+    f = dataclasses.replace(H2)
+    engine = make_engine(f, depth=12)
+    x = (Fraction(1, 2), Fraction(1, 3))
+    hplus(engine, x), hminus(engine, x), hcanonical(engine, x), functional_equation_residual(engine, x)
+    orbit = f.orbit(lift(x))
+    assert [len(chain) for chain in orbit._chains] == [13, 13]
+    assert [len(sizes) for sizes in orbit._sizes] == [14, 14]
+    for l in (13, -13):
+        size, t = orbit.size(l), top(orbit[l])  # built when a reader indexes it
+        assert size == (t.bit_length(), log_int(t))
+
+
+def test_an_enclosure_that_cannot_pin_leaves_the_step_exact(monkeypatch):
+    # (2^100, 1) maps to (2^200 - 1, 2^100): the 192-bit enclosure of
+    # 2^200 - 1 reaches 2^200, so it fixes neither the bit length nor the
+    # leading bits, and the exact step runs
+    start = (1 << 100, 1, 1)
+    forms = H2.forms(True)
+    assert pinned_size(forms.image((Interval(1 << 100, 1 << 100), Interval(1, 1), 1))) is None
+    stepped = []
+    step = IntegerForms.step
+
+    def recording_step(self, pt, *rest):
+        stepped.append(pt)
+        return step(self, pt, *rest)
+
+    monkeypatch.setattr(IntegerForms, "step", recording_step)
+    orbit = dataclasses.replace(H2).orbit(start)
+    assert orbit.size(1) == (200, log_int((1 << 200) - 1))
+    assert stepped == [start] and orbit[1] == ((1 << 200) - 1, 1 << 100, 1)
+
+
+@pytest.mark.parametrize("triple, expected", [
+    ((1 << 52, 0, 1), (53, math.log(1 << 52))),  # 53 bits, exact: log_int's own log
+    ((3, -(1 << 70) - 5, 1), (71, log_int((1 << 70) + 5))),
+    ((Interval(7 << 300, 7 << 300), 2, Interval(-(1 << 200), 1)), (303, log_int(7 << 300))),
+    (((1 << 52) - 1, 0, 1), None),  # 52 bits: log_int reads the whole integer
+    ((Interval(-(1 << 199), 1 << 199), 1, 1), None),  # |X| anywhere in [0, 2^199]
+])
+def test_pinned_size(triple, expected):
+    assert pinned_size(triple) == expected

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import assume, example, given, reject, settings
 from hypothesis import strategies as st
 
+from planeheights import automorphism as automorphism_mod
 from planeheights import orbit as orbit_mod
 from planeheights.automorphism import DEFAULT_DIGIT_CAP, IntegerForms, compose_maps, henon, inverse, triangular
 from planeheights.canonical import functional_equation_residual, hminus, hplus, is_periodic, make_engine
@@ -152,7 +153,7 @@ def test_tracker_refuses_when_intervals_lose_precision(monkeypatch):
     # Each tracker holds its own interval orbit, at its own precision.
     lo, hi = OrbitHeightTracker(henon(1, parse_poly("x^2")), X3, exact_digits=50).h_bounds(60)
     assert hi - lo < 1e-6 * hi
-    monkeypatch.setattr(orbit_mod, "INTERVAL_PRECISION_BITS", 24)
+    monkeypatch.setattr(automorphism_mod, "INTERVAL_PRECISION_BITS", 24)  # where Interval reads it
     tracker = OrbitHeightTracker(henon(1, parse_poly("x^2")), X3, exact_digits=50)
     with pytest.raises(ResourceCapError, match="interval arithmetic lost precision at iterate 60"):
         tracker.h_bounds(60)
