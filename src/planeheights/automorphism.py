@@ -23,15 +23,15 @@ are the same step wrapped in a lift from and a return to `Fraction` coordinates.
 Every walk reads one `Orbit`: the exact two-sided orbit of a start, as a list
 of primitive triples per time direction, extended lazily.  It holds the only
 iteration loop of the package, measures each iterate once (`Orbit.size`: its
-bit length and naive height, read off the triple), and holds the digit cap
-of every walk (`Orbit.capped`, a check that builds the neighbour it tests
-and refuses a step on its size before the step is computed).  A walk reads
-only the size of its outermost iterate, its largest triple, so the orbit
-sizes the iterate just past the triples it holds without building it when
-the step into it takes no gcd: the same forms (`IntegerForms.image`) at
-`Interval` coordinates of the last held triple, when the enclosure pins the
-size bit for bit (`pinned_size`).  The intervals live here, next to the
-orbit, and the orbit tracker of :mod:`planeheights.orbit` steps them too.
+bit length and naive height), and holds the digit cap of every walk
+(`Orbit.capped`, a check on the size of the neighbour of the iterate it
+tests).  A walk reads only the sizes of its iterates, so past a held triple
+of SIZED_FROM_BITS bits the orbit sizes each iterate off an interval step
+instead of building it: the same forms (`IntegerForms.image`) at
+`Interval` coordinates of the iterate before, when the enclosure pins the
+size bit for bit (`pinned_size`), with the common factor of a gcd step read
+off residues modulo a power of m or K.  The intervals live here, next to
+the orbit, and the orbit tracker of :mod:`planeheights.orbit` steps them too.
 A map keeps one orbit, the one of the start it was last queried at
 (`PlaneAutomorphism.orbit`); a query from another start replaces it.
 Heights, the functional equation, periodicity, point counts and the orbit
@@ -148,6 +148,17 @@ class IntegerForms:
 
 INTERVAL_PRECISION_BITS = 192
 
+# An `Orbit` sizes an iterate off an interval step only from a neighbour of
+# at least this many bits, below which the exact step is cheaper.  Per
+# forward step from B bits, exact/interval us (best of 9, 2-core VM, CPython
+# 3.11); canheight-batch (seed 1, 8 s, one run each) read 1518, 1574, 1595
+# and 1471 ops/s at a threshold of 512, 768, 1024 and 1536:
+#   B    512    1024   1536   2048
+#   H2   7/19   9/18   12/18  15/18
+#   H4   11/26  22/26  23/27  69/27
+#   C6   22/71  54/47  71/82  137/48
+SIZED_FROM_BITS = 1024
+
 
 class Interval:
     """The real interval [lo 2^e, hi 2^e], with integer mantissas and e >= 0,
@@ -159,8 +170,9 @@ class Interval:
     `*` and `+` are defined, with an int or an Interval on either side: that
     is all the ring arithmetic `IntegerForms.image` does (its `powers`, its
     `sum` and its integer coefficients), so intervals step with the map's own
-    forms: at the frontier of an `Orbit`, and in the tracker of
-    :mod:`planeheights.orbit`.
+    forms: past the held triples of an `Orbit`, and in the tracker of
+    :mod:`planeheights.orbit`.  `divided` takes out the common factor of an
+    `Orbit` step that takes a gcd.
     """
 
     __slots__ = ("lo", "hi", "e")
@@ -212,6 +224,12 @@ class Interval:
         return Interval((big.lo << gap) + lo, (big.hi << gap) + hi, e)
 
     __radd__ = __add__
+
+    def divided(self, c: int) -> Interval:
+        """v / c over the interval, c >= 1, rounded outward at the exponent
+        max(0, e - bits(c)): at e = 0, to the integers the quotient lies in."""
+        shift = min(self.e, c.bit_length())
+        return Interval((self.lo << shift) // c, -(-(self.hi << shift) // c), self.e - shift)
 
     def magnitude(self) -> Tuple[int, int]:
         """(least, most) mantissas of |v| over the interval, under the same 2^e."""
@@ -265,21 +283,25 @@ class Orbit:
 
     `size(l)` is (bits(top), h_nv = log top) of orbit[l], top = max(|X|, |Y|,
     Z), measured the first time it is read: the one place a triple becomes a
-    size, which every bit length and naive height of a walk reads.  The
-    iterate just past the held triples is sized without being built when the
-    step into it takes no gcd (Z = 1 with m = 1, or a settled direction with
-    K = 1): `IntegerForms.image` at `Interval` coordinates of its neighbour
-    gives its size when `pinned_size` pins it, and the exact step runs
-    otherwise.  A walk only reads the size of its outermost iterate, the
-    largest triple of the walk, so that triple is never built unless some
-    reader indexes it later.
+    size, which every bit length and naive height of a walk reads.  Past the
+    held triples, once an iterate has SIZED_FROM_BITS bits, each next iterate
+    is sized without being built: `IntegerForms.image` at `Interval`
+    coordinates of the iterate before (the last held triple, or the
+    enclosure the orbit keeps of the last iterate it sized this way) gives
+    its size when `pinned_size` pins it.  A step that takes a gcd divides
+    the enclosures by its common factor, which residues modulo a power of
+    m (Z = 1) or K (a settled direction) decide.  Otherwise, before the
+    direction has settled or when the enclosure does not pin, the exact
+    steps run up to the iterate, and the enclosures restart from it.  So a
+    walk builds triples only up to about SIZED_FROM_BITS bits, unless some
+    reader indexes the iterates past them.
 
-    `capped` is the one digit-cap rule, a check that builds only the
-    neighbour it tests: a walk reads its iterates in order and is refused at
-    the first whose step bound passes the cap, before that step is computed.
-    The bound is an upper bound, so it refuses an iterate one step earlier
-    than a test of its real size only when the cap lies within c_bits bits
-    of that size.
+    `capped` is the one digit-cap rule, a check that reads the size of the
+    neighbour it tests and builds nothing `size` does not: a walk reads its
+    iterates in order and is refused at the first whose step bound passes
+    the cap, before that step is computed.  The bound is an upper bound, so
+    it refuses an iterate one step earlier than a test of its real size only
+    when the cap lies within c_bits bits of that size.
 
     Each direction holds one flag: whether the walk has settled, so that its
     steps reduce only at the primes of K (`IntegerForms.step`).  The first
@@ -292,7 +314,7 @@ class Orbit:
     with Z = 1, unsettled directions and maps with no box take the full gcd.
     """
 
-    __slots__ = ("start", "_forms", "_chains", "_sizes", "_owner", "_settled")
+    __slots__ = ("start", "_forms", "_chains", "_sizes", "_owner", "_settled", "_frontier")
 
     def __init__(self, fwd: IntegerForms, inv: IntegerForms, start: ProjPoint,
                  owner: PlaneAutomorphism | None = None):
@@ -302,6 +324,7 @@ class Orbit:
         self._sizes = ([], [])  # (bits(top), h_nv) of each measured iterate, by l >= 0
         self._owner = owner  # the map whose box decides settling; None once known to have none
         self._settled = [None, None]  # K of a settled direction, indexed by l >= 0
+        self._frontier = [None, None]  # (enclosure, residues, M) of the last iterate sized past the chain
 
     def __getitem__(self, l: int) -> ProjPoint:
         forward = l >= 0
@@ -327,14 +350,12 @@ class Orbit:
 
     def capped(self, l: int, limit: int, base: int = 0) -> None:
         """Check orbit[l], l != base, for a walk from g^base(x) that has read
-        every iterate before l: build its neighbour on the side of base and
-        refuse (ResourceCapError, naming l - base) when d bits(top) + c_bits
-        of the step from there is above `limit` bits.  orbit[l] is not built."""
+        every iterate before l: refuse (ResourceCapError, naming l - base)
+        when d bits(top) + c_bits, with top that of its neighbour on the side
+        of base (read by `size`), is above `limit` bits."""
         forward = l > base
         forms = self._forms[forward]
-        near = l - 1 if forward else l + 1
-        self[near]
-        bound = forms.degree * self.size(near)[0] + forms.c_bits
+        bound = forms.degree * self.size(l - 1 if forward else l + 1)[0] + forms.c_bits
         if bound > limit:
             raise ResourceCapError(f"coordinate exceeded the digit cap at iterate {l - base:+d}",
                                    iterate=l - base, bound_bits=bound)
@@ -342,29 +363,57 @@ class Orbit:
     def size(self, l: int) -> Tuple[int, float]:
         """(bits(top), h_nv) of orbit[l], measuring each iterate from 0 to l
         once; a walk reads l through `capped` first, so nothing over the cap
-        is built.  l itself, when it is just past the held triples, is read
-        at the frontier (`_frontier_size`) if that pins it."""
+        is built.  Past the held triples, an iterate whose neighbour has at
+        least SIZED_FROM_BITS bits is sized off an interval step
+        (`_enclosed_size`) when that pins it, and built otherwise."""
         forward = l >= 0
         sizes, k = self._sizes[forward], abs(l)
         while len(sizes) <= k:
             n = len(sizes)
-            size = self._frontier_size(forward) if n == k == len(self._chains[forward]) else None
+            size = None
+            if n >= len(self._chains[forward]) and sizes[-1][0] >= SIZED_FROM_BITS:
+                size = self._enclosed_size(forward, n)
             if size is None:
                 t = top(self[n if forward else -n])
                 size = (t.bit_length(), log_int(t))
             sizes.append(size)
         return sizes[k]
 
-    def _frontier_size(self, forward: bool) -> Tuple[int, float] | None:
-        """The size of the iterate just past the held chain, read off the
-        image of the last held triple on Interval coordinates, when that step
-        takes no gcd and the enclosure pins the size; else None."""
-        pt = self._chains[forward][-1]
-        forms = self._forms[forward]
-        x, y, z = pt
-        if (forms.m if z == 1 else self._bad(forward, pt)) != 1:
-            return None  # the step takes a gcd
-        return pinned_size(forms.image((Interval(x, x), Interval(y, y), 1 if z == 1 else Interval(z, z))))
+    def _enclosed_size(self, forward: bool, n: int) -> Tuple[int, float] | None:
+        """The size of iterate n of a direction off the image of an enclosure
+        of iterate n - 1 (the last held triple, or the enclosure kept from
+        the last call); None, so that the exact steps run, when the direction
+        is unsettled, the common factor is undecided or the size does not pin.
+        The common factor divides R (m when Z = 1, else K once settled), and
+        c = gcd(M, F, G, H) on residues modulo a power M of R is it exactly
+        while every prime of R divides M / c.  R is 1 on a whole chain or on
+        none of it."""
+        chain, forms = self._chains[forward], self._forms[forward]
+        if n == len(chain):
+            x, y, z = residues = chain[-1]
+            point, modulus = (Interval(x, x), Interval(y, y), 1 if z == 1 else Interval(z, z)), None
+        else:
+            point, residues, modulus = self._frontier[forward]
+        bad = forms.m if point[2] == 1 else self._settled[forward]
+        if bad is None:
+            return None  # a rational step before the direction has settled
+        f, g, h = forms.image(point)
+        if bad != 1:
+            if modulus is None:
+                modulus = bad ** (320 // (bad.bit_length() - 1) + 1)  # over 320 bits
+            image = forms.image([c % modulus for c in residues])
+            common = math.gcd(modulus, *image)
+            residues = [c % modulus // common for c in image]
+            modulus //= common
+            if pow(modulus, bad.bit_length(), bad):
+                return None  # a prime of R no longer divides M / c
+            f, g, h = f.divided(common), g.divided(common), h.divided(common) if type(h) is Interval else h // common
+            if type(h) is int and h != 1:
+                h = Interval(h, h)
+        size = pinned_size((f, g, h))
+        if size is not None:
+            self._frontier[forward] = ((f, g, h), residues, modulus)
+        return size
 
 
 @dataclass(frozen=True)

@@ -29,11 +29,12 @@ the one the core map keeps (see :mod:`planeheights.automorphism` for why
 only one).  Each walk checks its steps through `Orbit.capped`, which names
 a refused iterate relative to the walk's own base point, and reads h_nv =
 log max(|X|, |Y|, Z) off `Orbit.size`, which measures each iterate once for
-all of them.  A walk never reads the coordinates of its outermost iterate
-g^(base +- N) z, only its size, so the orbit sizes it off an interval step
-at its frontier and the walk builds triples only to one step short of it:
-at depth N, the functional equation's walks from f(x) and f^-1(x) build to
-+-N and read sizes to +-(N + 1).  The dynamical degree, the growth
+all of them.  A walk never reads the coordinates of its iterates, only
+their sizes, so the orbit sizes every iterate past its first triple of
+`SIZED_FROM_BITS` bits off interval steps, and a walk builds no triple much
+larger than that: at depth N, the functional equation's walks from f(x)
+and f^-1(x) read sizes to +-(N + 1), and the refusal of a walk at the
+digit cap is read off sizes alone.  The dynamical degree, the growth
 constants and the escape box are cached on the map.
 """
 
@@ -188,7 +189,7 @@ def hminus(engine: HeightEngine, x: AffinePoint) -> HeightEstimate:
 
 def _half_estimate(engine: HeightEngine, orbit: Orbit, base: int, forward: bool) -> HeightEstimate:
     """v_N from g^base z: N steps checked by `Orbit.capped`, then three sizes
-    read; the last, of the outermost iterate, off the orbit's frontier."""
+    read, which the orbit takes off interval steps past SIZED_FROM_BITS bits."""
     n = engine.depth
     sign, base_degree = (1, engine.delta) if forward else (-1, engine.delta_minus)
     tail = engine.tail_fwd() if forward else engine.tail_inv()

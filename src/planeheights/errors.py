@@ -35,7 +35,8 @@ class ResourceCapError(PlaneHeightsError, RuntimeError):
 
     A digit-cap refusal of `Orbit.capped` also carries the refused iterate,
     relative to the walk's base (`iterate`), and the bit bound of the step
-    into it that passed the cap (`bound_bits`); both are None on any other."""
+    into it that passed the cap (`bound_bits`).  The orbit tracker's other two
+    refusals carry the iterate they name; both are None on any other."""
 
     def __init__(self, message, iterate: int | None = None, bound_bits: int | None = None):
         super().__init__(message)

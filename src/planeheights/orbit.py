@@ -6,11 +6,12 @@ coordinates stop being storable (a threshold T = e^21 pulls in iterates whose
 coordinates would have ~10^8 digits).  The orbit tracker therefore works in
 two phases: exact triples (X : Y : Z) of the orbit the map holds, checked
 by `Orbit.capped`, with the sizes the orbit measured once (the switch test
-reads their bit lengths, the exact heights their logs; the orbit sizes an
-iterate past its held triples at its frontier, so the first iterate over
-the switch is not built), then
-outward-rounded interval arithmetic on the coordinates themselves (an
-`Interval`, which lives with `Orbit` in :mod:`planeheights.automorphism` and
+reads their bit lengths, the exact heights their logs; the orbit sizes the
+iterates past its first triple of `SIZED_FROM_BITS` bits off interval
+steps, so the switch test and a refusal at the digit cap read sizes alone,
+and only the switch builds the last exact iterate), then outward-rounded
+interval arithmetic on the coordinates themselves (an `Interval`, which
+lives with `Orbit` in :mod:`planeheights.automorphism` and
 is re-exported here, is a pair of integer mantissas of at most 192 bits
 under a Python-int binary exponent, so e^(10^9)-sized values cost no more
 than small ones).  The switch is only taken when the map provably preserves
@@ -133,7 +134,7 @@ class OrbitHeightTracker:
     def point(self, l: int) -> AffinePoint:
         """Exact coordinates of f^l(x); available only inside the exact window."""
         if self._interval(l) is not None:
-            raise ResourceCapError(f"iterate {l} is no longer held exactly")
+            raise ResourceCapError(f"iterate {l} is no longer held exactly", iterate=l)
         return affine(self._orbit[l])
 
     # -- heights ---------------------------------------------------------------
@@ -162,7 +163,7 @@ class OrbitHeightTracker:
             pad = 1e-12 * max(1.0, abs(h_hi)) + 1e-12
             found = (h_lo - pad, h_hi + pad)
             if found[1] - found[0] > 1e-6 * max(1.0, abs(found[1])):
-                raise ResourceCapError(f"interval arithmetic lost precision at iterate {l}")
+                raise ResourceCapError(f"interval arithmetic lost precision at iterate {l}", iterate=l)
         self._bounds[l] = found
         return found
 

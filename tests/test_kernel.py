@@ -22,13 +22,13 @@ import pytest
 from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
-from planeheights.automorphism import (IntegerForms, Interval, cap_bits, compose_maps, conjugate, degree_sequence,
-                                       henon, inverse, pair, pinned_size, triangular)
+from planeheights.automorphism import (SIZED_FROM_BITS, IntegerForms, Interval, Orbit, cap_bits, compose_maps,
+                                       conjugate, degree_sequence, henon, inverse, pair, pinned_size, triangular)
 from planeheights.canonical import (functional_equation_residual, hcanonical, hcanonical_iterates, hminus, hplus,
                                     is_periodic, make_engine)
 from planeheights.errors import ResourceCapError
 from planeheights.heights import affine, lift, log_int, naive_height, naive_height_affine, normalize, top
-from planeheights.orbit import OrbitHeightTracker, build_orbit_record, hpm_from_h
+from planeheights.orbit import OrbitHeightTracker, build_orbit_record, counting_enclosure, hpm_from_h
 from planeheights.ratpoly import BivarPoly, parse_poly
 
 H2 = henon(1, parse_poly("x^2"))
@@ -358,6 +358,29 @@ def test_a_refusal_builds_no_triple_over_the_cap(monkeypatch, f, read):
     assert bits and max(bits) <= cap_bits(10_000)
 
 
+@pytest.mark.parametrize("f, depth, pt, iterate", [
+    (H4, 6, (Fraction(2), Fraction(-3)), 12),
+    (H4, 6, (Fraction(3), Fraction(1)), 11),
+    (H2, 12, (Fraction(1, 2), Fraction(1, 3)), 22),
+    (H2, 12, (Fraction(2, 3), Fraction(-1, 2)), 22),
+], ids=["H4 (2,-3)", "H4 (3,1)", "H2 (1/2,1/3)", "H2 (2/3,-1/2)"])
+def test_a_default_cap_refusal_builds_no_triple_past_the_threshold(monkeypatch, f, depth, pt, iterate):
+    # the orbit record and two counting enclosures (T = e^5, e^21) of the
+    # orbit command on maps it cannot track in intervals: the tracker's walk
+    # is refused at the default cap, and the orbit builds triples only from
+    # sources under SIZED_FROM_BITS bits
+    stepped = record_steps(monkeypatch)
+    engine = make_engine(dataclasses.replace(f), depth=depth)  # a copy that holds no orbit
+    with pytest.raises(ResourceCapError) as info:
+        build_orbit_record(engine, pt, window=4)
+        for threshold in (math.exp(5.0), math.exp(21.0)):
+            counting_enclosure(engine, pt, threshold)
+    assert str(info.value) == (f"orbit coordinate exceeded the digit cap at iterate +{iterate}, and the map is not "
+                               "certified integral, so interval tracking cannot take over")
+    assert info.value.iterate == iterate
+    assert stepped and max(top(source).bit_length() for source in stepped) < SIZED_FROM_BITS
+
+
 def test_a_cap_refusal_carries_its_iterate_and_bound():
     f = dataclasses.replace(H2)  # a copy that holds no orbit
     engine = make_engine(f, depth=40, digit_cap=10_000)
@@ -430,27 +453,40 @@ def test_a_size_read_at_the_frontier_is_the_built_triples(f, pt, forward):
 
 
 def test_the_outermost_iterates_are_sized_not_built():
-    # each walk reads only the size of its outermost iterate: the residual's
-    # walks from f(x) and f^-1(x) reach +-13 at depth 12, and build to +-12
+    # a walk builds triples only up to the first iterate of SIZED_FROM_BITS
+    # bits and sizes every iterate past it off interval steps: on H2 at
+    # (1/2, 1/3), depth 12, the residual's walks from f(x) and f^-1(x) reach
+    # +-13, and the orbit builds to +10 (1836 bits; +9 has 918) and to -9
+    # (1068 bits; -8 has 534)
     f = dataclasses.replace(H2)
     engine = make_engine(f, depth=12)
     x = (Fraction(1, 2), Fraction(1, 3))
     hplus(engine, x), hminus(engine, x), hcanonical(engine, x), functional_equation_residual(engine, x)
     orbit = f.orbit(lift(x))
-    assert [len(chain) for chain in orbit._chains] == [13, 13]
+    assert [len(chain) for chain in orbit._chains] == [10, 11]
     assert [len(sizes) for sizes in orbit._sizes] == [14, 14]
-    for l in (13, -13):
+    assert [orbit.size(l)[0] for l in (-8, -9, 9, 10)] == [534, 1068, 918, 1836]
+    for l in range(-13, 14):
         size, t = orbit.size(l), top(orbit[l])  # built when a reader indexes it
         assert size == (t.bit_length(), log_int(t))
 
 
 def test_an_enclosure_that_cannot_pin_leaves_the_step_exact(monkeypatch):
-    # (2^100, 1) maps to (2^200 - 1, 2^100): the 192-bit enclosure of
-    # 2^200 - 1 reaches 2^200, so it fixes neither the bit length nor the
-    # leading bits, and the exact step runs
-    start = (1 << 100, 1, 1)
+    # (2^1100, 1), of more than SIZED_FROM_BITS bits, maps to (2^2200 - 1,
+    # 2^1100): the 192-bit enclosure of 2^2200 - 1 reaches 2^2200, so it
+    # fixes neither the bit length nor the leading bits, and the exact step runs
+    start = (1 << 1100, 1, 1)
     forms = H2.forms(True)
-    assert pinned_size(forms.image((Interval(1 << 100, 1 << 100), Interval(1, 1), 1))) is None
+    assert top(start).bit_length() >= SIZED_FROM_BITS
+    assert pinned_size(forms.image((Interval(1 << 1100, 1 << 1100), Interval(1, 1), 1))) is None
+    stepped = record_steps(monkeypatch)
+    orbit = dataclasses.replace(H2).orbit(start)
+    assert orbit.size(1) == (2200, log_int((1 << 2200) - 1))
+    assert stepped == [start] and orbit[1] == ((1 << 2200) - 1, 1 << 1100, 1)
+
+
+def record_steps(monkeypatch):
+    """The list of triples the exact step is taken from, from now on."""
     stepped = []
     step = IntegerForms.step
 
@@ -459,9 +495,101 @@ def test_an_enclosure_that_cannot_pin_leaves_the_step_exact(monkeypatch):
         return step(self, pt, *rest)
 
     monkeypatch.setattr(IntegerForms, "step", recording_step)
+    return stepped
+
+
+@pytest.mark.parametrize("bits", [SIZED_FROM_BITS - 1, SIZED_FROM_BITS])
+def test_only_a_source_of_sized_from_bits_is_sized_off_an_interval_step(monkeypatch, bits):
+    start = (3**700 >> (3**700).bit_length() - bits, 1, 1)  # the leading bits of 3^700: X^2 - 1 pins
+    stepped = record_steps(monkeypatch)
     orbit = dataclasses.replace(H2).orbit(start)
-    assert orbit.size(1) == (200, log_int((1 << 200) - 1))
-    assert stepped == [start] and orbit[1] == ((1 << 200) - 1, 1 << 100, 1)
+    size = orbit.size(1)
+    assert stepped == ([] if bits >= SIZED_FROM_BITS else [start])
+    t = top(orbit[1])
+    assert size == (t.bit_length(), log_int(t))
+
+
+@pytest.mark.parametrize("shift, sized", [(10, True), (100, False)])
+def test_a_residue_that_cannot_decide_the_common_factor_leaves_the_step_exact(monkeypatch, shift, sized):
+    # H4 forward, settled, takes its common factor at K = 4 only.  From
+    # (3 2^s, 1, 2^1100) it is 2^(4s), read off residues modulo 2^322: for
+    # s = 10 it is decided, for s = 100 it is 2^400, the residues give 2^322,
+    # and the exact step runs
+    f = dataclasses.replace(H4)
+    start = (3 << shift, 1, 1 << 1100)
+    orbit = f.orbit(start)
+    assert f.escape_box.bad == 4 and orbit._bad(True, start) == 4  # settled at the start
+    stepped = record_steps(monkeypatch)
+    size = orbit.size(1)
+    assert stepped == ([] if sized else [start])
+    x, y, z = start
+    image = (x**4 + x * z**3 - 2 * y * z**3, x * z**3, z**4)
+    assert math.gcd(*image) == 1 << (4 * shift)
+    assert orbit[1] == tuple(c >> (4 * shift) for c in image)
+    t = top(orbit[1])
+    assert size == (t.bit_length(), log_int(t))
+
+
+@pytest.mark.parametrize("interval, c", [
+    (Interval(7, 9, 10), 3),
+    (Interval(-9, -7, 5), 3),
+    (Interval(-(1 << 191) + 5, (1 << 191) - 3, 2000), 5),
+    (Interval(12, 12), 4),
+    (Interval(7, 9, 1), 1000),  # e below bits(c): rounded at e = 0
+])
+def test_interval_division_rounds_outward(interval, c):
+    q = interval.divided(c)
+    assert q.e >= 0
+    lo, hi = Fraction(interval.lo * 2**interval.e, c), Fraction(interval.hi * 2**interval.e, c)
+    assert q.lo * 2**q.e <= lo and hi <= q.hi * 2**q.e
+    # rounded by at most one unit of the last place each side
+    assert lo - q.lo * 2**q.e <= 2**q.e and q.hi * 2**q.e - hi <= 2**q.e
+    if interval.lo == interval.hi and interval.e == 0 and interval.lo % c == 0:
+        assert (q.lo, q.hi, q.e) == (interval.lo // c, interval.lo // c, 0)
+
+
+@st.composite
+def rational_henon_words(draw):
+    """Words of one or two Henon maps whose a and leading coefficient make
+    m > 1 in a direction, so K > 1, and their conjugates by affine maps."""
+    f = None
+    for _ in range(draw(st.integers(1, 2))):
+        degree = draw(st.integers(2, 3))
+        lead = draw(st.sampled_from([1, -1, 2, Fraction(1, 2)]))
+        coeffs = draw(st.lists(st.integers(-3, 3), min_size=degree, max_size=degree)) + [lead]
+        p = sum((BivarPoly.const(c) * BivarPoly.var("x") ** i for i, c in enumerate(coeffs)), BivarPoly.zero())
+        g = henon(draw(st.sampled_from([2, -2, 3, -3, 6, Fraction(1, 2), Fraction(2, 3)])), p)
+        f = g if f is None else compose_maps(f, g)
+    if draw(st.booleans()):
+        det, k, j = draw(st.sampled_from([1, 2, 3])), draw(st.integers(-2, 2)), draw(st.integers(-2, 2))
+        b = k * det + 1
+        lin = compose_maps(unimodular(0, 0, draw(st.integers(-2, 2)), draw(st.integers(-2, 2))),
+                           linear(1, b, j, j * b + det))
+        f = compose_maps(compose_maps(lin, f), inverse(lin))
+    return f
+
+
+@settings(max_examples=60, deadline=None)
+@given(f=rational_henon_words(), pt=points, forward=st.booleans(), depth=st.integers(1, 8))
+@example(f=H4, pt=(Fraction(1, 2), Fraction(1, 3)), forward=True, depth=8)
+@example(f=H4, pt=(Fraction(2), Fraction(-3)), forward=False, depth=8)
+@example(f=HALF, pt=(Fraction(2, 3), Fraction(-1, 2)), forward=False, depth=8)
+def test_sizes_past_gcd_steps_are_the_built_triples(f, pt, forward, depth):
+    f = dataclasses.replace(f)  # a copy that holds no orbit
+    assert max(f.forms(True).m, f.forms(False).m) > 1 and f.escape_box.bad > 1
+    orbit, sign = f.orbit(lift(pt)), 1 if forward else -1
+    for k in range(1, depth + 1):
+        try:
+            orbit.capped(sign * k, cap_bits(10_000))
+        except ResourceCapError:
+            break
+    orbit.size(sign * (k - 1))
+    sizes, chain = orbit._sizes[forward], orbit._chains[forward]
+    event("sized past the held triples" if len(sizes) > len(chain) else "built")
+    reference = Orbit(f.forms(True), f.forms(False), lift(pt))  # no owner: the full gcd at every step
+    for n, size in enumerate(sizes):
+        t = top(reference[sign * n])
+        assert size == (t.bit_length(), log_int(t))
 
 
 @pytest.mark.parametrize("triple, expected", [

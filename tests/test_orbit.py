@@ -159,6 +159,21 @@ def test_tracker_refuses_when_intervals_lose_precision(monkeypatch):
         tracker.h_bounds(60)
 
 
+def test_the_tracker_refusals_carry_their_iterate(monkeypatch):
+    # past the switch at +13 (2000 digits), iterate 20 is an interval
+    tracker = OrbitHeightTracker(henon(1, parse_poly("x^2")), X3)
+    with pytest.raises(ResourceCapError) as info:
+        tracker.point(20)
+    assert str(info.value) == "iterate 20 is no longer held exactly"
+    assert (info.value.iterate, info.value.bound_bits) == (20, None)
+    monkeypatch.setattr(automorphism_mod, "INTERVAL_PRECISION_BITS", 24)
+    tracker = OrbitHeightTracker(henon(1, parse_poly("x^2")), X3, exact_digits=50)
+    with pytest.raises(ResourceCapError) as info:
+        tracker.h_bounds(-60)
+    assert str(info.value) == "interval arithmetic lost precision at iterate -60"
+    assert (info.value.iterate, info.value.bound_bits) == (-60, None)
+
+
 def test_second_counting_run_steps_no_interval(monkeypatch):
     engine = make_engine(henon(1, parse_poly("x^2")), depth=12)
     interval_steps = []
