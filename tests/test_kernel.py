@@ -6,11 +6,14 @@ digit-cap iterate with the coordinate-wise rule of a Fraction walk, also when
 the map already holds an orbit from earlier queries.  The cap refuses a step
 on its size bound, so the bound is checked on random Henon words, a refusal
 is checked to build no triple over the cap, and it carries its iterate and
-bound.  Sizes read at an orbit's frontier, off an interval step, are compared
-with the triples built afterwards on random words with K = 1.  Orbit triples, whose
-settled steps reduce only at the primes of the escape box's K, are compared
-with a walk that takes the full gcd at every step, on random Henon words and
-their linear conjugates.
+bound.  Sizes read off interval steps past the held triples are compared
+with the triples built afterwards on random words with K = 1, and with the
+triples of a full-gcd walk on random words with m, K > 1, whose gcd steps
+are sized off residues; the default-cap refusals of the orbit command are
+checked to build no triple from a source past SIZED_FROM_BITS.  Orbit
+triples, whose settled steps reduce only at the primes of the escape box's
+K, are compared with a walk that takes the full gcd at every step, on
+random Henon words and their linear conjugates.
 """
 
 import dataclasses
