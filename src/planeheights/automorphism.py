@@ -31,7 +31,9 @@ instead of building it: the same forms (`IntegerForms.image`) at
 `Interval` coordinates of the iterate before, when the enclosure pins the
 size bit for bit (`pinned_size`), with the common factor of a gcd step read
 off residues modulo a power of m or K.  The intervals live here, next to
-the orbit, and the orbit tracker of :mod:`planeheights.orbit` steps them too.
+the orbit, and the counting tracker of :mod:`planeheights.orbit` goes on
+past the digit cap from the orbit's enclosure of the last iterate under it
+(`Orbit.enclosure`).
 A map keeps one orbit, the one of the start it was last queried at
 (`PlaneAutomorphism.orbit`); a query from another start replaces it.
 Heights, the functional equation, periodicity, point counts and the orbit
@@ -122,8 +124,7 @@ class IntegerForms:
 
     def step(self, point: ProjPoint, bad: int | None = None) -> ProjPoint:
         """The primitive triple, Z > 0, of the image of a primitive triple
-        with Z > 0.  With m = 1 and Z = 1 it is `image` alone, so it also
-        steps interval coordinates (X, Y, 1) (:mod:`planeheights.orbit`).
+        with Z > 0; with m = 1 and Z = 1 it is `image` alone.
 
         `bad` is K of the map's `EscapeBox`, given by an `Orbit` once its
         walk has settled in this direction (a triple with Z > 1).  The good-
@@ -170,9 +171,9 @@ class Interval:
     `*` and `+` are defined, with an int or an Interval on either side: that
     is all the ring arithmetic `IntegerForms.image` does (its `powers`, its
     `sum` and its integer coefficients), so intervals step with the map's own
-    forms: past the held triples of an `Orbit`, and in the tracker of
-    :mod:`planeheights.orbit`.  `divided` takes out the common factor of an
-    `Orbit` step that takes a gcd.
+    forms: past the held triples of an `Orbit`, and past the digit cap in the
+    counting tracker of :mod:`planeheights.orbit`.  `divided` takes out the
+    common factor of an `Orbit` step that takes a gcd.
     """
 
     __slots__ = ("lo", "hi", "e")
@@ -286,11 +287,11 @@ class Orbit:
     size, which every bit length and naive height of a walk reads.  Past the
     held triples, once an iterate has SIZED_FROM_BITS bits, each next iterate
     is sized without being built: `IntegerForms.image` at `Interval`
-    coordinates of the iterate before (the last held triple, or the
-    enclosure the orbit keeps of the last iterate it sized this way) gives
-    its size when `pinned_size` pins it.  A step that takes a gcd divides
-    the enclosures by its common factor, which residues modulo a power of
-    m (Z = 1) or K (a settled direction) decide.  Otherwise, before the
+    coordinates of the iterate before (`enclosure`: the last held triple, or
+    the enclosure the orbit keeps of the last iterate it sized this way)
+    gives its size when `pinned_size` pins it.  A step that takes a gcd
+    divides the enclosures by its common factor, which residues modulo a
+    power of m (Z = 1) or K (a settled direction) decide.  Otherwise, before the
     direction has settled or when the enclosure does not pin, the exact
     steps run up to the iterate, and the enclosures restart from it.  So a
     walk builds triples only up to about SIZED_FROM_BITS bits, unless some
@@ -306,12 +307,12 @@ class Orbit:
     Each direction holds one flag: whether the walk has settled, so that its
     steps reduce only at the primes of K (`IntegerForms.step`).  The first
     time a direction steps a triple with Z > 1, the orbit reads the escape
-    box of its `owner` map (never a map without one, such as the interval
-    orbits of :mod:`planeheights.orbit`), and tests each such triple until
-    `EscapeBox.settled` holds.  Once settled, a direction stays settled: a
-    prime of the next Z divides m Z, so a prime of it outside K divides Z,
-    where the orbit lies in V+ (V-), which the step maps into itself.  Triples
-    with Z = 1, unsettled directions and maps with no box take the full gcd.
+    box of its `owner` map (never a map without one, nor with no owner
+    given), and tests each such triple until `EscapeBox.settled` holds.
+    Once settled, a direction stays settled: a prime of the next Z divides
+    m Z, so a prime of it outside K divides Z, where the orbit lies in V+
+    (V-), which the step maps into itself.  Triples with Z = 1, unsettled
+    directions and maps with no box take the full gcd.
     """
 
     __slots__ = ("start", "_forms", "_chains", "_sizes", "_owner", "_settled", "_frontier")
@@ -348,6 +349,22 @@ class Orbit:
                 bad = self._settled[forward] = box.bad
         return bad
 
+    def built(self, l: int) -> ProjPoint | None:
+        """orbit[l] when the orbit has built it, else None; it builds nothing."""
+        chain = self._chains[l >= 0]
+        return chain[abs(l)] if abs(l) < len(chain) else None
+
+    def enclosure(self, l: int) -> tuple:
+        """orbit[l] as `Interval`s (an int Z = 1 kept as it is): the built
+        triple, or the enclosure kept of the last iterate `size` read off an
+        interval step.  Any other iterate, past the sizes of a reader with a
+        larger cap, is built first."""
+        triple = self.built(l)
+        if triple is None and abs(l) == len(self._sizes[l >= 0]) - 1:
+            return self._frontier[l >= 0][0]
+        x, y, z = self[l] if triple is None else triple
+        return (Interval(x, x), Interval(y, y), 1 if z == 1 else Interval(z, z))
+
     def capped(self, l: int, limit: int, base: int = 0) -> None:
         """Check orbit[l], l != base, for a walk from g^base(x) that has read
         every iterate before l: refuse (ResourceCapError, naming l - base)
@@ -380,20 +397,18 @@ class Orbit:
         return sizes[k]
 
     def _enclosed_size(self, forward: bool, n: int) -> Tuple[int, float] | None:
-        """The size of iterate n of a direction off the image of an enclosure
-        of iterate n - 1 (the last held triple, or the enclosure kept from
-        the last call); None, so that the exact steps run, when the direction
-        is unsettled, the common factor is undecided or the size does not pin.
+        """The size of iterate n of a direction off the image of the
+        `enclosure` of iterate n - 1 (the last held triple, or the enclosure
+        kept from the last call); None, so that the exact steps run, when
+        the direction is unsettled, the common factor is undecided or the
+        size does not pin.
         The common factor divides R (m when Z = 1, else K once settled), and
         c = gcd(M, F, G, H) on residues modulo a power M of R is it exactly
         while every prime of R divides M / c.  R is 1 on a whole chain or on
         none of it."""
         chain, forms = self._chains[forward], self._forms[forward]
-        if n == len(chain):
-            x, y, z = residues = chain[-1]
-            point, modulus = (Interval(x, x), Interval(y, y), 1 if z == 1 else Interval(z, z)), None
-        else:
-            point, residues, modulus = self._frontier[forward]
+        point = self.enclosure(n - 1 if forward else 1 - n)
+        residues, modulus = (chain[-1], None) if n == len(chain) else self._frontier[forward][1:]
         bad = forms.m if point[2] == 1 else self._settled[forward]
         if bad is None:
             return None  # a rational step before the direction has settled

@@ -3,26 +3,26 @@ enclosures.
 
 Counting runs need naive heights of iterates far past the point where exact
 coordinates stop being storable (a threshold T = e^21 pulls in iterates whose
-coordinates would have ~10^8 digits).  The orbit tracker therefore works in
-two phases: exact triples (X : Y : Z) of the orbit the map holds, checked
-by `Orbit.capped`, with the sizes the orbit measured once (the switch test
-reads their bit lengths, the exact heights their logs; the orbit sizes the
-iterates past its first triple of `SIZED_FROM_BITS` bits off interval
-steps, so the switch test and a refusal at the digit cap read sizes alone,
-and only the switch builds the last exact iterate), then outward-rounded
-interval arithmetic on the coordinates themselves (an `Interval`, which
-lives with `Orbit` in :mod:`planeheights.automorphism` and
-is re-exported here, is a pair of integer mantissas of at most 192 bits
-under a Python-int binary exponent, so e^(10^9)-sized values cost no more
-than small ones).  The switch is only taken when the map provably preserves
-integer points in both directions (all coefficients integral, integral
-start): there m = 1 and Z = 1, so h = log max(|X|, |Y|, 1) is the exact
-naive height, and the `IntegerForms` step is ring arithmetic alone, which
-steps the interval triple (X, Y, 1) of the last exact iterate as it is.  On
-any other map the digit cap's refusal stands.  Interval widths stay
-certified, so a count is exact unless an enclosure straddles the threshold,
-which the scan reports instead of hiding.  A tracker keeps its own interval
-orbits and height enclosures, so it steps each interval iterate once.
+coordinates would have ~10^8 digits).  The orbit tracker reads one interval
+chain, the orbit's own.  Up to the digit cap it reads the sizes the orbit
+the map holds measured once (`Orbit.size`, checked by `Orbit.capped`): the
+orbit builds triples (X : Y : Z) only up to its first of `SIZED_FROM_BITS`
+bits and sizes the iterates past it off interval steps, so nothing near the
+cap is built.  Past the cap the tracker goes on from the orbit's enclosure
+of the last iterate under it (`Orbit.enclosure`) by outward-rounded interval
+arithmetic on the coordinates themselves (an `Interval`, which lives with
+`Orbit` in :mod:`planeheights.automorphism` and is re-exported here, is a
+pair of integer mantissas of at most 192 bits under a Python-int binary
+exponent, so e^(10^9)-sized values cost no more than small ones).  It goes
+on only when the map provably preserves integer points in both directions
+(all coefficients integral, integral start): there m = 1 and Z = 1, so h =
+log max(|X|, |Y|, 1) is the exact naive height, and a step is the ring
+arithmetic of `IntegerForms.image` alone, which maps the interval triple
+(X, Y, 1) as it is.  On any other map the digit cap's refusal stands.
+Interval widths stay certified, so a count is exact unless an enclosure
+straddles the threshold, which the scan reports instead of hiding.  A
+tracker keeps its interval triples past the cap and its height enclosures,
+so it steps each interval iterate once.
 
 A counting scan walks downhill to the orbit's lowest sample and counts
 outward from it, so every point of one orbit gives the same count.  Canonical
@@ -34,9 +34,9 @@ The tracker, the periodicity verdict and the canonical heights at
 f^(+/-1)(x) behind (hhat+, hhat-) read the one orbit the engine's core holds.
 Every reader takes a `HeightEngine`, at its digit cap.  An engine holds the
 point it was last asked about, as a map holds one orbit: one verdict, one
-(hhat+, hhat-) pair and one canonical tracker per switch, each filled on
-first use.  So the orbit record and every threshold of a counting run share
-one verdict, one pair and one tracker.  The verdict comes first, since hhat
+(hhat+, hhat-) pair and one canonical tracker, each filled on first use.
+So the orbit record and every threshold of a counting run share one
+verdict, one pair and one tracker.  The verdict comes first, since hhat
 = 0 exactly at periodic points: every engine reader but `orbit_height` (-inf
 there) takes (hhat+, hhat-) through `_infinite_components`, which refuses a
 periodic point, then a pair not resolved above zero as a depth cap.  So
@@ -49,7 +49,7 @@ import math
 from dataclasses import dataclass
 from typing import Dict, Tuple
 
-from .automorphism import DEFAULT_DIGIT_CAP, Interval, Orbit, PlaneAutomorphism, cap_bits
+from .automorphism import DEFAULT_DIGIT_CAP, Interval, PlaneAutomorphism, cap_bits
 from .automorphism import INTERVAL_PRECISION_BITS  # noqa: F401 (re-exported with Interval)
 from .canonical import HeightEngine, hcanonical_iterates, is_periodic
 from .errors import (
@@ -62,87 +62,67 @@ from .heights import AffinePoint, affine, lift
 
 NEG_INFINITY = float("-inf")  # distinguished 'finite orbit' value, never used in arithmetic
 
-# The switch to intervals.  An orbit-count pass takes the same time (within
-# run-to-run noise) for any switch from 100 to 5000 digits, and 1.7x as long
-# at 20000: past a few thousand digits one exact step costs more than an
-# interval step, and below that the other readers of the orbit (the
-# canonical heights) have mostly stepped those iterates already.
-DEFAULT_EXACT_DIGITS = 2_000
-
 
 class OrbitHeightTracker:
-    """Lazy h_nv(f^l(x)) for l in Z, exact up to the first iterate whose
-    real size passes the threshold, not its size bound (toward the orbit's
-    lowest point iterates shrink, and intervals there would lose the
-    precision the cancellation needs), and by certified interval recurrences
-    beyond it.  The tracker keeps per direction (indexed by l >= 0) how many
-    iterates from 0 on are held exactly and the interval `Orbit` from the
-    last exact triple on (None while exact), and the enclosures read so far."""
+    """Lazy h_nv(f^l(x)) for l in Z: the sizes of the orbit the map holds
+    up to the digit cap, and certified interval recurrences past it.  The
+    tracker keeps per direction (indexed by l >= 0) how many iterates from
+    0 on passed the cap test, the interval triples from the last of them on
+    (None until the cap refuses), and the enclosures read so far."""
 
-    def __init__(
-        self,
-        auto: PlaneAutomorphism,
-        x: AffinePoint,
-        exact_digits: int = DEFAULT_EXACT_DIGITS,
-        digit_cap: int = DEFAULT_DIGIT_CAP,
-    ):
-        self._auto = auto
+    def __init__(self, auto: PlaneAutomorphism, x: AffinePoint, digit_cap: int = DEFAULT_DIGIT_CAP):
         start = lift(x)
         self._orbit = auto.orbit(start)
+        self._forms = (auto.forms(False), auto.forms(True))
         self._certified = auto.is_integral and start[2] == 1
-        # the bit length past which no iterate is held exactly: the switch to
-        # intervals on a certified map, the digit cap on any other
-        self._limit = cap_bits(exact_digits if self._certified else digit_cap)
         self._cap = cap_bits(digit_cap)
-        self._exact = [1, 1]
+        self._under = [1, 1]
         self._intervals = [None, None]
         self._bounds: Dict[int, Tuple[float, float]] = {}
 
     # -- coordinate states ---------------------------------------------------
 
     def _interval(self, l: int):
-        """The interval triple of f^l(x), or None while l is held exactly
-        (its triple and size are the orbit's)."""
+        """The interval triple of f^l(x), or None for an iterate under the
+        digit cap (its size is the orbit's)."""
         forward = l >= 0
         sign, k = (1, l) if forward else (-1, -l)
-        n = self._exact[forward]
-        while self._intervals[forward] is None and n <= k:
+        n, chain = self._under[forward], self._intervals[forward]
+        while chain is None and n <= k:
             try:
                 self._orbit.capped(sign * n, self._cap)
-                exact = self._orbit.size(sign * n)[0] <= self._limit
             except ResourceCapError as exc:
                 if not self._certified:
                     raise ResourceCapError(
                         f"orbit {exc}, and the map is not certified integral, so interval "
                         "tracking cannot take over", exc.iterate, exc.bound_bits
                     ) from None
-                exact = False
-            if not exact:
-                # certified: Z == 1, so X and Y are the coordinates themselves,
-                # and the forms' m == 1, Z == 1 step applies to intervals; the
-                # interval orbit starts at the last exact iterate, n - 1
-                pt = self._orbit[sign * (n - 1)]
-                switch = (Interval(pt[0], pt[0]), Interval(pt[1], pt[1]), 1)
-                self._intervals[forward] = Orbit(self._auto.forms(True), self._auto.forms(False), switch)
+                # certified: Z == 1 and m == 1, so X and Y are the coordinates
+                # themselves and a step is the forms' image alone, which maps
+                # the orbit's enclosure of the last iterate under the cap as it is
+                chain = self._intervals[forward] = [self._orbit.enclosure(sign * (n - 1))]
                 break
             n += 1
-            self._exact[forward] = n
+            self._under[forward] = n
         if k < n:
             return None
-        return self._intervals[forward][sign * (k - n + 1)]
+        while len(chain) <= k - n + 1:
+            chain.append(self._forms[forward].image(chain[-1]))
+        return chain[k - n + 1]
 
     def point(self, l: int) -> AffinePoint:
-        """Exact coordinates of f^l(x); available only inside the exact window."""
-        if self._interval(l) is not None:
+        """Exact coordinates of f^l(x), for an iterate the orbit has built."""
+        triple = self._orbit.built(l)
+        if triple is None:
             raise ResourceCapError(f"iterate {l} is no longer held exactly", iterate=l)
-        return affine(self._orbit[l])
+        return affine(triple)
 
     # -- heights ---------------------------------------------------------------
 
     def h_bounds(self, l: int) -> Tuple[float, float]:
         """Certified [lo, hi] enclosure of h_nv(f^l(x)).
 
-        Past the switch, h = log max(|X|, |Y|, 1) is read off the interval
+        Past the digit cap, h = log max(|X|, |Y|, 1) is read off the interval
         coordinates as log_int(mantissa) + e log 2 at each endpoint.  Both
         terms are non-negative, so the sum is within a few ulps of the true
         log of the endpoint (log_int is good to a few ulps, the product and
@@ -326,12 +306,12 @@ def check_threshold(threshold: float) -> None:
         raise ValueError("threshold must be a positive finite number")
 
 
-def _canonical_bounds(engine: HeightEngine, x: AffinePoint, exact_digits: int):
+def _canonical_bounds(engine: HeightEngine, x: AffinePoint):
     """values(l): enclosure of the depth-N canonical height at f^l(x),
     h_nv(g^(l+N) z)/delta^N + h_nv(g^(l-N) z)/delta_-^N with z = gamma^-1(x),
     read off the tracker held for x."""
-    tracker = _held(engine, x, ("tracker", exact_digits), lambda: OrbitHeightTracker(
-        engine.g, engine.to_conjugated_frame(x), exact_digits=exact_digits, digit_cap=engine.digit_cap))
+    tracker = _held(engine, x, "tracker", lambda: OrbitHeightTracker(
+        engine.g, engine.to_conjugated_frame(x), digit_cap=engine.digit_cap))
     n = engine.depth
     d_pow = float(engine.delta**n)
     dm_pow = float(engine.delta_minus**n)
@@ -350,7 +330,6 @@ def count_below(
     threshold: float,
     which: str = "naive",
     patience: int = 5,
-    exact_digits: int = DEFAULT_EXACT_DIGITS,
 ) -> int:
     """#{ y in O_f(x) : h(y) <= threshold } by orbit enumeration, f the
     engine's outer map and h its naive or canonical height, at its digit cap.
@@ -368,9 +347,9 @@ def count_below(
     if verdict.is_periodic:
         raise PeriodicPointError(f"point is periodic with period {verdict.period}")
     if which == "naive":
-        tracker = OrbitHeightTracker(engine.outer, x, exact_digits=exact_digits, digit_cap=engine.digit_cap)
+        tracker = OrbitHeightTracker(engine.outer, x, digit_cap=engine.digit_cap)
         return _scan(tracker.h_bounds, threshold, 0.0, patience)[0]
-    values = _canonical_bounds(engine, x, exact_digits)
+    values = _canonical_bounds(engine, x)
     return _scan(values, threshold, engine.error_budget())[0]
 
 
@@ -400,7 +379,7 @@ def counting_enclosure(engine: HeightEngine, x: AffinePoint, threshold: float) -
         raise OutOfRangeError(
             "threshold below the orbit height: the counting set is empty there"
         )
-    values = _canonical_bounds(engine, x, DEFAULT_EXACT_DIGITS)
+    values = _canonical_bounds(engine, x)
     observed, straddles = _scan(values, threshold, engine.error_budget())
     predicted = coeff * math.log(threshold) - oh
     halfwidth = math.log(2) / log_d + math.log(2) / log_dm + 1

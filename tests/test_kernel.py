@@ -9,11 +9,12 @@ is checked to build no triple over the cap, and it carries its iterate and
 bound.  Sizes read off interval steps past the held triples are compared
 with the triples built afterwards on random words with K = 1, and with the
 triples of a full-gcd walk on random words with m, K > 1, whose gcd steps
-are sized off residues; the default-cap refusals of the orbit command are
-checked to build no triple from a source past SIZED_FROM_BITS.  Orbit
-triples, whose settled steps reduce only at the primes of the escape box's
-K, are compared with a walk that takes the full gcd at every step, on
-random Henon words and their linear conjugates.
+are sized off residues; the default-cap refusals of the orbit command and
+a counting run past the digit cap are checked to build no triple from a
+source past SIZED_FROM_BITS.  Orbit triples, whose settled steps reduce
+only at the primes of the escape box's K, are compared with a walk that
+takes the full gcd at every step, on random Henon words and their linear
+conjugates.
 """
 
 import dataclasses
@@ -151,7 +152,7 @@ def tracker_cap_iterate(tracker, sign, max_steps):
 def test_tracker_cap_fires_at_the_fraction_rule_iterate(f):
     # the non-certified maps of the tracker and count_below cap tests
     limit = cap_bits(10_000)
-    tracker = OrbitHeightTracker(f, X3, exact_digits=100, digit_cap=10_000)
+    tracker = OrbitHeightTracker(f, X3, digit_cap=10_000)
     for sign, polys in ((1, f.fwd), (-1, f.inv)):
         expected = fraction_cap_iterate(polys, X3, limit, 40)
         assert expected is not None
@@ -162,23 +163,24 @@ def test_tracker_points_stay_fractions():
     tracker = OrbitHeightTracker(H4, (Fraction(1, 2), Fraction(3)))
     pt = (Fraction(1, 2), Fraction(3))
     for l in range(0, 4):
+        lo, hi = tracker.h_bounds(-l)  # sizes, so builds, the iterate
+        assert lo <= reference_height(pt) <= hi
         got = tracker.point(-l)
         assert all(isinstance(c, Fraction) for c in got)
         assert got == pt
-        lo, hi = tracker.h_bounds(-l)
-        assert lo <= reference_height(pt) <= hi
         pt = evaluate_step(H4.inv, pt)
 
 
 def test_certified_tracker_hands_integers_to_the_interval_phase():
-    tracker = OrbitHeightTracker(H2, X3, exact_digits=50)
+    # under a 50-digit cap the intervals start from a built integer triple
+    tracker = OrbitHeightTracker(H2, X3, digit_cap=50)
     exact = X3
     for l in range(1, 20):
         exact = H2.apply(exact)
-        try:
-            assert tracker.point(l) == exact
-        except ResourceCapError:
-            break  # iterate l is the first one held as an interval
+        if tracker._interval(l) is not None:
+            break  # iterate l is the first one past the cap
+        tracker.h_bounds(l)
+        assert tracker.point(l) == exact
     else:
         pytest.fail("the tracker never switched to interval arithmetic")
     lo, hi = tracker.h_bounds(l)
@@ -317,8 +319,8 @@ def test_only_a_walk_with_z_above_one_reads_the_box():
     make_engine(f)
     orbit = f.orbit(lift(X3))
     orbit[6], orbit[-6]
-    tracker = OrbitHeightTracker(f, X3, exact_digits=50)
-    tracker.h_bounds(20), tracker.h_bounds(-20)  # past the switch to intervals
+    tracker = OrbitHeightTracker(f, X3, digit_cap=50)
+    tracker.h_bounds(20), tracker.h_bounds(-20)  # past the cap, in intervals
     assert "escape_box" not in f.__dict__
     f.orbit(lift((Fraction(1, 2), Fraction(3))))[1]
     assert f.escape_box.bad == 1
@@ -333,7 +335,7 @@ def test_k_is_read_off_the_box():
 
 
 def walk_tracker(f, sign):
-    tracker = OrbitHeightTracker(f, X3, exact_digits=100, digit_cap=10_000)
+    tracker = OrbitHeightTracker(f, X3, digit_cap=10_000)
     for l in range(1, 41):
         tracker.h_bounds(sign * l)
 
@@ -382,6 +384,36 @@ def test_a_default_cap_refusal_builds_no_triple_past_the_threshold(monkeypatch, 
                                "certified integral, so interval tracking cannot take over")
     assert info.value.iterate == iterate
     assert stepped and max(top(source).bit_length() for source in stepped) < SIZED_FROM_BITS
+
+
+def test_a_counting_run_builds_no_triple_past_the_threshold(monkeypatch):
+    # the canonical tracker reads the orbit's sizes up to the digit cap and
+    # goes on in intervals from the orbit's enclosure of the last iterate
+    # under it, so a count at T = e^21 builds no triple from a source past
+    # SIZED_FROM_BITS: the orbit of (3, 0) ends at -11 (1637 bits) and +10
+    # (1609 bits), where a switch that built its last exact iterate reached
+    # 6545 and 6436 bits
+    stepped = record_steps(monkeypatch)
+    f = dataclasses.replace(H2)  # a copy that holds no orbit
+    engine = make_engine(f, depth=12)
+    counting_enclosure(engine, X3, math.exp(21))
+    assert engine.__dict__["_held"][1]["tracker"]._intervals != [None, None]  # it went past the cap
+    assert stepped and not any(type(c) is Interval for source in stepped for c in source)
+    assert max(top(source).bit_length() for source in stepped) < SIZED_FROM_BITS
+    assert [top(chain[-1]).bit_length() for chain in f.orbit(lift(X3))._chains] == [1637, 1609]
+
+
+def test_a_tracker_under_a_smaller_cap_goes_on_from_a_built_iterate():
+    # a reader at the default cap has sized (3, 0) to +22, so the orbit no
+    # longer keeps an enclosure of +14, where a 10^4-digit cap refuses +15:
+    # the orbit builds +14 for the tracker, which steps on from it
+    f = dataclasses.replace(H2)  # a copy that holds no orbit
+    OrbitHeightTracker(f, X3).h_bounds(22)
+    orbit = f.orbit(lift(X3))
+    assert [len(orbit._chains[True]), len(orbit._sizes[True])] == [11, 23]
+    lo, hi = OrbitHeightTracker(f, X3, digit_cap=10_000).h_bounds(22)
+    assert len(orbit._chains[True]) == 15
+    assert lo <= orbit.size(22)[1] <= hi
 
 
 def test_a_cap_refusal_carries_its_iterate_and_bound():

@@ -64,9 +64,10 @@ def test_tracker_exact_phase_matches_direct_iteration():
 
 
 def test_tracker_interval_phase_agrees_with_exact():
-    # force the interval switch early and compare against a fully exact run
-    small = OrbitHeightTracker(HENON2, X3, exact_digits=50)
-    exact = OrbitHeightTracker(HENON2, X3, exact_digits=10_000)
+    # force the interval switch early with a 50-digit cap and compare
+    # against the orbit's own sizes, which reach +22 under the default cap
+    small = OrbitHeightTracker(HENON2, X3, digit_cap=50)
+    exact = OrbitHeightTracker(HENON2, X3)
     for l in range(5, 16):
         lo_s, hi_s = small.h_bounds(l)
         lo_e, hi_e = exact.h_bounds(l)
@@ -85,8 +86,7 @@ INTEGRAL = {
 }
 INTEGRAL["C6"] = compose_maps(INTEGRAL["H2"], INTEGRAL["H3"])
 DEPTH_BY_DELTA = {2: 12, 3: 8, 4: 6, 6: 5}
-SWITCH_DIGITS = 50
-EXACT_DIGITS = 20_000  # the reference runs: far above any switch point under test
+SWITCH_DIGITS = 50  # the cap of the trackers that switch early, which no engine takes
 
 
 def infinite_orbit_engine(name, x, y):
@@ -105,41 +105,48 @@ def infinite_orbit_engine(name, x, y):
 @given(name=st.sampled_from(sorted(INTEGRAL)), x=st.integers(-6, 6), y=st.integers(-6, 6),
        thresholds=st.lists(st.floats(0.5, 300.0), min_size=1, max_size=3))
 def test_counts_do_not_depend_on_the_switch_point(name, x, y, thresholds):
+    # the smallest cap an engine takes (10^4 digits) sends the canonical
+    # count at T = 250 past it, and a tracker under a 50-digit cap sends the
+    # naive count past it
     engine, pt = infinite_orbit_engine(name, x, y)
+    capped = make_engine(engine.g, depth=engine.depth, digit_cap=10_000)
+    thresholds = sorted(thresholds + [250.0])
     counts = {}
     for which in ("naive", "canonical"):
-        counts[which] = [count_below(engine, pt, t, which, exact_digits=EXACT_DIGITS) for t in sorted(thresholds)]
-        early = [count_below(engine, pt, t, which, exact_digits=SWITCH_DIGITS) for t in sorted(thresholds)]
-        assert early == counts[which]
+        counts[which] = [count_below(engine, pt, t, which) for t in thresholds]
+        assert [count_below(capped, pt, t, which) for t in thresholds] == counts[which]
         assert counts[which] == sorted(counts[which])
+    assert _held_tracker(capped, pt)._intervals != [None, None]
+    small = OrbitHeightTracker(engine.outer, pt, digit_cap=SWITCH_DIGITS)
+    assert [orbit_mod._scan(small.h_bounds, t, 0.0, 5)[0] for t in thresholds] == counts["naive"]
+    assert small._intervals != [None, None]
+
+
+def _held_tracker(engine, pt):
+    """The canonical tracker the engine holds for pt."""
+    return engine.__dict__["_held"][1]["tracker"]
 
 
 @settings(max_examples=40, deadline=None)
 @given(name=st.sampled_from(sorted(INTEGRAL)), x=st.integers(-6, 6), y=st.integers(-6, 6))
 def test_early_switch_encloses_the_exact_run(name, x, y):
     engine, pt = infinite_orbit_engine(name, x, y)
-    small = OrbitHeightTracker(engine.g, pt, exact_digits=SWITCH_DIGITS)
-    exact = OrbitHeightTracker(engine.g, pt, exact_digits=EXACT_DIGITS)
+    small = OrbitHeightTracker(engine.g, pt, digit_cap=SWITCH_DIGITS)
+    exact = OrbitHeightTracker(engine.g, pt)
     switched = False
     for sign in (1, -1):
         for k in range(25):
             l = sign * k
-            try:
-                exact.point(l)
-            except ResourceCapError:
-                break  # iterate l is an interval in the exact run too
-            switched = switched or _is_interval(small, l)
+            if _past_cap(exact, l):
+                break  # iterate l is an interval in the reference run too
+            switched = switched or _past_cap(small, l)
             lo, hi = small.h_bounds(l)
             assert lo <= exact.h(l) <= hi
     assert switched
 
 
-def _is_interval(tracker, l):
-    try:
-        tracker.point(l)
-    except ResourceCapError:
-        return True
-    return False
+def _past_cap(tracker, l):
+    return tracker._interval(l) is not None
 
 
 def test_tracker_reaches_far_iterates():
@@ -150,24 +157,27 @@ def test_tracker_reaches_far_iterates():
 
 
 def test_tracker_refuses_when_intervals_lose_precision(monkeypatch):
-    # Each tracker holds its own interval orbit, at its own precision.
-    lo, hi = OrbitHeightTracker(henon(1, parse_poly("x^2")), X3, exact_digits=50).h_bounds(60)
+    # Each tracker steps its own interval triples past the cap, at the
+    # precision `Interval` reads when they are made.
+    lo, hi = OrbitHeightTracker(henon(1, parse_poly("x^2")), X3, digit_cap=50).h_bounds(60)
     assert hi - lo < 1e-6 * hi
     monkeypatch.setattr(automorphism_mod, "INTERVAL_PRECISION_BITS", 24)  # where Interval reads it
-    tracker = OrbitHeightTracker(henon(1, parse_poly("x^2")), X3, exact_digits=50)
+    tracker = OrbitHeightTracker(henon(1, parse_poly("x^2")), X3, digit_cap=50)
     with pytest.raises(ResourceCapError, match="interval arithmetic lost precision at iterate 60"):
         tracker.h_bounds(60)
 
 
 def test_the_tracker_refusals_carry_their_iterate(monkeypatch):
-    # past the switch at +13 (2000 digits), iterate 20 is an interval
+    # the orbit builds (3, 0) only to +10 and sizes the iterates past it, so
+    # iterate 20 is not built
     tracker = OrbitHeightTracker(henon(1, parse_poly("x^2")), X3)
+    tracker.h_bounds(20)
     with pytest.raises(ResourceCapError) as info:
         tracker.point(20)
     assert str(info.value) == "iterate 20 is no longer held exactly"
     assert (info.value.iterate, info.value.bound_bits) == (20, None)
     monkeypatch.setattr(automorphism_mod, "INTERVAL_PRECISION_BITS", 24)
-    tracker = OrbitHeightTracker(henon(1, parse_poly("x^2")), X3, exact_digits=50)
+    tracker = OrbitHeightTracker(henon(1, parse_poly("x^2")), X3, digit_cap=50)
     with pytest.raises(ResourceCapError) as info:
         tracker.h_bounds(-60)
     assert str(info.value) == "interval arithmetic lost precision at iterate -60"
@@ -177,14 +187,14 @@ def test_the_tracker_refusals_carry_their_iterate(monkeypatch):
 def test_second_counting_run_steps_no_interval(monkeypatch):
     engine = make_engine(henon(1, parse_poly("x^2")), depth=12)
     interval_steps = []
-    step = IntegerForms.step
+    image = IntegerForms.image
 
     def counted(self, point):
         if isinstance(point[0], Interval):
             interval_steps.append(point)
-        return step(self, point)
+        return image(self, point)
 
-    monkeypatch.setattr(IntegerForms, "step", counted)
+    monkeypatch.setattr(IntegerForms, "image", counted)
     first = counting_enclosure(engine, X3, math.exp(21))
     assert interval_steps
     interval_steps.clear()
@@ -194,29 +204,28 @@ def test_second_counting_run_steps_no_interval(monkeypatch):
 
 def test_tracker_noncertified_map_hits_cap():
     f = henon(Fraction(1, 2), parse_poly("x^2"))  # non-integral coefficients
-    tracker = OrbitHeightTracker(f, X3, exact_digits=100, digit_cap=10_000)
+    tracker = OrbitHeightTracker(f, X3, digit_cap=10_000)
     with pytest.raises(ResourceCapError):
         tracker.h_bounds(40)
 
 
 def test_certified_map_switches_to_intervals_at_a_cap_refusal():
     # under a 10^4-digit cap, Orbit.capped refuses iterate +15 of (3, 0)
-    # (15497 digits) before its real size passes a 20000-digit switch: the
-    # integral map goes on in intervals from iterate +14, where the default
-    # tracker switches past its 2000 digits at +13 (3874 digits)
-    capped = OrbitHeightTracker(HENON2, X3, exact_digits=20_000, digit_cap=10_000)
+    # (the step bound from +14, 25741 bits, is 51483 bits) and -16: the
+    # integral map goes on in intervals from the orbit's enclosures of +14
+    # and -15, where the default cap refuses +23 and -23
+    capped = OrbitHeightTracker(HENON2, X3, digit_cap=10_000)
     default = OrbitHeightTracker(HENON2, X3)
-    assert [sum(not _is_interval(t, l) for l in range(20)) for t in (capped, default)] == [15, 13]
     for l in range(-40, 41):
         lo, hi = capped.h_bounds(l)
         d_lo, d_hi = default.h_bounds(l)
         assert lo <= d_hi and d_lo <= hi, l
+    assert (capped._under, default._under) == ([16, 15], [23, 23])
     engine = make_engine(HENON2, depth=12)
     capped_engine = make_engine(HENON2, depth=12, digit_cap=10_000)
     for which in ("naive", "canonical"):
         for t in (math.exp(9), math.exp(15), math.exp(21)):
-            assert count_below(capped_engine, X3, t, which, exact_digits=20_000) == \
-                count_below(engine, X3, t, which), (which, t)
+            assert count_below(capped_engine, X3, t, which) == count_below(engine, X3, t, which), (which, t)
 
 
 def test_noncertified_map_counts_exactly_below_the_cap():
@@ -228,7 +237,7 @@ def test_noncertified_map_counts_exactly_below_the_cap():
     wide = count_below(engine, X3, 30.0, "naive", patience=9)
     assert count == wide and count > 0
     with pytest.raises(ResourceCapError):
-        count_below(make_engine(f, digit_cap=10_000), X3, math.exp(18), "naive", exact_digits=100)
+        count_below(make_engine(f, digit_cap=10_000), X3, math.exp(18), "naive")
 
 
 # -- the interval kernel -------------------------------------------------------------
@@ -439,12 +448,14 @@ def test_a_far_point_is_decided_and_counted_like_the_orbit(monkeypatch):
 
 def test_tracker_walks_toward_the_lowest_point_exactly():
     # backward from f^8(2, 1), of 1689 digits, each H3 iterate is about a
-    # third the size of the one before: all stay exact, though the size
-    # bound of each step passes the 2000-digit switch
+    # third the size of the one before: the tracker reads each off the
+    # orbit, under the digit cap, and the orbit builds each, since no
+    # interval step pins a size through that cancellation
     h3 = INTEGRAL["H3"]
     tracker = OrbitHeightTracker(h3, _shifted(h3, (Fraction(2), Fraction(1)), 8))
-    assert not any(_is_interval(tracker, -l) for l in range(1, 9))
+    assert not any(_past_cap(tracker, -l) for l in range(1, 9))
     assert tracker.h(-8) == pytest.approx(math.log(2))
+    assert tracker.point(-8) == (Fraction(2), Fraction(1))
 
 
 def test_tracker_refusal_on_a_noncertified_map_names_the_iterate():
