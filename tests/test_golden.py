@@ -2,7 +2,9 @@
 `orbit`, `canheight`, `dyndeg`, `periodic` and `picard` commands must not
 change.  The files under tests/data/golden/ hold the expected stdout of each
 case (`<name>.out`) and the map and point inputs; regenerate a file only for
-an intended change of output."""
+an intended change of output.  The counting sweep (`counting_sweep.py`) pins
+the counting results of the library the same way, against
+tests/data/counting_sweep.tsv."""
 
 import hashlib
 import os
@@ -15,6 +17,7 @@ import pytest
 import planeheights
 from planeheights.cli import main
 
+import counting_sweep
 from golden_cases import CASES, GOLDEN, resolve
 
 
@@ -60,3 +63,10 @@ def test_runs_on_the_standard_library_alone():
                           capture_output=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == (GOLDEN / "orbit_h2_json.out").read_bytes()
+
+
+def test_counting_sweep_matches_its_table():
+    """`counting_enclosure` and the naive `count_below` on the bench corpus
+    engines, integral starts in [-4, 4]^2, T = e^5..e^21 and both digit caps
+    give the recorded counts, pass flags and refusal texts."""
+    assert counting_sweep.differences() == []
