@@ -30,10 +30,10 @@ of SIZED_FROM_BITS bits the orbit sizes each iterate off an interval step
 instead of building it: the same forms (`IntegerForms.image`) at
 `Interval` coordinates of the iterate before, when the enclosure pins the
 size bit for bit (`pinned_size`), with the common factor of a gcd step read
-off residues modulo a power of m or K.  The intervals live here, next to
-the orbit, and the counting tracker of :mod:`planeheights.orbit` goes on
-past the digit cap from the orbit's enclosure of the last iterate under it
-(`Orbit.enclosure`).
+off residues modulo a power of m or K.  The orbit keeps the enclosure of
+every iterate past its built triples (`Orbit.enclosure`), so each interval
+step is taken once per orbit, whoever reads it: its own sizes, and the
+counting tracker of :mod:`planeheights.orbit` past the digit cap.
 A map keeps one orbit, the one of the start it was last queried at
 (`PlaneAutomorphism.orbit`); a query from another start replaces it.
 Heights, the functional equation, periodicity, point counts and the orbit
@@ -171,9 +171,10 @@ class Interval:
     `*` and `+` are defined, with an int or an Interval on either side: that
     is all the ring arithmetic `IntegerForms.image` does (its `powers`, its
     `sum` and its integer coefficients), so intervals step with the map's own
-    forms: past the held triples of an `Orbit`, and past the digit cap in the
-    counting tracker of :mod:`planeheights.orbit`.  `divided` takes out the
-    common factor of an `Orbit` step that takes a gcd.
+    forms, past the held triples of an `Orbit`, which keeps them for its
+    sizes and for the counting tracker of :mod:`planeheights.orbit` past the
+    digit cap.  `divided` takes out the common factor of an `Orbit` step
+    that takes a gcd.
     """
 
     __slots__ = ("lo", "hi", "e")
@@ -286,16 +287,18 @@ class Orbit:
     Z), measured the first time it is read: the one place a triple becomes a
     size, which every bit length and naive height of a walk reads.  Past the
     held triples, once an iterate has SIZED_FROM_BITS bits, each next iterate
-    is sized without being built: `IntegerForms.image` at `Interval`
-    coordinates of the iterate before (`enclosure`: the last held triple, or
-    the enclosure the orbit keeps of the last iterate it sized this way)
-    gives its size when `pinned_size` pins it.  A step that takes a gcd
-    divides the enclosures by its common factor, which residues modulo a
-    power of m (Z = 1) or K (a settled direction) decide.  Otherwise, before the
+    is sized without being built, off its `enclosure` when `pinned_size`
+    pins it.  Each direction keeps one list of enclosures, one per iterate
+    from the end of its built triples on, each the `IntegerForms.image` of
+    the one before at `Interval` coordinates (`_step`), so each interval
+    step is taken once per orbit, for sizes and for the counting tracker
+    past the digit cap alike.  A step that takes a gcd divides the
+    enclosures by its common factor, which residues modulo a power of m
+    (Z = 1) or K (a settled direction) decide.  Otherwise, before the
     direction has settled or when the enclosure does not pin, the exact
-    steps run up to the iterate, and the enclosures restart from it.  So a
-    walk builds triples only up to about SIZED_FROM_BITS bits, unless some
-    reader indexes the iterates past them.
+    steps run up to the iterate, and the list restarts from it.  So a walk
+    builds triples only up to about SIZED_FROM_BITS bits, unless some reader
+    indexes the iterates past them.
 
     `capped` is the one digit-cap rule, a check that reads the size of the
     neighbour it tests and builds nothing `size` does not: a walk reads its
@@ -315,7 +318,7 @@ class Orbit:
     directions and maps with no box take the full gcd.
     """
 
-    __slots__ = ("start", "_forms", "_chains", "_sizes", "_owner", "_settled", "_frontier")
+    __slots__ = ("start", "_forms", "_chains", "_sizes", "_owner", "_settled", "_enclosures")
 
     def __init__(self, fwd: IntegerForms, inv: IntegerForms, start: ProjPoint,
                  owner: PlaneAutomorphism | None = None):
@@ -325,7 +328,8 @@ class Orbit:
         self._sizes = ([], [])  # (bits(top), h_nv) of each measured iterate, by l >= 0
         self._owner = owner  # the map whose box decides settling; None once known to have none
         self._settled = [None, None]  # K of a settled direction, indexed by l >= 0
-        self._frontier = [None, None]  # (enclosure, residues, M) of the last iterate sized past the chain
+        # (enclosure, residues, M) of each iterate past the chain, from its end on
+        self._enclosures = ([], [])
 
     def __getitem__(self, l: int) -> ProjPoint:
         forward = l >= 0
@@ -336,6 +340,7 @@ class Orbit:
             while len(chain) <= k:
                 pt = chain[-1]
                 chain.append(step(pt) if pt[2] == 1 else step(pt, self._bad(forward, pt)))
+            self._enclosures[forward].clear()  # they restart from the new end of the chain
         return chain[k]
 
     def _bad(self, forward: bool, point: ProjPoint) -> int | None:
@@ -354,16 +359,20 @@ class Orbit:
         chain = self._chains[l >= 0]
         return chain[abs(l)] if abs(l) < len(chain) else None
 
-    def enclosure(self, l: int) -> tuple:
+    def enclosure(self, l: int) -> tuple | None:
         """orbit[l] as `Interval`s (an int Z = 1 kept as it is): the built
-        triple, or the enclosure kept of the last iterate `size` read off an
-        interval step.  Any other iterate, past the sizes of a reader with a
-        larger cap, is built first."""
-        triple = self.built(l)
-        if triple is None and abs(l) == len(self._sizes[l >= 0]) - 1:
-            return self._frontier[l >= 0][0]
-        x, y, z = self[l] if triple is None else triple
-        return (Interval(x, x), Interval(y, y), 1 if z == 1 else Interval(z, z))
+        triple, or the enclosure past the built triples that the orbit keeps,
+        stepping on from the last one it holds (`_step`) when l is further;
+        None past a step that cannot be taken.  It builds nothing."""
+        forward, k = l >= 0, abs(l)
+        chain, enclosures = self._chains[forward], self._enclosures[forward]
+        if k < len(chain):
+            x, y, z = chain[k]
+            return (Interval(x, x), Interval(y, y), 1 if z == 1 else Interval(z, z))
+        while len(chain) + len(enclosures) <= k:
+            if not self._step(forward):
+                return None
+        return enclosures[k - len(chain)][0]
 
     def capped(self, l: int, limit: int, base: int = 0) -> None:
         """Check orbit[l], l != base, for a walk from g^base(x) that has read
@@ -381,37 +390,37 @@ class Orbit:
         """(bits(top), h_nv) of orbit[l], measuring each iterate from 0 to l
         once; a walk reads l through `capped` first, so nothing over the cap
         is built.  Past the held triples, an iterate whose neighbour has at
-        least SIZED_FROM_BITS bits is sized off an interval step
-        (`_enclosed_size`) when that pins it, and built otherwise."""
+        least SIZED_FROM_BITS bits is sized off its `enclosure` when that
+        pins it, and built otherwise."""
         forward = l >= 0
         sizes, k = self._sizes[forward], abs(l)
         while len(sizes) <= k:
             n = len(sizes)
             size = None
             if n >= len(self._chains[forward]) and sizes[-1][0] >= SIZED_FROM_BITS:
-                size = self._enclosed_size(forward, n)
+                point = self.enclosure(n if forward else -n)
+                size = None if point is None else pinned_size(point)
             if size is None:
                 t = top(self[n if forward else -n])
                 size = (t.bit_length(), log_int(t))
             sizes.append(size)
         return sizes[k]
 
-    def _enclosed_size(self, forward: bool, n: int) -> Tuple[int, float] | None:
-        """The size of iterate n of a direction off the image of the
-        `enclosure` of iterate n - 1 (the last held triple, or the enclosure
-        kept from the last call); None, so that the exact steps run, when
-        the direction is unsettled, the common factor is undecided or the
-        size does not pin.
+    def _step(self, forward: bool) -> bool:
+        """Keep (enclosure, residues, M) of the next iterate past the last
+        one the direction holds, off the image of its enclosure; False, and
+        nothing kept, when the direction is unsettled or the common factor
+        is undecided.
         The common factor divides R (m when Z = 1, else K once settled), and
         c = gcd(M, F, G, H) on residues modulo a power M of R is it exactly
         while every prime of R divides M / c.  R is 1 on a whole chain or on
         none of it."""
-        chain, forms = self._chains[forward], self._forms[forward]
-        point = self.enclosure(n - 1 if forward else 1 - n)
-        residues, modulus = (chain[-1], None) if n == len(chain) else self._frontier[forward][1:]
+        chain, enclosures, forms = self._chains[forward], self._enclosures[forward], self._forms[forward]
+        point, residues, modulus = enclosures[-1] if enclosures else (
+            self.enclosure(len(chain) - 1 if forward else 1 - len(chain)), chain[-1], None)
         bad = forms.m if point[2] == 1 else self._settled[forward]
         if bad is None:
-            return None  # a rational step before the direction has settled
+            return False  # a rational step before the direction has settled
         f, g, h = forms.image(point)
         if bad != 1:
             if modulus is None:
@@ -421,14 +430,12 @@ class Orbit:
             residues = [c % modulus // common for c in image]
             modulus //= common
             if pow(modulus, bad.bit_length(), bad):
-                return None  # a prime of R no longer divides M / c
+                return False  # a prime of R no longer divides M / c
             f, g, h = f.divided(common), g.divided(common), h.divided(common) if type(h) is Interval else h // common
             if type(h) is int and h != 1:
                 h = Interval(h, h)
-        size = pinned_size((f, g, h))
-        if size is not None:
-            self._frontier[forward] = ((f, g, h), residues, modulus)
-        return size
+        enclosures.append(((f, g, h), residues, modulus))
+        return True
 
 
 @dataclass(frozen=True)

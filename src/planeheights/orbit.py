@@ -8,21 +8,20 @@ chain, the orbit's own.  Up to the digit cap it reads the sizes the orbit
 the map holds measured once (`Orbit.size`, checked by `Orbit.capped`): the
 orbit builds triples (X : Y : Z) only up to its first of `SIZED_FROM_BITS`
 bits and sizes the iterates past it off interval steps, so nothing near the
-cap is built.  Past the cap the tracker goes on from the orbit's enclosure
-of the last iterate under it (`Orbit.enclosure`) by outward-rounded interval
-arithmetic on the coordinates themselves (an `Interval`, which lives with
-`Orbit` in :mod:`planeheights.automorphism` and is re-exported here, is a
-pair of integer mantissas of at most 192 bits under a Python-int binary
-exponent, so e^(10^9)-sized values cost no more than small ones).  It goes
-on only when the map provably preserves integer points in both directions
-(all coefficients integral, integral start): there m = 1 and Z = 1, so h =
-log max(|X|, |Y|, 1) is the exact naive height, and a step is the ring
+cap is built.  Past the cap the tracker reads the orbit's enclosures of the
+iterates themselves (`Orbit.enclosure`), outward-rounded interval
+coordinates (an `Interval` of :mod:`planeheights.automorphism` is a pair of
+integer mantissas of at most 192 bits under a Python-int binary exponent,
+so e^(10^9)-sized values cost no more than small ones).  It goes on only
+when the map provably preserves integer points in both directions (all
+coefficients integral, integral start): there m = 1 and Z = 1, so h = log
+max(|X|, |Y|, 1) is the exact naive height, and a step is the ring
 arithmetic of `IntegerForms.image` alone, which maps the interval triple
 (X, Y, 1) as it is.  On any other map the digit cap's refusal stands.
 Interval widths stay certified, so a count is exact unless an enclosure
-straddles the threshold, which the scan reports instead of hiding.  A
-tracker keeps its interval triples past the cap and its height enclosures,
-so it steps each interval iterate once.
+straddles the threshold, which the scan reports instead of hiding.  The
+orbit keeps its enclosures and a tracker its height enclosures, so each
+interval step is taken once per orbit, however many trackers read it.
 
 A counting scan walks downhill to the orbit's lowest sample and counts
 outward from it, so every point of one orbit gives the same count.  Canonical
@@ -49,8 +48,7 @@ import math
 from dataclasses import dataclass
 from typing import Dict, Tuple
 
-from .automorphism import DEFAULT_DIGIT_CAP, Interval, PlaneAutomorphism, cap_bits
-from .automorphism import INTERVAL_PRECISION_BITS  # noqa: F401 (re-exported with Interval)
+from .automorphism import DEFAULT_DIGIT_CAP, PlaneAutomorphism, cap_bits
 from .canonical import HeightEngine, hcanonical_iterates, is_periodic
 from .errors import (
     OutOfRangeError,
@@ -65,32 +63,28 @@ NEG_INFINITY = float("-inf")  # distinguished 'finite orbit' value, never used i
 
 class OrbitHeightTracker:
     """Lazy h_nv(f^l(x)) for l in Z: the sizes of the orbit the map holds
-    up to the digit cap, and certified interval recurrences past it.  The
+    up to the digit cap, and past it the orbit's interval enclosures.  The
     tracker keeps per direction (indexed by l >= 0) how many iterates from
-    0 on passed the cap test, the interval triples from the last of them on
-    (None until the cap refuses), and the enclosures read so far."""
+    0 on passed the cap test, whether the cap has refused the next one, and
+    the enclosures of h_nv read so far."""
 
     def __init__(self, auto: PlaneAutomorphism, x: AffinePoint, digit_cap: int = DEFAULT_DIGIT_CAP):
         start = lift(x)
         self._orbit = auto.orbit(start)
-        self._forms = (auto.forms(False), auto.forms(True))
         self._certified = auto.is_integral and start[2] == 1
         self._cap = cap_bits(digit_cap)
         self._under = [1, 1]
-        self._intervals = [None, None]
+        self._refused = [False, False]
         self._bounds: Dict[int, Tuple[float, float]] = {}
 
-    # -- coordinate states ---------------------------------------------------
-
-    def _interval(self, l: int):
-        """The interval triple of f^l(x), or None for an iterate under the
-        digit cap (its size is the orbit's)."""
-        forward = l >= 0
-        sign, k = (1, l) if forward else (-1, -l)
-        n, chain = self._under[forward], self._intervals[forward]
-        while chain is None and n <= k:
+    def _past_cap(self, l: int) -> bool:
+        """Whether f^l(x) lies past the digit cap, walking the cap test up to
+        it; a refusal stands unless the map is certified integral."""
+        forward, k = l >= 0, abs(l)
+        n = self._under[forward]
+        while not self._refused[forward] and n <= k:
             try:
-                self._orbit.capped(sign * n, self._cap)
+                self._orbit.capped(n if forward else -n, self._cap)
             except ResourceCapError as exc:
                 if not self._certified:
                     raise ResourceCapError(
@@ -98,17 +92,12 @@ class OrbitHeightTracker:
                         "tracking cannot take over", exc.iterate, exc.bound_bits
                     ) from None
                 # certified: Z == 1 and m == 1, so X and Y are the coordinates
-                # themselves and a step is the forms' image alone, which maps
-                # the orbit's enclosure of the last iterate under the cap as it is
-                chain = self._intervals[forward] = [self._orbit.enclosure(sign * (n - 1))]
+                # themselves, and the orbit's enclosures step with no gcd
+                self._refused[forward] = True
                 break
             n += 1
             self._under[forward] = n
-        if k < n:
-            return None
-        while len(chain) <= k - n + 1:
-            chain.append(self._forms[forward].image(chain[-1]))
-        return chain[k - n + 1]
+        return k >= n
 
     def point(self, l: int) -> AffinePoint:
         """Exact coordinates of f^l(x), for an iterate the orbit has built."""
@@ -132,13 +121,13 @@ class OrbitHeightTracker:
         cached = self._bounds.get(l)
         if cached is not None:
             return cached
-        pt = self._interval(l)
-        if pt is None:
+        if not self._past_cap(l):
             h = self._orbit.size(l)[1]
             pad = 2.0**-40 * max(1.0, abs(h))
             found = (h - pad, h + pad)
         else:
-            (x_lo, x_hi), (y_lo, y_hi) = pt[0].log_abs(), pt[1].log_abs()
+            x, y, _ = self._orbit.enclosure(l)
+            (x_lo, x_hi), (y_lo, y_hi) = x.log_abs(), y.log_abs()
             h_lo, h_hi = max(x_lo, y_lo, 0.0), max(x_hi, y_hi, 0.0)
             pad = 1e-12 * max(1.0, abs(h_hi)) + 1e-12
             found = (h_lo - pad, h_hi + pad)

@@ -177,7 +177,7 @@ def test_certified_tracker_hands_integers_to_the_interval_phase():
     exact = X3
     for l in range(1, 20):
         exact = H2.apply(exact)
-        if tracker._interval(l) is not None:
+        if tracker._past_cap(l):
             break  # iterate l is the first one past the cap
         tracker.h_bounds(l)
         assert tracker.point(l) == exact
@@ -388,8 +388,8 @@ def test_a_default_cap_refusal_builds_no_triple_past_the_threshold(monkeypatch, 
 
 def test_a_counting_run_builds_no_triple_past_the_threshold(monkeypatch):
     # the canonical tracker reads the orbit's sizes up to the digit cap and
-    # goes on in intervals from the orbit's enclosure of the last iterate
-    # under it, so a count at T = e^21 builds no triple from a source past
+    # the orbit's enclosures past it, which step on from the orbit's last
+    # built triple, so a count at T = e^21 builds no triple from a source past
     # SIZED_FROM_BITS: the orbit of (3, 0) ends at -11 (1637 bits) and +10
     # (1609 bits), where a switch that built its last exact iterate reached
     # 6545 and 6436 bits
@@ -397,22 +397,24 @@ def test_a_counting_run_builds_no_triple_past_the_threshold(monkeypatch):
     f = dataclasses.replace(H2)  # a copy that holds no orbit
     engine = make_engine(f, depth=12)
     counting_enclosure(engine, X3, math.exp(21))
-    assert engine.__dict__["_held"][1]["tracker"]._intervals != [None, None]  # it went past the cap
+    assert engine.__dict__["_held"][1]["tracker"]._refused == [True, True]  # it went past the cap
     assert stepped and not any(type(c) is Interval for source in stepped for c in source)
     assert max(top(source).bit_length() for source in stepped) < SIZED_FROM_BITS
     assert [top(chain[-1]).bit_length() for chain in f.orbit(lift(X3))._chains] == [1637, 1609]
 
 
-def test_a_tracker_under_a_smaller_cap_goes_on_from_a_built_iterate():
-    # a reader at the default cap has sized (3, 0) to +22, so the orbit no
-    # longer keeps an enclosure of +14, where a 10^4-digit cap refuses +15:
-    # the orbit builds +14 for the tracker, which steps on from it
+def test_a_tracker_under_a_smaller_cap_reads_the_orbits_enclosures():
+    # a reader at the default cap has sized (3, 0) to +22 off the orbit's
+    # enclosures past +10; a 10^4-digit cap refuses +15, and its tracker
+    # reads +22 off the same enclosures, so the orbit builds nothing more
     f = dataclasses.replace(H2)  # a copy that holds no orbit
     OrbitHeightTracker(f, X3).h_bounds(22)
     orbit = f.orbit(lift(X3))
     assert [len(orbit._chains[True]), len(orbit._sizes[True])] == [11, 23]
-    lo, hi = OrbitHeightTracker(f, X3, digit_cap=10_000).h_bounds(22)
-    assert len(orbit._chains[True]) == 15
+    tracker = OrbitHeightTracker(f, X3, digit_cap=10_000)
+    lo, hi = tracker.h_bounds(22)
+    assert (tracker._under[True], tracker._refused[True]) == (15, True)
+    assert len(orbit._chains[True]) == 11
     assert lo <= orbit.size(22)[1] <= hi
 
 
@@ -609,6 +611,8 @@ def rational_henon_words(draw):
 @example(f=H4, pt=(Fraction(1, 2), Fraction(1, 3)), forward=True, depth=8)
 @example(f=H4, pt=(Fraction(2), Fraction(-3)), forward=False, depth=8)
 @example(f=HALF, pt=(Fraction(2, 3), Fraction(-1, 2)), forward=False, depth=8)
+# +12 is integral, and the step from it takes only part of m = 2 out, so H / c is an Interval
+@example(f=henon(2, parse_poly("x^2 + 1/2*x")), pt=(Fraction(-5), Fraction(-3)), forward=True, depth=13)
 def test_sizes_past_gcd_steps_are_the_built_triples(f, pt, forward, depth):
     f = dataclasses.replace(f)  # a copy that holds no orbit
     assert max(f.forms(True).m, f.forms(False).m) > 1 and f.escape_box.bad > 1
@@ -624,6 +628,26 @@ def test_sizes_past_gcd_steps_are_the_built_triples(f, pt, forward, depth):
     reference = Orbit(f.forms(True), f.forms(False), lift(pt))  # no owner: the full gcd at every step
     for n, size in enumerate(sizes):
         t = top(reference[sign * n])
+        assert size == (t.bit_length(), log_int(t))
+
+
+def test_an_unsettled_step_past_the_threshold_is_built():
+    # gamma o H2 o gamma^-1, gamma = (x + y^2, y), is not regular, so it has
+    # no escape box: the orbit drops its owner, and no direction of a
+    # rational start settles.  The step from +8, of 1067 bits, is unsettled,
+    # so +9 is built rather than sized off an enclosure.
+    gamma = triangular(1, 1, 0, parse_poly("y^2"))
+    f = compose_maps(compose_maps(gamma, H2), inverse(gamma))
+    pt = (Fraction(1, 2), Fraction(1, 3))
+    orbit = f.orbit(lift(pt))
+    for k in range(1, 10):
+        orbit.capped(k, cap_bits(10_000))
+    orbit.size(9)
+    assert f.escape_box is None and orbit._owner is None
+    assert orbit.size(8)[0] == 1067 and orbit.built(9) is not None
+    reference = Orbit(f.forms(True), f.forms(False), lift(pt))
+    for n, size in enumerate(orbit._sizes[True]):
+        t = top(reference[n])
         assert size == (t.bit_length(), log_int(t))
 
 

@@ -11,7 +11,8 @@ from hypothesis import strategies as st
 
 from planeheights import automorphism as automorphism_mod
 from planeheights import orbit as orbit_mod
-from planeheights.automorphism import DEFAULT_DIGIT_CAP, IntegerForms, compose_maps, henon, inverse, triangular
+from planeheights.automorphism import (DEFAULT_DIGIT_CAP, INTERVAL_PRECISION_BITS, IntegerForms, Interval, compose_maps,
+                                       henon, inverse, triangular)
 from planeheights.canonical import functional_equation_residual, hminus, hplus, is_periodic, make_engine
 from planeheights.errors import (
     OutOfRangeError,
@@ -21,9 +22,7 @@ from planeheights.errors import (
 )
 from planeheights.heights import naive_height_affine
 from planeheights.orbit import (
-    INTERVAL_PRECISION_BITS,
     NEG_INFINITY,
-    Interval,
     OrbitHeightTracker,
     build_orbit_record,
     count_below,
@@ -116,10 +115,10 @@ def test_counts_do_not_depend_on_the_switch_point(name, x, y, thresholds):
         counts[which] = [count_below(engine, pt, t, which) for t in thresholds]
         assert [count_below(capped, pt, t, which) for t in thresholds] == counts[which]
         assert counts[which] == sorted(counts[which])
-    assert _held_tracker(capped, pt)._intervals != [None, None]
+    assert _held_tracker(capped, pt)._refused != [False, False]
     small = OrbitHeightTracker(engine.outer, pt, digit_cap=SWITCH_DIGITS)
     assert [orbit_mod._scan(small.h_bounds, t, 0.0, 5)[0] for t in thresholds] == counts["naive"]
-    assert small._intervals != [None, None]
+    assert small._refused != [False, False]
 
 
 def _held_tracker(engine, pt):
@@ -137,16 +136,12 @@ def test_early_switch_encloses_the_exact_run(name, x, y):
     for sign in (1, -1):
         for k in range(25):
             l = sign * k
-            if _past_cap(exact, l):
+            if exact._past_cap(l):
                 break  # iterate l is an interval in the reference run too
-            switched = switched or _past_cap(small, l)
+            switched = switched or small._past_cap(l)
             lo, hi = small.h_bounds(l)
             assert lo <= exact.h(l) <= hi
     assert switched
-
-
-def _past_cap(tracker, l):
-    return tracker._interval(l) is not None
 
 
 def test_tracker_reaches_far_iterates():
@@ -157,8 +152,8 @@ def test_tracker_reaches_far_iterates():
 
 
 def test_tracker_refuses_when_intervals_lose_precision(monkeypatch):
-    # Each tracker steps its own interval triples past the cap, at the
-    # precision `Interval` reads when they are made.
+    # The orbit steps its enclosures past the cap at the precision `Interval`
+    # reads when they are made, and each new map holds a new orbit.
     lo, hi = OrbitHeightTracker(henon(1, parse_poly("x^2")), X3, digit_cap=50).h_bounds(60)
     assert hi - lo < 1e-6 * hi
     monkeypatch.setattr(automorphism_mod, "INTERVAL_PRECISION_BITS", 24)  # where Interval reads it
@@ -184,8 +179,8 @@ def test_the_tracker_refusals_carry_their_iterate(monkeypatch):
     assert (info.value.iterate, info.value.bound_bits) == (-60, None)
 
 
-def test_second_counting_run_steps_no_interval(monkeypatch):
-    engine = make_engine(henon(1, parse_poly("x^2")), depth=12)
+def _interval_steps(monkeypatch):
+    """The list of the Interval triples `IntegerForms.image` maps from now on."""
     interval_steps = []
     image = IntegerForms.image
 
@@ -195,11 +190,33 @@ def test_second_counting_run_steps_no_interval(monkeypatch):
         return image(self, point)
 
     monkeypatch.setattr(IntegerForms, "image", counted)
+    return interval_steps
+
+
+def test_second_counting_run_steps_no_interval(monkeypatch):
+    engine = make_engine(henon(1, parse_poly("x^2")), depth=12)
+    interval_steps = _interval_steps(monkeypatch)
     first = counting_enclosure(engine, X3, math.exp(21))
     assert interval_steps
     interval_steps.clear()
     assert counting_enclosure(engine, X3, math.exp(21)) == first
     assert interval_steps == []
+
+
+def test_every_tracker_of_an_orbit_reads_one_chain_of_interval_steps(monkeypatch):
+    # a naive count builds a new tracker per call, and the canonical count
+    # holds another; all of them read the enclosures the orbit keeps, so the
+    # second naive count steps nothing and the canonical one steps only the
+    # iterates past those the naive counts read
+    engine = make_engine(henon(1, parse_poly("x^2")), depth=12)
+    interval_steps = _interval_steps(monkeypatch)
+    first = count_below(engine, X3, math.exp(21), "naive")
+    assert len(interval_steps) == 50
+    interval_steps.clear()
+    assert count_below(engine, X3, math.exp(21), "naive") == first
+    assert interval_steps == []
+    count_below(engine, X3, math.exp(21), "canonical")
+    assert len(interval_steps) == 16
 
 
 def test_tracker_noncertified_map_hits_cap():
@@ -212,8 +229,8 @@ def test_tracker_noncertified_map_hits_cap():
 def test_certified_map_switches_to_intervals_at_a_cap_refusal():
     # under a 10^4-digit cap, Orbit.capped refuses iterate +15 of (3, 0)
     # (the step bound from +14, 25741 bits, is 51483 bits) and -16: the
-    # integral map goes on in intervals from the orbit's enclosures of +14
-    # and -15, where the default cap refuses +23 and -23
+    # integral map reads the orbit's enclosures past +14 and -15, where the
+    # default cap refuses +23 and -23
     capped = OrbitHeightTracker(HENON2, X3, digit_cap=10_000)
     default = OrbitHeightTracker(HENON2, X3)
     for l in range(-40, 41):
@@ -453,7 +470,7 @@ def test_tracker_walks_toward_the_lowest_point_exactly():
     # interval step pins a size through that cancellation
     h3 = INTEGRAL["H3"]
     tracker = OrbitHeightTracker(h3, _shifted(h3, (Fraction(2), Fraction(1)), 8))
-    assert not any(_past_cap(tracker, -l) for l in range(1, 9))
+    assert not any(tracker._past_cap(-l) for l in range(1, 9))
     assert tracker.h(-8) == pytest.approx(math.log(2))
     assert tracker.point(-8) == (Fraction(2), Fraction(1))
 
