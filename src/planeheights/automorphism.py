@@ -78,7 +78,8 @@ def cap_bits(digits: int) -> int:
 class IntegerForms:
     """One direction (P, Q) of a map as integer homogeneous forms.
 
-    With d = max(deg P, deg Q) and m the lcm of all coefficient denominators,
+    With d = max(deg P, deg Q) and m the lcm of the denominators `den` of P
+    and Q (`_integer_numerators` rescales both numerator maps to it),
     F = m Z^d P(X/Z, Y/Z) and G = m Z^d Q(X/Z, Y/Z) have integer
     coefficients, and the map on triples is (X : Y : Z) |-> (F : G : m Z^d).
     `f` and `g` list (monomial index, integer coefficient) pairs over the
@@ -97,7 +98,7 @@ class IntegerForms:
     def __init__(self, components: Tuple[BivarPoly, BivarPoly]):
         self.degree = d = max(poly.total_degree() for poly in components)
         self.m, *numerators = _integer_numerators(*components)
-        keys = sorted({key for poly in components for key in poly.terms})
+        keys = sorted({key for poly in components for key in poly.nums})
         self.monomials = tuple((i, j, d - i - j) for i, j in keys)
         index = {key: n for n, key in enumerate(keys)}
         self.f, self.g = (tuple((index[key], c) for key, c in terms.items()) for terms in numerators)
@@ -607,12 +608,16 @@ def conjugate(f: PlaneAutomorphism, gamma: PlaneAutomorphism) -> PlaneAutomorphi
 
 def degree_sequence(f: PlaneAutomorphism, n_max: int) -> list:
     """[deg f, deg f^2, ..., deg f^n_max] by exact iterated composition;
-    past n_max = 2, refused (ResourceCapError) before any composition when
-    deg f * delta^(n_max - 1) is above DEGREE_SEQUENCE_CAP, since each
-    composition near that degree costs seconds, and the next many times more."""
+    refused (ResourceCapError) before any composition when deg f *
+    delta^(n_max - 1) is above DEGREE_SEQUENCE_CAP, since each composition
+    near that degree costs seconds, and the next many times more.  The test
+    needs delta: past n_max = 2 it is always taken, and at n_max = 2 only on
+    a regular map, where delta = deg f with no composition; the dynamical
+    degree of any other map reads deg f^2 off this function, uncapped."""
     if n_max < 1:
         raise ValueError("degree_sequence needs n_max >= 1")
-    if n_max > 2 and (bound := f.degree() * dynamical_degree(f) ** (n_max - 1)) > DEGREE_SEQUENCE_CAP:
+    if ((n_max > 2 or n_max == 2 and is_regular(f))
+            and (bound := f.degree() * dynamical_degree(f) ** (n_max - 1)) > DEGREE_SEQUENCE_CAP):
         raise ResourceCapError(f"degree sequence to N = {n_max}: deg f * delta^{n_max - 1} = {bound} "
                                f"is above {DEGREE_SEQUENCE_CAP}")
     p, q = cur_p, cur_q = f.fwd
@@ -801,9 +806,9 @@ def _escape_box(f: PlaneAutomorphism) -> EscapeBox | None:
         alpha, d = lead.coefficient(*key), sum(key)
         if alpha == 0 or lead.leading_form(d) != BivarPoly({key: alpha}) or low.total_degree() >= d:
             raise MapValidationError(f"regular map not in the normal form {g} of its escape box")
-        coefficients = [*lead.terms.values(), *low.terms.values()]
-        radius = max(radius, (sum(map(abs, coefficients)) - abs(alpha) + 2) / abs(alpha))
-        modulus = math.lcm(modulus, abs(alpha.numerator) * math.lcm(*(c.denominator for c in coefficients)))
+        norm = sum(Fraction(sum(map(abs, poly.nums.values())), poly.den) for poly in (lead, low))
+        radius = max(radius, (norm - abs(alpha) + 2) / abs(alpha))
+        modulus = math.lcm(modulus, abs(alpha.numerator) * math.lcm(lead.den, low.den))
     bad = modulus * abs(det) * f.forms(True).m * f.forms(False).m
     return EscapeBox((q, -p, -s, r), radius, modulus, bad)
 

@@ -1,20 +1,24 @@
 """Exact rational and bivariate polynomial arithmetic.
 
 Rationals are `fractions.Fraction` (already canonical: reduced, positive
-denominator, 0/1 for zero).  Polynomials in x, y are stored sparsely as a
-dict mapping exponent pairs (i, j) to nonzero Fraction coefficients; the
-zero polynomial has an empty term map.  All values are immutable by
+denominator, 0/1 for zero).  A polynomial in x, y is held in integers: one
+common denominator `den` >= 1 and a sparse dict `nums` mapping exponent pairs
+(i, j) to nonzero integer numerators, in lowest terms (gcd(den, *nums) = 1,
+and den = 1 for the zero polynomial, whose `nums` is empty), so equal
+polynomials have equal forms.  The ring operations, `compose` and
+`leading_form` work on these integers and reduce each result once, with one
+gcd; `Fraction` coefficients are built only at the boundary, by `terms`,
+`coefficient` and `evaluate`, and by printing.  All values are immutable by
 convention and all operations are pure, so sharing across threads is safe.
 
-Products and composition run on integer numerators over one lcm
-denominator (`_integer_numerators`) and divide once, at the end.  Every
-product is one `_product` call: by Kronecker substitution it packs each
-operand into one int at x = 2^k, y = 2^(k*w), with w = deg_x a + deg_x b + 1
-and k one bit wider than the exact bound |a|_1 * |b|_1 on a product
-coefficient, so CPython's multiply does the convolution and the product's
-k-bit signed digits are its coefficients.  A cost rule keeps the schoolbook
-loop for tiny products, sparse layouts and wide coefficients.  `compose` is
-Horner over self's x-powers, one product per x-power.
+Every product is one `_product` call on numerators: by Kronecker
+substitution it packs each operand into one int at x = 2^k, y = 2^(k*w),
+with w = deg_x a + deg_x b + 1 and k one bit wider than the exact bound
+|a|_1 * |b|_1 on a product coefficient, so CPython's multiply does the
+convolution and the product's k-bit signed digits are its coefficients.  A
+cost rule keeps the schoolbook loop for tiny products, sparse layouts and
+wide coefficients.  `compose` is Horner over self's x-powers, one product
+per x-power.
 
 Text grammar (whitespace insignificant)::
 
@@ -95,35 +99,41 @@ def format_rat(value: Fraction) -> str:
 
 
 class BivarPoly:
-    """Polynomial in x and y over the rationals, in canonical sparse form."""
+    """Polynomial in x and y over the rationals: the integer numerators `nums`
+    over the common denominator `den`, in lowest terms."""
 
-    __slots__ = ("terms",)
+    __slots__ = ("den", "nums")
 
     def __init__(self, terms=None):
-        canonical = {}
-        if terms:
-            for (i, j), c in terms.items():
-                c = Fraction(c)
-                if c != 0:
-                    canonical[(int(i), int(j))] = c
-        self.terms = canonical
+        """From a map {(i, j): coefficient} with non-negative int exponents
+        and coefficients that `Fraction` accepts; zero coefficients dropped."""
+        coefficients = {}
+        for key, c in (terms or {}).items():
+            if not (isinstance(key, tuple) and len(key) == 2 and all(isinstance(e, int) and e >= 0 for e in key)):
+                raise ValueError(f"exponent key {key!r} is not a pair of non-negative ints")
+            c = Fraction(c)
+            if c:
+                coefficients[(int(key[0]), int(key[1]))] = c
+        self.den = den = math.lcm(*(c.denominator for c in coefficients.values()))
+        self.nums = {key: c.numerator * (den // c.denominator) for key, c in coefficients.items()}
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
     def zero(cls) -> "BivarPoly":
-        return cls()
+        return _of({}, 1)
 
     @classmethod
     def const(cls, c) -> "BivarPoly":
-        return cls({(0, 0): Fraction(c)})
+        c = Fraction(c)
+        return _of({(0, 0): c.numerator} if c else {}, c.denominator)
 
     @classmethod
     def var(cls, name: str) -> "BivarPoly":
         if name == "x":
-            return cls({(1, 0): Fraction(1)})
+            return _of({(1, 0): 1}, 1)
         if name == "y":
-            return cls({(0, 1): Fraction(1)})
+            return _of({(0, 1): 1}, 1)
         raise ValueError(f"unknown variable {name!r}")
 
     @classmethod
@@ -134,19 +144,21 @@ class BivarPoly:
 
     def __add__(self, other):
         other = _coerce(other)
-        out = dict(self.terms)
-        for key, c in other.terms.items():
-            s = out.get(key, Fraction(0)) + c
-            if s == 0:
-                out.pop(key, None)
-            else:
-                out[key] = s
-        return _raw(out)
+        den = math.lcm(self.den, other.den)
+        if den == self.den:
+            out = dict(self.nums)
+        else:
+            scale = den // self.den
+            out = {key: n * scale for key, n in self.nums.items()}
+        scale = den // other.den
+        for key, n in other.nums.items():
+            out[key] = out.get(key, 0) + n * scale
+        return _reduced(out, den)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return _raw({key: -c for key, c in self.terms.items()})
+        return _of({key: -n for key, n in self.nums.items()}, self.den)
 
     def __sub__(self, other):
         return self + (-_coerce(other))
@@ -155,9 +167,8 @@ class BivarPoly:
         return _coerce(other) - self
 
     def __mul__(self, other):
-        a_den, a = _integer_numerators(self)
-        b_den, b = _integer_numerators(_coerce(other))
-        return _canonical(_product(a, b), a_den * b_den)
+        other = _coerce(other)
+        return _reduced(_product(self.nums, other.nums), self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -169,57 +180,61 @@ class BivarPoly:
     def __eq__(self, other):
         if not isinstance(other, BivarPoly):
             return NotImplemented
-        return self.terms == other.terms
+        return self.den == other.den and self.nums == other.nums
 
     def __hash__(self):
-        return hash(frozenset(self.terms.items()))
+        return hash((self.den, frozenset(self.nums.items())))
 
     def __bool__(self):
-        return bool(self.terms)
+        return bool(self.nums)
 
     # -- queries -----------------------------------------------------------
 
+    @property
+    def terms(self) -> dict:
+        """A new map {(i, j): nonzero Fraction coefficient}."""
+        if self.den == 1:  # Fraction(n) skips the gcd that Fraction(n, 1) takes
+            return {key: Fraction(n) for key, n in self.nums.items()}
+        return {key: Fraction(n, self.den) for key, n in self.nums.items()}
+
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.nums
 
     def total_degree(self) -> int:
         """max(i + j) over stored terms; undefined for the zero polynomial."""
-        if not self.terms:
+        if not self.nums:
             raise DegreeUndefinedError("total degree of the zero polynomial is undefined")
-        return max(i + j for i, j in self.terms)
+        return max(i + j for i, j in self.nums)
 
     def is_univariate_in(self, name: str) -> bool:
         other = {"x": 1, "y": 0}[name]
-        return all(key[other] == 0 for key in self.terms)
+        return all(key[other] == 0 for key in self.nums)
 
     def leading_form(self, d: int) -> "BivarPoly":
         """Sum of the terms of total degree exactly d (the restriction of the
         degree-d homogenization to the line at infinity).  Requires d to be at
         least the total degree."""
-        if self.terms and d < self.total_degree():
+        if self.nums and d < self.total_degree():
             raise ValueError(f"leading form degree {d} below total degree {self.total_degree()}")
-        return _raw({key: c for key, c in self.terms.items() if key[0] + key[1] == d})
+        return _reduced({key: n for key, n in self.nums.items() if key[0] + key[1] == d}, self.den)
 
     def coefficient(self, i: int, j: int) -> Fraction:
-        return self.terms.get((i, j), Fraction(0))
+        return Fraction(self.nums.get((i, j), 0), self.den)
 
     def evaluate(self, x, y) -> Fraction:
         x = Fraction(x)
         y = Fraction(y)
-        xp = powers(x, max((i for i, _ in self.terms), default=0))
-        yp = powers(y, max((j for _, j in self.terms), default=0))
-        total = Fraction(0)
-        for (i, j), c in self.terms.items():
-            total += c * xp[i] * yp[j]
-        return total
+        xp = powers(x, max((i for i, _ in self.nums), default=0))
+        yp = powers(y, max((j for _, j in self.nums), default=0))
+        return sum((n * xp[i] * yp[j] for (i, j), n in self.nums.items()), Fraction(0)) / self.den
 
     def compose(self, sub_x: "BivarPoly", sub_y: "BivarPoly") -> "BivarPoly":
         """Substitute sub_x = a/da for x and sub_y = b/db for y, expanded and
-        canonicalized: Horner over self's x-powers i <= I, acc <- acc*a +
-        row_i with row_i = sum_j s_ij da^(I-i) db^(J-j) b^j on integer
-        numerators, so each power of b and each x-power costs one product."""
-        s_den, s = _integer_numerators(self)
-        (da, a), (db, b) = _integer_numerators(_coerce(sub_x)), _integer_numerators(_coerce(sub_y))
+        reduced: Horner over self's x-powers i <= I, acc <- acc*a + row_i
+        with row_i = sum_j s_ij da^(I-i) db^(J-j) b^j on integer numerators,
+        so each power of b and each x-power costs one product."""
+        s = self.nums
+        (da, a), (db, b) = ((poly.den, poly.nums) for poly in (_coerce(sub_x), _coerce(sub_y)))
         top_i, top_j = (max((key[n] for key in s), default=0) for n in (0, 1))
         b_pows = [{(0, 0): 1}]
         for _ in range(top_j):
@@ -234,17 +249,18 @@ class BivarPoly:
             acc = _product(acc, a)
             for key, v in row.items():
                 acc[key] = acc.get(key, 0) + v
-        return _canonical(acc, s_den * da ** top_i * db ** top_j)
+        return _reduced(acc, self.den * da ** top_i * db ** top_j)
 
     # -- printing ----------------------------------------------------------
 
     def __str__(self):
-        if not self.terms:
+        terms = self.terms
+        if not terms:
             return "0"
-        keys = sorted(self.terms, key=lambda k: (k[0] + k[1], k[0]), reverse=True)
+        keys = sorted(terms, key=lambda k: (k[0] + k[1], k[0]), reverse=True)
         pieces = []
         for n, key in enumerate(keys):
-            c = self.terms[key]
+            c = terms[key]
             mono = _format_monomial(*key)
             if not mono:
                 body = format_rat(abs(c))
@@ -262,10 +278,22 @@ class BivarPoly:
         return f"BivarPoly({self})"
 
 
-def _raw(terms: dict) -> BivarPoly:
+def _of(nums: dict, den: int) -> BivarPoly:
+    """The polynomial nums / den, already in lowest terms."""
     poly = BivarPoly.__new__(BivarPoly)
-    poly.terms = terms
+    poly.den = den
+    poly.nums = nums
     return poly
+
+
+def _reduced(acc: dict, den: int) -> BivarPoly:
+    """acc / den, den >= 1, in lowest terms: zero entries dropped, and the
+    common factor of den and the numerators divided out with one gcd."""
+    nums = {key: n for key, n in acc.items() if n}
+    if den != 1 and (common := math.gcd(den, *nums.values())) != 1:
+        nums = {key: n // common for key, n in nums.items()}
+        den //= common
+    return _of(nums, den)
 
 
 def _coerce(value) -> BivarPoly:
@@ -283,24 +311,25 @@ def powers(base, n: int) -> list:
 
 
 def _integer_numerators(*polys: BivarPoly):
-    """(den, numerators, ...): each polynomial as a map {(i, j): integer}
-    over den, the lcm of the coefficient denominators of all of them.  This
-    is the one place where rational coefficients become integers."""
-    den = math.lcm(*(c.denominator for poly in polys for c in poly.terms.values()))
-    return (den, *({key: c.numerator * (den // c.denominator) for key, c in poly.terms.items()}
-                   for poly in polys))
+    """(den, numerators, ...): each polynomial's `nums` rescaled to den, the
+    lcm of their denominators."""
+    den = math.lcm(*(poly.den for poly in polys))
+    return (den, *({key: n * (den // poly.den) for key, n in poly.nums.items()} for poly in polys))
 
 
 def _product(a: dict, b: dict) -> dict:
     """The integer term map a*b (zero entries allowed in and out).  Cost
     rule: packing costs about k + 32 units per slot, the loop 16 per pair of
     terms (fitted on CPython 3.11, dense triangles of degree 1-40 with
-    2-600-bit coefficients)."""
+    2-600-bit coefficients).  The product's support has at least
+    |a| + |b| - 1 cells, so w * rows (4h + 32) >= 36 (|a| + |b| - 1), and
+    operands too small to meet that are not laid out."""
     if not a or not b:
         return {}
-    layout = w, rows, h = _layout(a, b)
-    if 16 * len(a) * len(b) >= w * rows * (4 * h + 32):
-        return _kronecker(a, b, *layout)
+    if 4 * len(a) * len(b) >= 9 * (len(a) + len(b) - 1):
+        layout = w, rows, h = _layout(a, b)
+        if 16 * len(a) * len(b) >= w * rows * (4 * h + 32):
+            return _kronecker(a, b, *layout)
     acc = {}
     for (i1, j1), c1 in a.items():
         for (i2, j2), c2 in b.items():
@@ -340,12 +369,6 @@ def _pack(terms: dict, w: int, h: int) -> int:
     for (i, j), c in terms.items():
         (pos if c > 0 else neg)[slots - 1 - i - j * w] = format(abs(c), f"0{h}x")
     return int("".join(pos), 16) - int("".join(neg), 16)
-
-
-def _canonical(acc: dict, den: int) -> BivarPoly:
-    if den == 1:  # Fraction(n) skips the gcd that Fraction(n, 1) takes
-        return _raw({key: Fraction(n) for key, n in acc.items() if n})
-    return _raw({key: Fraction(n, den) for key, n in acc.items() if n})
 
 
 def _format_monomial(i: int, j: int) -> str:

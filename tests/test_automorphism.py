@@ -130,6 +130,16 @@ def test_degree_sequence_refuses_past_the_degree_bound():
     assert degree_sequence(TRI, 9) == [2] * 9
 
 
+def test_degree_sequence_to_two_is_capped_where_delta_needs_no_composition():
+    # a regular map has delta = deg f with no composition: 17 * 17 = 289 is
+    # refused before f o f is composed; a map that is not regular needs
+    # deg f^2 for its delta, so N = 2 composes whatever its degree
+    with pytest.raises(ResourceCapError, match=r"^degree sequence to N = 2: deg f \* delta\^1 = 289 "):
+        degree_sequence(henon(1, parse_poly("x^17")), 2)
+    assert degree_sequence(henon(1, parse_poly("x^16")), 2) == [16, 256]
+    assert degree_sequence(triangular(1, 1, 0, parse_poly("y^17")), 2) == [17, 17]
+
+
 def test_degree_sequence_triangular():
     assert degree_sequence(TRI, 4) == [2, 2, 2, 2]
 

@@ -13,9 +13,10 @@ import jsonschema
 import pytest
 
 import planeheights
+from planeheights import automorphism
 from planeheights.automorphism import load_map_file
 from planeheights.cli import _engine, build_parser, main
-from planeheights.ratpoly import format_int, parse_poly
+from planeheights.ratpoly import BivarPoly, format_int, parse_poly
 from planeheights.schemas import SCHEMAS
 
 GOLDEN = Path(__file__).parent / "data" / "golden"
@@ -94,6 +95,30 @@ def test_dyndeg_prefix_past_the_degree_bound_is_a_resource_cap(capsys):
     code, out, err = run_cli(capsys, ["dyndeg", "--map", path, "--N", "5"])
     assert (code, out) == (4, "")
     assert err == "resource cap: degree sequence to N = 5: deg f * delta^4 = 486 is above 256\n"
+
+
+def test_dyndeg_refuses_a_regular_map_before_composing_it(capsys, tmp_path, monkeypatch):
+    # (x^4000 - y, x) is regular, so delta = deg f = 4000 needs no
+    # composition, and the default prefix N = 2 would reach degree
+    # 16,000,000 (f o f took 10 s): refused before any composition
+    path = tmp_path / "h4000.json"
+    path.write_text(json.dumps({"type": "henon", "a": "1", "p": "x^4000"}))
+    load = automorphism.load_map_file
+
+    def no_composition(*args):
+        raise AssertionError("composed a map past the degree cap")
+
+    def load_then_forbid_composition(where):
+        f = load(where)
+        monkeypatch.setattr(BivarPoly, "compose", no_composition)
+        return f
+
+    monkeypatch.setattr(automorphism, "load_map_file", load_then_forbid_composition)
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, ["dyndeg", "--map", str(path)])
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (4, "")
+    assert err == "resource cap: degree sequence to N = 2: deg f * delta^1 = 16000000 is above 256\n"
 
 
 def test_canheight_json_schema(capsys, maps):

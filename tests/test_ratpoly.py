@@ -2,6 +2,7 @@
 
 import math
 import random
+import re
 import sys
 from fractions import Fraction
 
@@ -161,7 +162,17 @@ _polys = st.one_of(
 )
 
 
+def _assert_lowest_terms(poly):
+    """The integer form's invariants: den >= 1, nonzero int numerators,
+    gcd(den, *nums) = 1, and den = 1 for the zero polynomial."""
+    assert type(poly.den) is int and poly.den >= 1
+    assert all(type(n) is int and n != 0 for n in poly.nums.values())
+    assert math.gcd(poly.den, *poly.nums.values()) == 1
+    assert poly.nums or poly.den == 1
+
+
 def _assert_canonical(poly):
+    _assert_lowest_terms(poly)
     assert all(type(c) is Fraction and c != 0 for c in poly.terms.values())
     assert BivarPoly(poly.terms).terms == poly.terms
 
@@ -183,6 +194,19 @@ def test_composite_evaluates_at_the_substituted_point(a, q, r, pt):
     composite = a.compose(q, r)
     _assert_canonical(composite)
     assert composite.evaluate(*pt) == a.evaluate(q.evaluate(*pt), r.evaluate(*pt))
+
+
+@pytest.mark.parametrize("key", [(1.5, 0), (-1, 0), (0, -2), (2,), (1, 0, 0), "xy", 1])
+def test_constructor_refuses_a_key_that_is_not_a_pair_of_exponents(key):
+    with pytest.raises(ValueError, match=re.escape(repr(key))):
+        BivarPoly({key: 1})
+
+
+def test_the_zero_polynomial_has_one_integer_form():
+    for zero in (BivarPoly(), BivarPoly({(1, 0): 0}), BivarPoly.const(Fraction(0, 7)),
+                 parse_poly("1/3*x") - parse_poly("1/3*x"), parse_poly("2/5*x*y").leading_form(3)):
+        assert (zero.den, zero.nums) == (1, {})
+        assert zero == BivarPoly.zero() and hash(zero) == hash(BivarPoly.zero())
 
 
 def test_rat_helpers():
@@ -352,3 +376,62 @@ def test_sparse_product_and_banded_compose_stay_exact():
     assert product == parse_poly("x^400*y^400 - x^400 + y^400 - 1")
     banded = parse_poly("x^300").compose(parse_poly("x^2 - y"), X)
     assert banded.terms == {(2 * (300 - m), m): Fraction((-1) ** m * math.comb(300, m)) for m in range(301)}
+
+
+# -- the integer form against a Fraction-dict reference -----------------------
+#
+# A polynomial is held as integer numerators over one denominator in lowest
+# terms.  The references below work on the Fraction coefficient maps the
+# polynomials were built from.
+
+def _ref_sum(a: dict, b: dict) -> dict:
+    out = dict(a)
+    for key, c in b.items():
+        out[key] = out.get(key, 0) + c
+    return _nonzero(out)
+
+
+def _ref_neg(a: dict) -> dict:
+    return {key: -c for key, c in a.items()}
+
+
+_fraction_maps = st.dictionaries(_keys, _coeffs.map(Fraction), max_size=8)
+
+
+@settings(max_examples=200, deadline=None)
+@given(a=_fraction_maps, b=_fraction_maps, d=st.integers(0, 12), probe=_keys)
+@example(a={(2, 0): Fraction(1, 2), (0, 0): Fraction(1, 6)}, b={}, d=2, probe=(2, 0))  # lead shares 3 with den 6
+@example(a={(1, 0): Fraction(1, 2)}, b={(1, 0): Fraction(1, 2)}, d=1, probe=(1, 0))  # 1/2 + 1/2 = 1
+def test_sum_negation_leading_form_and_coefficient_match_the_fraction_reference(a, b, d, probe):
+    p, q = BivarPoly(a), BivarPoly(b)
+    a, b = _nonzero(a), _nonzero(b)
+    results = [(p, a), (p + q, _ref_sum(a, b)), (p - q, _ref_sum(a, _ref_neg(b))), (-p, _ref_neg(a))]
+    if not a or d >= max(i + j for i, j in a):
+        results.append((p.leading_form(d), {key: c for key, c in a.items() if sum(key) == d}))
+    for poly, reference in results:
+        _assert_lowest_terms(poly)
+        assert poly.terms == reference
+    for key in (probe, *a):
+        assert p.coefficient(*key) == a.get(key, 0)
+
+
+@settings(max_examples=150, deadline=None)
+@given(a=_kernel_polys, b=_kernel_polys, k=st.integers(1, 2**70))
+def test_equal_polynomials_from_different_routes_are_equal_and_hash_equal(a, b, k):
+    routes = [
+        a * BivarPoly.const(Fraction(1, k)) * k,
+        a * k * Fraction(1, k),
+        a + b - b,
+        -(-a),
+        a.compose(X, Y),
+        BivarPoly(a.terms),
+    ]
+    if a:
+        lead = a.leading_form(a.total_degree())
+        routes.append(lead + (a - lead))
+    for poly in routes:
+        _assert_lowest_terms(poly)
+        assert poly == a and hash(poly) == hash(a)
+    half_x = X * Fraction(1, 2)
+    assert (half_x.den, half_x.nums) == (2, {(1, 0): 1})
+    assert half_x * 2 == X and hash(half_x * 2) == hash(X)
