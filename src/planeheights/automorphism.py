@@ -33,7 +33,9 @@ size bit for bit (`pinned_size`), with the common factor of a gcd step read
 off residues modulo a power of m or K.  The orbit keeps the enclosure of
 every iterate past its built triples (`Orbit.enclosure`), so each interval
 step is taken once per orbit, whoever reads it: its own sizes, and the
-counting tracker of :mod:`planeheights.orbit` past the digit cap.
+counting tracker of :mod:`planeheights.orbit`, which starts the log
+recurrence of the escape box's tail (`EscapeBox.tail_step`) off the first
+enclosure in V+ (V-) and steps no interval past it.
 A map keeps one orbit, the one of the start it was last queried at
 (`PlaneAutomorphism.orbit`); a query from another start replaces it.
 Heights, the functional equation, periodicity, point counts and the orbit
@@ -56,7 +58,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Tuple
+from typing import NamedTuple, Tuple
 
 from .errors import DEFAULT_DIGIT_CAP, MapValidationError, PolyParseError, ResourceCapError
 from .heights import _LN2, ProjPoint, affine, lift, log_int, top
@@ -173,9 +175,9 @@ class Interval:
     is all the ring arithmetic `IntegerForms.image` does (its `powers`, its
     `sum` and its integer coefficients), so intervals step with the map's own
     forms, past the held triples of an `Orbit`, which keeps them for its
-    sizes and for the counting tracker of :mod:`planeheights.orbit` past the
-    digit cap.  `divided` takes out the common factor of an `Orbit` step
-    that takes a gcd.
+    sizes and for the tail start of the counting tracker of
+    :mod:`planeheights.orbit`.  `divided` takes out the common factor of an
+    `Orbit` step that takes a gcd.
     """
 
     __slots__ = ("lo", "hi", "e")
@@ -292,8 +294,8 @@ class Orbit:
     pins it.  Each direction keeps one list of enclosures, one per iterate
     from the end of its built triples on, each the `IntegerForms.image` of
     the one before at `Interval` coordinates (`_step`), so each interval
-    step is taken once per orbit, for sizes and for the counting tracker
-    past the digit cap alike.  A step that takes a gcd divides the
+    step is taken once per orbit, for sizes and for the tail start of the
+    counting tracker alike.  A step that takes a gcd divides the
     enclosures by its common factor, which residues modulo a power of m
     (Z = 1) or K (a settled direction) decide.  Otherwise, before the
     direction has settled or when the enclosure does not pin, the exact
@@ -752,12 +754,34 @@ class EscapeBox:
     (F : G : m W^d) has max(|F|_p, |G|_p) = |U|_p^d = 1: it is already
     primitive at p.  At a prime of neither K nor W, m W^d is a unit.  This is
     the good-prime rule of `IntegerForms.step`.
+
+    The box lemma gives the escape tail at infinity too.  `growth` holds,
+    per direction (indexed by forward, as an `Orbit` indexes its lists),
+    (d, alpha, S): the degree, the leading coefficient, and S = the sum of
+    |c| over every other coefficient of the normal form; going backward they
+    are those of f^-1, with v for u and beta for alpha.  For a point in V+
+    with |u| >= 1, each other term c u^i v^j of u' and of v' has i + j < d,
+    so it is at most |c| |u|^(d-1) in size.  So with eps = S/(|alpha| |u|):
+      * |u'| = |alpha| |u|^d (1 + t) with |t| <= eps, so
+        log|u'| = d log|u| + log|alpha| +- eta, eta = -log(1 - eps);
+      * |v'| / |u'| <= S / (|alpha| |u| - S) = eps / (1 - eps).
+    The tail starts (`escaped`) where log|u| >= log R + 45 and log(2 S /
+    |alpha|) + log(2 B'/M) + 45, with B' and M below: there eps <= e^-45 / 2,
+    so eta and the ratio are at most 2 eps, and the next iterate is again in
+    V+ with |u'| > 2|u|; the tail never leaves.  The height of an integral
+    point is read off u through B^-1 = [[b3, -b1], [-b2, b0]] / det B: with
+    r = |v/u|, M = max(|b3|, |b2|) and B' = max(|b1|, |b0|) (the two swap
+    going backward), max(|X|, |Y|) = |u| / |det B| (M +- B' r), so h_nv =
+    log|u| + log(M / |det B|) +- rho', rho' = -log(1 - B' r / M) <= 2 B' r / M,
+    and the start puts log(M / |det B|) + log|u| above 45, so h_nv > 0.  This
+    is the B^-1 offset; `tail_step` bounds both errors by one float each.
     """
 
     basis: Tuple[int, int, int, int]  # B = [[b0, b1], [b2, b3]]
     radius: Fraction
     modulus: int
     bad: int  # K, whose primes carry every common factor of a settled step
+    growth: Tuple[Tuple[int, Fraction, Fraction], Tuple[int, Fraction, Fraction]]  # (d, alpha, S) of f^-1, f
 
     def coordinates(self, point: ProjPoint) -> ProjPoint:
         """The primitive triple (u : v : w), w > 0, of B (X, Y) over Z."""
@@ -792,6 +816,85 @@ class EscapeBox:
             return "a prime above 1000 of its denominator"
         return f"the prime {next((q for q in range(2, math.isqrt(rest) + 1) if rest % q == 0), rest)}"
 
+    @cached_property
+    def _tail_constants(self) -> Tuple[_Tail, _Tail]:
+        """The float constants of `tail_step` per direction, indexed by forward."""
+        b0, b1, b2, b3 = self.basis
+        det = abs(b0 * b3 - b1 * b2)
+        rows = (max(abs(b0), abs(b1)), max(abs(b2), abs(b3)))  # M is rows[forward], B' the other
+        tails = []
+        for forward, (d, alpha, slack) in enumerate(self.growth):
+            m, other = rows[forward], rows[not forward]
+            log_slack = _log_bounds(2 * slack / abs(alpha))[1] if slack else -math.inf
+            offset = math.nextafter(float(Fraction(2 * other, m)), math.inf)
+            scale = _log_bounds(Fraction(m, det))
+            start = max(_log_bounds(self.radius)[1], log_slack + max(0.0, math.log(offset)), -scale[0]) + 45
+            tails.append(_Tail(d, _log_bounds(abs(alpha)), log_slack, scale, offset, start))
+        return tuple(tails)
+
+    def escaped(self, point, forward: bool = True) -> Tuple[float, float] | None:
+        """Outward bounds on log|u| (log|v| going backward) at an enclosure
+        (X, Y, 1) of `Interval`s of an integral point, when it shows the
+        point in V+ (V-) with log|u| at least the direction's tail start, so
+        past R and with eps <= e^-45 / 2 (see the class docstring); else None.
+        `Interval.log_abs` is good to 4 ulps (under 3 of `log_int`, and the
+        product and sum with the exponent), inside the pad of 8."""
+        x, y, _ = point
+        b0, b1, b2, b3 = self.basis
+        u, v = b0 * x + b1 * y, b2 * x + b3 * y
+        lo, hi = (u if forward else v).log_abs()
+        pad = 8 * math.ulp(hi)
+        lo, hi = lo - pad, hi + pad
+        if lo < self._tail_constants[forward].start or lo <= (v if forward else u).log_abs()[1] + pad:
+            return None
+        return lo, hi
+
+    def tail_step(self, logs: Tuple[float, float], forward: bool = True):
+        """((lo, hi) of log|u'|, (lo, hi) of h_nv) at the next iterate from
+        bounds on log|u| at an integral iterate in the tail (log|v| and V-
+        going backward): the one-step bound log|u'| = d log|u| + log|alpha|
+        +- eta, then the B^-1 offset, both from the class docstring.
+        With lo the lower bound, e = exp(log(2 S/|alpha|) - lo) is above 2 eps,
+        which is above eta and above the ratio |v'/u'|; so e bounds eta and
+        `offset` e (above 2 B'/M times e) bounds rho'.  Every float operation
+        is rounded to nearest and then moved one ulp outward with
+        `math.nextafter`, which makes it a directed rounding (exp too, whose
+        error is under one ulp); so the bounds hold with no pad.  A bound past
+        the float range comes back as inf."""
+        t = self._tail_constants[forward]
+        lo, hi = logs
+        eta = _nextafter(math.exp(_nextafter(t.log_slack - lo, _INF)), _INF)
+        lo = _nextafter(_nextafter(_nextafter(t.degree * lo, -_INF) + t.log_alpha[0], -_INF) - eta, -_INF)
+        hi = _nextafter(_nextafter(_nextafter(t.degree * hi, _INF) + t.log_alpha[1], _INF) + eta, _INF)
+        offset = _nextafter(t.offset * eta, _INF)
+        return (lo, hi), (_nextafter(_nextafter(lo + t.scale[0], -_INF) - offset, -_INF),
+                          _nextafter(_nextafter(hi + t.scale[1], _INF) + offset, _INF))
+
+
+_INF = math.inf
+_nextafter = math.nextafter
+
+
+class _Tail(NamedTuple):
+    """The float constants of one direction of an escape tail."""
+
+    degree: int
+    log_alpha: Tuple[float, float]  # bounds on log|alpha|
+    log_slack: float  # above log(2 S/|alpha|); -inf when S = 0
+    scale: Tuple[float, float]  # bounds on log(M/|det B|)
+    offset: float  # above 2 B'/M
+    start: float  # the least lower bound on log|u| the tail starts from
+
+
+def _log_bounds(q: Fraction) -> Tuple[float, float]:
+    """Outward bounds on log q, q > 0.  log_int is good to under 3 ulps (one
+    rounding of math.log, of the product by log 2 and of the sum, and the
+    error of log 2 itself), and the difference of the two logs adds half an
+    ulp of the larger; the pad is 4 ulps of each."""
+    num, den = log_int(q.numerator), log_int(q.denominator)
+    pad = 4 * (math.ulp(num) + math.ulp(den))
+    return _nextafter(num - den - pad, -_INF), _nextafter(num - den + pad, _INF)
+
 
 def _escape_box(f: PlaneAutomorphism) -> EscapeBox | None:
     if not is_regular(f):
@@ -801,16 +904,17 @@ def _escape_box(f: PlaneAutomorphism) -> EscapeBox | None:
     b_inv = (Fraction(r, det) * _X + Fraction(p, det) * _Y, Fraction(s, det) * _X + Fraction(q, det) * _Y)
     b = _build((q * _X - p * _Y, r * _Y - s * _X), b_inv, (), check=False)
     g = compose_maps(compose_maps(b, f), inverse(b))  # f in the coordinates (u, v), named (x, y)
-    radius, modulus = Fraction(1), 1
-    for (lead, low), key in ((g.fwd, (g.degree(), 0)), (g.inv[::-1], (0, g.inverse_degree()))):
+    radius, modulus, growth = Fraction(1), 1, []
+    for (lead, low), key in ((g.inv[::-1], (0, g.inverse_degree())), (g.fwd, (g.degree(), 0))):
         alpha, d = lead.coefficient(*key), sum(key)
         if alpha == 0 or lead.leading_form(d) != BivarPoly({key: alpha}) or low.total_degree() >= d:
             raise MapValidationError(f"regular map not in the normal form {g} of its escape box")
         norm = sum(Fraction(sum(map(abs, poly.nums.values())), poly.den) for poly in (lead, low))
         radius = max(radius, (norm - abs(alpha) + 2) / abs(alpha))
         modulus = math.lcm(modulus, abs(alpha.numerator) * math.lcm(lead.den, low.den))
+        growth.append((d, alpha, norm - abs(alpha)))
     bad = modulus * abs(det) * f.forms(True).m * f.forms(False).m
-    return EscapeBox((q, -p, -s, r), radius, modulus, bad)
+    return EscapeBox((q, -p, -s, r), radius, modulus, bad, tuple(growth))
 
 
 # -- map-description documents ------------------------------------------------

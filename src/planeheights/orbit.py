@@ -3,22 +3,23 @@ enclosures.
 
 Counting runs need naive heights of iterates far past the point where exact
 coordinates stop being storable (a threshold T = e^21 pulls in iterates whose
-coordinates would have ~10^8 digits).  The orbit tracker reads one interval
-chain, the orbit's own.  Up to the digit cap it reads the sizes the orbit
-the map holds measured once (`Orbit.size`, checked by `Orbit.capped`): the
-orbit builds triples (X : Y : Z) only up to its first of `SIZED_FROM_BITS`
-bits and sizes the iterates past it off interval steps, so nothing near the
-cap is built.  Past the cap the tracker reads the orbit's enclosures of the
-iterates themselves (`Orbit.enclosure`), outward-rounded interval
-coordinates (an `Interval` of :mod:`planeheights.automorphism` is a pair of
-integer mantissas of at most 192 bits under a Python-int binary exponent,
-so e^(10^9)-sized values cost no more than small ones).  It goes on only
-when the map provably preserves integer points in both directions (all
-coefficients integral, integral start): there m = 1 and Z = 1, so h = log
-max(|X|, |Y|, 1) is the exact naive height, and a step is the ring
-arithmetic of `IntegerForms.image` alone, which maps the interval triple
-(X, Y, 1) as it is.  On any other map the digit cap's refusal stands.
-Interval widths stay certified, so a count is exact unless an enclosure
+coordinates would have ~10^8 digits).  The orbit tracker reads the sizes the
+orbit the map holds measured once (`Orbit.size`): the orbit builds triples
+(X : Y : Z) only up to its first of `SIZED_FROM_BITS` bits and sizes a few
+iterates past it off interval steps, so nothing much larger is built.  On
+an integral map with an escape box, at an integral start, the tracker is
+certified: m = 1 and Z = 1, so h = log max(|X|, |Y|, 1) is the exact naive
+height.  It tests each iterate the orbit encloses past its built triples
+for V+ of the box (V- going backward), far outside R, and the first that
+passes is its tail start k0.  From k0 on, the escape tail of the box gives
+every later height with no interval step: log|u'| = d log|u| + log|alpha|
+up to eta, under 2^-1000 past 1024 bits, and h = log|u| + log(M / |det B|)
+up to the B^-1 offset (`EscapeBox.tail_step`, each float operation rounded
+outward).  So a count at any threshold costs a few float operations per
+iterate past k0, and refuses only where h passes the float range.  On any
+other map or start the tracker reads sizes up to the digit cap, checked by
+`Orbit.capped`, and the cap's refusal stands.
+Height enclosures stay certified, so a count is exact unless an enclosure
 straddles the threshold, which the scan reports instead of hiding.  The
 orbit keeps its enclosures and a tracker its height enclosures, so each
 interval step is taken once per orbit, however many trackers read it.
@@ -48,7 +49,7 @@ import math
 from dataclasses import dataclass
 from typing import Dict, Tuple
 
-from .automorphism import DEFAULT_DIGIT_CAP, PlaneAutomorphism, cap_bits
+from .automorphism import DEFAULT_DIGIT_CAP, SIZED_FROM_BITS, PlaneAutomorphism, cap_bits
 from .canonical import HeightEngine, hcanonical_iterates, is_periodic
 from .errors import (
     OutOfRangeError,
@@ -62,42 +63,72 @@ NEG_INFINITY = float("-inf")  # distinguished 'finite orbit' value, never used i
 
 
 class OrbitHeightTracker:
-    """Lazy h_nv(f^l(x)) for l in Z: the sizes of the orbit the map holds
-    up to the digit cap, and past it the orbit's interval enclosures.  The
-    tracker keeps per direction (indexed by l >= 0) how many iterates from
-    0 on passed the cap test, whether the cap has refused the next one, and
-    the enclosures of h_nv read so far."""
+    """Lazy h_nv(f^l(x)) for l in Z.  A certified tracker (an integral map
+    with an escape box, an integral start) reads the sizes of the orbit the
+    map holds up to each direction's tail start k0, and from k0 on steps the
+    log recurrence of the box (`EscapeBox.tail_step`); any other reads the
+    sizes up to the digit cap and refuses past it.  The tracker keeps per
+    direction (indexed by l >= 0) how many iterates from 0 on it walked, k0
+    with the last iterate stepped and its log bounds once the tail has
+    started, and the enclosures of h_nv read so far."""
 
     def __init__(self, auto: PlaneAutomorphism, x: AffinePoint, digit_cap: int = DEFAULT_DIGIT_CAP):
         start = lift(x)
         self._orbit = auto.orbit(start)
-        self._certified = auto.is_integral and start[2] == 1
+        # certified: Z = 1 and m = 1, so X and Y are the coordinates themselves
+        self._box = auto.escape_box if auto.is_integral and start[2] == 1 else None
         self._cap = cap_bits(digit_cap)
         self._under = [1, 1]
-        self._refused = [False, False]
+        self._tails = [None, None]  # (k0, k, bounds on log|u| (log|v|) at k) once the tail starts
         self._bounds: Dict[int, Tuple[float, float]] = {}
 
-    def _past_cap(self, l: int) -> bool:
-        """Whether f^l(x) lies past the digit cap, walking the cap test up to
-        it; a refusal stands unless the map is certified integral."""
+    def _in_tail(self, l: int) -> bool:
+        """Whether f^l(x) lies at or past the tail start k0 of its direction,
+        walking the iterates up to it.  A certified walk tests each iterate
+        that the orbit sizes off an interval step (one past the built triples,
+        after one of SIZED_FROM_BITS bits) for the tail (`EscapeBox.escaped`),
+        and the digit cap only at those that fail it, as the orbit may build
+        them; any other walk tests the cap at every iterate, and refuses."""
         forward, k = l >= 0, abs(l)
-        n = self._under[forward]
-        while not self._refused[forward] and n <= k:
-            try:
-                self._orbit.capped(n if forward else -n, self._cap)
-            except ResourceCapError as exc:
-                if not self._certified:
-                    raise ResourceCapError(
-                        f"orbit {exc}, and the map is not certified integral, so interval "
-                        "tracking cannot take over", exc.iterate, exc.bound_bits
-                    ) from None
-                # certified: Z == 1 and m == 1, so X and Y are the coordinates
-                # themselves, and the orbit's enclosures step with no gcd
-                self._refused[forward] = True
-                break
+        sign = 1 if forward else -1
+        n, orbit, box = self._under[forward], self._orbit, self._box
+        while self._tails[forward] is None and n <= k:
+            if box is None:
+                self._capped(sign * n, "and the map is not certified integral, so interval tracking cannot take over")
+            elif orbit.size(sign * (n - 1))[0] >= SIZED_FROM_BITS and orbit.built(sign * n) is None:
+                point = orbit.enclosure(sign * n)  # Z = m = 1, so the step always goes
+                logs = box.escaped(point, forward)
+                if logs is not None:
+                    self._seed(sign * n, point)
+                    self._tails[forward] = (n, n, logs)
+                    break
+                self._capped(sign * n, "before its escape tail started")
             n += 1
             self._under[forward] = n
-        return k >= n
+        tail = self._tails[forward]
+        return tail is not None and k >= tail[0]
+
+    def _capped(self, l: int, reason: str) -> None:
+        """`Orbit.capped` at iterate l, its refusal told with `reason`."""
+        try:
+            self._orbit.capped(l, self._cap)
+        except ResourceCapError as exc:
+            raise ResourceCapError(f"orbit {exc}, {reason}", exc.iterate, exc.bound_bits) from None
+
+    def _seed(self, l: int, point) -> None:
+        """Keep the enclosure of h_nv at the tail start l, read off the
+        orbit's enclosure (X, Y, 1) there: log max(|X|, |Y|, 1) at each
+        endpoint, as log_int(mantissa) + e log 2, within a few ulps, which
+        the pad 1e-12 max(1, |h|) + 1e-12 covers a thousand times over.  An
+        enclosure wider than 1e-6 |h| is refused."""
+        x, y, _ = point
+        (x_lo, x_hi), (y_lo, y_hi) = x.log_abs(), y.log_abs()
+        h_lo, h_hi = max(x_lo, y_lo, 0.0), max(x_hi, y_hi, 0.0)
+        pad = 1e-12 * max(1.0, abs(h_hi)) + 1e-12
+        found = (h_lo - pad, h_hi + pad)
+        if found[1] - found[0] > 1e-6 * max(1.0, abs(found[1])):
+            raise ResourceCapError(f"interval arithmetic lost precision at iterate {l}", iterate=l)
+        self._bounds[l] = found
 
     def point(self, l: int) -> AffinePoint:
         """Exact coordinates of f^l(x), for an iterate the orbit has built."""
@@ -111,30 +142,38 @@ class OrbitHeightTracker:
     def h_bounds(self, l: int) -> Tuple[float, float]:
         """Certified [lo, hi] enclosure of h_nv(f^l(x)).
 
-        Past the digit cap, h = log max(|X|, |Y|, 1) is read off the interval
-        coordinates as log_int(mantissa) + e log 2 at each endpoint.  Both
-        terms are non-negative, so the sum is within a few ulps of the true
-        log of the endpoint (log_int is good to a few ulps, the product and
-        the sum add one rounding each).  The pad 1e-12 max(1, |h|) + 1e-12
-        is more than 1000 ulps of h, so the padded bounds still enclose h.
+        Before the tail start it is the orbit's size, good to a few ulps, in
+        a pad of 2^-40 |h|.  At the tail start k0 it is read off the orbit's
+        enclosure (`_seed`).  Past it, each iterate comes from the one before
+        by `EscapeBox.tail_step`, whose bounds hold with no pad (see its
+        docstring and the class docstring of `EscapeBox`): the iterate at k0
+        is in V+ (V- going backward) with |u| past the tail start, so each
+        later one is too, log|u| follows d log|u| + log|alpha| up to eta, and
+        h_nv is log|u| + log(M / |det B|) up to the B^-1 offset.  The same
+        pad 1e-12 max(1, |h|) + 1e-12 as at k0 is added to every tail bound.
+        A bound past the float range is refused, naming the iterate.
         """
         cached = self._bounds.get(l)
         if cached is not None:
             return cached
-        if not self._past_cap(l):
+        if not self._in_tail(l):
             h = self._orbit.size(l)[1]
             pad = 2.0**-40 * max(1.0, abs(h))
-            found = (h - pad, h + pad)
-        else:
-            x, y, _ = self._orbit.enclosure(l)
-            (x_lo, x_hi), (y_lo, y_hi) = x.log_abs(), y.log_abs()
-            h_lo, h_hi = max(x_lo, y_lo, 0.0), max(x_hi, y_hi, 0.0)
-            pad = 1e-12 * max(1.0, abs(h_hi)) + 1e-12
-            found = (h_lo - pad, h_hi + pad)
-            if found[1] - found[0] > 1e-6 * max(1.0, abs(found[1])):
-                raise ResourceCapError(f"interval arithmetic lost precision at iterate {l}", iterate=l)
-        self._bounds[l] = found
-        return found
+            found = self._bounds[l] = (h - pad, h + pad)
+            return found
+        forward = l >= 0
+        sign = 1 if forward else -1
+        start, k, logs = self._tails[forward]
+        while k < abs(l):
+            logs, (h_lo, h_hi) = self._box.tail_step(logs, forward)
+            if h_hi == math.inf:
+                raise ResourceCapError(f"the naive height passed the float range at iterate {sign * (k + 1)}",
+                                       iterate=sign * (k + 1))
+            k += 1
+            pad = 1e-12 * h_hi + 1e-12
+            self._bounds[sign * k] = (h_lo - pad, h_hi + pad)
+            self._tails[forward] = (start, k, logs)
+        return self._bounds[l]
 
     def h(self, l: int) -> float:
         lo, hi = self.h_bounds(l)

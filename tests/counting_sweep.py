@@ -7,9 +7,10 @@ e^13, e^17 and e^21; and the default digit cap and 10^4 digits.  Each run
 records the observed count and pass flag of `counting_enclosure` and the
 count of the naive `count_below`, or for either the class and text of its
 refusal.  No float is recorded, so a libm that rounds a last bit
-differently cannot move the table.  The runs past the digit cap read the
-orbit's interval enclosures, and those under it its exact sizes, so the
-table pins both paths and the switch between them.
+differently cannot move the table.  Every start is integral on an integral
+map, so the counts read the orbit's sizes up to each direction's escape
+tail and its log recurrence past it, under either cap; the refusals at the
+10^4-digit cap come from the depth-N walks behind (hhat+, hhat-).
 
 `tests/test_golden.py` compares the sweep with the table in process.  Run
 as a script,

@@ -545,6 +545,20 @@ def test_orbit_window_refused_at_the_digit_cap(capsys, maps):
     assert time.perf_counter() - started < 5
 
 
+def test_orbit_counts_to_the_end_of_the_float_range(capsys, maps):
+    # h_nv of the far iterates comes from the escape tail's log recurrence:
+    # at T = 1e300 the canonical scan reads h_nv to about 2^13 T, and at
+    # T = 1e308 the recurrence passes the float range, which is a refusal
+    code, out, _ = run_cli(capsys, ["orbit", "--map", maps["henon2"], "--point", "3,0", "--T", "1e300",
+                                    "--format", "json"])
+    assert code == 0
+    (row,) = json.loads(out)["counting"]
+    assert (row["count"], row["pass"]) == (1994, True)
+    code, out, err = run_cli(capsys, ["orbit", "--map", maps["henon2"], "--point", "3,0", "--T", "1e308"])
+    assert code == 4 and out == ""
+    assert err == "resource cap: the naive height passed the float range at iterate 1024\n"
+
+
 def test_canheight_refuses_before_the_over_cap_step():
     # C6 at (3, 0): iterate +9 would have about 5M digits, over the default cap;
     # the refusal comes from the step bound, before that iterate is computed

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 
 from planeheights import from_description
 from planeheights.automorphism import (
+    Interval,
     compose_maps,
     conjugate,
     henon,
@@ -48,6 +49,38 @@ def test_box_constants_of_the_corpus(name, radius, modulus):
     gamma = None if gamma is None else from_description(gamma)
     box = make_engine(from_description(core), gamma=gamma).outer.escape_box
     assert (box.radius, box.modulus) == (radius, modulus)
+
+
+@pytest.mark.parametrize("name, backward, forward", [
+    ("H2", (2, 1, 2), (2, 1, 2)),
+    ("H3", (3, -1, 5), (3, 1, 5)),
+    ("H4", (4, Fraction(1, 2), 2), (4, 1, 4)),
+    ("C6", (6, -1, 15), (6, 1, 30)),
+    ("conj-H2", (2, 1, 4), (2, 1, 7)),
+])
+def test_growth_of_the_corpus(name, backward, forward):
+    # (d, alpha, S) per direction: R = (S + 2)/|alpha| at the larger one
+    core, gamma = CORPUS[name]
+    gamma = None if gamma is None else from_description(gamma)
+    box = make_engine(from_description(core), gamma=gamma).outer.escape_box
+    assert box.growth == (backward, forward)
+    assert box.radius == max((s + 2) / abs(alpha) for _, alpha, s in box.growth)
+
+
+def test_the_escape_tail_starts_in_v_plus_past_its_start():
+    # H2 has S = 2, alpha = 1 and B = I, so the tail starts at log|u| =
+    # log(2 S/|alpha|) + log(2 B'/M) + 45 = log 8 + 45
+    box = henon(1, parse_poly("x^2")).escape_box
+    big, small = Interval(1 << 3000, 1 << 3000), Interval(5, 5)
+    assert box._tail_constants[True].start == pytest.approx(math.log(8) + 45)
+    lo, hi = box.escaped((big, small, 1), forward=True)
+    assert lo < 3000 * math.log(2) < hi and hi - lo < 1e-11
+    assert box.escaped((small, big, 1), forward=True) is None  # in V-
+    assert box.escaped((small, big, 1), forward=False) == (lo, hi)
+    assert box.escaped((Interval(1 << 60, 1 << 60), small, 1), forward=True) is None  # under the start
+    # a step from u = 2^3000, v = 5 to u' = 2^6000 - 5, v' = 2^3000
+    (l_lo, l_hi), (h_lo, h_hi) = box.tail_step((lo, hi))
+    assert l_lo < 6000 * math.log(2) < l_hi and h_lo <= l_lo < l_hi <= h_hi and h_hi - h_lo < 1e-10
 
 
 def test_the_box_is_cached_on_the_map():

@@ -10,8 +10,8 @@ bound.  Sizes read off interval steps past the held triples are compared
 with the triples built afterwards on random words with K = 1, and with the
 triples of a full-gcd walk on random words with m, K > 1, whose gcd steps
 are sized off residues; the default-cap refusals of the orbit command and
-a counting run past the digit cap are checked to build no triple from a
-source past SIZED_FROM_BITS.  Orbit triples, whose settled steps reduce
+a counting run that reads its escape tail are checked to build no triple
+from a source past SIZED_FROM_BITS.  Orbit triples, whose settled steps reduce
 only at the primes of the escape box's K, are compared with a walk that
 takes the full gcd at every step, on random Henon words and their linear
 conjugates.
@@ -172,17 +172,18 @@ def test_tracker_points_stay_fractions():
 
 
 def test_certified_tracker_hands_integers_to_the_interval_phase():
-    # under a 50-digit cap the intervals start from a built integer triple
+    # under a 50-digit cap, which a certified tracker does not test, the
+    # tail starts one interval step past the built integer triples
     tracker = OrbitHeightTracker(H2, X3, digit_cap=50)
     exact = X3
     for l in range(1, 20):
         exact = H2.apply(exact)
-        if tracker._past_cap(l):
-            break  # iterate l is the first one past the cap
+        if tracker._in_tail(l):
+            break  # iterate l is the tail start
         tracker.h_bounds(l)
         assert tracker.point(l) == exact
     else:
-        pytest.fail("the tracker never switched to interval arithmetic")
+        pytest.fail("the tracker never reached its escape tail")
     lo, hi = tracker.h_bounds(l)
     assert exact[0].denominator == exact[1].denominator == 1
     assert lo <= reference_height(exact) <= hi
@@ -314,16 +315,21 @@ def test_a_walk_settles_once_no_prime_outside_k_divides_w_and_u():
     assert f.escape_box.settled(orbit[-1], forward=False)  # (5 : 5 : 1): w = 1
 
 
-def test_only_a_walk_with_z_above_one_reads_the_box():
+def test_only_a_rational_walk_or_a_certified_tracker_reads_the_box():
+    # an integral walk takes no gcd, so it reads no box; a certified tracker
+    # reads it for its escape tail, and a tracker of a rational start does not
     f = dataclasses.replace(H2)
     make_engine(f)
     orbit = f.orbit(lift(X3))
     orbit[6], orbit[-6]
-    tracker = OrbitHeightTracker(f, X3, digit_cap=50)
-    tracker.h_bounds(20), tracker.h_bounds(-20)  # past the cap, in intervals
+    assert "escape_box" not in f.__dict__
+    assert OrbitHeightTracker(f, (Fraction(1, 2), Fraction(3)))._box is None
     assert "escape_box" not in f.__dict__
     f.orbit(lift((Fraction(1, 2), Fraction(3))))[1]
     assert f.escape_box.bad == 1
+    g = dataclasses.replace(H2)
+    tracker = OrbitHeightTracker(g, X3)
+    assert tracker._box is g.__dict__["escape_box"]
 
 
 def test_k_is_read_off_the_box():
@@ -387,34 +393,48 @@ def test_a_default_cap_refusal_builds_no_triple_past_the_threshold(monkeypatch, 
 
 
 def test_a_counting_run_builds_no_triple_past_the_threshold(monkeypatch):
-    # the canonical tracker reads the orbit's sizes up to the digit cap and
-    # the orbit's enclosures past it, which step on from the orbit's last
-    # built triple, so a count at T = e^21 builds no triple from a source past
-    # SIZED_FROM_BITS: the orbit of (3, 0) ends at -11 (1637 bits) and +10
-    # (1609 bits), where a switch that built its last exact iterate reached
-    # 6545 and 6436 bits
+    # the canonical tracker reads the orbit's sizes up to its tail start, one
+    # past the orbit's last built triple, and the log recurrence past it, so
+    # a count at T = e^21 builds no triple from a source past SIZED_FROM_BITS:
+    # the orbit of (3, 0) ends at -11 (1637 bits) and +10 (1609 bits), where
+    # a switch that built its last exact iterate reached 6545 and 6436 bits.
+    # The only interval steps are those of the (hhat+, hhat-) walks' sizes,
+    # into +11..+13 and -12, -13: the tracker reads +43 and -44 off its tail
+    # with none past its tail starts, +11 and -12.
     stepped = record_steps(monkeypatch)
+    interval_steps = []
+    image = IntegerForms.image
+
+    def counted(self, point):
+        if type(point[0]) is Interval:
+            interval_steps.append(point)
+        return image(self, point)
+
+    monkeypatch.setattr(IntegerForms, "image", counted)
     f = dataclasses.replace(H2)  # a copy that holds no orbit
     engine = make_engine(f, depth=12)
     counting_enclosure(engine, X3, math.exp(21))
-    assert engine.__dict__["_held"][1]["tracker"]._refused == [True, True]  # it went past the cap
+    tracker = engine.__dict__["_held"][1]["tracker"]
+    assert [tail[:2] for tail in tracker._tails] == [(12, 44), (11, 43)]
+    assert len(interval_steps) == 5
     assert stepped and not any(type(c) is Interval for source in stepped for c in source)
     assert max(top(source).bit_length() for source in stepped) < SIZED_FROM_BITS
     assert [top(chain[-1]).bit_length() for chain in f.orbit(lift(X3))._chains] == [1637, 1609]
 
 
 def test_a_tracker_under_a_smaller_cap_reads_the_orbits_enclosures():
-    # a reader at the default cap has sized (3, 0) to +22 off the orbit's
-    # enclosures past +10; a 10^4-digit cap refuses +15, and its tracker
-    # reads +22 off the same enclosures, so the orbit builds nothing more
+    # a reader at the default cap has read (3, 0) to +22: sizes to +10, the
+    # built triples, and its tail from the orbit's one enclosure at +11; a
+    # tracker under a 10^4-digit cap, which would refuse +15, starts its tail
+    # off the same enclosure, so the orbit steps and builds nothing more
     f = dataclasses.replace(H2)  # a copy that holds no orbit
     OrbitHeightTracker(f, X3).h_bounds(22)
     orbit = f.orbit(lift(X3))
-    assert [len(orbit._chains[True]), len(orbit._sizes[True])] == [11, 23]
+    assert [len(orbit._chains[True]), len(orbit._sizes[True]), len(orbit._enclosures[True])] == [11, 11, 1]
     tracker = OrbitHeightTracker(f, X3, digit_cap=10_000)
     lo, hi = tracker.h_bounds(22)
-    assert (tracker._under[True], tracker._refused[True]) == (15, True)
-    assert len(orbit._chains[True]) == 11
+    assert (tracker._under[True], tracker._tails[True][:2]) == (11, (11, 22))
+    assert [len(orbit._chains[True]), len(orbit._enclosures[True])] == [11, 1]
     assert lo <= orbit.size(22)[1] <= hi
 
 
@@ -432,7 +452,7 @@ def test_a_cap_refusal_carries_its_iterate_and_bound():
         assert forms.degree * orbit.size(base + exc.iterate - 2)[0] + forms.c_bits <= limit < exc.bound_bits
         iterates.append(exc.iterate)
     assert iterates[1] == iterates[0] - 1
-    # the tracker's refusal on a map it cannot switch passes them on
+    # the tracker's refusal on a map it cannot certify passes them on
     with pytest.raises(ResourceCapError, match="not certified integral") as info:
         walk_tracker(H4, 1)
     assert info.value.iterate == raised_iterate(lambda: walk_tracker(H4, 1)) and info.value.bound_bits > limit

@@ -1,18 +1,20 @@
-"""Orbit heights, exact counting, the counting enclosures, and the interval
-orbit tracker."""
+"""Orbit heights, exact counting, the counting enclosures, and the orbit
+tracker with its escape tail."""
 
+import dataclasses
 import math
 import random
+from decimal import Context, Decimal, localcontext
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, example, given, reject, settings
+from hypothesis import assume, event, example, given, reject, settings
 from hypothesis import strategies as st
 
 from planeheights import automorphism as automorphism_mod
 from planeheights import orbit as orbit_mod
 from planeheights.automorphism import (DEFAULT_DIGIT_CAP, INTERVAL_PRECISION_BITS, IntegerForms, Interval, compose_maps,
-                                       henon, inverse, triangular)
+                                       henon, inverse, pair, pinned_size, triangular)
 from planeheights.canonical import functional_equation_residual, hminus, hplus, is_periodic, make_engine
 from planeheights.errors import (
     OutOfRangeError,
@@ -20,7 +22,7 @@ from planeheights.errors import (
     PlaneHeightsError,
     ResourceCapError,
 )
-from planeheights.heights import naive_height_affine
+from planeheights.heights import lift, naive_height_affine
 from planeheights.orbit import (
     NEG_INFINITY,
     OrbitHeightTracker,
@@ -33,7 +35,7 @@ from planeheights.orbit import (
     minimum_location,
     orbit_height,
 )
-from planeheights.ratpoly import parse_poly
+from planeheights.ratpoly import BivarPoly, parse_poly
 
 HENON2 = henon(1, parse_poly("x^2"))
 X3 = (Fraction(3), Fraction(0))
@@ -63,8 +65,8 @@ def test_tracker_exact_phase_matches_direct_iteration():
 
 
 def test_tracker_interval_phase_agrees_with_exact():
-    # force the interval switch early with a 50-digit cap and compare
-    # against the orbit's own sizes, which reach +22 under the default cap
+    # a 50-digit cap, which a certified tracker does not test, leaves its
+    # sizes (to +10) and its tail (from +11) as under the default cap
     small = OrbitHeightTracker(HENON2, X3, digit_cap=50)
     exact = OrbitHeightTracker(HENON2, X3)
     for l in range(5, 16):
@@ -75,7 +77,7 @@ def test_tracker_interval_phase_agrees_with_exact():
         assert hi_s - lo_s < 1e-6 * max(1.0, abs(mid_e))
 
 
-# Integral maps, so the tracker switches to intervals: the corpus maps H2,
+# Integral maps, so the tracker reads an escape tail: the corpus maps H2,
 # H3 and C6 = H2 o H3, and a quartic with a = 1 (the corpus H4 has a = 2, a
 # non-integral inverse, so it never leaves the exact phase).
 INTEGRAL = {
@@ -85,7 +87,7 @@ INTEGRAL = {
 }
 INTEGRAL["C6"] = compose_maps(INTEGRAL["H2"], INTEGRAL["H3"])
 DEPTH_BY_DELTA = {2: 12, 3: 8, 4: 6, 6: 5}
-SWITCH_DIGITS = 50  # the cap of the trackers that switch early, which no engine takes
+SWITCH_DIGITS = 50  # a cap no engine takes, which a certified tracker does not test
 
 
 def infinite_orbit_engine(name, x, y):
@@ -104,9 +106,10 @@ def infinite_orbit_engine(name, x, y):
 @given(name=st.sampled_from(sorted(INTEGRAL)), x=st.integers(-6, 6), y=st.integers(-6, 6),
        thresholds=st.lists(st.floats(0.5, 300.0), min_size=1, max_size=3))
 def test_counts_do_not_depend_on_the_switch_point(name, x, y, thresholds):
-    # the smallest cap an engine takes (10^4 digits) sends the canonical
-    # count at T = 250 past it, and a tracker under a 50-digit cap sends the
-    # naive count past it
+    # a certified tracker tests no cap before its escape tail: under the
+    # smallest cap an engine takes (10^4 digits), which the walks at T = 250
+    # would pass, and under a 50-digit cap, the counts are those of the
+    # default cap, and both counts reach the tail in both directions
     engine, pt = infinite_orbit_engine(name, x, y)
     capped = make_engine(engine.g, depth=engine.depth, digit_cap=10_000)
     thresholds = sorted(thresholds + [250.0])
@@ -115,10 +118,10 @@ def test_counts_do_not_depend_on_the_switch_point(name, x, y, thresholds):
         counts[which] = [count_below(engine, pt, t, which) for t in thresholds]
         assert [count_below(capped, pt, t, which) for t in thresholds] == counts[which]
         assert counts[which] == sorted(counts[which])
-    assert _held_tracker(capped, pt)._refused != [False, False]
+    assert None not in _held_tracker(capped, pt)._tails
     small = OrbitHeightTracker(engine.outer, pt, digit_cap=SWITCH_DIGITS)
     assert [orbit_mod._scan(small.h_bounds, t, 0.0, 5)[0] for t in thresholds] == counts["naive"]
-    assert small._refused != [False, False]
+    assert None not in small._tails
 
 
 def _held_tracker(engine, pt):
@@ -126,22 +129,96 @@ def _held_tracker(engine, pt):
     return engine.__dict__["_held"][1]["tracker"]
 
 
-@settings(max_examples=40, deadline=None)
-@given(name=st.sampled_from(sorted(INTEGRAL)), x=st.integers(-6, 6), y=st.integers(-6, 6))
-def test_early_switch_encloses_the_exact_run(name, x, y):
-    engine, pt = infinite_orbit_engine(name, x, y)
-    small = OrbitHeightTracker(engine.g, pt, digit_cap=SWITCH_DIGITS)
-    exact = OrbitHeightTracker(engine.g, pt)
-    switched = False
-    for sign in (1, -1):
-        for k in range(25):
-            l = sign * k
-            if exact._past_cap(l):
-                break  # iterate l is an interval in the reference run too
-            switched = switched or small._past_cap(l)
-            lo, hi = small.h_bounds(l)
-            assert lo <= exact.h(l) <= hi
-    assert switched
+def log_enclosure(n):
+    """Decimal bounds on log n, n >= 1, to about 1e-35: the logs of the
+    leading 120 bits and of one more (of n itself when it has no more),
+    plus the shift times log 2."""
+    shift = max(0, n.bit_length() - 120)
+    with localcontext(Context(prec=60)):
+        ln2 = Decimal(2).ln()
+        return Decimal(n >> shift).ln() + shift * ln2, Decimal((n >> shift) + (shift > 0)).ln() + shift * ln2
+
+
+@st.composite
+def integral_henon_conjugates(draw):
+    """An integral Henon map of degree 2 or 3 with an integral inverse (a
+    and the leading coefficient of p are +-1), conjugated by the linear map
+    (x + b y, j x + (j b + 1) y) of determinant 1, which moves the escape
+    box's basis B off the identity unless b = j = 0."""
+    degree = draw(st.integers(2, 3))
+    coeffs = draw(st.lists(st.integers(-3, 3), min_size=degree, max_size=degree)) + [draw(st.sampled_from([1, -1]))]
+    x, y, k = BivarPoly.var("x"), BivarPoly.var("y"), BivarPoly.const
+    f = henon(draw(st.sampled_from([1, -1])), sum((k(c) * x**i for i, c in enumerate(coeffs)), BivarPoly.zero()))
+    b, j = draw(st.integers(-2, 2)), draw(st.integers(-2, 2))
+    lin = pair(x + k(b) * y, k(j) * x + k(j * b + 1) * y, k(j * b + 1) * x - k(b) * y, y - k(j) * x)
+    return compose_maps(compose_maps(lin, f), inverse(lin))
+
+
+EXACT_BITS = 2**16  # the largest iterate whose height is checked on its built triple
+
+
+@settings(max_examples=100, deadline=None)
+@given(f=integral_henon_conjugates(), x=st.integers(-6, 6), y=st.integers(-6, 6), forward=st.booleans())
+@example(f=HENON2, x=3, y=0, forward=True)
+@example(f=HENON2, x=3, y=0, forward=False)
+def test_the_escape_tail_encloses_the_exact_heights_and_the_orbit_enclosures(f, x, y, forward):
+    # the tracker's h_bounds to +-60, and the log recurrence from the same
+    # seed with no pad (EscapeBox.tail_step): each encloses the exact height
+    # log max(|X|, |Y|, 1) of every iterate of at most EXACT_BITS bits, and
+    # the tracker's bounds meet the enclosure the orbit steps to each further
+    # iterate (Orbit.enclosure), which no tracker reads past its tail start.
+    # On a conjugate those enclosures can lose bits at every step (about 4 on
+    # (x - 2y, y - x) o (x^2 + 3x + 1 + y, x) o its inverse), so they are
+    # only met, and never sized, which would build the triple once they no
+    # longer pin its size.
+    f = dataclasses.replace(f)  # a copy that holds no orbit
+    pt = (Fraction(x), Fraction(y))
+    assume(is_periodic(f, pt).kind == "not_periodic")
+    box, sign = f.escape_box, 1 if forward else -1
+    event("B = I" if box.basis == (1, 0, 0, 1) else "B != I")
+    tracker = OrbitHeightTracker(f, pt)
+    bounds = [tracker.h_bounds(sign * k) for k in range(61)]
+    start = tracker._tails[forward][0]
+    orbit = f.orbit(lift(pt))
+    logs = {start: box.escaped(orbit.enclosure(sign * start), forward)}
+    tail = {}
+    for k in range(start + 1, 61):
+        logs[k], tail[k] = box.tail_step(logs[k - 1], forward)
+    b0, b1, b2, b3 = box.basis
+    exact_tail = 0
+    for k, (lo, hi) in enumerate(bounds):
+        l = sign * k
+        assert math.isfinite(lo) and lo <= hi
+        if hi < (EXACT_BITS - 64) * math.log(2):
+            x_, y_, _ = orbit[l]
+            low, high = log_enclosure(max(abs(x_), abs(y_), 1))
+            for bound in (bounds[k], tail[k]) if k in tail else (bounds[k],):
+                assert Decimal(bound[0]) <= low and high <= Decimal(bound[1]), (l, bound)
+            exact_tail += k in tail
+            if k in logs:
+                low, high = log_enclosure(abs(b0 * x_ + b1 * y_ if forward else b2 * x_ + b3 * y_))
+                assert Decimal(logs[k][0]) <= low and high <= Decimal(logs[k][1]), (l, logs[k])
+        else:
+            x_, y_, _ = orbit.enclosure(l)
+            (x_lo, x_hi), (y_lo, y_hi) = x_.log_abs(), y_.log_abs()
+            pad = 2.0**-40 * max(x_hi, y_hi)
+            assert lo <= max(x_hi, y_hi) + pad and max(x_lo, y_lo) - pad <= hi, l
+    assert exact_tail  # the tail starts under 10^4 bits, so its next iterate is built
+
+
+def test_a_count_past_the_float_range_is_refused():
+    # on H2 at (3, 0) the counts to T = 1e300 read h_nv to about 2^13 T off
+    # the escape tail; at T = 1e308 its log recurrence passes the float
+    # range at iterate +1024, and both counts refuse there
+    engine = make_engine(dataclasses.replace(HENON2), depth=12)
+    enc = counting_enclosure(engine, X3, 1e300)
+    assert (enc.observed, enc.passed) == (1994, True)
+    assert count_below(engine, X3, 1e300, "naive") == 1994
+    for which in ("naive", "canonical"):
+        with pytest.raises(ResourceCapError, match="^the naive height passed the float range at iterate 1024$"):
+            count_below(engine, X3, 1e308, which)
+    with pytest.raises(ResourceCapError, match="float range at iterate 1024"):
+        counting_enclosure(engine, X3, 1e308)
 
 
 def test_tracker_reaches_far_iterates():
@@ -152,13 +229,18 @@ def test_tracker_reaches_far_iterates():
 
 
 def test_tracker_refuses_when_intervals_lose_precision(monkeypatch):
-    # The orbit steps its enclosures past the cap at the precision `Interval`
-    # reads when they are made, and each new map holds a new orbit.
-    lo, hi = OrbitHeightTracker(henon(1, parse_poly("x^2")), X3, digit_cap=50).h_bounds(60)
-    assert hi - lo < 1e-6 * hi
-    monkeypatch.setattr(automorphism_mod, "INTERVAL_PRECISION_BITS", 24)  # where Interval reads it
+    # The tail of (3, 0) starts at +11 off the orbit's enclosure there, one
+    # interval step past the built triples, at the precision `Interval` reads
+    # when it is made (each new map holds a new orbit).  The log recurrence
+    # keeps the seed's relative width, so 24-bit intervals still give h(60)
+    # to 1e-6; 8-bit ones give a seed wider than 1e-6 |h|, which is refused.
+    for bits in (INTERVAL_PRECISION_BITS, 24):
+        monkeypatch.setattr(automorphism_mod, "INTERVAL_PRECISION_BITS", bits)  # where Interval reads it
+        lo, hi = OrbitHeightTracker(henon(1, parse_poly("x^2")), X3, digit_cap=50).h_bounds(60)
+        assert hi - lo < 1e-6 * hi
+    monkeypatch.setattr(automorphism_mod, "INTERVAL_PRECISION_BITS", 8)
     tracker = OrbitHeightTracker(henon(1, parse_poly("x^2")), X3, digit_cap=50)
-    with pytest.raises(ResourceCapError, match="interval arithmetic lost precision at iterate 60"):
+    with pytest.raises(ResourceCapError, match="interval arithmetic lost precision at iterate 11"):
         tracker.h_bounds(60)
 
 
@@ -171,12 +253,19 @@ def test_the_tracker_refusals_carry_their_iterate(monkeypatch):
         tracker.point(20)
     assert str(info.value) == "iterate 20 is no longer held exactly"
     assert (info.value.iterate, info.value.bound_bits) == (20, None)
-    monkeypatch.setattr(automorphism_mod, "INTERVAL_PRECISION_BITS", 24)
+    # h_nv doubles per step, so the log recurrence passes the float range at
+    # +1024, where h is about 1.09 * 2^1024
+    with pytest.raises(ResourceCapError) as info:
+        tracker.h_bounds(1100)
+    assert str(info.value) == "the naive height passed the float range at iterate 1024"
+    assert (info.value.iterate, info.value.bound_bits) == (1024, None)
+    assert math.isfinite(tracker.h_bounds(1023)[1])
+    monkeypatch.setattr(automorphism_mod, "INTERVAL_PRECISION_BITS", 8)
     tracker = OrbitHeightTracker(henon(1, parse_poly("x^2")), X3, digit_cap=50)
     with pytest.raises(ResourceCapError) as info:
         tracker.h_bounds(-60)
-    assert str(info.value) == "interval arithmetic lost precision at iterate -60"
-    assert (info.value.iterate, info.value.bound_bits) == (-60, None)
+    assert str(info.value) == "interval arithmetic lost precision at iterate -12"
+    assert (info.value.iterate, info.value.bound_bits) == (-12, None)
 
 
 def _interval_steps(monkeypatch):
@@ -205,18 +294,22 @@ def test_second_counting_run_steps_no_interval(monkeypatch):
 
 def test_every_tracker_of_an_orbit_reads_one_chain_of_interval_steps(monkeypatch):
     # a naive count builds a new tracker per call, and the canonical count
-    # holds another; all of them read the enclosures the orbit keeps, so the
-    # second naive count steps nothing and the canonical one steps only the
-    # iterates past those the naive counts read
+    # holds another; each steps no interval past its tail start k0, so the
+    # first naive count, which reads +35 and -36, steps only into +11 and
+    # -12, one past the built triples, and the second naive count and the
+    # canonical one, which reads +43 and -44, step nothing
     engine = make_engine(henon(1, parse_poly("x^2")), depth=12)
     interval_steps = _interval_steps(monkeypatch)
     first = count_below(engine, X3, math.exp(21), "naive")
-    assert len(interval_steps) == 50
+    orbit = engine.g.orbit(lift(X3))
+    assert [len(chain) for chain in orbit._chains] == [12, 11]
+    assert [pinned_size(source) for source in interval_steps] == [orbit.size(10), orbit.size(-11)]
     interval_steps.clear()
     assert count_below(engine, X3, math.exp(21), "naive") == first
     assert interval_steps == []
     count_below(engine, X3, math.exp(21), "canonical")
-    assert len(interval_steps) == 16
+    assert interval_steps == []
+    assert [t[:2] for t in _held_tracker(engine, X3)._tails] == [(12, 44), (11, 43)]
 
 
 def test_tracker_noncertified_map_hits_cap():
@@ -226,18 +319,18 @@ def test_tracker_noncertified_map_hits_cap():
         tracker.h_bounds(40)
 
 
-def test_certified_map_switches_to_intervals_at_a_cap_refusal():
-    # under a 10^4-digit cap, Orbit.capped refuses iterate +15 of (3, 0)
-    # (the step bound from +14, 25741 bits, is 51483 bits) and -16: the
-    # integral map reads the orbit's enclosures past +14 and -15, where the
-    # default cap refuses +23 and -23
-    capped = OrbitHeightTracker(HENON2, X3, digit_cap=10_000)
-    default = OrbitHeightTracker(HENON2, X3)
+def test_certified_map_starts_its_tail_under_any_cap():
+    # under a 10^4-digit cap Orbit.capped would refuse iterate +15 of (3, 0)
+    # (the step bound from +14, 25741 bits, is 51483 bits) and -16, and the
+    # default cap +23 and -23; a certified tracker tests neither, and under
+    # both its tail starts at +11 and -12, one past the built triples
+    f = dataclasses.replace(HENON2)  # a copy that holds no orbit
+    capped = OrbitHeightTracker(f, X3, digit_cap=10_000)
+    default = OrbitHeightTracker(f, X3)
     for l in range(-40, 41):
-        lo, hi = capped.h_bounds(l)
-        d_lo, d_hi = default.h_bounds(l)
-        assert lo <= d_hi and d_lo <= hi, l
-    assert (capped._under, default._under) == ([16, 15], [23, 23])
+        assert capped.h_bounds(l) == default.h_bounds(l), l
+    assert [t[0] for t in capped._tails] == [t[0] for t in default._tails] == [12, 11]
+    assert capped._under == default._under == [12, 11]
     engine = make_engine(HENON2, depth=12)
     capped_engine = make_engine(HENON2, depth=12, digit_cap=10_000)
     for which in ("naive", "canonical"):
@@ -470,7 +563,7 @@ def test_tracker_walks_toward_the_lowest_point_exactly():
     # interval step pins a size through that cancellation
     h3 = INTEGRAL["H3"]
     tracker = OrbitHeightTracker(h3, _shifted(h3, (Fraction(2), Fraction(1)), 8))
-    assert not any(tracker._past_cap(-l) for l in range(1, 9))
+    assert not any(tracker._in_tail(-l) for l in range(1, 9))
     assert tracker.h(-8) == pytest.approx(math.log(2))
     assert tracker.point(-8) == (Fraction(2), Fraction(1))
 
