@@ -775,6 +775,25 @@ class EscapeBox:
     log|u| + log(M / |det B|) +- rho', rho' = -log(1 - B' r / M) <= 2 B' r / M,
     and the start puts log(M / |det B|) + log|u| above 45, so h_nv > 0.  This
     is the B^-1 offset; `tail_step` bounds both errors by one float each.
+
+    The box lemma also gives an escape floor (`floor`): a lower bound F on
+    h_nv = log Z + log max(1, |x|, |y|) at an iterate that holds at every
+    later iterate of its direction.  Let (U : V : W) be the primitive triple
+    of B (X, Y) and Z, so W divides Z, with u = U/W and v = V/W; going
+    backward, swap u and v, V+ and V-, and (b0, b1) and (b2, b3).  F = A + Phi:
+      * at infinity, A = log|u| - log(|b0| + |b1|) when |u| >= |v| and
+        |u| > R, and else 0; as |u| <= (|b0| + |b1|) max(|x|, |y|), A is at
+        most the archimedean term, and from there on |u| at least doubles in
+        V+, so A never falls;
+      * at the primes, Phi = log W2.  W1 is W with every prime of U taken out
+        by repeated gcds, which leaves the primes of W at which the point is
+        in V+ (a prime of W and U puts it in V-, as the triple is primitive),
+        and W2 = W1 / gcd(W1, N), whose every prime p has v_p(W) > v_p(N):
+        outside the box at p, in V+.  Its term mu = (v_p(W) - v_p(N)) log p
+        satisfies mu' >= d mu, as |u'|_p = |alpha|_p |u|_p^d there and
+        v_p(num alpha) <= v_p(N) <= (d - 1) v_p(N).  So p stays in W2, and
+        Phi j iterates later is at least d^j Phi; W2 divides Z.
+    It needs gcds only, no factoring.
     """
 
     basis: Tuple[int, int, int, int]  # B = [[b0, b1], [b2, b3]]
@@ -869,6 +888,29 @@ class EscapeBox:
         offset = _nextafter(t.offset * eta, _INF)
         return (lo, hi), (_nextafter(_nextafter(lo + t.scale[0], -_INF) - offset, -_INF),
                           _nextafter(_nextafter(hi + t.scale[1], _INF) + offset, _INF))
+
+    def floor(self, point, exact: ProjPoint | None, steps: int, forward: bool = True) -> float:
+        """The escape floor of an iterate (see the class docstring), good to a
+        few ulps: A read off `point`, an enclosure (X, Y, Z) of the iterate
+        in `Interval`s (an int Z = 1 as it is; None gives A = 0), plus
+        d^steps Phi read off `exact`, the exact triple `steps` iterates
+        before it (None gives 0).  The tests of V+ and of R hold with a pad
+        of 8 ulps, as in `escaped`."""
+        b0, b1, b2, b3 = self.basis if forward else self.basis[2:] + self.basis[:2]
+        found = 0.0
+        if point is not None:
+            x, y, z = point
+            (u_lo, u_hi), (_, v_hi) = (b0 * x + b1 * y).log_abs(), (b2 * x + b3 * y).log_abs()
+            z_hi = 0.0 if z == 1 else z.log_abs()[1]
+            pad = 8 * (math.ulp(u_hi) + math.ulp(z_hi))
+            if u_lo - pad > v_hi + pad and u_lo - z_hi - pad > _log_bounds(self.radius)[1]:
+                found = max(0.0, u_lo - z_hi - math.log(abs(b0) + abs(b1)))
+        if exact is not None:
+            u, v, w = self.coordinates(exact)
+            while (part := math.gcd(w, u if forward else v)) != 1:
+                w //= part
+            found += log_int(w // math.gcd(w, self.modulus)) * self.growth[forward][0] ** steps
+        return found
 
 
 _INF = math.inf

@@ -27,8 +27,12 @@ interval step is taken once per orbit, however many trackers read it.
 A counting scan walks downhill to the orbit's lowest sample and counts
 outward from it, so every point of one orbit gives the same count.  Canonical
 heights delta^l hhat+ + delta_-^(-l) hhat- are convex in l, so a canonical
-scan stops at the first sample above the threshold; `patience` bounds only
-naive scans, whose heights are not convex near the minimum.
+scan stops at the first sample above the threshold.  Naive heights are not
+convex near the minimum, so a naive scan stops at the first sample above it
+whose escape floor passes it (`_escape_floor`): a lower bound on the naive
+height, read on the core orbit (`EscapeBox.floor`), that holds at that
+iterate and at every later one of its direction.  So both counts are the
+exact number of samples at or below the threshold.
 
 The tracker, the periodicity verdict and the canonical heights at
 f^(+/-1)(x) behind (hhat+, hhat-) read the one orbit the engine's core holds.
@@ -77,6 +81,8 @@ class OrbitHeightTracker:
         self._orbit = auto.orbit(start)
         # certified: Z = 1 and m = 1, so X and Y are the coordinates themselves
         self._box = auto.escape_box if auto.is_integral and start[2] == 1 else None
+        self._why = ("the start is not integral" if start[2] != 1 else "the map is not integral"
+                     if not auto.is_integral else "the map has no escape box")
         self._cap = cap_bits(digit_cap)
         self._under = [1, 1]
         self._tails = [None, None]  # (k0, k, bounds on log|u| (log|v|) at k) once the tail starts
@@ -94,7 +100,7 @@ class OrbitHeightTracker:
         n, orbit, box = self._under[forward], self._orbit, self._box
         while self._tails[forward] is None and n <= k:
             if box is None:
-                self._capped(sign * n, "and the map is not certified integral, so interval tracking cannot take over")
+                self._capped(sign * n, f"and {self._why}, so no escape tail takes over")
             elif orbit.size(sign * (n - 1))[0] >= SIZED_FROM_BITS and orbit.built(sign * n) is None:
                 point = orbit.enclosure(sign * n)  # Z = m = 1, so the step always goes
                 logs = box.escaped(point, forward)
@@ -297,13 +303,13 @@ def _infinite_components(engine: HeightEngine, x: AffinePoint, periodic_message:
 
 # -- counting -------------------------------------------------------------------
 
-def _scan(values, threshold: float, slop: float, patience: int = 1) -> Tuple[int, int]:
+def _scan(values, threshold: float, slop: float, done=lambda l, forward: True) -> Tuple[int, int]:
     """values(l) yields (lo, hi) enclosures.  Walks downhill from l = 0 by
     midpoints to the lowest sample m, then counts the samples at or below the
     threshold over l = m, m + 1, ... and l = m - 1, m - 2, ..., each direction
-    ending after `patience` consecutive samples above it (1 suits the convex
-    canonical heights), and counts the enclosures read there that straddle
-    the threshold."""
+    ending at the first sample above it at which done(l, forward) holds
+    (always, by default, which suits the convex canonical heights), and
+    counts the enclosures read there that straddle the threshold."""
     def mid(l):
         lo, hi = values(l)
         return 0.5 * (lo + hi)
@@ -313,18 +319,16 @@ def _scan(values, threshold: float, slop: float, patience: int = 1) -> Tuple[int
     while mid(m + step) < mid(m):
         m += step
     count = straddles = 0
-    for l, step in ((m, 1), (m - 1, -1)):
-        misses = 0
-        while misses < patience:
+    for l, forward in ((m, True), (m - 1, False)):
+        while True:
             lo, hi = values(l)
             if lo - slop <= threshold <= hi + slop:
                 straddles += 1
             if 0.5 * (lo + hi) <= threshold:
                 count += 1
-                misses = 0
-            else:
-                misses += 1
-            l += step
+            elif done(l, forward):
+                break
+            l += 1 if forward else -1
     return count, straddles
 
 
@@ -334,12 +338,17 @@ def check_threshold(threshold: float) -> None:
         raise ValueError("threshold must be a positive finite number")
 
 
+def _core_tracker(engine: HeightEngine, x: AffinePoint) -> OrbitHeightTracker:
+    """The tracker of z = gamma^-1(x) under the core map, held for x."""
+    return _held(engine, x, "tracker", lambda: OrbitHeightTracker(
+        engine.g, engine.to_conjugated_frame(x), digit_cap=engine.digit_cap))
+
+
 def _canonical_bounds(engine: HeightEngine, x: AffinePoint):
     """values(l): enclosure of the depth-N canonical height at f^l(x),
     h_nv(g^(l+N) z)/delta^N + h_nv(g^(l-N) z)/delta_-^N with z = gamma^-1(x),
     read off the tracker held for x."""
-    tracker = _held(engine, x, "tracker", lambda: OrbitHeightTracker(
-        engine.g, engine.to_conjugated_frame(x), digit_cap=engine.digit_cap))
+    tracker = _core_tracker(engine, x)
     n = engine.depth
     d_pow = float(engine.delta**n)
     dm_pow = float(engine.delta_minus**n)
@@ -352,13 +361,38 @@ def _canonical_bounds(engine: HeightEngine, x: AffinePoint):
     return values
 
 
-def count_below(
-    engine: HeightEngine,
-    x: AffinePoint,
-    threshold: float,
-    which: str = "naive",
-    patience: int = 5,
-) -> int:
+def _escape_floor(engine: HeightEngine, core: OrbitHeightTracker, threshold: float):
+    """done(l, forward) of a naive scan of the outer map f: whether the
+    escape floor F of g^l(z), z = gamma^-1(x), read on the core tracker
+    `core` of z, proves every f^k(x) from l on in the scan's direction above
+    the threshold T.  With e and c the degree and growth constant of
+    gamma^-1, h(g^k z) <= e h(f^k x) + c, so F > e T + c proves it (e = 1, c
+    = 0 with no conjugator).  T is raised by 1e-5 max(1, T), above the
+    widths of the tracker's enclosures (its seeds are refused past 1e-6 |h|)
+    and the floor's ulps, so every midpoint the scan would read further on
+    is above T too.  F is read where `core` has walked: past the tail start
+    of a certified tracker, its own lower bound, as the tail's lower bounds
+    rise; else `EscapeBox.floor` at the orbit's enclosure of g^l(z), with
+    Phi from the last triple the orbit has built up to it."""
+    bound = threshold + 1e-5 * max(1.0, threshold)
+    if engine.gamma is not None:
+        forms = engine.gamma.forms(False)
+        bound = forms.degree * bound + forms.c2
+    box, orbit = engine.g.escape_box, core._orbit
+
+    def done(l: int, forward: bool) -> bool:
+        lo = core.h_bounds(l)[0]  # walks the core orbit to l under its digit cap
+        if core._box is not None and (l >= 0) == forward and core._in_tail(l):
+            return lo > bound
+        j = l
+        while (l >= 0) == forward and orbit.built(j) is None:
+            j -= 1 if forward else -1
+        return box.floor(orbit.enclosure(l), orbit.built(j), abs(l - j), forward) > bound
+
+    return done
+
+
+def count_below(engine: HeightEngine, x: AffinePoint, threshold: float, which: str = "naive") -> int:
     """#{ y in O_f(x) : h(y) <= threshold } by orbit enumeration, f the
     engine's outer map and h its naive or canonical height, at its digit cap.
 
@@ -366,7 +400,9 @@ def count_below(
     the enumeration is a genuine point count).  Counting starts at the
     orbit's lowest sample, so every point of the orbit gives the same count.
     A canonical scan stops each direction at the first sample above the
-    threshold; `patience` bounds only naive scans.
+    threshold, as canonical heights are convex along the orbit; a naive
+    scan at the first sample above it whose escape floor proves every later
+    sample above it too (`_escape_floor`).
     """
     if which not in ("naive", "canonical"):
         raise ValueError("which must be 'naive' or 'canonical'")
@@ -375,8 +411,9 @@ def count_below(
     if verdict.is_periodic:
         raise PeriodicPointError(f"point is periodic with period {verdict.period}")
     if which == "naive":
-        tracker = OrbitHeightTracker(engine.outer, x, digit_cap=engine.digit_cap)
-        return _scan(tracker.h_bounds, threshold, 0.0, patience)[0]
+        core = _core_tracker(engine, x)
+        tracker = core if engine.gamma is None else OrbitHeightTracker(engine.outer, x, digit_cap=engine.digit_cap)
+        return _scan(tracker.h_bounds, threshold, 0.0, _escape_floor(engine, core, threshold))[0]
     values = _canonical_bounds(engine, x)
     return _scan(values, threshold, engine.error_budget())[0]
 

@@ -13,7 +13,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from planeheights import from_description
@@ -27,7 +27,7 @@ from planeheights.automorphism import (
 )
 from planeheights.canonical import is_periodic, make_engine
 from planeheights.errors import MapValidationError
-from planeheights.heights import lift
+from planeheights.heights import lift, naive_height, top
 from planeheights.ratpoly import BivarPoly, parse_poly
 
 X, Y = BivarPoly.var("x"), BivarPoly.var("y")
@@ -195,6 +195,30 @@ def test_a_point_outside_the_box_escapes_in_one_step(f, pt):
         assert grow <= other
         assert _ord(w2, prime) - grow > _ord(w, prime) - before
         assert _ord(w2, prime) > _ord(modulus, prime)
+
+
+def _enclosed(triple):
+    """A triple as `Orbit.enclosure` gives a built one: Intervals, Z = 1 kept as an int."""
+    x, y, z = triple
+    return Interval(x, x), Interval(y, y), 1 if z == 1 else Interval(z, z)
+
+
+@settings(max_examples=60, deadline=None)
+@given(f=henon_words(), pt=points, forward=st.booleans())
+def test_the_escape_floor_is_below_every_later_height(f, pt, forward):
+    # the floor read at iterate k off its enclosure, plus Phi off the exact
+    # triple j <= k iterates before it times d^(k - j), is at most h_nv at k
+    # and at every later iterate of the direction (the EscapeBox docstring)
+    box, forms = f.escape_box, f.forms(forward)
+    walk = [lift(pt)]
+    while len(walk) < 12 and top(walk[-1]).bit_length() < 2**12:
+        walk.append(forms.step(walk[-1]))
+    heights = [naive_height(triple) for triple in walk]
+    for k in range(len(walk)):
+        for j in range(k + 1):
+            floor = box.floor(_enclosed(walk[k]), walk[j], k - j, forward)
+            assert floor <= min(heights[k:]) * (1 + 1e-12) + 1e-12, (j, k)
+    event("the floor passes 0" if box.floor(_enclosed(walk[-1]), walk[-1], 0, forward) > 0 else "no floor")
 
 
 MERSENNE = 2**61 - 1

@@ -369,13 +369,13 @@ def test_a_refusal_builds_no_triple_over_the_cap(monkeypatch, f, read):
     assert bits and max(bits) <= cap_bits(10_000)
 
 
-@pytest.mark.parametrize("f, depth, pt, iterate", [
-    (H4, 6, (Fraction(2), Fraction(-3)), 12),
-    (H4, 6, (Fraction(3), Fraction(1)), 11),
-    (H2, 12, (Fraction(1, 2), Fraction(1, 3)), 22),
-    (H2, 12, (Fraction(2, 3), Fraction(-1, 2)), 22),
+@pytest.mark.parametrize("f, depth, pt, iterate, cause", [
+    (H4, 6, (Fraction(2), Fraction(-3)), 12, "the map is not integral"),
+    (H4, 6, (Fraction(3), Fraction(1)), 11, "the map is not integral"),
+    (H2, 12, (Fraction(1, 2), Fraction(1, 3)), 22, "the start is not integral"),
+    (H2, 12, (Fraction(2, 3), Fraction(-1, 2)), 22, "the start is not integral"),
 ], ids=["H4 (2,-3)", "H4 (3,1)", "H2 (1/2,1/3)", "H2 (2/3,-1/2)"])
-def test_a_default_cap_refusal_builds_no_triple_past_the_threshold(monkeypatch, f, depth, pt, iterate):
+def test_a_default_cap_refusal_builds_no_triple_past_the_threshold(monkeypatch, f, depth, pt, iterate, cause):
     # the orbit record and two counting enclosures (T = e^5, e^21) of the
     # orbit command on maps it cannot track in intervals: the tracker's walk
     # is refused at the default cap, and the orbit builds triples only from
@@ -386,8 +386,8 @@ def test_a_default_cap_refusal_builds_no_triple_past_the_threshold(monkeypatch, 
         build_orbit_record(engine, pt, window=4)
         for threshold in (math.exp(5.0), math.exp(21.0)):
             counting_enclosure(engine, pt, threshold)
-    assert str(info.value) == (f"orbit coordinate exceeded the digit cap at iterate +{iterate}, and the map is not "
-                               "certified integral, so interval tracking cannot take over")
+    assert str(info.value) == (f"orbit coordinate exceeded the digit cap at iterate +{iterate}, and {cause}, "
+                               "so no escape tail takes over")
     assert info.value.iterate == iterate
     assert stepped and max(top(source).bit_length() for source in stepped) < SIZED_FROM_BITS
 
@@ -453,7 +453,7 @@ def test_a_cap_refusal_carries_its_iterate_and_bound():
         iterates.append(exc.iterate)
     assert iterates[1] == iterates[0] - 1
     # the tracker's refusal on a map it cannot certify passes them on
-    with pytest.raises(ResourceCapError, match="not certified integral") as info:
+    with pytest.raises(ResourceCapError, match="and the map is not integral, so no escape tail takes over") as info:
         walk_tracker(H4, 1)
     assert info.value.iterate == raised_iterate(lambda: walk_tracker(H4, 1)) and info.value.bound_bits > limit
     with pytest.raises(ResourceCapError) as info:

@@ -6,6 +6,7 @@ import math
 import random
 from decimal import Context, Decimal, localcontext
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import assume, event, example, given, reject, settings
@@ -21,8 +22,9 @@ from planeheights.errors import (
     PeriodicPointError,
     PlaneHeightsError,
     ResourceCapError,
+    UndecidedPeriodicityError,
 )
-from planeheights.heights import lift, naive_height_affine
+from planeheights.heights import lift, naive_height, naive_height_affine, top
 from planeheights.orbit import (
     NEG_INFINITY,
     OrbitHeightTracker,
@@ -109,10 +111,12 @@ def test_counts_do_not_depend_on_the_switch_point(name, x, y, thresholds):
     # a certified tracker tests no cap before its escape tail: under the
     # smallest cap an engine takes (10^4 digits), which the walks at T = 250
     # would pass, and under a 50-digit cap, the counts are those of the
-    # default cap, and both counts reach the tail in both directions
+    # default cap, and both counts reach the tail in both directions (the
+    # naive scan ends at its escape floor, which at T = e^9 lies past the
+    # first iterate of SIZED_FROM_BITS bits)
     engine, pt = infinite_orbit_engine(name, x, y)
     capped = make_engine(engine.g, depth=engine.depth, digit_cap=10_000)
-    thresholds = sorted(thresholds + [250.0])
+    thresholds = sorted(thresholds + [250.0, math.exp(9)])
     counts = {}
     for which in ("naive", "canonical"):
         counts[which] = [count_below(engine, pt, t, which) for t in thresholds]
@@ -120,7 +124,8 @@ def test_counts_do_not_depend_on_the_switch_point(name, x, y, thresholds):
         assert counts[which] == sorted(counts[which])
     assert None not in _held_tracker(capped, pt)._tails
     small = OrbitHeightTracker(engine.outer, pt, digit_cap=SWITCH_DIGITS)
-    assert [orbit_mod._scan(small.h_bounds, t, 0.0, 5)[0] for t in thresholds] == counts["naive"]
+    assert [orbit_mod._scan(small.h_bounds, t, 0.0, orbit_mod._escape_floor(engine, small, t))[0]
+            for t in thresholds] == counts["naive"]
     assert None not in small._tails
 
 
@@ -343,11 +348,28 @@ def test_noncertified_map_counts_exactly_below_the_cap():
     # the gcd bookkeeping and small-threshold counts stay available
     f = henon(2, parse_poly("x^2"))
     engine = make_engine(f)
-    count = count_below(engine, X3, 30.0, "naive")
-    wide = count_below(engine, X3, 30.0, "naive", patience=9)
-    assert count == wide and count > 0
+    assert count_below(engine, X3, 30.0, "naive") > 0
     with pytest.raises(ResourceCapError):
         count_below(make_engine(f, digit_cap=10_000), X3, math.exp(18), "naive")
+
+
+def test_a_naive_count_ends_at_its_escape_floor_under_the_cap():
+    # in each count the floor of the first sample above T already passes T,
+    # so the scan ends there, under the digit cap, which five more samples
+    # would cross (at +22, +23 and +15): H2 at (-3/2, -1) at +19 and -20 (the
+    # 2-adic part of the floor read off the last built triples, +10 and -10,
+    # times 2^9 and 2^10), and henon(2, x^2) at (3, 0) (a non-integral
+    # inverse) at +19 and -20 (+13 and -14 at T = e^9), where the backward
+    # heights are all 2-adic
+    h2 = dataclasses.replace(HENON2)  # a copy that holds no orbit
+    assert count_below(make_engine(h2), (Fraction(-3, 2), Fraction(-1)), math.exp(13), "naive") == 38
+    f = henon(2, parse_poly("x^2"))
+    assert count_below(make_engine(f), X3, math.exp(13), "naive") == 38
+    capped = make_engine(f, digit_cap=10_000)
+    assert count_below(capped, X3, math.exp(9), "naive") == 26
+    with pytest.raises(ResourceCapError, match=r"^orbit coordinate exceeded the digit cap at iterate \+15, "
+                                               r"and the map is not integral, so no escape tail takes over$"):
+        count_below(capped, X3, math.exp(18), "naive")
 
 
 # -- the interval kernel -------------------------------------------------------------
@@ -492,16 +514,83 @@ def test_count_below_naive_frozen_value(engine):
     assert count_below(engine, X3, 50.0, "naive") == 12
 
 
-def test_count_below_wider_window_cross_check(engine):
-    for t in (50.0, math.exp(8)):
-        narrow = count_below(engine, X3, t, "naive", patience=5)
-        wide = count_below(engine, X3, t, "naive", patience=10)
-        assert narrow == wide
-
-
 def test_count_below_monotone(engine):
     counts = [count_below(engine, X3, t, "canonical") for t in (5.0, 50.0, 500.0)]
     assert counts == sorted(counts)
+
+
+def _linear(b, j, det):
+    """The linear automorphism (x + b y, j x + (j b + det) y) of determinant det."""
+    x, y, k = BivarPoly.var("x"), BivarPoly.var("y"), BivarPoly.const
+    r = Fraction(1, det)
+    return pair(x + k(b) * y, k(j) * x + k(j * b + det) * y, k(r * (j * b + det)) * x - k(r * b) * y,
+                k(r) * y - k(r * j) * x)
+
+
+@st.composite
+def naive_count_engines(draw):
+    """The engine of a random integral Henon word (one or two letters of
+    degree 2 or 3, a and the leading coefficient of p +-1): its own core, or
+    conjugated by a linear map of determinant 1, -1 or 2, either into the
+    core (whose escape box then has B != I, and for determinant 2 rational
+    coefficients) or as the engine's conjugator; or the nonlinear conjugate
+    engine H3 under (x + y^2/2, 1 - y) of tests/data/golden/conj_tri_h3.json."""
+    if draw(st.integers(0, 9)) == 0:
+        event("nonlinear conjugator")
+        return make_engine(INTEGRAL["H3"], gamma=triangular(1, -1, 1, parse_poly("1/2*y^2")))
+    x, k = BivarPoly.var("x"), BivarPoly.const
+    word = None
+    for _ in range(draw(st.integers(1, 2))):
+        degree = draw(st.integers(2, 3))
+        coeffs = draw(st.lists(st.integers(-3, 3), min_size=degree, max_size=degree)) + [draw(st.sampled_from([1, -1]))]
+        letter = henon(draw(st.sampled_from([1, -1])), sum((k(c) * x**i for i, c in enumerate(coeffs)), BivarPoly.zero()))
+        word = letter if word is None else compose_maps(letter, word)
+    lin = _linear(draw(st.integers(-2, 2)), draw(st.integers(-2, 2)), draw(st.sampled_from([1, -1, 2])))
+    where = draw(st.sampled_from(["none", "core", "conjugator"]))
+    event(where)
+    if where == "conjugator":
+        return make_engine(word, gamma=lin)
+    return make_engine(word if where == "none" else compose_maps(compose_maps(lin, word), inverse(lin)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(engine=naive_count_engines(), x=st.integers(-4, 4), y=st.integers(-4, 4), den=st.sampled_from([1, 2, 3]),
+       k=st.floats(0.5, 8.0))
+@example(engine=make_engine(HENON2), x=-3, y=-2, den=2, k=9.0)
+def test_a_naive_count_ends_where_its_escape_floor_proves_it(engine, x, y, den, k):
+    # the scan of a naive count ends each direction at the first sample above
+    # T whose escape floor passes T (_escape_floor): the count equals a brute
+    # force over the exact heights of the outer orbit between the two stops,
+    # and every iterate past either stop, exact while it has at most
+    # EXACT_BITS bits, is above T
+    pt = (Fraction(x, den), Fraction(y, den))
+    t = math.exp(k if engine.gamma is None or engine.gamma.degree() == 1 else min(k, 3.0))
+    stops = {}
+    floor = orbit_mod._escape_floor
+
+    def recording(*args):
+        done = floor(*args)
+
+        def record(l, forward):
+            stops[forward] = l
+            return done(l, forward)
+        return record
+
+    with mock.patch.object(orbit_mod, "_escape_floor", recording):
+        try:
+            count = count_below(engine, pt, t, "naive")
+        except (PeriodicPointError, UndecidedPeriodicityError, ResourceCapError):
+            reject()
+    orbit = engine.outer.orbit(lift(pt))
+    inside = [naive_height(orbit[l]) for l in range(stops[False], stops[True] + 1)]
+    assume(all(abs(h - t) > 1e-9 * t for h in inside))  # no enclosure straddles T
+    assert count == sum(h <= t for h in inside)
+    for sign, l in ((1, stops[True]), (-1, stops[False])):
+        past = 0
+        while top(orbit[l]).bit_length() <= EXACT_BITS and past < 40:
+            l, past = l + sign, past + 1
+            assert naive_height(orbit[l]) > t, l
+        event(f"iterates checked past a stop: {min(past, 3)}")
 
 
 def test_count_below_invariant_under_orbit_shift(engine):
@@ -571,8 +660,21 @@ def test_tracker_walks_toward_the_lowest_point_exactly():
 def test_tracker_refusal_on_a_noncertified_map_names_the_iterate():
     engine = make_engine(henon(2, parse_poly("x^4 + x")), depth=6)
     with pytest.raises(ResourceCapError, match=r"^orbit coordinate exceeded the digit cap at "
-                                               r"iterate \+12, and the map is not certified integral"):
+                                               r"iterate \+12, and the map is not integral, so no escape tail "
+                                               r"takes over$"):
         counting_enclosure(engine, (Fraction(2), Fraction(-3)), 1e5)
+
+
+def test_tracker_refusal_on_a_map_with_no_escape_box_names_the_cause():
+    # H2 conjugated by (x + y^2, y) is integral but not regular: the tracker
+    # of the outer map at an integral start has no escape tail to read
+    engine = make_engine(HENON2, gamma=triangular(1, 1, 0, parse_poly("y^2")))
+    assert engine.outer.is_integral and engine.outer.escape_box is None
+    tracker = OrbitHeightTracker(engine.outer, X3, digit_cap=10_000)
+    with pytest.raises(ResourceCapError, match=r"^orbit coordinate exceeded the digit cap at iterate \+\d+, "
+                                               r"and the map has no escape box, so no escape tail takes over$"):
+        for l in range(1, 41):
+            tracker.h_bounds(l)
 
 
 UNRESOLVED = r"did not resolve above zero at depth 3; the orbit is infinite .*a larger --depth resolves them"
