@@ -55,7 +55,6 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import NamedTuple, Tuple
@@ -441,18 +440,20 @@ class Orbit:
         return True
 
 
-@dataclass(frozen=True)
-class PlaneAutomorphism:
-    """Forward/inverse polynomial pairs plus a generator word for provenance.
-
-    The compiled integer forms, the points at infinity, the dynamical degree,
-    the escape box and the orbit of the last queried start are cached on the
-    instance (outside the dataclass fields, so equality and hashing ignore them).
-    """
-
+class _Pairs(NamedTuple):
     fwd: Tuple[BivarPoly, BivarPoly]
     inv: Tuple[BivarPoly, BivarPoly]
     word: Tuple[str, ...]
+
+
+class PlaneAutomorphism(_Pairs):
+    """Forward/inverse polynomial pairs plus a generator word for provenance.
+
+    The compiled integer forms, the points at infinity, the dynamical degree,
+    the escape box and the orbit of the last queried start are cached in the
+    instance's `__dict__` (outside the tuple of fields, so equality and
+    hashing ignore them, and `_replace()` makes a copy that holds none).
+    """
 
     def degree(self) -> int:
         return max(p.total_degree() for p in self.fwd)
@@ -495,7 +496,7 @@ class PlaneAutomorphism:
         held = self.__dict__.get("_orbit")
         if held is None or held.start != start:
             held = Orbit(self.forms(True), self.forms(False), start, self)
-            object.__setattr__(self, "_orbit", held)  # a cache, not a field
+            self._orbit = held  # a cache, not a field
         return held
 
     @property
@@ -656,8 +657,7 @@ def _compute_dynamical_degree(f: PlaneAutomorphism) -> int:
 
 # -- points at infinity ------------------------------------------------------
 
-@dataclass(frozen=True)
-class InfinityPoint:
+class InfinityPoint(NamedTuple):
     """A point (X : Y) of the line at infinity, as a coprime integer pair
     with X >= 0 (and Y > 0 when X = 0)."""
 
@@ -729,8 +729,15 @@ def is_regular(f: PlaneAutomorphism) -> bool:
 
 # -- the escape box ------------------------------------------------------------
 
-@dataclass(frozen=True)
-class EscapeBox:
+class _Box(NamedTuple):
+    basis: Tuple[int, int, int, int]  # B = [[b0, b1], [b2, b3]]
+    radius: Fraction
+    modulus: int
+    bad: int  # K, whose primes carry every common factor of a settled step
+    growth: Tuple[Tuple[int, Fraction, Fraction], Tuple[int, Fraction, Fraction]]  # (d, alpha, S) of f^-1, f
+
+
+class EscapeBox(_Box):
     """The filtration of a regular map f (Bedford-Smillie, Hubbard-Oberste-Vorth)
     read off its coefficients: every periodic point of f lies in the box.
 
@@ -793,14 +800,9 @@ class EscapeBox:
         satisfies mu' >= d mu, as |u'|_p = |alpha|_p |u|_p^d there and
         v_p(num alpha) <= v_p(N) <= (d - 1) v_p(N).  So p stays in W2, and
         Phi j iterates later is at least d^j Phi; W2 divides Z.
-    It needs gcds only, no factoring.
+    It needs gcds only, no factoring.  The float constants of `tail_step`
+    are cached in the instance's `__dict__`, outside the fields.
     """
-
-    basis: Tuple[int, int, int, int]  # B = [[b0, b1], [b2, b3]]
-    radius: Fraction
-    modulus: int
-    bad: int  # K, whose primes carry every common factor of a settled step
-    growth: Tuple[Tuple[int, Fraction, Fraction], Tuple[int, Fraction, Fraction]]  # (d, alpha, S) of f^-1, f
 
     def coordinates(self, point: ProjPoint) -> ProjPoint:
         """The primitive triple (u : v : w), w > 0, of B (X, Y) over Z."""

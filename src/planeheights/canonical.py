@@ -42,10 +42,9 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 from decimal import MAX_EMAX, MIN_EMIN, Context, Decimal, localcontext
 from fractions import Fraction
-from typing import List, Optional, Tuple
+from typing import List, NamedTuple, Optional, Tuple
 
 from .automorphism import (
     DEFAULT_DIGIT_CAP,
@@ -64,12 +63,7 @@ from .heights import growth_constant as _growth_constant
 DEFAULT_DEPTH = 12
 
 
-@dataclass(frozen=True)
-class HeightEngine:
-    """Immutable bundle of the regular core g, its degrees, growth constants,
-    optional conjugator, truncation depth, and resource limits.  The orbit
-    module holds the last point asked about on it, outside the fields."""
-
+class _Engine(NamedTuple):
     g: PlaneAutomorphism
     delta: int
     delta_minus: int
@@ -80,6 +74,13 @@ class HeightEngine:
     depth: int
     c_lower: Optional[float]
     digit_cap: int
+
+
+class HeightEngine(_Engine):
+    """Immutable bundle of the regular core g, its degrees, growth constants,
+    optional conjugator, truncation depth, and resource limits.  The orbit
+    module holds the last point asked about on it in the instance's
+    `__dict__`, outside the fields."""
 
     def tail_fwd(self) -> float:
         return self.c2_fwd / ((self.delta - 1) * self.delta**self.depth)
@@ -155,8 +156,7 @@ def make_engine(
     return engine
 
 
-@dataclass(frozen=True)
-class HeightEstimate:
+class HeightEstimate(NamedTuple):
     """A truncated canonical-height value with its explicit upper tail and
     empirical lower slack; rigorous_lower is present only when the engine was
     given the regular-map inequality constant."""
@@ -251,8 +251,7 @@ def functional_equation_residual(engine: HeightEngine, x: AffinePoint) -> float:
 
 # -- periodicity ---------------------------------------------------------------
 
-@dataclass(frozen=True)
-class PeriodicityVerdict:
+class PeriodicityVerdict(NamedTuple):
     kind: str  # "periodic" | "not_periodic" | "undecided"
     period: Optional[int] = None
     detail: str = ""
@@ -291,8 +290,7 @@ def is_periodic(f: PlaneAutomorphism, x: AffinePoint,
 
 # -- the quadratic recursion behind the sharpness bound ------------------------
 
-@dataclass(frozen=True)
-class RecursionClassification:
+class RecursionClassification(NamedTuple):
     regime: str  # "diverges" | "tends_to_one" | "tends_to_zero"
     trajectory: Tuple[float, ...]
 

@@ -50,8 +50,7 @@ only the verdict refuses as undecided.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Dict, Tuple
+from typing import Dict, NamedTuple, Tuple
 
 from .automorphism import DEFAULT_DIGIT_CAP, SIZED_FROM_BITS, PlaneAutomorphism, cap_bits
 from .canonical import HeightEngine, hcanonical_iterates, is_periodic
@@ -256,7 +255,7 @@ def _held(engine: HeightEngine, x: AffinePoint, key, compute):
     """compute(), held under `key` in the engine's one slot, which holds
     the last point asked about and is replaced by a call about another.  A
     refusal raises out of compute() and is not held.  The slot is not a
-    dataclass field, so equality, hashing and repr ignore it.  It holds the
+    field, so equality, hashing and repr ignore it.  It holds the
     orbit (through the tracker), never the reverse: a tracker kept on the
     orbit closes an orbit <-> tracker cycle, which only the cyclic collector
     frees, so replaced orbits, of up to the digit cap per iterate, would
@@ -264,7 +263,7 @@ def _held(engine: HeightEngine, x: AffinePoint, key, compute):
     held = engine.__dict__.get("_held")
     if held is None or held[0] != x:
         held = (x, {})
-        object.__setattr__(engine, "_held", held)  # a cache, not a field
+        engine._held = held  # a cache, not a field
     values = held[1]
     if key not in values:
         values[key] = compute()
@@ -418,8 +417,7 @@ def count_below(engine: HeightEngine, x: AffinePoint, threshold: float, which: s
     return _scan(values, threshold, engine.error_budget())[0]
 
 
-@dataclass(frozen=True)
-class CountingEnclosure:
+class CountingEnclosure(NamedTuple):
     lower: float
     upper: float
     observed: int
@@ -514,16 +512,14 @@ def min_orbit_height_bounds(engine: HeightEngine, x: AffinePoint) -> Tuple[bool,
 
 # -- orbit records ---------------------------------------------------------------
 
-@dataclass(frozen=True)
-class OrbitSample:
+class OrbitSample(NamedTuple):
     l: int
     point: AffinePoint
     h_nv: float
     h_hat: float
 
 
-@dataclass(frozen=True)
-class OrbitRecord:
+class OrbitRecord(NamedTuple):
     base: AffinePoint
     samples: Tuple[OrbitSample, ...]
     hplus0: float

@@ -16,7 +16,6 @@ Everything here is exact rational arithmetic; no floating point.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import List, Tuple
@@ -30,16 +29,29 @@ def basis_labels(d: int) -> List[str]:
             + [f"F{j}" for j in range(1, 2 * d)])
 
 
-@dataclass(frozen=True)
 class DivisorClass:
-    """Exact-rational coefficient vector over the basis [H#, E_i, F_j]."""
+    """Exact-rational coefficient vector over the basis [H#, E_i, F_j]; a
+    plain class, as a tuple's `*` and `+` would repeat and concatenate it."""
 
-    d: int
-    coeffs: Tuple[Fraction, ...]
+    __slots__ = ("d", "coeffs")
 
-    def __post_init__(self):
-        if len(self.coeffs) != 4 * self.d - 1:
+    def __init__(self, d: int, coeffs: Tuple[Fraction, ...]):
+        if len(coeffs) != 4 * d - 1:
             raise ValueError("coefficient vector has wrong dimension")
+        object.__setattr__(self, "d", d)
+        object.__setattr__(self, "coeffs", coeffs)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"DivisorClass is immutable: cannot assign to {name!r}")
+
+    def __eq__(self, other):
+        return (self.d, self.coeffs) == (other.d, other.coeffs) if type(other) is DivisorClass else NotImplemented
+
+    def __hash__(self):
+        return hash((self.d, self.coeffs))
+
+    def __repr__(self):
+        return f"DivisorClass(d={self.d!r}, coeffs={self.coeffs!r})"
 
     def __add__(self, other):
         self._check(other)

@@ -17,7 +17,6 @@ takes the full gcd at every step, on random Henon words and their linear
 conjugates.
 """
 
-import dataclasses
 import math
 import re
 from fractions import Fraction
@@ -228,7 +227,7 @@ def test_shifted_reads_refuse_like_walks_from_the_image(name, pt, depth):
     # a refusal names its iterate from f(x) (or f^-1(x)), as a walk from there did
     f = MAPS[name]
     engine = make_engine(f, depth=depth, digit_cap=10_000)
-    fresh = make_engine(dataclasses.replace(f), depth=depth, digit_cap=10_000)  # holds no orbit
+    fresh = make_engine(f._replace(), depth=depth, digit_cap=10_000)  # holds no orbit
     expected = (refusal(lambda: hcanonical(fresh, f.apply(pt)))
                 or refusal(lambda: hcanonical(fresh, f.apply_inverse(pt))))
     assert refusal(lambda: hpm_from_h(engine, pt)) == expected
@@ -289,7 +288,7 @@ def full_gcd_walk(forms, triple, steps):
 # (5 : 1 : 5): 5 divides W and U, so the walk is unsettled at iterate 0 and settles after it
 @example(word=H2, det=None, k=0, j=0, pt=(Fraction(1), Fraction(1, 5)), forward=True)
 def test_orbit_triples_match_the_full_gcd_walk(word, det, k, j, pt, forward):
-    f = dataclasses.replace(word)  # a copy that holds no orbit
+    f = word._replace()  # a copy that holds no orbit
     if det is not None:
         # L sends the word's points at infinity (0:1) and (1:0) to the
         # primitive columns (b, jb + det) and (1, j), b = k det + 1, so |det B| = det
@@ -305,7 +304,7 @@ def test_orbit_triples_match_the_full_gcd_walk(word, det, k, j, pt, forward):
 
 
 def test_a_walk_settles_once_no_prime_outside_k_divides_w_and_u():
-    f = dataclasses.replace(H2)  # K = 1
+    f = H2._replace()  # K = 1
     orbit = f.orbit(lift((Fraction(1), Fraction(1, 5))))
     assert orbit[0] == (5, 1, 5) and not f.escape_box.settled(orbit[0])
     orbit[1]
@@ -318,7 +317,7 @@ def test_a_walk_settles_once_no_prime_outside_k_divides_w_and_u():
 def test_only_a_rational_walk_or_a_certified_tracker_reads_the_box():
     # an integral walk takes no gcd, so it reads no box; a certified tracker
     # reads it for its escape tail, and a tracker of a rational start does not
-    f = dataclasses.replace(H2)
+    f = H2._replace()
     make_engine(f)
     orbit = f.orbit(lift(X3))
     orbit[6], orbit[-6]
@@ -327,7 +326,7 @@ def test_only_a_rational_walk_or_a_certified_tracker_reads_the_box():
     assert "escape_box" not in f.__dict__
     f.orbit(lift((Fraction(1, 2), Fraction(3))))[1]
     assert f.escape_box.bad == 1
-    g = dataclasses.replace(H2)
+    g = H2._replace()
     tracker = OrbitHeightTracker(g, X3)
     assert tracker._box is g.__dict__["escape_box"]
 
@@ -365,7 +364,7 @@ def test_a_refusal_builds_no_triple_over_the_cap(monkeypatch, f, read):
 
     monkeypatch.setattr(IntegerForms, "step", recording_step)
     with pytest.raises(ResourceCapError):
-        read(dataclasses.replace(f))  # a copy that holds no orbit
+        read(f._replace())  # a copy that holds no orbit
     assert bits and max(bits) <= cap_bits(10_000)
 
 
@@ -381,7 +380,7 @@ def test_a_default_cap_refusal_builds_no_triple_past_the_threshold(monkeypatch, 
     # is refused at the default cap, and the orbit builds triples only from
     # sources under SIZED_FROM_BITS bits
     stepped = record_steps(monkeypatch)
-    engine = make_engine(dataclasses.replace(f), depth=depth)  # a copy that holds no orbit
+    engine = make_engine(f._replace(), depth=depth)  # a copy that holds no orbit
     with pytest.raises(ResourceCapError) as info:
         build_orbit_record(engine, pt, window=4)
         for threshold in (math.exp(5.0), math.exp(21.0)):
@@ -411,7 +410,7 @@ def test_a_counting_run_builds_no_triple_past_the_threshold(monkeypatch):
         return image(self, point)
 
     monkeypatch.setattr(IntegerForms, "image", counted)
-    f = dataclasses.replace(H2)  # a copy that holds no orbit
+    f = H2._replace()  # a copy that holds no orbit
     engine = make_engine(f, depth=12)
     counting_enclosure(engine, X3, math.exp(21))
     tracker = engine.__dict__["_held"][1]["tracker"]
@@ -427,7 +426,7 @@ def test_a_tracker_under_a_smaller_cap_reads_the_orbits_enclosures():
     # built triples, and its tail from the orbit's one enclosure at +11; a
     # tracker under a 10^4-digit cap, which would refuse +15, starts its tail
     # off the same enclosure, so the orbit steps and builds nothing more
-    f = dataclasses.replace(H2)  # a copy that holds no orbit
+    f = H2._replace()  # a copy that holds no orbit
     OrbitHeightTracker(f, X3).h_bounds(22)
     orbit = f.orbit(lift(X3))
     assert [len(orbit._chains[True]), len(orbit._sizes[True]), len(orbit._enclosures[True])] == [11, 11, 1]
@@ -439,7 +438,7 @@ def test_a_tracker_under_a_smaller_cap_reads_the_orbits_enclosures():
 
 
 def test_a_cap_refusal_carries_its_iterate_and_bound():
-    f = dataclasses.replace(H2)  # a copy that holds no orbit
+    f = H2._replace()  # a copy that holds no orbit
     engine = make_engine(f, depth=40, digit_cap=10_000)
     orbit, forms, limit = f.orbit(lift(X3)), f.forms(True), cap_bits(10_000)
     iterates = []
@@ -494,7 +493,7 @@ def unit_henon_words(draw):
 @example(f=H2, pt=(Fraction(1, 2), Fraction(1, 3)), forward=True)
 @example(f=C6, pt=X3, forward=False)
 def test_a_size_read_at_the_frontier_is_the_built_triples(f, pt, forward):
-    f = dataclasses.replace(f)  # a copy that holds no orbit
+    f = f._replace()  # a copy that holds no orbit
     assert f.is_integral and f.escape_box.bad == 1
     orbit, sign = f.orbit(lift(pt)), 1 if forward else -1
     chain = orbit._chains[forward]
@@ -515,7 +514,7 @@ def test_the_outermost_iterates_are_sized_not_built():
     # (1/2, 1/3), depth 12, the residual's walks from f(x) and f^-1(x) reach
     # +-13, and the orbit builds to +10 (1836 bits; +9 has 918) and to -9
     # (1068 bits; -8 has 534)
-    f = dataclasses.replace(H2)
+    f = H2._replace()
     engine = make_engine(f, depth=12)
     x = (Fraction(1, 2), Fraction(1, 3))
     hplus(engine, x), hminus(engine, x), hcanonical(engine, x), functional_equation_residual(engine, x)
@@ -537,7 +536,7 @@ def test_an_enclosure_that_cannot_pin_leaves_the_step_exact(monkeypatch):
     assert top(start).bit_length() >= SIZED_FROM_BITS
     assert pinned_size(forms.image((Interval(1 << 1100, 1 << 1100), Interval(1, 1), 1))) is None
     stepped = record_steps(monkeypatch)
-    orbit = dataclasses.replace(H2).orbit(start)
+    orbit = H2._replace().orbit(start)
     assert orbit.size(1) == (2200, log_int((1 << 2200) - 1))
     assert stepped == [start] and orbit[1] == ((1 << 2200) - 1, 1 << 1100, 1)
 
@@ -559,7 +558,7 @@ def record_steps(monkeypatch):
 def test_only_a_source_of_sized_from_bits_is_sized_off_an_interval_step(monkeypatch, bits):
     start = (3**700 >> (3**700).bit_length() - bits, 1, 1)  # the leading bits of 3^700: X^2 - 1 pins
     stepped = record_steps(monkeypatch)
-    orbit = dataclasses.replace(H2).orbit(start)
+    orbit = H2._replace().orbit(start)
     size = orbit.size(1)
     assert stepped == ([] if bits >= SIZED_FROM_BITS else [start])
     t = top(orbit[1])
@@ -572,7 +571,7 @@ def test_a_residue_that_cannot_decide_the_common_factor_leaves_the_step_exact(mo
     # (3 2^s, 1, 2^1100) it is 2^(4s), read off residues modulo 2^322: for
     # s = 10 it is decided, for s = 100 it is 2^400, the residues give 2^322,
     # and the exact step runs
-    f = dataclasses.replace(H4)
+    f = H4._replace()
     start = (3 << shift, 1, 1 << 1100)
     orbit = f.orbit(start)
     assert f.escape_box.bad == 4 and orbit._bad(True, start) == 4  # settled at the start
@@ -634,7 +633,7 @@ def rational_henon_words(draw):
 # +12 is integral, and the step from it takes only part of m = 2 out, so H / c is an Interval
 @example(f=henon(2, parse_poly("x^2 + 1/2*x")), pt=(Fraction(-5), Fraction(-3)), forward=True, depth=13)
 def test_sizes_past_gcd_steps_are_the_built_triples(f, pt, forward, depth):
-    f = dataclasses.replace(f)  # a copy that holds no orbit
+    f = f._replace()  # a copy that holds no orbit
     assert max(f.forms(True).m, f.forms(False).m) > 1 and f.escape_box.bad > 1
     orbit, sign = f.orbit(lift(pt)), 1 if forward else -1
     for k in range(1, depth + 1):

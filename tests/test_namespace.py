@@ -89,3 +89,16 @@ def test_bare_import_loads_no_submodule_until_one_is_used():
         " ".join(f"planeheights.{name}" for name in EXPORTS),
         "True",
     ]
+
+
+def test_no_command_loads_dataclasses_or_inspect():
+    # a fresh process, as pytest itself imports both; cli, orbit and picard
+    # between them import every module any command loads
+    code = (
+        "import sys, planeheights.cli, planeheights.orbit, planeheights.picard\n"
+        "print(sorted(m for m in ('dataclasses', 'inspect') if m in sys.modules))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=_child_env(),
+                          timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"

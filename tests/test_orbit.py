@@ -1,7 +1,6 @@
 """Orbit heights, exact counting, the counting enclosures, and the orbit
 tracker with its escape tail."""
 
-import dataclasses
 import math
 import random
 from decimal import Context, Decimal, localcontext
@@ -176,7 +175,7 @@ def test_the_escape_tail_encloses_the_exact_heights_and_the_orbit_enclosures(f, 
     # (x - 2y, y - x) o (x^2 + 3x + 1 + y, x) o its inverse), so they are
     # only met, and never sized, which would build the triple once they no
     # longer pin its size.
-    f = dataclasses.replace(f)  # a copy that holds no orbit
+    f = f._replace()  # a copy that holds no orbit
     pt = (Fraction(x), Fraction(y))
     assume(is_periodic(f, pt).kind == "not_periodic")
     box, sign = f.escape_box, 1 if forward else -1
@@ -215,7 +214,7 @@ def test_a_count_past_the_float_range_is_refused():
     # on H2 at (3, 0) the counts to T = 1e300 read h_nv to about 2^13 T off
     # the escape tail; at T = 1e308 its log recurrence passes the float
     # range at iterate +1024, and both counts refuse there
-    engine = make_engine(dataclasses.replace(HENON2), depth=12)
+    engine = make_engine(HENON2._replace(), depth=12)
     enc = counting_enclosure(engine, X3, 1e300)
     assert (enc.observed, enc.passed) == (1994, True)
     assert count_below(engine, X3, 1e300, "naive") == 1994
@@ -329,7 +328,7 @@ def test_certified_map_starts_its_tail_under_any_cap():
     # (the step bound from +14, 25741 bits, is 51483 bits) and -16, and the
     # default cap +23 and -23; a certified tracker tests neither, and under
     # both its tail starts at +11 and -12, one past the built triples
-    f = dataclasses.replace(HENON2)  # a copy that holds no orbit
+    f = HENON2._replace()  # a copy that holds no orbit
     capped = OrbitHeightTracker(f, X3, digit_cap=10_000)
     default = OrbitHeightTracker(f, X3)
     for l in range(-40, 41):
@@ -361,7 +360,7 @@ def test_a_naive_count_ends_at_its_escape_floor_under_the_cap():
     # times 2^9 and 2^10), and henon(2, x^2) at (3, 0) (a non-integral
     # inverse) at +19 and -20 (+13 and -14 at T = e^9), where the backward
     # heights are all 2-adic
-    h2 = dataclasses.replace(HENON2)  # a copy that holds no orbit
+    h2 = HENON2._replace()  # a copy that holds no orbit
     assert count_below(make_engine(h2), (Fraction(-3, 2), Fraction(-1)), math.exp(13), "naive") == 38
     f = henon(2, parse_poly("x^2"))
     assert count_below(make_engine(f), X3, math.exp(13), "naive") == 38
