@@ -25,12 +25,15 @@ of primitive triples per time direction, extended lazily.  It holds the only
 iteration loop of the package, measures each iterate once (`Orbit.size`: its
 bit length and naive height), and holds the digit cap of every walk
 (`Orbit.capped`, a check on the size of the neighbour of the iterate it
-tests).  A walk reads only the sizes of its iterates, so past a held triple
-of SIZED_FROM_BITS bits the orbit sizes each iterate off an interval step
-instead of building it: the same forms (`IntegerForms.image`) at
-`Interval` coordinates of the iterate before, when the enclosure pins the
-size bit for bit (`pinned_size`), with the common factor of a gcd step read
-off residues modulo a power of m or K.  The orbit keeps the enclosure of
+tests).  It also keeps, per direction, where it leaves the escape box of its
+map or first returns to its start (`Orbit.exit`), walked once and read by
+the periodicity test; the box's tests along an orbit, `EscapeBox.exit_place`
+and `EscapeBox.settled`, are called from the orbit alone.  A walk reads only
+the sizes of its iterates, so past a held triple of SIZED_FROM_BITS bits the
+orbit sizes each iterate off an interval step instead of building it: the
+same forms (`IntegerForms.image`) at `Interval` coordinates of the iterate
+before, when the enclosure pins the size bit for bit (`pinned_size`), with
+the common factor of a gcd step read off residues modulo a power of m or K.  The orbit keeps the enclosure of
 every iterate past its built triples (`Orbit.enclosure`), so each interval
 step is taken once per orbit, whoever reads it: its own sizes, and the
 counting tracker of :mod:`planeheights.orbit`, which starts the log
@@ -61,7 +64,7 @@ from typing import NamedTuple, Tuple
 
 from .errors import DEFAULT_DIGIT_CAP, MapValidationError, PolyParseError, ResourceCapError
 from .heights import _LN2, ProjPoint, affine, lift, log_int, top
-from .ratpoly import BivarPoly, _integer_numerators, parse_rat, powers
+from .ratpoly import BivarPoly, _integer_numerators, format_rat, parse_rat, powers
 
 _X = BivarPoly.var("x")
 _Y = BivarPoly.var("y")
@@ -309,18 +312,26 @@ class Orbit:
     it refuses an iterate one step earlier than a test of its real size only
     when the cap lies within c_bits bits of that size.
 
-    Each direction holds one flag: whether the walk has settled, so that its
-    steps reduce only at the primes of K (`IntegerForms.step`).  The first
-    time a direction steps a triple with Z > 1, the orbit reads the escape
-    box of its `owner` map (never a map without one, nor with no owner
-    given), and tests each such triple until `EscapeBox.settled` holds.
-    Once settled, a direction stays settled: a prime of the next Z divides
-    m Z, so a prime of it outside K divides Z, where the orbit lies in V+
-    (V-), which the step maps into itself.  Triples with Z = 1, unsettled
-    directions and maps with no box take the full gcd.
+    The orbit reads the escape box of its `owner` map, on first use (a map
+    with no box, or no owner given, has none), for two records per
+    direction.  One is whether the walk has settled, so that its steps
+    reduce only at the primes of K (`IntegerForms.step`): once the flag is
+    set no box is read; before, each step from a triple with Z > 1 reads
+    the box and tests the triple until `EscapeBox.settled` holds.  Once
+    settled, a direction stays settled: a prime of the next Z divides m Z,
+    so a prime of it outside K divides Z, where the orbit lies in V+ (V-),
+    which the step maps into itself.  Triples with Z = 1, unsettled
+    directions and maps with no box take the full gcd.  The other is where
+    the orbit leaves the box (`exit`): (k, place) of the first iterate
+    g^(+-k)(x) that `EscapeBox.exit_place` puts outside it, or of the first
+    return to the start (place None, period k), walked through `capped`
+    once and re-checked there under each later caller's limit.  From k >= 1
+    the iterate lies outside on the direction's side, V+ (V- going
+    backward): by the box lemma one outside in V- would have a preimage
+    outside too.  The start itself (k = 0) may lie outside on either side.
     """
 
-    __slots__ = ("start", "_forms", "_chains", "_sizes", "_owner", "_settled", "_enclosures")
+    __slots__ = ("start", "_forms", "_chains", "_sizes", "_owner", "_settled", "_exits", "_enclosures")
 
     def __init__(self, fwd: IntegerForms, inv: IntegerForms, start: ProjPoint,
                  owner: PlaneAutomorphism | None = None):
@@ -328,8 +339,9 @@ class Orbit:
         self._forms = (inv, fwd)  # indexed by l >= 0
         self._chains = ([start], [start])
         self._sizes = ([], [])  # (bits(top), h_nv) of each measured iterate, by l >= 0
-        self._owner = owner  # the map whose box decides settling; None once known to have none
+        self._owner = owner  # the map whose box decides settling and exits
         self._settled = [None, None]  # K of a settled direction, indexed by l >= 0
+        self._exits = [None, None]  # (k, place) of `exit` per direction, indexed by l >= 0
         # (enclosure, residues, M) of each iterate past the chain, from its end on
         self._enclosures = ([], [])
 
@@ -347,14 +359,33 @@ class Orbit:
 
     def _bad(self, forward: bool, point: ProjPoint) -> int | None:
         """K once the direction has settled at or before `point`, else None."""
-        bad = self._settled[forward]
-        if bad is None and self._owner is not None:
-            box = self._owner.escape_box
-            if box is None:
-                self._owner = None
-            elif box.settled(point, forward):
-                bad = self._settled[forward] = box.bad
-        return bad
+        if self._settled[forward] is None and self._owner is not None \
+                and (box := self._owner.escape_box) is not None and box.settled(point, forward):
+            self._settled[forward] = box.bad
+        return self._settled[forward]
+
+    def exit(self, forward: bool, limit: int) -> Tuple[int, str | None]:
+        """(k, place) of one direction: the first iterate g^(+-k)(x), k >= 0,
+        that the owner's escape box puts outside it, with the place where it
+        lies outside (`EscapeBox.exit_place`), or the first return to the
+        start, with place None and k the period.  The walk steps through
+        `capped` at `limit` and runs once per orbit: the orbit keeps the
+        record, and a later call re-checks its k iterates with `capped` under
+        its own limit.  A refusal raises and keeps nothing.  The owner must
+        have a box."""
+        sign, record = (1 if forward else -1), self._exits[forward]
+        if record is not None:
+            for k in range(1, record[0] + 1):
+                self.capped(sign * k, limit)
+            return record
+        box, point, k = self._owner.escape_box, self.start, 0
+        while (place := box.exit_place(point)) is None:
+            k += 1
+            self.capped(sign * k, limit)
+            if (point := self[sign * k]) == self.start:
+                break
+        record = self._exits[forward] = (k, place)
+        return record
 
     def built(self, l: int) -> ProjPoint | None:
         """orbit[l] when the orbit has built it, else None; it builds nothing."""
@@ -560,7 +591,7 @@ def henon(a, p: BivarPoly) -> PlaneAutomorphism:
     fwd = (p - BivarPoly.const(a) * _Y, _X)
     p_of_y = p.compose(_Y, BivarPoly.zero())
     inv = (_Y, (p_of_y - _X) * BivarPoly.const(1 / a))
-    word = (f"henon(a={a}, p={p})",)
+    word = (f"henon(a={format_rat(a)}, p={p})",)
     return _build(fwd, inv, word, check=True)
 
 
@@ -577,7 +608,7 @@ def triangular(a, b, c, P: BivarPoly) -> PlaneAutomorphism:
         (_X - P.compose(BivarPoly.zero(), y_back)) * BivarPoly.const(1 / a),
         y_back,
     )
-    word = (f"triangular(a={a}, b={b}, c={c}, P={P})",)
+    word = (f"triangular(a={format_rat(a)}, b={format_rat(b)}, c={format_rat(c)}, P={P})",)
     return _build(fwd, inv, word, check=True)
 
 
@@ -804,11 +835,16 @@ class EscapeBox(_Box):
     are cached in the instance's `__dict__`, outside the fields.
     """
 
+    def _uv(self, x, y, forward: bool = True):
+        """(u, v) = B (x, y), of ints or `Interval`s, swapped to (v, u) going
+        backward: the one place a point is put in the box's coordinates."""
+        b0, b1, b2, b3 = self.basis if forward else self.basis[2:] + self.basis[:2]
+        return b0 * x + b1 * y, b2 * x + b3 * y
+
     def coordinates(self, point: ProjPoint) -> ProjPoint:
         """The primitive triple (u : v : w), w > 0, of B (X, Y) over Z."""
         x, y, z = point
-        b0, b1, b2, b3 = self.basis
-        u, v = b0 * x + b1 * y, b2 * x + b3 * y
+        u, v = self._uv(x, y)
         common = math.gcd(u, v, z)
         return (u // common, v // common, z // common)
 
@@ -818,8 +854,7 @@ class EscapeBox(_Box):
         denominator outside K sees it in V+ (V-), so no step from it or from
         any later iterate makes a common factor outside K."""
         x, y, z = point
-        b0, b1, b2, b3 = self.basis
-        common = math.gcd(z, b0 * x + b1 * y if forward else b2 * x + b3 * y)
+        common = math.gcd(z, self._uv(x, y, forward)[0])
         while (part := math.gcd(common, self.bad)) != 1:
             common //= part
         return common == 1
@@ -853,22 +888,24 @@ class EscapeBox(_Box):
             tails.append(_Tail(d, _log_bounds(abs(alpha)), log_slack, scale, offset, start))
         return tuple(tails)
 
+    def _lead(self, point, forward: bool) -> Tuple[float, float] | None:
+        """Outward bounds on log|u| (log|v| going backward) at an enclosure
+        (X, Y, Z) of `Interval`s when it shows the point in V+ (V-), else
+        None: the V+ test of `escaped` and `floor`.  `Interval.log_abs` is
+        good to 4 ulps (under 3 of `log_int`, and the product and sum with
+        the exponent), inside the pad of 8."""
+        lead, other = self._uv(point[0], point[1], forward)
+        lo, hi = lead.log_abs()
+        pad = 8 * math.ulp(hi)
+        return None if lo - pad <= other.log_abs()[1] + pad else (lo - pad, hi + pad)
+
     def escaped(self, point, forward: bool = True) -> Tuple[float, float] | None:
         """Outward bounds on log|u| (log|v| going backward) at an enclosure
         (X, Y, 1) of `Interval`s of an integral point, when it shows the
         point in V+ (V-) with log|u| at least the direction's tail start, so
-        past R and with eps <= e^-45 / 2 (see the class docstring); else None.
-        `Interval.log_abs` is good to 4 ulps (under 3 of `log_int`, and the
-        product and sum with the exponent), inside the pad of 8."""
-        x, y, _ = point
-        b0, b1, b2, b3 = self.basis
-        u, v = b0 * x + b1 * y, b2 * x + b3 * y
-        lo, hi = (u if forward else v).log_abs()
-        pad = 8 * math.ulp(hi)
-        lo, hi = lo - pad, hi + pad
-        if lo < self._tail_constants[forward].start or lo <= (v if forward else u).log_abs()[1] + pad:
-            return None
-        return lo, hi
+        past R and with eps <= e^-45 / 2 (see the class docstring); else None."""
+        logs = self._lead(point, forward)
+        return None if logs is None or logs[0] < self._tail_constants[forward].start else logs
 
     def tail_step(self, logs: Tuple[float, float], forward: bool = True):
         """((lo, hi) of log|u'|, (lo, hi) of h_nv) at the next iterate from
@@ -897,16 +934,13 @@ class EscapeBox(_Box):
         in `Interval`s (an int Z = 1 as it is; None gives A = 0), plus
         d^steps Phi read off `exact`, the exact triple `steps` iterates
         before it (None gives 0).  The tests of V+ and of R hold with a pad
-        of 8 ulps, as in `escaped`."""
-        b0, b1, b2, b3 = self.basis if forward else self.basis[2:] + self.basis[:2]
+        of 8 ulps, the V+ one as in `escaped`."""
         found = 0.0
-        if point is not None:
-            x, y, z = point
-            (u_lo, u_hi), (_, v_hi) = (b0 * x + b1 * y).log_abs(), (b2 * x + b3 * y).log_abs()
-            z_hi = 0.0 if z == 1 else z.log_abs()[1]
-            pad = 8 * (math.ulp(u_hi) + math.ulp(z_hi))
-            if u_lo - pad > v_hi + pad and u_lo - z_hi - pad > _log_bounds(self.radius)[1]:
-                found = max(0.0, u_lo - z_hi - math.log(abs(b0) + abs(b1)))
+        if point is not None and (logs := self._lead(point, forward)) is not None:
+            z_hi = 0.0 if point[2] == 1 else point[2].log_abs()[1]
+            if logs[0] - z_hi - 8 * math.ulp(z_hi) > _log_bounds(self.radius)[1]:
+                row = self.basis[:2] if forward else self.basis[2:]  # the row of B giving u (v backward)
+                found = max(0.0, logs[0] - z_hi - math.log(sum(map(abs, row))))
         if exact is not None:
             u, v, w = self.coordinates(exact)
             while (part := math.gcd(w, u if forward else v)) != 1:

@@ -263,29 +263,25 @@ class PeriodicityVerdict(NamedTuple):
 
 def is_periodic(f: PlaneAutomorphism, x: AffinePoint,
                 digit_cap: int = DEFAULT_DIGIT_CAP) -> PeriodicityVerdict:
-    """Walk the orbit of x forward until an iterate leaves f's escape box
-    (not_periodic: a point outside escapes forward or backward at the place
-    where it lies outside; the detail names the iterate and the place) or
-    returns to x (periodic, with the first return as period).  The box holds
-    finitely many rational points and f is a bijection, so the walk ends.
-    An iterate that `Orbit.capped` refuses gives undecided, naming it, and
-    so does a map that is not regular, which has no box, with no walk."""
-    box = f.escape_box
-    if box is None:
+    """The verdict read off the forward record of where the orbit of x
+    leaves f's escape box (`Orbit.exit`): not_periodic at the first iterate
+    outside the box (a point outside escapes forward or backward at the
+    place where it lies outside; the detail names the iterate and the
+    place), or periodic at the first return to x, with that as period.  The
+    box holds finitely many rational points and f is a bijection, so the
+    walk ends; it runs once per orbit the map holds, and a later call at
+    another digit cap re-checks the kept iterates under its own.  An
+    iterate that `Orbit.capped` refuses gives undecided, naming it, and so
+    does a map that is not regular, which has no box, with no walk."""
+    if f.escape_box is None:
         return PeriodicityVerdict("undecided", detail="the map is not regular, so it has no escape box")
-    start = lift(x)
-    orbit, limit = f.orbit(start), cap_bits(digit_cap)
-    pt, l = start, 0
-    while (place := box.exit_place(pt)) is None:
-        l += 1
-        try:
-            orbit.capped(l, limit)
-        except ResourceCapError as exc:
-            return PeriodicityVerdict("undecided", detail=str(exc))
-        pt = orbit[l]
-        if pt == start:
-            return PeriodicityVerdict("periodic", period=l)
-    return PeriodicityVerdict("not_periodic", detail=f"iterate {l:+d} lies outside the escape box at {place}")
+    try:
+        k, place = f.orbit(lift(x)).exit(True, cap_bits(digit_cap))
+    except ResourceCapError as exc:
+        return PeriodicityVerdict("undecided", detail=str(exc))
+    if place is None:
+        return PeriodicityVerdict("periodic", period=k)
+    return PeriodicityVerdict("not_periodic", detail=f"iterate {k:+d} lies outside the escape box at {place}")
 
 
 # -- the quadratic recursion behind the sharpness bound ------------------------

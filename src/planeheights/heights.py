@@ -22,7 +22,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence, Tuple
 
 from .errors import PolyParseError
-from .ratpoly import parse_rat
+from .ratpoly import parse_rat, quoted
 
 AffinePoint = Tuple[Fraction, Fraction]
 ProjPoint = Tuple[int, ...]
@@ -109,7 +109,7 @@ def parse_affine_point(text: str) -> AffinePoint:
     """Parse 'X,Y' with rational components."""
     parts = text.split(",")
     if len(parts) != 2:
-        raise PolyParseError(f"expected 'x,y', got {text!r}")
+        raise PolyParseError(f"expected 'x,y', got {quoted(text)}")
     return (parse_rat(parts[0]), parse_rat(parts[1]))
 
 
@@ -123,7 +123,7 @@ def read_point_file(path) -> list:
                 continue
             parts = body.split()
             if len(parts) != 2:
-                raise PolyParseError(f"line {lineno}: expected 'x y', got {body!r}")
+                raise PolyParseError(f"line {lineno}: expected 'x y', got {quoted(body)}")
             try:
                 points.append((parse_rat(parts[0]), parse_rat(parts[1])))
             except PolyParseError as exc:

@@ -43,17 +43,48 @@ Rat = Fraction
 
 _MAX_EXPONENT = 10**6
 _SPLIT_BITS = 1024  # ~308 digits: always within the interpreter's str limit
+_SPLIT_DIGITS = 300  # the same on the way in, for int(str)
+_QUOTED_CHARS = 40  # a refused text longer than this is cut when quoted
 
 
 def parse_rat(text: str) -> Fraction:
-    """Parse 'num/den' or 'int' into a Fraction."""
+    """Parse 'num/den' or 'int' into a Fraction, of any length: the digits of
+    a long one are read by `parse_digits`, past the interpreter's limit on
+    int(str), and every other text goes to `Fraction` as it is.  A refused
+    text is quoted by `quoted`."""
+    body = text.strip()
+    num, slash, den = body[body[:1] in ("+", "-"):].partition("/")
     try:
-        value = Fraction(text.strip())
+        if len(body) > _SPLIT_DIGITS and num.isdecimal() and (den.isdecimal() or not slash):
+            value = Fraction(parse_digits(num), parse_digits(den) if slash else 1)
+            return -value if body[0] == "-" else value
+        return Fraction(body)
     except ValueError as exc:
-        raise PolyParseError(f"malformed rational {text!r}: {exc}") from None
+        # Fraction's own message repeats the whole text
+        detail = exc if len(text) <= _QUOTED_CHARS else "expected 'num/den' or 'int'"
+        raise PolyParseError(f"malformed rational {quoted(text)}: {detail}") from None
     except ZeroDivisionError:
-        raise PolyParseError(f"malformed rational {text!r}: zero denominator") from None
-    return value
+        raise PolyParseError(f"malformed rational {quoted(text)}: zero denominator") from None
+
+
+def parse_digits(digits: str) -> int:
+    """int(digits) of a run of decimal digits of any length: the reverse of
+    `format_int`'s split, halves of at most _SPLIT_DIGITS digits joined by
+    powers of ten, so no piece passes the interpreter's limit on int(str)
+    (4300 digits by default, and never under 640).  The limit itself is
+    process-wide, so it is left as it is."""
+    if len(digits) <= _SPLIT_DIGITS:
+        return int(digits)
+    half = len(digits) // 2
+    return parse_digits(digits[:-half]) * 10**half + parse_digits(digits[-half:])
+
+
+def quoted(text: str) -> str:
+    """repr(text), or for a text longer than _QUOTED_CHARS characters the
+    repr of its first 20 and last 10 around '...', with its length."""
+    if len(text) <= _QUOTED_CHARS:
+        return repr(text)
+    return f"{text[:20] + '...' + text[-10:]!r} ({len(text)} characters)"
 
 
 def format_int(n: int) -> str:
@@ -414,7 +445,7 @@ class _Tokenizer:
             self.pos += 1
         if self.pos == start:
             raise PolyParseError("expected a number", start)
-        return int(self.text[start:self.pos])
+        return parse_digits(self.text[start:self.pos])
 
 
 def _parse_poly(text: str) -> BivarPoly:

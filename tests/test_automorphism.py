@@ -26,7 +26,7 @@ from planeheights.automorphism import (
     triangular,
 )
 from planeheights.errors import MapValidationError, ResourceCapError
-from planeheights.ratpoly import BivarPoly, parse_poly
+from planeheights.ratpoly import BivarPoly, format_int, parse_poly
 
 X = BivarPoly.var("x")
 Y = BivarPoly.var("y")
@@ -426,3 +426,12 @@ def test_from_description_conjugate_and_pair():
         from_description({"type": "nope"})
     with pytest.raises(MapValidationError):
         from_description({"type": "pair", "p": "x", "q": "y", "pinv": "y", "qinv": "y"})
+
+
+def test_a_generator_word_names_coefficients_past_the_str_limit():
+    # the word prints its rationals with format_rat, so a coefficient past
+    # the interpreter's 4300-digit limit on int-to-str builds a map
+    f = henon(Fraction(1, 3**9100), parse_poly("x^2"))
+    g = triangular(3**9100, 1, Fraction(-1, 7**6000), parse_poly("y^2"))
+    assert f.word == (f"henon(a=1/{format_int(3**9100)}, p=x^2)",)
+    assert g.word == (f"triangular(a={format_int(3**9100)}, b=1, c=-1/{format_int(7**6000)}, P=y^2)",)

@@ -4,13 +4,11 @@ quadratic-recursion classifier."""
 import math
 import sys
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 from hypothesis import given, reject, settings
 from hypothesis import strategies as st
 
-from planeheights import from_description
 from planeheights.automorphism import (
     IntegerForms,
     cap_bits,
@@ -32,6 +30,8 @@ from planeheights.canonical import (
 from planeheights.errors import MapValidationError, ResourceCapError
 from planeheights.heights import log_int, naive_height_affine
 from planeheights.ratpoly import BivarPoly, parse_poly
+
+import periodicity_verdicts
 
 PAD = 2.0**-40
 
@@ -330,43 +330,11 @@ def test_is_periodic_accepts_caps_below_ten_thousand():
     assert is_periodic(HENON2, ORIGIN, digit_cap=100).period == 1
 
 
-# The periodicity verdicts of the benchmark corpus (engine.outer of H2, H3,
-# H4, C6 = H2 o H3 and H2 conjugated by (x + 1, y)) at the integer points with
-# |x|, |y| <= 6 and four rational points, under digit caps 10^4 and 10^5.
-# The file holds one "map, cap, point, kind, period, detail" line per
-# verdict; regenerate it only for an intended change of verdicts.
-VERDICTS = Path(__file__).parent / "data" / "periodicity_verdicts.tsv"
-_H2 = {"type": "henon", "a": "1", "p": "x^2"}
-_H3 = {"type": "henon", "a": "-1", "p": "x^3 - 2*x + 1"}
-VERDICT_MAPS = {
-    "H2": (_H2, None),
-    "H3": (_H3, None),
-    "H4": ({"type": "henon", "a": "2", "p": "x^4 + x"}, None),
-    "C6": ({"type": "compose", "maps": [_H2, _H3]}, None),
-    "conj-H2": (_H2, {"type": "triangular", "a": "1", "b": "1", "c": "0", "P": "1"}),
-}
-VERDICT_POINTS = [(Fraction(x), Fraction(y)) for x in range(-6, 7) for y in range(-6, 7)] + [
-    (Fraction(1, 2), Fraction(1, 3)), (Fraction(-7, 2), Fraction(1, 6)),
-    (Fraction(3, 2), Fraction(5)), (Fraction(1, 3), Fraction(2, 5))]
-
-
-def verdict_lines():
-    for name, (core, gamma) in VERDICT_MAPS.items():
-        gamma = None if gamma is None else from_description(gamma)
-        outer = make_engine(from_description(core), gamma=gamma).outer
-        for cap in (10**4, 10**5):
-            for x, y in VERDICT_POINTS:
-                v = is_periodic(outer, (x, y), digit_cap=cap)
-                period = "-" if v.period is None else v.period
-                yield f"{name}\t{cap}\t{x},{y}\t{v.kind}\t{period}\t{v.detail}"
-
-
 def test_periodicity_verdicts_match_the_recorded_corpus():
-    expected = VERDICTS.read_text(encoding="utf-8").splitlines()
-    got = list(verdict_lines())
-    assert len(got) == len(expected) == 1730
-    for line, want in zip(got, expected):
-        assert line == want
+    # the verdict table of periodicity_verdicts.py: 1,730 verdicts of the
+    # benchmark corpus, kind, period and detail text, against the recorded file
+    assert len(periodicity_verdicts.TABLE.read_text(encoding="utf-8").splitlines()) == 1730
+    assert periodicity_verdicts.differences() == []
 
 
 def test_recursion_boundary_case_exact_trajectory():

@@ -377,6 +377,40 @@ def test_orbit_window_14_writes_big_coordinates(capsys, maps, fmt):
         assert len(payload["scan"][-1]["x"]) > 7000
 
 
+def test_a_window_14_point_round_trips_through_height_and_periodic(capsys, maps):
+    # f^14 of (3, 0) has a 7,749-digit x, past the interpreter's 4300-digit
+    # limit on str-to-int conversion too: the printed point parses back
+    code, out, err = run_cli(capsys, [
+        "orbit", "--map", maps["henon2"], "--point", "3,0", "--window", "14", "--format", "json",
+    ])
+    assert code == 0, err
+    row = json.loads(out)["scan"][-1]
+    assert row["l"] == 14 and len(row["x"]) == 7749
+    point = f"{row['x']},{row['y']}"
+    code, out, err = run_cli(capsys, ["height", "--point", point, "--format", "json"])
+    assert code == 0, err
+    assert json.loads(out)["points"][0]["h_nv"] == row["h_nv"]
+    code, out, err = run_cli(capsys, ["periodic", "--map", maps["henon2"], "--point", point])
+    assert (code, out, err) == (1, "not_periodic: iterate +0 lies outside the escape box at infinity\n", "")
+
+
+def test_a_refused_long_rational_is_quoted_short(capsys):
+    code, out, err = run_cli(capsys, ["height", "--point", "9" * 7749 + "x,0"])
+    assert code == 2 and out == ""
+    assert "malformed rational '99999999999999999999...999999999x' (7750 characters)" in err
+    assert len(err) < 200
+
+
+def test_a_map_with_a_5000_digit_constant_is_read(capsys, tmp_path):
+    path = tmp_path / "map.json"
+    path.write_text(json.dumps({"type": "henon", "a": "1", "p": "x^2 + " + "7" * 5000}))
+    code, out, err = run_cli(capsys, ["dyndeg", "--map", str(path)])
+    assert (code, err) == (0, "")
+    assert out.startswith("d=2 d_minus=2 delta=2 regular=true")
+    f = load_map_file(path)
+    assert f.fwd[0].coefficient(0, 0) == (10**5000 - 1) // 9 * 7
+
+
 def test_height_of_point_with_huge_lift(capsys):
     # each denominator is within the parse limit, their lcm is not
     den_x, den_y = 10**4000 + 1, 10**4000 + 3

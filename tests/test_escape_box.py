@@ -1,12 +1,18 @@
-"""The escape box of a regular map and the periodicity walk over it.
+"""The escape box of a regular map, the record an orbit keeps of where it
+leaves the box, and the periodicity verdicts read off that record.
 
 The box constants are pinned on the corpus maps.  Hypothesis draws words of
 one to three Henon maps (monic and non-monic p, rational a, coefficients
 with denominators, so that N > 1 occurs) and their conjugates by affine
 maps, and checks the filtration itself (a point outside the box escapes in
-one step at the place where it lies outside) and every verdict: a
+one step at the place where it lies outside), the record `Orbit.exit` keeps
+in each direction (a period closes exactly with no earlier iterate outside
+the box; an exit at k >= 1 lies outside on the direction's side, and the
+next four iterates stay outside there and grow), and every verdict: a
 "periodic" closes exactly at its period, and a "not_periodic" point has no
-return f^k(x) = x for k <= 50, read modulo a large prime.
+return f^k(x) = x for k <= 50, read modulo a large prime.  A record walked
+at one digit cap is re-checked under a smaller one, which refuses it as a
+fresh walk would.
 """
 
 import math
@@ -19,6 +25,7 @@ from hypothesis import strategies as st
 from planeheights import from_description
 from planeheights.automorphism import (
     Interval,
+    cap_bits,
     compose_maps,
     conjugate,
     henon,
@@ -26,7 +33,7 @@ from planeheights.automorphism import (
     triangular,
 )
 from planeheights.canonical import is_periodic, make_engine
-from planeheights.errors import MapValidationError
+from planeheights.errors import MapValidationError, ResourceCapError
 from planeheights.heights import lift, naive_height, top
 from planeheights.ratpoly import BivarPoly, parse_poly
 
@@ -162,8 +169,11 @@ def _ord(n, prime):
         return math.inf
     k = 0
     while n % prime == 0:
-        n //= prime
-        k += 1
+        power, e = prime, 1  # the largest prime^(2^i) that divides n
+        while n % (power * power) == 0:
+            power, e = power * power, 2 * e
+        n //= power
+        k += e
     return k
 
 
@@ -260,6 +270,82 @@ def test_verdicts_are_exact(f, pt):
             assert cur != start
     else:
         assert verdict.detail.startswith("coordinate exceeded the digit cap at iterate +")
+
+
+def _place_prime(place):
+    """The prime a place at a prime names, None at infinity or for a prime above 1000."""
+    return int(place.rsplit(" ", 1)[1]) if place.startswith("the prime ") else None
+
+
+@settings(max_examples=60, deadline=None)
+@given(f=henon_words(), pt=small_points | points)
+def test_the_orbit_records_where_it_leaves_the_box(f, pt):
+    # Orbit.exit in each direction: a period closes exactly, at the first
+    # return, with no earlier iterate outside the box.  An exit at k >= 1
+    # lies outside on the direction's side (V+ forward, V- backward): on the
+    # other side its preimage would lie outside too, by the box lemma.  The
+    # lemma keeps the next four iterates outside at that place, on that side
+    # and growing there (checked while an iterate has at most about 2^16
+    # bits).  At k = 0 the start may lie outside on the other side only.
+    box, start = f.escape_box, lift(pt)
+    orbit = f.orbit(start)
+    for forward in (True, False):
+        sign = 1 if forward else -1
+        try:
+            k, place = orbit.exit(forward, cap_bits(10**4))
+        except ResourceCapError:
+            event("refused at the digit cap")
+            continue
+        assert all(box.exit_place(orbit[sign * j]) is None for j in range(k))
+        if place is None:
+            assert k >= 1 and orbit[sign * k] == start
+            assert start not in [orbit[sign * j] for j in range(1, k)]
+            continue
+        assert box.exit_place(orbit[sign * k]) == place
+        if k == 0:
+            continue
+        prime = _place_prime(place)
+        event(f"left at {'infinity' if place == 'infinity' else 'a prime'}, k >= 1")
+        if place != "infinity" and prime is None:
+            event("left at a prime above 1000")
+            continue
+        previous = None  # (|u|, w) or the gap ord(w) - ord(u) at the iterate before
+        for j in range(k, k + 5):
+            if j > k and f.forms(forward).degree * top(orbit[sign * (j - 1)]).bit_length() > 2**16:
+                event("stopped before the fourth next iterate, at 2^16 bits")
+                break
+            u, v, w = box.coordinates(orbit[sign * j])
+            lead, other = (u, v) if forward else (v, u)
+            if place == "infinity":
+                # on the side, outside R, and |u/w| (|v/w|) at least doubles
+                assert abs(lead) >= abs(other) and abs(lead) > box.radius * w
+                assert previous is None or abs(lead) * previous[1] >= 2 * previous[0] * w
+                previous = (abs(lead), w)
+            else:
+                # on the side at the prime, outside there, and the gap
+                # ord(w) - ord(u) (ord(v) backward) grows
+                assert _ord(lead, prime) <= _ord(other, prime)
+                assert _ord(w, prime) > _ord(box.modulus, prime)
+                gap = _ord(w, prime) - _ord(lead, prime)
+                assert previous is None or gap > previous
+                previous = gap
+    if f.is_integral and start[2] == 1:
+        event("integral map and start")
+
+
+def test_a_refused_exit_walk_is_not_kept():
+    # H2 at (1, 1) leaves the box at k >= 1, and a 1-digit cap refuses its
+    # iterate +1.  The record a walk at 10^5 digits keeps is re-checked
+    # under the small cap, which refuses it as on a fresh copy of the map;
+    # the refused walk keeps nothing, so a walk at 10^5 digits then decides.
+    h2, pt = henon(1, parse_poly("x^2")), (Fraction(1), Fraction(1))
+    decided = is_periodic(h2, pt, digit_cap=10**5)
+    assert decided.kind == "not_periodic" and not decided.detail.startswith("iterate +0")
+    fresh = h2._replace()
+    refused = is_periodic(fresh, pt, digit_cap=1)
+    assert refused.kind == "undecided" and refused.detail == "coordinate exceeded the digit cap at iterate +1"
+    assert is_periodic(h2, pt, digit_cap=1) == refused
+    assert is_periodic(fresh, pt, digit_cap=10**5) == decided
 
 
 def test_a_random_word_cycle_is_found():

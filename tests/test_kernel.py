@@ -652,8 +652,8 @@ def test_sizes_past_gcd_steps_are_the_built_triples(f, pt, forward, depth):
 
 def test_an_unsettled_step_past_the_threshold_is_built():
     # gamma o H2 o gamma^-1, gamma = (x + y^2, y), is not regular, so it has
-    # no escape box: the orbit drops its owner, and no direction of a
-    # rational start settles.  The step from +8, of 1067 bits, is unsettled,
+    # no escape box: the orbit finds none on its owner, and no direction of
+    # a rational start settles.  The step from +8, of 1067 bits, is unsettled,
     # so +9 is built rather than sized off an enclosure.
     gamma = triangular(1, 1, 0, parse_poly("y^2"))
     f = compose_maps(compose_maps(gamma, H2), inverse(gamma))
@@ -662,7 +662,7 @@ def test_an_unsettled_step_past_the_threshold_is_built():
     for k in range(1, 10):
         orbit.capped(k, cap_bits(10_000))
     orbit.size(9)
-    assert f.escape_box is None and orbit._owner is None
+    assert f.escape_box is None and orbit._owner is f and orbit._settled == [None, None]
     assert orbit.size(8)[0] == 1067 and orbit.built(9) is not None
     reference = Orbit(f.forms(True), f.forms(False), lift(pt))
     for n, size in enumerate(orbit._sizes[True]):

@@ -233,6 +233,43 @@ def test_format_int_is_exact_past_the_str_limit():
     assert format_rat(big) == f"{expected[5]}/{format_int(2**20000)}"
 
 
+def test_long_rationals_parse_past_the_str_limit():
+    # the inverse of format_int: digit runs past the interpreter's 4300-digit
+    # limit on int(str) parse in pieces, in rationals and in polynomial text
+    rng = random.Random(11)
+    values = [3**20000, -(7**9001), 10**4300, rng.getrandbits(30_000)]
+    for num in values:
+        den = rng.getrandbits(rng.randint(1, 20_000)) | 1
+        assert parse_rat(format_int(num)) == num
+        assert parse_rat(f" {format_rat(Fraction(num, den))}\n") == Fraction(num, den)
+        assert parse_rat(f"{format_int(num)}/{format_int(den)}") == Fraction(num, den)
+    assert parse_rat("+" + format_int(3**20000)) == 3**20000
+    big = format_int(3**20000)
+    assert parse_poly(f"{big}/7*x^2 - {big}") == BivarPoly({(2, 0): Fraction(3**20000, 7), (0, 0): -(3**20000)})
+    assert ratpoly.parse_digits("0" * 5000 + "12") == 12
+
+
+@pytest.mark.parametrize("text", [
+    "3", "-3/4", " +5 ", "6/4", "1.5", "-2.5e-3", "1e3", "1_000", "1_0/2_0", "\u0663/4", "0",
+    "-" + "9" * 301, "9" * 301 + "/" + "3" * 302, "0." + "1" * 400, "1_" + "1" * 400,
+])
+def test_every_text_fraction_reads_parses_to_its_value(text):
+    assert parse_rat(text) == Fraction(text.strip())
+
+
+@pytest.mark.parametrize("text, quote", [
+    ("3//2", "'3//2'"),
+    ("9" * 5000 + "x", "'99999999999999999999...999999999x' (5001 characters)"),
+    ("1." + "5" * 5000, "'1.555555555555555555...5555555555' (5002 characters)"),
+    ("1/" + "0" * 5000, "'1/000000000000000000...0000000000' (5002 characters)"),
+])
+def test_a_refused_rational_is_quoted_short(text, quote):
+    with pytest.raises(PolyParseError) as refusal:
+        parse_rat(text)
+    assert str(refusal.value).startswith(f"malformed rational {quote}: ")
+    assert len(str(refusal.value)) < 150
+
+
 # -- the product kernel against a schoolbook reference -------------------------
 #
 # `*`, `**` and `compose` all run through `ratpoly._product`, which packs
