@@ -25,15 +25,16 @@ of primitive triples per time direction, extended lazily.  It holds the only
 iteration loop of the package, measures each iterate once (`Orbit.size`: its
 bit length and naive height), and holds the digit cap of every walk
 (`Orbit.capped`, a check on the size of the neighbour of the iterate it
-tests).  It also keeps, per direction, where it leaves the escape box of its
-map or first returns to its start (`Orbit.exit`), walked once and read by
-the periodicity test; the box's tests along an orbit, `EscapeBox.exit_place`
-and `EscapeBox.settled`, are called from the orbit alone.  A walk reads only
-the sizes of its iterates, so past a held triple of SIZED_FROM_BITS bits the
-orbit sizes each iterate off an interval step instead of building it: the
-same forms (`IntegerForms.image`) at `Interval` coordinates of the iterate
-before, when the enclosure pins the size bit for bit (`pinned_size`), with
-the common factor of a gcd step read off residues modulo a power of m or K.  The orbit keeps the enclosure of
+tests).  It also finds, per direction, where the orbit leaves the escape
+box of its map or first returns to its start (`Orbit.exit`), which the
+periodicity test reads; the box's tests along an orbit,
+`EscapeBox.exit_place` and `EscapeBox.settled`, are called from the orbit
+alone.  A walk reads only the sizes of its iterates, so past a held triple
+of SIZED_FROM_BITS bits the orbit sizes each iterate off an interval step
+instead of building it: the same forms (`IntegerForms.image`) at
+`Interval` coordinates of the iterate before, when the enclosure pins the
+size bit for bit (`pinned_size`), with the common factor of a gcd step
+read off residues modulo a power of m or K.  The orbit keeps the enclosure of
 every iterate past its built triples (`Orbit.enclosure`), so each interval
 step is taken once per orbit, whoever reads it: its own sizes, and the
 counting tracker of :mod:`planeheights.orbit`, which starts the log
@@ -313,25 +314,26 @@ class Orbit:
     when the cap lies within c_bits bits of that size.
 
     The orbit reads the escape box of its `owner` map, on first use (a map
-    with no box, or no owner given, has none), for two records per
-    direction.  One is whether the walk has settled, so that its steps
-    reduce only at the primes of K (`IntegerForms.step`): once the flag is
-    set no box is read; before, each step from a triple with Z > 1 reads
-    the box and tests the triple until `EscapeBox.settled` holds.  Once
-    settled, a direction stays settled: a prime of the next Z divides m Z,
-    so a prime of it outside K divides Z, where the orbit lies in V+ (V-),
-    which the step maps into itself.  Triples with Z = 1, unsettled
-    directions and maps with no box take the full gcd.  The other is where
-    the orbit leaves the box (`exit`): (k, place) of the first iterate
-    g^(+-k)(x) that `EscapeBox.exit_place` puts outside it, or of the first
-    return to the start (place None, period k), walked through `capped`
-    once and re-checked there under each later caller's limit.  From k >= 1
-    the iterate lies outside on the direction's side, V+ (V- going
-    backward): by the box lemma one outside in V- would have a preimage
-    outside too.  The start itself (k = 0) may lie outside on either side.
+    with no box, or no owner given, has none), for two tests per direction.
+    One keeps whether the walk has settled, so that its steps reduce only
+    at the primes of K (`IntegerForms.step`): once the flag is set no box
+    is read; before, each step from a triple with Z > 1 reads the box and
+    tests the triple until `EscapeBox.settled` holds.  Once settled, a
+    direction stays settled: a prime of the next Z divides m Z, so a prime
+    of it outside K divides Z, where the orbit lies in V+ (V-), which the
+    step maps into itself.  Triples with Z = 1, unsettled directions and
+    maps with no box take the full gcd.  The other finds where the orbit
+    leaves the box (`exit`): (k, place) of the first iterate g^(+-k)(x)
+    that `EscapeBox.exit_place` puts outside it, or of the first return to
+    the start (place None, period k), walked through `capped` under the
+    caller's limit.  Only the iterates and their sizes are kept, so a walk
+    again costs the k box tests.  From k >= 1 the iterate lies outside on
+    the direction's side, V+ (V- going backward): by the box lemma one
+    outside in V- would have a preimage outside too.  The start itself
+    (k = 0) may lie outside on either side.
     """
 
-    __slots__ = ("start", "_forms", "_chains", "_sizes", "_owner", "_settled", "_exits", "_enclosures")
+    __slots__ = ("start", "_forms", "_chains", "_sizes", "_owner", "_settled", "_enclosures")
 
     def __init__(self, fwd: IntegerForms, inv: IntegerForms, start: ProjPoint,
                  owner: PlaneAutomorphism | None = None):
@@ -341,7 +343,6 @@ class Orbit:
         self._sizes = ([], [])  # (bits(top), h_nv) of each measured iterate, by l >= 0
         self._owner = owner  # the map whose box decides settling and exits
         self._settled = [None, None]  # K of a settled direction, indexed by l >= 0
-        self._exits = [None, None]  # (k, place) of `exit` per direction, indexed by l >= 0
         # (enclosure, residues, M) of each iterate past the chain, from its end on
         self._enclosures = ([], [])
 
@@ -369,23 +370,15 @@ class Orbit:
         that the owner's escape box puts outside it, with the place where it
         lies outside (`EscapeBox.exit_place`), or the first return to the
         start, with place None and k the period.  The walk steps through
-        `capped` at `limit` and runs once per orbit: the orbit keeps the
-        record, and a later call re-checks its k iterates with `capped` under
-        its own limit.  A refusal raises and keeps nothing.  The owner must
-        have a box."""
-        sign, record = (1 if forward else -1), self._exits[forward]
-        if record is not None:
-            for k in range(1, record[0] + 1):
-                self.capped(sign * k, limit)
-            return record
-        box, point, k = self._owner.escape_box, self.start, 0
+        `capped` at `limit`, which may refuse it.  The owner must have a
+        box."""
+        sign, box, point, k = (1 if forward else -1), self._owner.escape_box, self.start, 0
         while (place := box.exit_place(point)) is None:
             k += 1
             self.capped(sign * k, limit)
             if (point := self[sign * k]) == self.start:
                 break
-        record = self._exits[forward] = (k, place)
-        return record
+        return k, place
 
     def built(self, l: int) -> ProjPoint | None:
         """orbit[l] when the orbit has built it, else None; it builds nothing."""
@@ -835,16 +828,17 @@ class EscapeBox(_Box):
     are cached in the instance's `__dict__`, outside the fields.
     """
 
-    def _uv(self, x, y, forward: bool = True):
-        """(u, v) = B (x, y), of ints or `Interval`s, swapped to (v, u) going
-        backward: the one place a point is put in the box's coordinates."""
-        b0, b1, b2, b3 = self.basis if forward else self.basis[2:] + self.basis[:2]
-        return b0 * x + b1 * y, b2 * x + b3 * y
+    def _u(self, x, y, forward: bool = True):
+        """u of (u, v) = B (x, y), or v going backward, of ints or
+        `Interval`s: the one place a point is put in the box's coordinates,
+        one row of B at a time, as `settled` reads only one."""
+        b0, b1 = self.basis[:2] if forward else self.basis[2:]
+        return b0 * x + b1 * y
 
     def coordinates(self, point: ProjPoint) -> ProjPoint:
         """The primitive triple (u : v : w), w > 0, of B (X, Y) over Z."""
         x, y, z = point
-        u, v = self._uv(x, y)
+        u, v = self._u(x, y), self._u(x, y, False)
         common = math.gcd(u, v, z)
         return (u // common, v // common, z // common)
 
@@ -854,7 +848,7 @@ class EscapeBox(_Box):
         denominator outside K sees it in V+ (V-), so no step from it or from
         any later iterate makes a common factor outside K."""
         x, y, z = point
-        common = math.gcd(z, self._uv(x, y, forward)[0])
+        common = math.gcd(z, self._u(x, y, forward))
         while (part := math.gcd(common, self.bad)) != 1:
             common //= part
         return common == 1
@@ -888,23 +882,23 @@ class EscapeBox(_Box):
             tails.append(_Tail(d, _log_bounds(abs(alpha)), log_slack, scale, offset, start))
         return tuple(tails)
 
-    def _lead(self, point, forward: bool) -> Tuple[float, float] | None:
+    def _logs(self, point, forward: bool) -> Tuple[float, float] | None:
         """Outward bounds on log|u| (log|v| going backward) at an enclosure
         (X, Y, Z) of `Interval`s when it shows the point in V+ (V-), else
         None: the V+ test of `escaped` and `floor`.  `Interval.log_abs` is
         good to 4 ulps (under 3 of `log_int`, and the product and sum with
         the exponent), inside the pad of 8."""
-        lead, other = self._uv(point[0], point[1], forward)
-        lo, hi = lead.log_abs()
+        x, y, _ = point
+        lo, hi = self._u(x, y, forward).log_abs()
         pad = 8 * math.ulp(hi)
-        return None if lo - pad <= other.log_abs()[1] + pad else (lo - pad, hi + pad)
+        return None if lo - pad <= self._u(x, y, not forward).log_abs()[1] + pad else (lo - pad, hi + pad)
 
     def escaped(self, point, forward: bool = True) -> Tuple[float, float] | None:
         """Outward bounds on log|u| (log|v| going backward) at an enclosure
         (X, Y, 1) of `Interval`s of an integral point, when it shows the
         point in V+ (V-) with log|u| at least the direction's tail start, so
         past R and with eps <= e^-45 / 2 (see the class docstring); else None."""
-        logs = self._lead(point, forward)
+        logs = self._logs(point, forward)
         return None if logs is None or logs[0] < self._tail_constants[forward].start else logs
 
     def tail_step(self, logs: Tuple[float, float], forward: bool = True):
@@ -936,7 +930,7 @@ class EscapeBox(_Box):
         before it (None gives 0).  The tests of V+ and of R hold with a pad
         of 8 ulps, the V+ one as in `escaped`."""
         found = 0.0
-        if point is not None and (logs := self._lead(point, forward)) is not None:
+        if point is not None and (logs := self._logs(point, forward)) is not None:
             z_hi = 0.0 if point[2] == 1 else point[2].log_abs()[1]
             if logs[0] - z_hi - 8 * math.ulp(z_hi) > _log_bounds(self.radius)[1]:
                 row = self.basis[:2] if forward else self.basis[2:]  # the row of B giving u (v backward)

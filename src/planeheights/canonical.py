@@ -263,16 +263,15 @@ class PeriodicityVerdict(NamedTuple):
 
 def is_periodic(f: PlaneAutomorphism, x: AffinePoint,
                 digit_cap: int = DEFAULT_DIGIT_CAP) -> PeriodicityVerdict:
-    """The verdict read off the forward record of where the orbit of x
-    leaves f's escape box (`Orbit.exit`): not_periodic at the first iterate
-    outside the box (a point outside escapes forward or backward at the
-    place where it lies outside; the detail names the iterate and the
-    place), or periodic at the first return to x, with that as period.  The
-    box holds finitely many rational points and f is a bijection, so the
-    walk ends; it runs once per orbit the map holds, and a later call at
-    another digit cap re-checks the kept iterates under its own.  An
-    iterate that `Orbit.capped` refuses gives undecided, naming it, and so
-    does a map that is not regular, which has no box, with no walk."""
+    """The verdict read off where the forward orbit of x leaves f's escape
+    box (`Orbit.exit`): not_periodic at the first iterate outside the box
+    (a point outside escapes forward or backward at the place where it lies
+    outside; the detail names the iterate and the place), or periodic at
+    the first return to x, with that as period.  The box holds finitely
+    many rational points and f is a bijection, so the walk ends.  An
+    iterate that `Orbit.capped` refuses at `digit_cap` gives undecided,
+    naming it, and so does a map that is not regular, which has no box,
+    with no walk."""
     if f.escape_box is None:
         return PeriodicityVerdict("undecided", detail="the map is not regular, so it has no escape box")
     try:

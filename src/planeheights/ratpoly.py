@@ -37,28 +37,32 @@ import decimal
 import math
 from fractions import Fraction
 
-from .errors import DegreeUndefinedError, PolyParseError
+from .errors import DEFAULT_DIGIT_CAP, DegreeUndefinedError, PolyParseError
 
 Rat = Fraction
 
 _MAX_EXPONENT = 10**6
 _SPLIT_BITS = 1024  # ~308 digits: always within the interpreter's str limit
 _SPLIT_DIGITS = 300  # the same on the way in, for int(str)
+_MAX_DIGITS = DEFAULT_DIGIT_CAP  # the longest digit run read
 _QUOTED_CHARS = 40  # a refused text longer than this is cut when quoted
 
 
 def parse_rat(text: str) -> Fraction:
-    """Parse 'num/den' or 'int' into a Fraction, of any length: the digits of
-    a long one are read by `parse_digits`, past the interpreter's limit on
-    int(str), and every other text goes to `Fraction` as it is.  A refused
-    text is quoted by `quoted`."""
+    """Parse 'num/den' or 'int' into a Fraction, of any length: their digits
+    are read by `parse_digits`, past the interpreter's limit on int(str),
+    and every other text `Fraction` reads (decimal points, exponents,
+    underscores) goes to it as it is.  A refused text is quoted by
+    `quoted`."""
     body = text.strip()
     num, slash, den = body[body[:1] in ("+", "-"):].partition("/")
     try:
-        if len(body) > _SPLIT_DIGITS and num.isdecimal() and (den.isdecimal() or not slash):
+        if num.isdecimal() and (den.isdecimal() or not slash):
             value = Fraction(parse_digits(num), parse_digits(den) if slash else 1)
             return -value if body[0] == "-" else value
         return Fraction(body)
+    except PolyParseError as exc:
+        raise PolyParseError(f"malformed rational {quoted(text)}: {exc}") from None
     except ValueError as exc:
         # Fraction's own message repeats the whole text
         detail = exc if len(text) <= _QUOTED_CHARS else "expected 'num/den' or 'int'"
@@ -67,12 +71,16 @@ def parse_rat(text: str) -> Fraction:
         raise PolyParseError(f"malformed rational {quoted(text)}: zero denominator") from None
 
 
-def parse_digits(digits: str) -> int:
-    """int(digits) of a run of decimal digits of any length: the reverse of
-    `format_int`'s split, halves of at most _SPLIT_DIGITS digits joined by
-    powers of ten, so no piece passes the interpreter's limit on int(str)
-    (4300 digits by default, and never under 640).  The limit itself is
-    process-wide, so it is left as it is."""
+def parse_digits(digits: str, position: int | None = None) -> int:
+    """int(digits) of a run of decimal digits: the reverse of `format_int`'s
+    split, halves of at most _SPLIT_DIGITS digits joined by powers of ten,
+    so no piece passes the interpreter's limit on int(str) (4300 digits by
+    default, and never under 640).  The limit itself is process-wide, so it
+    is left as it is.  In its place, a run past the default digit cap
+    (_MAX_DIGITS) is refused before any of it is read, with the `position`
+    given; one at the cap takes about 3 s (2-vCPU VM, CPython 3.11)."""
+    if len(digits) > _MAX_DIGITS:
+        raise PolyParseError(f"a number of {len(digits)} digits, over the default digit cap ({_MAX_DIGITS})", position)
     if len(digits) <= _SPLIT_DIGITS:
         return int(digits)
     half = len(digits) // 2
@@ -441,11 +449,11 @@ class _Tokenizer:
     def read_nat(self) -> int:
         self.skip_ws()
         start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
+        while self.pos < len(self.text) and self.text[self.pos].isdecimal():
             self.pos += 1
         if self.pos == start:
             raise PolyParseError("expected a number", start)
-        return parse_digits(self.text[start:self.pos])
+        return parse_digits(self.text[start:self.pos], start)
 
 
 def _parse_poly(text: str) -> BivarPoly:
@@ -476,7 +484,7 @@ def _parse_term(tok: _Tokenizer, sign: int) -> BivarPoly:
     saw_factor = False
     while True:
         ch = tok.peek()
-        if ch is not None and ch.isdigit():
+        if ch is not None and ch.isdecimal():
             num = tok.read_nat()
             if tok.peek() == "/":
                 tok.pos += 1
@@ -496,7 +504,9 @@ def _parse_term(tok: _Tokenizer, sign: int) -> BivarPoly:
                 exp_pos = tok.pos
                 exp = tok.read_nat()
                 if exp > _MAX_EXPONENT:
-                    raise PolyParseError(f"exponent {exp} too large", exp_pos)
+                    digits = tok.text[exp_pos:tok.pos].strip()  # str(exp) refuses past 4300
+                    shown = exp if len(digits) <= _QUOTED_CHARS else quoted(digits)
+                    raise PolyParseError(f"exponent {shown} too large", exp_pos)
             exps[0 if ch == "x" else 1] += exp
             if exps[0] > _MAX_EXPONENT or exps[1] > _MAX_EXPONENT:
                 raise PolyParseError("exponent overflow", tok.pos)

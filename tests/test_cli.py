@@ -411,6 +411,15 @@ def test_a_map_with_a_5000_digit_constant_is_read(capsys, tmp_path):
     assert f.fwd[0].coefficient(0, 0) == (10**5000 - 1) // 9 * 7
 
 
+def test_a_superscript_exponent_is_refused_in_its_field(capsys, tmp_path):
+    # str.isdigit takes '\u00b2', which int refuses with a bare ValueError
+    path = tmp_path / "map.json"
+    path.write_text(json.dumps({"type": "henon", "a": "1", "p": "x^\u00b2"}))
+    code, out, err = run_cli(capsys, ["dyndeg", "--map", str(path)])
+    assert (code, out) == (2, "")
+    assert err == "error: map description of type 'henon': field 'p': expected a number (at position 2)\n"
+
+
 def test_height_of_point_with_huge_lift(capsys):
     # each denominator is within the parse limit, their lcm is not
     den_x, den_y = 10**4000 + 1, 10**4000 + 3

@@ -1,18 +1,17 @@
-"""The escape box of a regular map, the record an orbit keeps of where it
-leaves the box, and the periodicity verdicts read off that record.
+"""The escape box of a regular map, where an orbit leaves the box, and the
+periodicity verdicts read off that.
 
 The box constants are pinned on the corpus maps.  Hypothesis draws words of
 one to three Henon maps (monic and non-monic p, rational a, coefficients
 with denominators, so that N > 1 occurs) and their conjugates by affine
 maps, and checks the filtration itself (a point outside the box escapes in
-one step at the place where it lies outside), the record `Orbit.exit` keeps
+one step at the place where it lies outside), the record `Orbit.exit` gives
 in each direction (a period closes exactly with no earlier iterate outside
 the box; an exit at k >= 1 lies outside on the direction's side, and the
 next four iterates stay outside there and grow), and every verdict: a
 "periodic" closes exactly at its period, and a "not_periodic" point has no
-return f^k(x) = x for k <= 50, read modulo a large prime.  A record walked
-at one digit cap is re-checked under a smaller one, which refuses it as a
-fresh walk would.
+return f^k(x) = x for k <= 50, read modulo a large prime.  Walks of one
+map at two digit caps give what each gives on a fresh copy of the map.
 """
 
 import math
@@ -333,11 +332,11 @@ def test_the_orbit_records_where_it_leaves_the_box(f, pt):
         event("integral map and start")
 
 
-def test_a_refused_exit_walk_is_not_kept():
+def test_mixed_digit_caps_on_one_map_agree_with_a_fresh_copy():
     # H2 at (1, 1) leaves the box at k >= 1, and a 1-digit cap refuses its
-    # iterate +1.  The record a walk at 10^5 digits keeps is re-checked
-    # under the small cap, which refuses it as on a fresh copy of the map;
-    # the refused walk keeps nothing, so a walk at 10^5 digits then decides.
+    # iterate +1.  The orbit the map holds keeps its iterates but no
+    # verdict, so after a walk at 10^5 digits the small cap refuses as on a
+    # fresh copy of the map, and after that refusal 10^5 digits decides.
     h2, pt = henon(1, parse_poly("x^2")), (Fraction(1), Fraction(1))
     decided = is_periodic(h2, pt, digit_cap=10**5)
     assert decided.kind == "not_periodic" and not decided.detail.startswith("iterate +0")

@@ -11,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from planeheights import ratpoly
-from planeheights.errors import DegreeUndefinedError, PolyParseError
+from planeheights.errors import DEFAULT_DIGIT_CAP, DegreeUndefinedError, PolyParseError
 from planeheights.ratpoly import BivarPoly, format_int, format_rat, parse_poly, parse_rat
 
 X = BivarPoly.var("x")
@@ -247,6 +247,39 @@ def test_long_rationals_parse_past_the_str_limit():
     big = format_int(3**20000)
     assert parse_poly(f"{big}/7*x^2 - {big}") == BivarPoly({(2, 0): Fraction(3**20000, 7), (0, 0): -(3**20000)})
     assert ratpoly.parse_digits("0" * 5000 + "12") == 12
+
+
+def test_a_digit_run_past_the_default_digit_cap_is_refused_unread():
+    # reading a run at the cap takes seconds, so a longer one is refused
+    # before any of it is converted, at its position in polynomial text
+    run = "9" * (DEFAULT_DIGIT_CAP + 1)
+    with pytest.raises(PolyParseError) as refusal:
+        parse_rat("-" + run + "/7")
+    assert str(refusal.value) == (f"malformed rational '-9999999999999999999...99999999/7' ({DEFAULT_DIGIT_CAP + 4} "
+                                  f"characters): a number of {DEFAULT_DIGIT_CAP + 1} digits, over the default "
+                                  f"digit cap ({DEFAULT_DIGIT_CAP})")
+    for text, position in [("x + " + run, 4), ("x^" + run, 2), ("3/" + run + "*y", 2)]:
+        with pytest.raises(PolyParseError) as refusal:
+            parse_poly(text)
+        assert refusal.value.position == position
+        assert str(refusal.value).startswith(f"a number of {DEFAULT_DIGIT_CAP + 1} digits")
+
+
+def test_a_long_exponent_is_refused_with_its_digits_quoted():
+    with pytest.raises(PolyParseError) as refusal:
+        parse_poly("y + x^" + "9" * 5000)
+    assert str(refusal.value) == ("exponent '99999999999999999999...9999999999' (5000 characters) "
+                                  "too large (at position 6)")
+    with pytest.raises(PolyParseError, match=r"^exponent 99999999 too large \(at position 2\)$"):
+        parse_poly("x^99999999")
+
+
+@pytest.mark.parametrize("text, position", [("x^\u00b2", 2), ("\u00b2*x", 0), ("x + 3/\u00b2", 6)])
+def test_digits_that_are_not_decimal_are_refused_at_their_position(text, position):
+    # str.isdigit takes superscripts, which int refuses
+    with pytest.raises(PolyParseError) as refusal:
+        parse_poly(text)
+    assert refusal.value.position == position
 
 
 @pytest.mark.parametrize("text", [
