@@ -759,6 +759,7 @@ class _Box(NamedTuple):
     modulus: int
     bad: int  # K, whose primes carry every common factor of a settled step
     growth: Tuple[Tuple[int, Fraction, Fraction], Tuple[int, Fraction, Fraction]]  # (d, alpha, S) of f^-1, f
+    inequality: float  # c of the height inequality, rounded up
 
 
 class EscapeBox(_Box):
@@ -826,6 +827,35 @@ class EscapeBox(_Box):
         Phi j iterates later is at least d^j Phi; W2 divides Z.
     It needs gcds only, no factoring.  The float constants of `tail_step`
     are cached in the instance's `__dict__`, outside the fields.
+
+    `inequality` is a constant c of the height inequality of a regular map,
+    with d = d_- (Kawaguchi's local decomposition, "Local and global
+    canonical height functions for affine space regular automorphisms"):
+    (1/d) h(f x) + (1/d) h(f^-1 x) >= (1 + 1/d^2) h(x) - c for every rational
+    x.  h is the sum over the places of log+ max(|x|, |y|), so c is a sum of
+    one constant per place, each the largest over V+, V- and the box there,
+    and bounded here by the sum over the three.  Let mu be log+ max(|u|, |v|)
+    with (u, v) = B (x, y), G the normal form, and C+ the growth constant of G
+    at the place: mu(G x) <= d mu(x) + C+.  At infinity C+ is log+ of the
+    larger coefficient sum of G's two components, and at a prime it is the
+    log of the prime's part of the lcm of G's denominators.  So mu(x) <=
+    d mu(G^-1 x) + C+.  In V+ at infinity (|u| >= |v|, |u| > R >= 1), each
+    other term is at most its |c| |u|^(d-1), so
+    mu(G x) >= log|u'| >= d mu(x) + log(|alpha| - S/R) >= d mu(x) - c+, with
+    c+ = log+((S + 2)/(2 |alpha|)).  Hence (1/d) mu(G x) + (1/d) mu(G^-1 x) >=
+    (1 + 1/d^2) mu(x) - c+/d - C+/d^2 there.  V- is the same with G^-1, and
+    in the box mu <= log R while the left side is >= 0.  At a prime l, in V+
+    (|u|_l >= |v|_l, |u|_l > max(1, |c/alpha|_l) over G's other
+    coefficients c), the ultrametric step is exact: mu(G x) = d mu(x) +
+    log|alpha|_l.  The box there has mu <= the log of the l-part of the lcm of
+    the denominators of the c/alpha.  Summed over the primes, that gives
+    (1/d) log|num alpha| + (1/d^2) log(lcm of G's denominators) + (1 + 1/d^2)
+    log(lcm of the denominators of the c/alpha) per direction.  B changes
+    the height by at most log+ ||B|| one way and log+ ||B^-1|| the other.
+    That is (2/d) log+ ||B|| + (1 + 1/d^2) log+ ||B^-1|| at infinity, with
+    ||.|| the largest row sum of absolute values, and (1 + 1/d^2) log|det B|
+    at the primes, as B is integral.  Every log is rounded up (`_log_up`),
+    summed exactly, and the sum rounded up once.
     """
 
     def _u(self, x, y, forward: bool = True):
@@ -976,17 +1006,33 @@ def _escape_box(f: PlaneAutomorphism) -> EscapeBox | None:
     b_inv = (Fraction(r, det) * _X + Fraction(p, det) * _Y, Fraction(s, det) * _X + Fraction(q, det) * _Y)
     b = _build((q * _X - p * _Y, r * _Y - s * _X), b_inv, (), check=False)
     g = compose_maps(compose_maps(b, f), inverse(b))  # f in the coordinates (u, v), named (x, y)
-    radius, modulus, growth = Fraction(1), 1, []
+    radius, modulus, growth, at_infinity, at_primes = Fraction(1), 1, [], [], 0
     for (lead, low), key in ((g.inv[::-1], (0, g.inverse_degree())), (g.fwd, (g.degree(), 0))):
         alpha, d = lead.coefficient(*key), sum(key)
         if alpha == 0 or lead.leading_form(d) != BivarPoly({key: alpha}) or low.total_degree() >= d:
             raise MapValidationError(f"regular map not in the normal form {g} of its escape box")
-        norm = sum(Fraction(sum(map(abs, poly.nums.values())), poly.den) for poly in (lead, low))
-        radius = max(radius, (norm - abs(alpha) + 2) / abs(alpha))
+        sums = [Fraction(sum(map(abs, poly.nums.values())), poly.den) for poly in (lead, low)]
+        slack = sum(sums) - abs(alpha)
+        radius = max(radius, (slack + 2) / abs(alpha))
         modulus = math.lcm(modulus, abs(alpha.numerator) * math.lcm(lead.den, low.den))
-        growth.append((d, alpha, norm - abs(alpha)))
+        growth.append((d, alpha, slack))
+        at_infinity.append(_log_up((slack + 2) / (2 * abs(alpha))) / d + _log_up(max(sums)) / d**2)
+        quotients = math.lcm(*((Fraction(n, poly.den) / alpha).denominator for poly in (lead, low)
+                               for n in poly.nums.values()))
+        at_primes += (_log_up(abs(alpha.numerator)) / d + _log_up(math.lcm(lead.den, low.den)) / d**2
+                      + (1 + Fraction(1, d**2)) * _log_up(quotients))
+    both = 1 + Fraction(1, d**2)
+    inequality = (max(*at_infinity, both * _log_up(radius)) + at_primes
+                  + 2 * _log_up(max(abs(q) + abs(p), abs(s) + abs(r))) / d
+                  + both * (_log_up(Fraction(max(abs(r) + abs(p), abs(s) + abs(q)), abs(det))) + _log_up(abs(det))))
     bad = modulus * abs(det) * f.forms(True).m * f.forms(False).m
-    return EscapeBox((q, -p, -s, r), radius, modulus, bad, tuple(growth))
+    return EscapeBox((q, -p, -s, r), radius, modulus, bad, tuple(growth), _nextafter(float(inequality), _INF))
+
+
+def _log_up(q) -> Fraction:
+    """log+ q = log max(1, q) of a positive rational, rounded up to a float
+    and held exactly as a `Fraction`, so sums of them round once, at the end."""
+    return Fraction(_log_bounds(Fraction(q))[1]) if q > 1 else Fraction(0)
 
 
 # -- map-description documents ------------------------------------------------

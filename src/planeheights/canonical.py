@@ -10,10 +10,11 @@ bound v_{l+1} <= v_l + c2 * delta^-(l+1): the limit never exceeds
 v_N + c2 / ((delta - 1) delta^N).  The reported estimate is the last
 term v_N (not a max of the v_l): every later term lies within the reported
 tail, and the observed Cauchy behaviour is surfaced through the lower_slack
-field rather than hidden.  A rigorous lower bound is available only when the
-caller supplies the inequality constant c of the regular-map height bound;
-the underlying theory guarantees such a c exists but gives no explicit value,
-so it is an input here, not a guess.
+field rather than hidden.  The rigorous lower bound comes from the height
+inequality (1/delta) h(g x) + (1/delta_-) h(g^-1 x) >= (1 + 1/(delta
+delta_-)) h(x) - c, which gives hhat >= h - L with L = delta delta_- /
+((delta - 1)(delta_- - 1)) c; the escape box of g gives c explicitly, place
+by place (`EscapeBox.inequality`), once per core map on first read.
 
 A conjugator gamma turns the engine into the canonical height of the outer
 map f = gamma o g o gamma^-1 via evaluation at gamma^-1(x).
@@ -40,7 +41,6 @@ constants and the escape box are cached on the map.
 
 from __future__ import annotations
 
-import math
 import sys
 from decimal import MAX_EMAX, MIN_EMIN, Context, Decimal, localcontext
 from fractions import Fraction
@@ -72,7 +72,6 @@ class _Engine(NamedTuple):
     c2_fwd: float
     c2_inv: float
     depth: int
-    c_lower: Optional[float]
     digit_cap: int
 
 
@@ -92,11 +91,10 @@ class HeightEngine(_Engine):
         """Combined tail bound of a canonical-height estimate at this depth."""
         return self.tail_fwd() + self.tail_inv()
 
-    def lower_bound_constant(self) -> Optional[float]:
-        if self.c_lower is None:
-            return None
+    def lower_bound_constant(self) -> float:
+        """L of hhat >= h - L, read off the escape box of the core."""
         dd = self.delta * self.delta_minus
-        return dd / ((self.delta - 1) * (self.delta_minus - 1)) * self.c_lower
+        return dd / ((self.delta - 1) * (self.delta_minus - 1)) * self.g.escape_box.inequality
 
     def to_conjugated_frame(self, x: AffinePoint) -> AffinePoint:
         if self.gamma is None:
@@ -108,13 +106,14 @@ def make_engine(
     g: PlaneAutomorphism,
     gamma: Optional[PlaneAutomorphism] = None,
     depth: int = DEFAULT_DEPTH,
-    c_lower: Optional[float] = None,
     digit_cap: int = DEFAULT_DIGIT_CAP,
 ) -> HeightEngine:
     """Validate the core map and precompute its degrees and growth constants.
 
     The core must have dynamical degree >= 2 (triangularizable maps have no
     canonical height) and be regular; then delta = deg g = deg g^-1 = delta_minus.
+    The constant of the height inequality is not computed here: it is a field
+    of the core's escape box, which the first estimate reads.
     """
     if depth < 2:
         raise ValueError("depth must be >= 2")
@@ -139,7 +138,7 @@ def make_engine(
     if gamma is not None and gamma.is_identity():
         gamma = None
     outer = g if gamma is None else compose_maps(compose_maps(gamma, g), inverse(gamma))
-    engine = HeightEngine(
+    return HeightEngine(
         g=g,
         delta=delta,
         delta_minus=g.inverse_degree(),
@@ -148,24 +147,20 @@ def make_engine(
         c2_fwd=_growth_constant(g, "fwd"),
         c2_inv=_growth_constant(g, "inv"),
         depth=depth,
-        c_lower=c_lower,
         digit_cap=digit_cap,
     )
-    if c_lower is not None and not math.isfinite(engine.lower_bound_constant()):
-        raise ValueError(f"c_lower {c_lower} gives a lower-bound constant that is not a finite number")
-    return engine
 
 
 class HeightEstimate(NamedTuple):
-    """A truncated canonical-height value with its explicit upper tail and
-    empirical lower slack; rigorous_lower is present only when the engine was
-    given the regular-map inequality constant."""
+    """A truncated canonical-height value with its explicit upper tail,
+    empirical lower slack, and the proven lower bound rigorous_lower, from
+    the height inequality with the constant of the core's escape box."""
 
     value: float
     tail: float
     lower_slack: float
     depth: int
-    rigorous_lower: Optional[float] = None
+    rigorous_lower: float
 
     @property
     def upper_bound(self) -> float:
@@ -199,32 +194,26 @@ def _half_estimate(engine: HeightEngine, orbit: Orbit, base: int, forward: bool)
     h_0, h_prev, h_n = (orbit.size(base + sign * step)[1] for step in (0, n - 1, n))
     v_n = h_n / base_degree**n
     v_prev = h_prev / base_degree ** (n - 1)
-    rigorous = None
-    if engine.c_lower is not None:
-        c2_other = engine.c2_inv / (engine.delta_minus - 1) if forward else engine.c2_fwd / (engine.delta - 1)
-        rigorous = v_n - (engine.lower_bound_constant() + (h_0 + c2_other)) / base_degree**n
+    c2_other = engine.c2_inv / (engine.delta_minus - 1) if forward else engine.c2_fwd / (engine.delta - 1)
     return HeightEstimate(
         value=v_n,
         tail=tail,
         lower_slack=abs(v_n - v_prev) + tail,
         depth=n,
-        rigorous_lower=rigorous,
+        rigorous_lower=v_n - (engine.lower_bound_constant() + (h_0 + c2_other)) / base_degree**n,
     )
 
 
 def _hcanonical_at(engine: HeightEngine, orbit: Orbit, base: int) -> HeightEstimate:
     hp = _half_estimate(engine, orbit, base, forward=True)
     hm = _half_estimate(engine, orbit, base, forward=False)
-    rigorous = None
-    if engine.c_lower is not None:
-        floor = orbit.size(base)[1] - engine.lower_bound_constant()
-        rigorous = max(hp.rigorous_lower + hm.rigorous_lower, floor)
+    floor = orbit.size(base)[1] - engine.lower_bound_constant()
     return HeightEstimate(
         value=hp.value + hm.value,
         tail=hp.tail + hm.tail,
         lower_slack=hp.lower_slack + hm.lower_slack,
         depth=engine.depth,
-        rigorous_lower=rigorous,
+        rigorous_lower=max(hp.rigorous_lower + hm.rigorous_lower, floor),
     )
 
 

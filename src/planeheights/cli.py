@@ -95,8 +95,7 @@ def _engine(args):
     from .canonical import make_engine
 
     g, gamma = conjugate_parts(read_map_doc(args.map))
-    return make_engine(g, gamma=gamma, depth=args.depth, c_lower=getattr(args, "c_lower", None),
-                       digit_cap=args.digit_cap)
+    return make_engine(g, gamma=gamma, depth=args.depth, digit_cap=args.digit_cap)
 
 
 # -- height ---------------------------------------------------------------------
@@ -182,12 +181,11 @@ def cmd_canheight(args) -> int:
         row = (x, y, _fmt(hp.value), _fmt(hm.value), _fmt(hc.value), _fmt(hc.upper_bound), _fmt(res))
         rows.append(row)
         hp_cell, hm_cell, hc_cell, upper_cell, res_cell = row[2:]
-        floor = "" if hc.rigorous_lower is None else f"  (>= {_fmt(hc.rigorous_lower)})"
         lines += [
             f"point ({x},{y}):",
             f"  hplus      = {hp_cell}  (<= {_fmt(hp.upper_bound)}, slack {_fmt(hp.lower_slack)})",
             f"  hminus     = {hm_cell}  (<= {_fmt(hm.upper_bound)}, slack {_fmt(hm.lower_slack)})",
-            f"  hcanonical = {hc_cell}  (<= {upper_cell}){floor}",
+            f"  hcanonical = {hc_cell}  (<= {upper_cell})  (>= {_fmt(hc.rigorous_lower)})",
             f"  residual   = {res_cell}",
         ]
     payload = {
@@ -390,8 +388,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("canheight", help="canonical heights with error fields")
     _add_common(p, multi_point=True)
     _add_engine_flags(p)
-    p.add_argument("--c-lower", dest="c_lower", type=float, default=None,
-                   help="constant c of the regular-map height inequality (enables rigorous lower bounds)")
     p.set_defaults(func=cmd_canheight)
 
     p = sub.add_parser("orbit", help="orbit scan CSV and counting table")

@@ -50,6 +50,7 @@ only the verdict refuses as undecided.
 from __future__ import annotations
 
 import math
+from fractions import Fraction
 from typing import Dict, NamedTuple, Tuple
 
 from .automorphism import DEFAULT_DIGIT_CAP, SIZED_FROM_BITS, PlaneAutomorphism, cap_bits
@@ -60,7 +61,7 @@ from .errors import (
     ResourceCapError,
     UndecidedPeriodicityError,
 )
-from .heights import AffinePoint, affine, lift
+from .heights import _LN2, AffinePoint, affine, lift
 
 NEG_INFINITY = float("-inf")  # distinguished 'finite orbit' value, never used in arithmetic
 
@@ -469,26 +470,25 @@ def count_exponential(a_coef: float, b_coef: float, delta: int, delta_minus: int
 
     Requires A, B, T > 0 and T at or above the geometric-mean threshold
     A^(log delta_- / (log delta + log delta_-)) * B^(log delta / ...), below
-    which the set is empty and the bounds are meaningless.
+    which the set is empty and the bounds are meaningless.  The window and
+    the bounds are read off differences of logs, and each term is compared
+    exactly, in `Fraction`s of the float inputs, so no ratio of the inputs
+    overflows or underflows.
     """
     a_coef, b_coef, threshold = float(a_coef), float(b_coef), float(threshold)
-    if min(a_coef, b_coef, threshold) <= 0:
-        raise ValueError("A, B, T must be positive")
+    if not all(0 < v < math.inf for v in (a_coef, b_coef, threshold)):
+        raise ValueError("A, B, T must be positive finite numbers")
     if delta < 2 or delta_minus < 2:
         raise ValueError("delta and delta_minus must be >= 2")
-    log_d = math.log(delta)
-    log_dm = math.log(delta_minus)
-    floor_t = a_coef ** (log_dm / (log_d + log_dm)) * b_coef ** (log_d / (log_d + log_dm))
-    if threshold < floor_t * (1 - 1e-12):
+    log_d, log_dm = math.log(delta), math.log(delta_minus)
+    log_a, log_b, log_t = math.log(a_coef), math.log(b_coef), math.log(threshold)
+    if log_t < (log_dm * log_a + log_d * log_b) / (log_d + log_dm) - 1e-12:
         raise ValueError("T below the geometric-mean precondition")
-    lo = math.floor(math.log(b_coef / threshold) / log_dm) - 1
-    hi = math.ceil(math.log(threshold / a_coef) / log_d) + 1
-    count = 0
-    for l in range(lo, hi + 1):
-        if (delta**l) * a_coef + (delta_minus ** (-l)) * b_coef <= threshold:
-            count += 1
-    lower = -1 + math.log(threshold / (2 * a_coef)) / log_d + math.log(threshold / (2 * b_coef)) / log_dm
-    upper = 1 + math.log(threshold / a_coef) / log_d + math.log(threshold / b_coef) / log_dm
+    a, b, t = Fraction(a_coef), Fraction(b_coef), Fraction(threshold)
+    count = sum(1 for l in range(math.floor((log_b - log_t) / log_dm) - 1, math.ceil((log_t - log_a) / log_d) + 2)
+                if Fraction(delta) ** l * a + Fraction(delta_minus) ** -l * b <= t)
+    lower = -1 + (log_t - _LN2 - log_a) / log_d + (log_t - _LN2 - log_b) / log_dm
+    upper = 1 + (log_t - log_a) / log_d + (log_t - log_b) / log_dm
     return count, lower, upper
 
 

@@ -8,12 +8,12 @@ _RAT = {"type": "string", "pattern": r"^-?\d+(/\d+)?$"}
 
 _ESTIMATE = {
     "type": "object",
-    "required": ["value", "upper_bound", "lower_slack", "depth"],
+    "required": ["value", "upper_bound", "lower_slack", "rigorous_lower", "depth"],
     "properties": {
         "value": {"type": "number"},
         "upper_bound": {"type": "number"},
         "lower_slack": {"type": "number"},
-        "rigorous_lower": {"type": ["number", "null"]},
+        "rigorous_lower": {"type": "number"},
         "depth": {"type": "integer"},
     },
 }

@@ -160,8 +160,11 @@ def test_functional_equation_residual(engine):
 def test_each_iterate_is_measured_once(monkeypatch):
     # hplus, hminus, hcanonical and the residual at depth 12 read iterates
     # -13..13 of one orbit: 27 logs of a size, plus the start measured once
-    # more, since each direction keeps its own record
+    # more, since each direction keeps its own record.  The escape box is
+    # built first: the logs of its constants are taken once per map, not
+    # per iterate
     engine = make_engine(henon(1, parse_poly("x^2")), depth=12)  # a fresh map holds no orbit
+    assert engine.g.escape_box is not None
     logs = []
     for module in [m for name, m in sys.modules.items() if name.startswith("planeheights") and m]:
         if getattr(module, "log_int", None) is log_int:
@@ -237,20 +240,42 @@ def test_a_deeper_estimate_stays_below_the_upper_bound(word, gamma, pt):
 
 
 def test_rigorous_lower_bound_route():
-    # with a supplied inequality constant the rigorous floor must dominate
-    # the direct h_nv-minus-constant bound
-    e = make_engine(HENON2, depth=12, c_lower=1.0)
+    # L = delta^2/(delta - 1)^2 c with c read off the escape box of the core;
+    # the rigorous floor must dominate the direct h_nv-minus-L bound
+    e = make_engine(HENON2, depth=12)
     floor_shift = e.lower_bound_constant()
-    assert floor_shift == pytest.approx(4.0, abs=PAD)
+    assert floor_shift == 4 * HENON2.escape_box.inequality == pytest.approx(6.9315, abs=1e-4)
     for pt in (X3, (Fraction(7), Fraction(-2)), (Fraction(2, 3), Fraction(5))):
         est = hcanonical(e, pt)
-        assert est.rigorous_lower is not None
         assert est.rigorous_lower >= naive_height_affine(pt) - floor_shift - PAD
         assert est.value >= est.rigorous_lower - PAD
 
 
-def test_rigorous_lower_absent_without_constant(engine):
-    assert hcanonical(engine, X3).rigorous_lower is None
+def test_make_engine_leaves_the_escape_box_unbuilt():
+    # the constant is a field of the escape box, built on the first estimate
+    # and not by make_engine, which map-algebra times on every op
+    g = henon(1, parse_poly("x^2"))
+    make_engine(g, depth=12)
+    assert "escape_box" not in g.__dict__
+
+
+CORPUS = {
+    "H2": (HENON2, None, 12),
+    "H3": (HENON3, None, 8),
+    "H4": (henon(2, parse_poly("x^4 + x")), None, 6),
+    "C6": (compose_maps(HENON2, HENON3), None, 4),
+    "conj-H2": (HENON2, triangular(1, 1, 0, BivarPoly.const(1)), 12),
+}
+
+
+@pytest.mark.parametrize("name", CORPUS)
+def test_the_rigorous_lower_bound_is_below_a_deeper_upper_bound(name):
+    core, gamma, depth = CORPUS[name]
+    shallow, deep = (make_engine(core, gamma=gamma, depth=n) for n in (depth, depth + 2))
+    for pt in (X3, ORIGIN, (Fraction(1), Fraction(-2)), (Fraction(1, 2), Fraction(1, 3))):
+        z = shallow.to_conjugated_frame(pt)
+        for fn, at in ((hplus, z), (hminus, z), (hcanonical, pt)):
+            assert fn(shallow, at).rigorous_lower <= fn(deep, at).upper_bound, (name, pt, fn.__name__)
 
 
 def test_digit_cap_resource_error():

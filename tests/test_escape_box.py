@@ -12,6 +12,9 @@ next four iterates stay outside there and grow), and every verdict: a
 "periodic" closes exactly at its period, and a "not_periodic" point has no
 return f^k(x) = x for k <= 50, read modulo a large prime.  Walks of one
 map at two digit caps give what each gives on a fresh copy of the map.
+The constant of the height inequality holds at every drawn rational start,
+on the words and on their conjugates by linear maps of determinant other
+than +-1, against exact naive heights.
 """
 
 import math
@@ -33,7 +36,7 @@ from planeheights.automorphism import (
 )
 from planeheights.canonical import is_periodic, make_engine
 from planeheights.errors import MapValidationError, ResourceCapError
-from planeheights.heights import lift, naive_height, top
+from planeheights.heights import lift, log_int, naive_height, top
 from planeheights.ratpoly import BivarPoly, parse_poly
 
 X, Y = BivarPoly.var("x"), BivarPoly.var("y")
@@ -355,3 +358,47 @@ def test_a_random_word_cycle_is_found():
     g = conjugate(f, shift)  # shift^-1 o f o shift
     verdict = is_periodic(g, (Fraction(-1), Fraction(-1)))
     assert verdict.kind == "periodic" and verdict.period == 3
+
+
+# -- the constant of the height inequality -------------------------------------
+
+def _inequality_gap(f, pt):
+    """(1 + 1/d^2) h(x) - (h(f x) + h(f^-1 x))/d at x, on exact naive heights:
+    the least c the height inequality needs there."""
+    d, h = f.degree(), (lambda q: log_int(top(lift(q))))
+    return (1 + Fraction(1, d * d)) * h(pt) - (h(f.apply(pt)) + h(f.apply_inverse(pt))) / d
+
+
+def _linear(a, b, c, d):
+    """The linear map (a x + b y, c x + d y) with its inverse."""
+    det = Fraction(a * d - b * c)
+    k = [BivarPoly.const(Fraction(e) / det) for e in (d, -b, -c, a)]
+    return pair(a * X + b * Y, c * X + d * Y, k[0] * X + k[1] * Y, k[2] * X + k[3] * Y)
+
+
+# determinants -2, 3, 3 and -5: each moves both points at infinity off the axes
+LINEAR = [_linear(1, 1, 1, -1), _linear(2, 1, 1, 2), _linear(1, 1, -1, 2), _linear(1, 2, 3, 1)]
+
+
+@pytest.mark.parametrize("name, constant", [
+    ("H2", 1.733), ("H3", 2.162), ("H4", 2.253), ("C6", 3.562), ("H2 by (x + y, x - y)", 3.292)])
+def test_the_inequality_constant_of_the_corpus(name, constant):
+    # the sum over the places, and above the worst gap of a grid of integral
+    # and rational starts (0.317, 0.539, 0.144, 0.208 and 0.497 over wider
+    # grids); H2 conjugated by (x + y, x - y) has det B = -2
+    f = conjugate(from_description(H2), LINEAR[0]) if name.startswith("H2 by") else from_description(CORPUS[name][0])
+    assert f.escape_box.inequality == pytest.approx(constant, abs=5e-4)
+    grid = [(Fraction(x, z), Fraction(y, z)) for z in (1, 2, 3) for x in range(-9, 10) for y in range(-9, 10)]
+    assert max(_inequality_gap(f, pt) for pt in grid) <= f.escape_box.inequality
+
+
+@settings(max_examples=80, deadline=None)
+@given(f=henon_words(), by=st.none() | st.sampled_from(LINEAR), pts=st.lists(small_points | points, min_size=1,
+                                                                          max_size=4))
+def test_the_height_inequality_holds_with_the_computed_constant(f, by, pts):
+    if by is not None:
+        f = conjugate(f, by)
+    b0, b1, b2, b3 = f.escape_box.basis
+    event(f"|det B| = {abs(b0 * b3 - b1 * b2)}")
+    for pt in pts:
+        assert _inequality_gap(f, pt) <= f.escape_box.inequality * (1 + 1e-12), pt

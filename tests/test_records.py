@@ -47,8 +47,8 @@ def _h2():
 
 
 def test_repr_is_the_field_listing():
-    assert repr(HeightEstimate(1.5, 0.25, 0.125, 12)) == (
-        "HeightEstimate(value=1.5, tail=0.25, lower_slack=0.125, depth=12, rigorous_lower=None)")
+    assert repr(HeightEstimate(1.5, 0.25, 0.125, 12, -0.5)) == (
+        "HeightEstimate(value=1.5, tail=0.25, lower_slack=0.125, depth=12, rigorous_lower=-0.5)")
     assert repr(PeriodicityVerdict("periodic", period=2)) == (
         "PeriodicityVerdict(kind='periodic', period=2, detail='')")
     assert repr(is_periodic(_h2(), PT)) == (
