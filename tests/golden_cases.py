@@ -54,9 +54,6 @@ CASES = {
     "canheight_h2_csv": (["canheight", "--map", "h2.json", "--points", "points.txt",
                           "--format", "csv"], 0),
     "canheight_h2_text": (["canheight", "--map", "h2.json", "--points", "points.txt"], 0),
-    # --c-lower adds the rigorous lower bound `(>= ...)` to the hcanonical line
-    "canheight_h2_clower_text": (["canheight", "--map", "h2.json", "--point", "3,0",
-                                  "--c-lower", "1"], 0),
     "dyndeg_c6_csv": (["dyndeg", "--map", "c6.json", "--format", "csv"], 0),
     "picard_d3_csv": (["picard", "--d", "3", "--format", "csv"], 0),
     "picard_d3_text": (["picard", "--d", "3"], 0),
