@@ -1011,6 +1011,7 @@ def _escape_box(f: PlaneAutomorphism) -> EscapeBox | None:
         alpha, d = lead.coefficient(*key), sum(key)
         if alpha == 0 or lead.leading_form(d) != BivarPoly({key: alpha}) or low.total_degree() >= d:
             raise MapValidationError(f"regular map not in the normal form {g} of its escape box")
+        both = 1 + Fraction(1, d**2)
         sums = [Fraction(sum(map(abs, poly.nums.values())), poly.den) for poly in (lead, low)]
         slack = sum(sums) - abs(alpha)
         radius = max(radius, (slack + 2) / abs(alpha))
@@ -1020,8 +1021,7 @@ def _escape_box(f: PlaneAutomorphism) -> EscapeBox | None:
         quotients = math.lcm(*((Fraction(n, poly.den) / alpha).denominator for poly in (lead, low)
                                for n in poly.nums.values()))
         at_primes += (_log_up(abs(alpha.numerator)) / d + _log_up(math.lcm(lead.den, low.den)) / d**2
-                      + (1 + Fraction(1, d**2)) * _log_up(quotients))
-    both = 1 + Fraction(1, d**2)
+                      + both * _log_up(quotients))
     inequality = (max(*at_infinity, both * _log_up(radius)) + at_primes
                   + 2 * _log_up(max(abs(q) + abs(p), abs(s) + abs(r))) / d
                   + both * (_log_up(Fraction(max(abs(r) + abs(p), abs(s) + abs(q)), abs(det))) + _log_up(abs(det))))
