@@ -831,23 +831,17 @@ def test_count_exponential_preconditions():
     with pytest.raises(ValueError):
         count_exponential(100.0, 100.0, 2, 2, 1.0)  # far below the geometric mean
     # inputs that meet the precondition, but whose ratios T/A or B/T leave the
-    # float range, are counted; a value that is not finite is refused by the
-    # precondition, not by an error of the arithmetic
-    assert count_exponential(1e-300, 1.0, 2, 2, 1e300)[0] == 2990
-    assert count_exponential(1.0, 1e-300, 2, 2, 1e300)[0] == 2990
+    # float range, are counted: 2^l 1e-300 + 2^-l <= 1e300 holds for l = -996
+    # .. 1993, as 2^996 < 1e300 < 2^997 and 2^1993 1e-300 < 1e300 < 2^1994
+    # 1e-300, and the two swap with A and B
+    for a, b in ((1e-300, 1.0), (1.0, 1e-300)):
+        count, lower, upper = count_exponential(a, b, 2, 2, 1e300)
+        assert count == 1993 + 996 + 1 and lower <= count <= upper
+    # a value that is not finite is refused by the precondition, not by an
+    # error of the arithmetic
     for args in ((math.nan, 1.0, 2, 2, 8.0), (1.0, 1.0, 2, 2, math.inf)):
         with pytest.raises(ValueError, match="A, B, T must be positive finite numbers"):
             count_exponential(*args)
-
-
-def test_count_exponential_past_the_float_ratios():
-    # 2^l 1e-300 + 2^-l <= 1e300 holds for l = -996 .. 1993: 2^996 < 1e300 <
-    # 2^997 and 2^1993 1e-300 < 1e300 < 2^1994 1e-300, and the two swap with
-    # A and B; each count lies in its logarithmic bounds
-    for a, b in ((1e-300, 1.0), (1.0, 1e-300)):
-        count, lower, upper = count_exponential(a, b, 2, 2, 1e300)
-        assert count == 1993 + 996 + 1
-        assert lower <= count <= upper
 
 
 def test_slope_law_short_grid(engine):
