@@ -37,9 +37,11 @@ size bit for bit (`pinned_size`), with the common factor of a gcd step
 read off residues modulo a power of m or K.  The orbit keeps the enclosure of
 every iterate past its built triples (`Orbit.enclosure`), so each interval
 step is taken once per orbit, whoever reads it: its own sizes, and the
-counting tracker of :mod:`planeheights.orbit`, which starts the log
-recurrence of the escape box's tail (`EscapeBox.tail_step`) off the first
-enclosure in V+ (V-) and steps no interval past it.
+escape floor of a naive count (`EscapeBox.floor`).  The certified counting
+tracker of :mod:`planeheights.orbit` reads none: it builds the orbit up to
+the first exact iterate in its escape tail (`EscapeBox.escaped`), a few
+hundred bits, and steps the tail's log recurrence (`EscapeBox.tail_step`)
+past it.
 A map keeps one orbit, the one of the start it was last queried at
 (`PlaneAutomorphism.orbit`); a query from another start replaces it.
 Heights, the functional equation, periodicity, point counts and the orbit
@@ -178,9 +180,9 @@ class Interval:
     is all the ring arithmetic `IntegerForms.image` does (its `powers`, its
     `sum` and its integer coefficients), so intervals step with the map's own
     forms, past the held triples of an `Orbit`, which keeps them for its
-    sizes and for the tail start of the counting tracker of
-    :mod:`planeheights.orbit`.  `divided` takes out the common factor of an
-    `Orbit` step that takes a gcd.
+    sizes and for the escape floor of a naive count (`EscapeBox.floor`).
+    `divided` takes out the common factor of an `Orbit` step that takes a
+    gcd.
     """
 
     __slots__ = ("lo", "hi", "e")
@@ -297,14 +299,15 @@ class Orbit:
     pins it.  Each direction keeps one list of enclosures, one per iterate
     from the end of its built triples on, each the `IntegerForms.image` of
     the one before at `Interval` coordinates (`_step`), so each interval
-    step is taken once per orbit, for sizes and for the tail start of the
-    counting tracker alike.  A step that takes a gcd divides the
+    step is taken once per orbit, for sizes and for the escape floor of a
+    naive count alike.  A step that takes a gcd divides the
     enclosures by its common factor, which residues modulo a power of m
     (Z = 1) or K (a settled direction) decide.  Otherwise, before the
     direction has settled or when the enclosure does not pin, the exact
     steps run up to the iterate, and the list restarts from it.  So a walk
     builds triples only up to about SIZED_FROM_BITS bits, unless some reader
-    indexes the iterates past them.
+    indexes the iterates past them (the certified counting tracker indexes
+    them up to its tail start, at a few hundred bits).
 
     `capped` is the one digit-cap rule, a check that reads the size of the
     neighbour it tests and builds nothing `size` does not: a walk reads its
@@ -912,24 +915,18 @@ class EscapeBox(_Box):
             tails.append(_Tail(d, _log_bounds(abs(alpha)), log_slack, scale, offset, start))
         return tuple(tails)
 
-    def _logs(self, point, forward: bool) -> Tuple[float, float] | None:
-        """Outward bounds on log|u| (log|v| going backward) at an enclosure
-        (X, Y, Z) of `Interval`s when it shows the point in V+ (V-), else
-        None: the V+ test of `escaped` and `floor`.  `Interval.log_abs` is
-        good to 4 ulps (under 3 of `log_int`, and the product and sum with
-        the exponent), inside the pad of 8."""
-        x, y, _ = point
-        lo, hi = self._u(x, y, forward).log_abs()
-        pad = 8 * math.ulp(hi)
-        return None if lo - pad <= self._u(x, y, not forward).log_abs()[1] + pad else (lo - pad, hi + pad)
-
-    def escaped(self, point, forward: bool = True) -> Tuple[float, float] | None:
-        """Outward bounds on log|u| (log|v| going backward) at an enclosure
-        (X, Y, 1) of `Interval`s of an integral point, when it shows the
-        point in V+ (V-) with log|u| at least the direction's tail start, so
-        past R and with eps <= e^-45 / 2 (see the class docstring); else None."""
-        logs = self._logs(point, forward)
-        return None if logs is None or logs[0] < self._tail_constants[forward].start else logs
+    def escaped(self, point: ProjPoint, forward: bool = True) -> Tuple[float, float] | None:
+        """Outward bounds on log|u| (log|v| going backward) at the exact triple
+        (X, Y, 1) of an integral point, when it lies in V+ (V-), |u| > |v|,
+        with log|u| at least the direction's tail start, so past R and with
+        eps <= e^-45 / 2 (see the class docstring); else None.  The bounds are
+        log_int(|u|) +- 4 ulps, as log_int is good to under 3."""
+        u, v = (abs(self._u(point[0], point[1], side)) for side in (forward, not forward))
+        if u <= v:
+            return None
+        log_u = log_int(u)
+        pad = 4 * math.ulp(log_u)
+        return None if log_u - pad < self._tail_constants[forward].start else (log_u - pad, log_u + pad)
 
     def tail_step(self, logs: Tuple[float, float], forward: bool = True):
         """((lo, hi) of log|u'|, (lo, hi) of h_nv) at the next iterate from
@@ -957,14 +954,18 @@ class EscapeBox(_Box):
         few ulps: A read off `point`, an enclosure (X, Y, Z) of the iterate
         in `Interval`s (an int Z = 1 as it is; None gives A = 0), plus
         d^steps Phi read off `exact`, the exact triple `steps` iterates
-        before it (None gives 0).  The tests of V+ and of R hold with a pad
-        of 8 ulps, the V+ one as in `escaped`."""
+        before it (None gives 0).  `Interval.log_abs` is good to 4 ulps (under
+        3 of `log_int`, and the product and sum with the exponent), so the
+        tests of V+ and of R hold with a pad of 8 ulps of each log."""
         found = 0.0
-        if point is not None and (logs := self._logs(point, forward)) is not None:
-            z_hi = 0.0 if point[2] == 1 else point[2].log_abs()[1]
-            if logs[0] - z_hi - 8 * math.ulp(z_hi) > _log_bounds(self.radius)[1]:
+        if point is not None:
+            x, y, z = point
+            lo, hi = self._u(x, y, forward).log_abs()
+            pad, z_hi = 8 * math.ulp(hi), 0.0 if z == 1 else z.log_abs()[1]
+            if lo - pad > self._u(x, y, not forward).log_abs()[1] + pad \
+                    and lo - pad - z_hi - 8 * math.ulp(z_hi) > _log_bounds(self.radius)[1]:
                 row = self.basis[:2] if forward else self.basis[2:]  # the row of B giving u (v backward)
-                found = max(0.0, logs[0] - z_hi - math.log(sum(map(abs, row))))
+                found = max(0.0, lo - pad - z_hi - math.log(sum(map(abs, row))))
         if exact is not None:
             u, v, w = self.coordinates(exact)
             while (part := math.gcd(w, u if forward else v)) != 1:

@@ -78,8 +78,8 @@ class _Engine(NamedTuple):
 class HeightEngine(_Engine):
     """Immutable bundle of the regular core g, its degrees, growth constants,
     optional conjugator, truncation depth, and resource limits.  The orbit
-    module holds the last point asked about on it in the instance's
-    `__dict__`, outside the fields."""
+    module holds the last point asked about on it, and the engine its
+    constant L, in the instance's `__dict__`, outside the fields."""
 
     def tail_fwd(self) -> float:
         return self.c2_fwd / ((self.delta - 1) * self.delta**self.depth)
@@ -92,9 +92,12 @@ class HeightEngine(_Engine):
         return self.tail_fwd() + self.tail_inv()
 
     def lower_bound_constant(self) -> float:
-        """L of hhat >= h - L, read off the escape box of the core."""
-        dd = self.delta * self.delta_minus
-        return dd / ((self.delta - 1) * (self.delta_minus - 1)) * self.g.escape_box.inequality
+        """L of hhat >= h - L, read off the escape box of the core on first
+        read and held in the instance's `__dict__`, outside the fields."""
+        if "_lower" not in self.__dict__:
+            dd = self.delta * self.delta_minus
+            self._lower = dd / ((self.delta - 1) * (self.delta_minus - 1)) * self.g.escape_box.inequality
+        return self._lower
 
     def to_conjugated_frame(self, x: AffinePoint) -> AffinePoint:
         if self.gamma is None:

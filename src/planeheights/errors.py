@@ -36,7 +36,9 @@ class ResourceCapError(PlaneHeightsError, RuntimeError):
     A digit-cap refusal of `Orbit.capped` also carries the refused iterate,
     relative to the walk's base (`iterate`), and the bit bound of the step
     into it that passed the cap (`bound_bits`).  The orbit tracker's other two
-    refusals carry the iterate they name; both are None on any other."""
+    refusals, "iterate l is no longer held exactly" and "the naive height
+    passed the float range at iterate l", carry the iterate they name; both
+    are None on any other."""
 
     def __init__(self, message, iterate: int | None = None, bound_bits: int | None = None):
         super().__init__(message)

@@ -3,26 +3,27 @@ enclosures.
 
 Counting runs need naive heights of iterates far past the point where exact
 coordinates stop being storable (a threshold T = e^21 pulls in iterates whose
-coordinates would have ~10^8 digits).  The orbit tracker reads the sizes the
-orbit the map holds measured once (`Orbit.size`): the orbit builds triples
-(X : Y : Z) only up to its first of `SIZED_FROM_BITS` bits and sizes a few
-iterates past it off interval steps, so nothing much larger is built.  On
-an integral map with an escape box, at an integral start, the tracker is
-certified: m = 1 and Z = 1, so h = log max(|X|, |Y|, 1) is the exact naive
-height.  It tests each iterate the orbit encloses past its built triples
-for V+ of the box (V- going backward), far outside R, and the first that
-passes is its tail start k0.  From k0 on, the escape tail of the box gives
-every later height with no interval step: log|u'| = d log|u| + log|alpha|
-up to eta, under 2^-1000 past 1024 bits, and h = log|u| + log(M / |det B|)
-up to the B^-1 offset (`EscapeBox.tail_step`, each float operation rounded
-outward).  So a count at any threshold costs a few float operations per
-iterate past k0, and refuses only where h passes the float range.  On any
-other map or start the tracker reads sizes up to the digit cap, checked by
-`Orbit.capped`, and the cap's refusal stands.
+coordinates would have ~10^8 digits).  On an integral map with an escape
+box, at an integral start, the orbit tracker is certified: m = 1 and Z = 1,
+so h = log max(|X|, |Y|, 1) is the exact naive height.  It builds the
+iterates of the orbit the map holds from 1 on, and tests each exact triple
+for V+ of the box (V- going backward), far outside R; the first that passes
+is its tail start k0 (`EscapeBox.escaped`).  Every iterate before k0 lies in
+the box or in V+ with log|u| under the tail start, so no triple much past
+d start / log 2 bits (a few hundred on the corpus maps) is built.  From k0
+on, the escape tail of the box gives every later height with no exact or
+interval step: log|u'| = d log|u| + log|alpha| up to eta, under e^-45, and
+h = log|u| + log(M / |det B|) up to the B^-1 offset (`EscapeBox.tail_step`,
+each float operation rounded outward).  So a count at any threshold costs a
+few float operations per iterate past k0, and refuses only where h passes
+the float range.  On any other map or start the tracker reads the sizes the
+orbit measures once (`Orbit.size`, off interval steps past its first triple
+of `SIZED_FROM_BITS` bits) up to the digit cap, checked by `Orbit.capped`,
+and the cap's refusal stands.
 Height enclosures stay certified, so a count is exact unless an enclosure
 straddles the threshold, which the scan reports instead of hiding.  The
-orbit keeps its enclosures and a tracker its height enclosures, so each
-interval step is taken once per orbit, however many trackers read it.
+orbit keeps its triples and sizes and a tracker its height enclosures, so
+each step is taken once per orbit, however many trackers read it.
 
 A counting scan walks downhill to the orbit's lowest sample and counts
 outward from it, so every point of one orbit gives the same count.  Canonical
@@ -53,7 +54,7 @@ import math
 from fractions import Fraction
 from typing import Dict, NamedTuple, Tuple
 
-from .automorphism import DEFAULT_DIGIT_CAP, SIZED_FROM_BITS, PlaneAutomorphism, cap_bits
+from .automorphism import DEFAULT_DIGIT_CAP, PlaneAutomorphism, cap_bits
 from .canonical import HeightEngine, hcanonical_iterates, is_periodic
 from .errors import (
     OutOfRangeError,
@@ -68,13 +69,14 @@ NEG_INFINITY = float("-inf")  # distinguished 'finite orbit' value, never used i
 
 class OrbitHeightTracker:
     """Lazy h_nv(f^l(x)) for l in Z.  A certified tracker (an integral map
-    with an escape box, an integral start) reads the sizes of the orbit the
-    map holds up to each direction's tail start k0, and from k0 on steps the
-    log recurrence of the box (`EscapeBox.tail_step`); any other reads the
-    sizes up to the digit cap and refuses past it.  The tracker keeps per
-    direction (indexed by l >= 0) how many iterates from 0 on it walked, k0
-    with the last iterate stepped and its log bounds once the tail has
-    started, and the enclosures of h_nv read so far."""
+    with an escape box, an integral start) builds the orbit the map holds up
+    to each direction's tail start k0, the first exact iterate past 0 in the
+    tail, and from k0 on steps the log recurrence of the box
+    (`EscapeBox.tail_step`); any other reads the orbit's sizes up to the
+    digit cap and refuses past it.  The tracker keeps per direction (indexed
+    by l >= 0) how many iterates from 0 on it walked, k0 with the last
+    iterate stepped and its log bounds once the tail has started, and the
+    enclosures of h_nv read so far."""
 
     def __init__(self, auto: PlaneAutomorphism, x: AffinePoint, digit_cap: int = DEFAULT_DIGIT_CAP):
         start = lift(x)
@@ -90,29 +92,25 @@ class OrbitHeightTracker:
 
     def _in_tail(self, l: int) -> bool:
         """Whether f^l(x) lies at or past the tail start k0 of its direction,
-        walking the iterates up to it.  A certified walk tests each iterate
-        that the orbit sizes off an interval step (one past the built triples,
-        after one of SIZED_FROM_BITS bits) for the tail (`EscapeBox.escaped`),
-        and the digit cap only at those that fail it, as the orbit may build
-        them; any other walk tests the cap at every iterate, and refuses."""
+        walking the iterates up to it.  Every walk tests the digit cap before
+        each iterate from 1 on; a certified one then builds that iterate and
+        tests its exact triple for the tail (`EscapeBox.escaped`), and the
+        first that passes is k0.  By the box lemma an iterate before k0 lies
+        in the box or in V+ (V-) with log|u| under the tail start, so the walk
+        builds no triple much past d start / log 2 bits, and the cap refuses
+        only a map whose tail would start past it; any other walk refuses at
+        the cap."""
         forward, k = l >= 0, abs(l)
         sign = 1 if forward else -1
-        n, orbit, box = self._under[forward], self._orbit, self._box
+        n, box = self._under[forward], self._box
         while self._tails[forward] is None and n <= k:
-            if box is None:
-                self._capped(sign * n, f"and {self._why}, so no escape tail takes over")
-            elif orbit.size(sign * (n - 1))[0] >= SIZED_FROM_BITS and orbit.built(sign * n) is None:
-                point = orbit.enclosure(sign * n)  # Z = m = 1, so the step always goes
-                logs = box.escaped(point, forward)
-                if logs is not None:
-                    self._seed(sign * n, point)
-                    self._tails[forward] = (n, n, logs)
-                    break
-                self._capped(sign * n, "before its escape tail started")
+            self._capped(sign * n, f"and {self._why}, so no escape tail takes over" if box is None
+                         else "before its escape tail started")
+            if box is not None and (logs := box.escaped(self._orbit[sign * n], forward)) is not None:
+                self._tails[forward] = (n, n, logs)
             n += 1
             self._under[forward] = n
-        tail = self._tails[forward]
-        return tail is not None and k >= tail[0]
+        return self._tails[forward] is not None and k >= self._tails[forward][0]
 
     def _capped(self, l: int, reason: str) -> None:
         """`Orbit.capped` at iterate l, its refusal told with `reason`."""
@@ -120,21 +118,6 @@ class OrbitHeightTracker:
             self._orbit.capped(l, self._cap)
         except ResourceCapError as exc:
             raise ResourceCapError(f"orbit {exc}, {reason}", exc.iterate, exc.bound_bits) from None
-
-    def _seed(self, l: int, point) -> None:
-        """Keep the enclosure of h_nv at the tail start l, read off the
-        orbit's enclosure (X, Y, 1) there: log max(|X|, |Y|, 1) at each
-        endpoint, as log_int(mantissa) + e log 2, within a few ulps, which
-        the pad 1e-12 max(1, |h|) + 1e-12 covers a thousand times over.  An
-        enclosure wider than 1e-6 |h| is refused."""
-        x, y, _ = point
-        (x_lo, x_hi), (y_lo, y_hi) = x.log_abs(), y.log_abs()
-        h_lo, h_hi = max(x_lo, y_lo, 0.0), max(x_hi, y_hi, 0.0)
-        pad = 1e-12 * max(1.0, abs(h_hi)) + 1e-12
-        found = (h_lo - pad, h_hi + pad)
-        if found[1] - found[0] > 1e-6 * max(1.0, abs(found[1])):
-            raise ResourceCapError(f"interval arithmetic lost precision at iterate {l}", iterate=l)
-        self._bounds[l] = found
 
     def point(self, l: int) -> AffinePoint:
         """Exact coordinates of f^l(x), for an iterate the orbit has built."""
@@ -148,26 +131,27 @@ class OrbitHeightTracker:
     def h_bounds(self, l: int) -> Tuple[float, float]:
         """Certified [lo, hi] enclosure of h_nv(f^l(x)).
 
-        Before the tail start it is the orbit's size, good to a few ulps, in
-        a pad of 2^-40 |h|.  At the tail start k0 it is read off the orbit's
-        enclosure (`_seed`).  Past it, each iterate comes from the one before
-        by `EscapeBox.tail_step`, whose bounds hold with no pad (see its
-        docstring and the class docstring of `EscapeBox`): the iterate at k0
-        is in V+ (V- going backward) with |u| past the tail start, so each
-        later one is too, log|u| follows d log|u| + log|alpha| up to eta, and
-        h_nv is log|u| + log(M / |det B|) up to the B^-1 offset.  The same
-        pad 1e-12 max(1, |h|) + 1e-12 as at k0 is added to every tail bound.
-        A bound past the float range is refused, naming the iterate.
+        Up to the tail start k0 it is the orbit's size, good to a few ulps,
+        in a pad of 2^-40 max(1, |h|): a certified tracker has built each of
+        those iterates, so the size is that of its exact triple.  Past k0,
+        each iterate comes from the one before by `EscapeBox.tail_step`,
+        whose bounds hold with no pad (see its docstring and the class
+        docstring of `EscapeBox`): the iterate at k0 is in V+ (V- going
+        backward) with |u| past the tail start, so each later one is too,
+        log|u| follows d log|u| + log|alpha| up to eta, and h_nv is log|u| +
+        log(M / |det B|) up to the B^-1 offset.  A pad of 1e-12 h + 1e-12 is
+        added to every tail bound.  A bound past the float range is refused,
+        naming the iterate.
         """
         cached = self._bounds.get(l)
         if cached is not None:
             return cached
-        if not self._in_tail(l):
+        forward = l >= 0
+        if not self._in_tail(l) or abs(l) == self._tails[forward][0]:
             h = self._orbit.size(l)[1]
             pad = 2.0**-40 * max(1.0, abs(h))
             found = self._bounds[l] = (h - pad, h + pad)
             return found
-        forward = l >= 0
         sign = 1 if forward else -1
         start, k, logs = self._tails[forward]
         while k < abs(l):
@@ -367,13 +351,16 @@ def _escape_floor(engine: HeightEngine, core: OrbitHeightTracker, threshold: flo
     `core` of z, proves every f^k(x) from l on in the scan's direction above
     the threshold T.  With e and c the degree and growth constant of
     gamma^-1, h(g^k z) <= e h(f^k x) + c, so F > e T + c proves it (e = 1, c
-    = 0 with no conjugator).  T is raised by 1e-5 max(1, T), above the
-    widths of the tracker's enclosures (its seeds are refused past 1e-6 |h|)
-    and the floor's ulps, so every midpoint the scan would read further on
-    is above T too.  F is read where `core` has walked: past the tail start
-    of a certified tracker, its own lower bound, as the tail's lower bounds
-    rise; else `EscapeBox.floor` at the orbit's enclosure of g^l(z), with
-    Phi from the last triple the orbit has built up to it."""
+    = 0 with no conjugator).  T is raised by 1e-5 max(1, T), far above the
+    widths of the tracker's enclosures (2^-39 max(1, |h|) up to the tail
+    start; under 1e-11 max(1, |h|) past it: the pad of 1e-12 h + 1e-12 a
+    side, and log bounds that widen by a few ulps of h per step, for at most
+    1024 steps before h passes the float range) and the floor's ulps, so
+    every midpoint the scan would read further on is above T too.  F is read
+    where `core` has walked: from the tail start of a certified tracker on,
+    its own lower bound, as the tail's lower bounds rise; else
+    `EscapeBox.floor` at the orbit's enclosure of g^l(z), with Phi from the
+    last triple the orbit has built up to it."""
     bound = threshold + 1e-5 * max(1.0, threshold)
     if engine.gamma is not None:
         forms = engine.gamma.forms(False)

@@ -255,8 +255,17 @@ def test_make_engine_leaves_the_escape_box_unbuilt():
     # the constant is a field of the escape box, built on the first estimate
     # and not by make_engine, which map-algebra times on every op
     g = henon(1, parse_poly("x^2"))
-    make_engine(g, depth=12)
-    assert "escape_box" not in g.__dict__
+    e = make_engine(g, depth=12)
+    assert "escape_box" not in g.__dict__ and "_lower" not in e.__dict__
+
+
+def test_the_engine_holds_its_constant_l():
+    # L is formed on the first estimate and held on the engine, outside its
+    # fields, so equality ignores it and every later estimate reads it
+    e = make_engine(HENON2, depth=12)
+    first = hcanonical(e, X3)
+    assert e.__dict__["_lower"] == e.lower_bound_constant() == 4 * HENON2.escape_box.inequality
+    assert e == make_engine(HENON2, depth=12) and hcanonical(e, X3) == first
 
 
 CORPUS = {

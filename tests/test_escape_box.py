@@ -18,10 +18,11 @@ than +-1, against exact naive heights.
 """
 
 import math
+from decimal import Context, Decimal, localcontext
 from fractions import Fraction
 
 import pytest
-from hypothesis import event, given, settings
+from hypothesis import event, given, reject, settings
 from hypothesis import strategies as st
 
 from planeheights import from_description
@@ -78,15 +79,16 @@ def test_growth_of_the_corpus(name, backward, forward):
 
 def test_the_escape_tail_starts_in_v_plus_past_its_start():
     # H2 has S = 2, alpha = 1 and B = I, so the tail starts at log|u| =
-    # log(2 S/|alpha|) + log(2 B'/M) + 45 = log 8 + 45
+    # log(2 S/|alpha|) + log(2 B'/M) + 45 = log 8 + 45, tested on exact triples
     box = henon(1, parse_poly("x^2")).escape_box
-    big, small = Interval(1 << 3000, 1 << 3000), Interval(5, 5)
+    big, small = 1 << 3000, 5
     assert box._tail_constants[True].start == pytest.approx(math.log(8) + 45)
     lo, hi = box.escaped((big, small, 1), forward=True)
     assert lo < 3000 * math.log(2) < hi and hi - lo < 1e-11
     assert box.escaped((small, big, 1), forward=True) is None  # in V-
     assert box.escaped((small, big, 1), forward=False) == (lo, hi)
-    assert box.escaped((Interval(1 << 60, 1 << 60), small, 1), forward=True) is None  # under the start
+    assert box.escaped((big, -big, 1), forward=True) is None  # |u| = |v|: in neither V+ nor V-
+    assert box.escaped((1 << 60, small, 1), forward=True) is None  # under the start
     # a step from u = 2^3000, v = 5 to u' = 2^6000 - 5, v' = 2^3000
     (l_lo, l_hi), (h_lo, h_hi) = box.tail_step((lo, hi))
     assert l_lo < 6000 * math.log(2) < l_hi and h_lo <= l_lo < l_hi <= h_hi and h_hi - h_lo < 1e-10
@@ -232,6 +234,66 @@ def test_the_escape_floor_is_below_every_later_height(f, pt, forward):
             floor = box.floor(_enclosed(walk[k]), walk[j], k - j, forward)
             assert floor <= min(heights[k:]) * (1 + 1e-12) + 1e-12, (j, k)
     event("the floor passes 0" if box.floor(_enclosed(walk[-1]), walk[-1], 0, forward) > 0 else "no floor")
+
+
+@st.composite
+def integral_henon_words(draw):
+    """Words of one or two Henon maps of degree <= 4 in all with an integral
+    inverse (a and the leading coefficient of p are +-1), optionally
+    conjugated by an integral affine map of determinant 1."""
+    f = None
+    for degree in draw(st.sampled_from([(2,), (3,), (2, 2)])):
+        coeffs = draw(st.lists(st.integers(-3, 3), min_size=degree, max_size=degree)) + [draw(st.sampled_from([1, -1]))]
+        p = sum((BivarPoly.const(c) * X**i for i, c in enumerate(coeffs)), BivarPoly.zero())
+        g = henon(draw(st.sampled_from([1, -1])), p)
+        f = g if f is None else compose_maps(f, g)
+    if draw(st.booleans()):
+        b, j, e, h = (BivarPoly.const(draw(st.integers(-2, 2))) for _ in range(4))
+        one = BivarPoly.const(1)
+        gamma = pair(X + b * Y + e, j * X + (j * b + one) * Y + h,
+                     (j * b + one) * (X - e) - b * (Y - h), (Y - h) - j * (X - e))
+        f = conjugate(f, gamma)
+    return f
+
+
+def _ln(n):
+    """ln n, n >= 1, in `Decimal` at 40 digits: the ln of its leading 160
+    bits (n itself when it has no more) plus the shift times ln 2."""
+    shift = max(0, n.bit_length() - 160)
+    with localcontext(Context(prec=40)):
+        return Decimal(n >> shift).ln() + shift * Decimal(2).ln()
+
+
+starts = st.integers(-6, 6) | st.integers(2**64, 2**80) | st.integers(-2**80, -2**64)
+
+
+@settings(max_examples=60, deadline=None)
+@given(f=integral_henon_words(), x=starts, y=starts, forward=st.booleans())
+def test_the_escape_tail_starts_on_an_exact_triple(f, x, y, forward):
+    # walk (x, y) to the first exact triple at which `escaped` gives bounds:
+    # there |u| > |v| (|v| > |u| backward) exactly, the bounds hold ln|u| (ln|v|),
+    # and `tail_step` from them holds ln|u| and the exact h_nv of each of the
+    # next five iterates
+    box, forms = f.escape_box, f.forms(forward)
+    point = (x, y, 1)
+    for k in range(30):
+        if (logs := box.escaped(point, forward)) is not None:
+            break
+        # by the box lemma every iterate before the tail start, past the
+        # start itself, lies in the box or in V+ (V-) under it
+        assert k == 0 or top(point).bit_length() < 1024, k
+        point = forms.step(point)
+    else:
+        reject()  # still in the box after 30 iterates
+    event(f"the tail starts at k = {k}" if k < 2 else "the tail starts at k >= 2")
+    for step in range(6):
+        u, v = (abs(box._u(point[0], point[1], side)) for side in (forward, not forward))
+        assert u > v
+        assert Decimal(logs[0]) <= _ln(u) <= Decimal(logs[1]), step
+        if step:
+            assert Decimal(h_nv[0]) <= _ln(top(point)) <= Decimal(h_nv[1]), step
+        logs, h_nv = box.tail_step(logs, forward)
+        point = forms.step(point)
 
 
 MERSENNE = 2**61 - 1

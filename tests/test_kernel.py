@@ -392,14 +392,14 @@ def test_a_default_cap_refusal_builds_no_triple_past_the_threshold(monkeypatch, 
 
 
 def test_a_counting_run_builds_no_triple_past_the_threshold(monkeypatch):
-    # the canonical tracker reads the orbit's sizes up to its tail start, one
-    # past the orbit's last built triple, and the log recurrence past it, so
-    # a count at T = e^21 builds no triple from a source past SIZED_FROM_BITS:
-    # the orbit of (3, 0) ends at -11 (1637 bits) and +10 (1609 bits), where
-    # a switch that built its last exact iterate reached 6545 and 6436 bits.
-    # The only interval steps are those of the (hhat+, hhat-) walks' sizes,
-    # into +11..+13 and -12, -13: the tracker reads +43 and -44 off its tail
-    # with none past its tail starts, +11 and -12.
+    # the canonical tracker builds the orbit of (3, 0) up to its tail starts,
+    # +6 (101 bits) and -7 (103 bits), and reads +43 and -44 off the log
+    # recurrence past them.  Only the (hhat+, hhat-) walks read sizes past
+    # 1024 bits: the orbit ends at -11 (1637 bits) and +10 (1609 bits), and
+    # their sizes step intervals into +11..+13 and -12, -13.  So a count at
+    # T = e^21 builds no triple from a source past SIZED_FROM_BITS, and a
+    # tracker alone steps no interval and builds none from one past 52
+    # bits, that of -6.
     stepped = record_steps(monkeypatch)
     interval_steps = []
     image = IntegerForms.image
@@ -414,26 +414,31 @@ def test_a_counting_run_builds_no_triple_past_the_threshold(monkeypatch):
     engine = make_engine(f, depth=12)
     counting_enclosure(engine, X3, math.exp(21))
     tracker = engine.__dict__["_held"][1]["tracker"]
-    assert [tail[:2] for tail in tracker._tails] == [(12, 44), (11, 43)]
+    assert [tail[:2] for tail in tracker._tails] == [(7, 44), (6, 43)]
     assert len(interval_steps) == 5
     assert stepped and not any(type(c) is Interval for source in stepped for c in source)
     assert max(top(source).bit_length() for source in stepped) < SIZED_FROM_BITS
     assert [top(chain[-1]).bit_length() for chain in f.orbit(lift(X3))._chains] == [1637, 1609]
+    stepped.clear()
+    interval_steps.clear()
+    tracker = OrbitHeightTracker(H2._replace(), X3)
+    tracker.h_bounds(43), tracker.h_bounds(-44)
+    assert interval_steps == [] and max(top(source).bit_length() for source in stepped) == 52
 
 
-def test_a_tracker_under_a_smaller_cap_reads_the_orbits_enclosures():
-    # a reader at the default cap has read (3, 0) to +22: sizes to +10, the
-    # built triples, and its tail from the orbit's one enclosure at +11; a
-    # tracker under a 10^4-digit cap, which would refuse +15, starts its tail
-    # off the same enclosure, so the orbit steps and builds nothing more
+def test_a_tracker_under_a_smaller_cap_reads_the_orbits_built_triples():
+    # a reader at the default cap has read (3, 0) to +22: the built triples
+    # to +6, its tail start, and the log recurrence past it; a tracker under
+    # a 10^4-digit cap, which would refuse +15, starts its tail at the same
+    # built triple, so the orbit steps and builds nothing more
     f = H2._replace()  # a copy that holds no orbit
     OrbitHeightTracker(f, X3).h_bounds(22)
     orbit = f.orbit(lift(X3))
-    assert [len(orbit._chains[True]), len(orbit._sizes[True]), len(orbit._enclosures[True])] == [11, 11, 1]
+    assert [len(orbit._chains[True]), len(orbit._sizes[True]), len(orbit._enclosures[True])] == [7, 6, 0]
     tracker = OrbitHeightTracker(f, X3, digit_cap=10_000)
     lo, hi = tracker.h_bounds(22)
-    assert (tracker._under[True], tracker._tails[True][:2]) == (11, (11, 22))
-    assert [len(orbit._chains[True]), len(orbit._enclosures[True])] == [11, 1]
+    assert (tracker._under[True], tracker._tails[True][:2]) == (7, (6, 22))
+    assert [len(orbit._chains[True]), len(orbit._enclosures[True])] == [7, 0]
     assert lo <= orbit.size(22)[1] <= hi
 
 

@@ -11,10 +11,9 @@ import pytest
 from hypothesis import assume, event, example, given, reject, settings
 from hypothesis import strategies as st
 
-from planeheights import automorphism as automorphism_mod
 from planeheights import orbit as orbit_mod
 from planeheights.automorphism import (DEFAULT_DIGIT_CAP, INTERVAL_PRECISION_BITS, IntegerForms, Interval, compose_maps,
-                                       henon, inverse, pair, pinned_size, triangular)
+                                       henon, inverse, pair, triangular)
 from planeheights.canonical import functional_equation_residual, hminus, hplus, is_periodic, make_engine
 from planeheights.errors import (
     OutOfRangeError,
@@ -66,8 +65,9 @@ def test_tracker_exact_phase_matches_direct_iteration():
 
 
 def test_tracker_interval_phase_agrees_with_exact():
-    # a 50-digit cap, which a certified tracker does not test, leaves its
-    # sizes (to +10) and its tail (from +11) as under the default cap
+    # a 50-digit cap (166 bits), above the step bound into the tail start of
+    # (3, 0) (at most 140 bits), leaves its sizes (to +6) and its tail (past
+    # +6) as under the default cap
     small = OrbitHeightTracker(HENON2, X3, digit_cap=50)
     exact = OrbitHeightTracker(HENON2, X3)
     for l in range(5, 16):
@@ -88,7 +88,10 @@ INTEGRAL = {
 }
 INTEGRAL["C6"] = compose_maps(INTEGRAL["H2"], INTEGRAL["H3"])
 DEPTH_BY_DELTA = {2: 12, 3: 8, 4: 6, 6: 5}
-SWITCH_DIGITS = 50  # a cap no engine takes, which a certified tracker does not test
+# a cap no engine takes (it needs 10^4 digits), above the step bound
+# d (start / log 2 + 1) + c_bits into the tail start of every map of
+# INTEGRAL, at most 442 bits (C6 forward), which a certified tracker tests
+SWITCH_DIGITS = 200
 
 
 def infinite_orbit_engine(name, x, y):
@@ -107,12 +110,12 @@ def infinite_orbit_engine(name, x, y):
 @given(name=st.sampled_from(sorted(INTEGRAL)), x=st.integers(-6, 6), y=st.integers(-6, 6),
        thresholds=st.lists(st.floats(0.5, 300.0), min_size=1, max_size=3))
 def test_counts_do_not_depend_on_the_switch_point(name, x, y, thresholds):
-    # a certified tracker tests no cap before its escape tail: under the
-    # smallest cap an engine takes (10^4 digits), which the walks at T = 250
-    # would pass, and under a 50-digit cap, the counts are those of the
+    # a certified tracker tests the cap only up to its escape tail: under
+    # the smallest cap an engine takes (10^4 digits), which the walks at T =
+    # 250 would pass, and under SWITCH_DIGITS, the counts are those of the
     # default cap, and both counts reach the tail in both directions (the
     # naive scan ends at its escape floor, which at T = e^9 lies past the
-    # first iterate of SIZED_FROM_BITS bits)
+    # tail start)
     engine, pt = infinite_orbit_engine(name, x, y)
     capped = make_engine(engine.g, depth=engine.depth, digit_cap=10_000)
     thresholds = sorted(thresholds + [250.0, math.exp(9)])
@@ -166,11 +169,12 @@ EXACT_BITS = 2**16  # the largest iterate whose height is checked on its built t
 @example(f=HENON2, x=3, y=0, forward=True)
 @example(f=HENON2, x=3, y=0, forward=False)
 def test_the_escape_tail_encloses_the_exact_heights_and_the_orbit_enclosures(f, x, y, forward):
-    # the tracker's h_bounds to +-60, and the log recurrence from the same
-    # seed with no pad (EscapeBox.tail_step): each encloses the exact height
-    # log max(|X|, |Y|, 1) of every iterate of at most EXACT_BITS bits, and
-    # the tracker's bounds meet the enclosure the orbit steps to each further
-    # iterate (Orbit.enclosure), which no tracker reads past its tail start.
+    # the tracker's h_bounds to +-60, and the log recurrence from the bounds
+    # `escaped` gives at the exact triple of the tail start, with no pad
+    # (EscapeBox.tail_step): each encloses the exact height log max(|X|, |Y|,
+    # 1) of every iterate of at most EXACT_BITS bits, and the tracker's
+    # bounds meet the enclosure the orbit steps to each further iterate
+    # (Orbit.enclosure), which no tracker reads.
     # On a conjugate those enclosures can lose bits at every step (about 4 on
     # (x - 2y, y - x) o (x^2 + 3x + 1 + y, x) o its inverse), so they are
     # only met, and never sized, which would build the triple once they no
@@ -184,7 +188,7 @@ def test_the_escape_tail_encloses_the_exact_heights_and_the_orbit_enclosures(f, 
     bounds = [tracker.h_bounds(sign * k) for k in range(61)]
     start = tracker._tails[forward][0]
     orbit = f.orbit(lift(pt))
-    logs = {start: box.escaped(orbit.enclosure(sign * start), forward)}
+    logs = {start: box.escaped(orbit[sign * start], forward)}
     tail = {}
     for k in range(start + 1, 61):
         logs[k], tail[k] = box.tail_step(logs[k - 1], forward)
@@ -232,25 +236,9 @@ def test_tracker_reaches_far_iterates():
     assert lo > 1e11  # heights double per step: ~2^40 * 1.09
 
 
-def test_tracker_refuses_when_intervals_lose_precision(monkeypatch):
-    # The tail of (3, 0) starts at +11 off the orbit's enclosure there, one
-    # interval step past the built triples, at the precision `Interval` reads
-    # when it is made (each new map holds a new orbit).  The log recurrence
-    # keeps the seed's relative width, so 24-bit intervals still give h(60)
-    # to 1e-6; 8-bit ones give a seed wider than 1e-6 |h|, which is refused.
-    for bits in (INTERVAL_PRECISION_BITS, 24):
-        monkeypatch.setattr(automorphism_mod, "INTERVAL_PRECISION_BITS", bits)  # where Interval reads it
-        lo, hi = OrbitHeightTracker(henon(1, parse_poly("x^2")), X3, digit_cap=50).h_bounds(60)
-        assert hi - lo < 1e-6 * hi
-    monkeypatch.setattr(automorphism_mod, "INTERVAL_PRECISION_BITS", 8)
-    tracker = OrbitHeightTracker(henon(1, parse_poly("x^2")), X3, digit_cap=50)
-    with pytest.raises(ResourceCapError, match="interval arithmetic lost precision at iterate 11"):
-        tracker.h_bounds(60)
-
-
-def test_the_tracker_refusals_carry_their_iterate(monkeypatch):
-    # the orbit builds (3, 0) only to +10 and sizes the iterates past it, so
-    # iterate 20 is not built
+def test_the_tracker_refusals_carry_their_iterate():
+    # the tracker builds (3, 0) only to its tail start, +6, and steps the log
+    # recurrence past it, so iterate 20 is not built
     tracker = OrbitHeightTracker(henon(1, parse_poly("x^2")), X3)
     tracker.h_bounds(20)
     with pytest.raises(ResourceCapError) as info:
@@ -264,12 +252,6 @@ def test_the_tracker_refusals_carry_their_iterate(monkeypatch):
     assert str(info.value) == "the naive height passed the float range at iterate 1024"
     assert (info.value.iterate, info.value.bound_bits) == (1024, None)
     assert math.isfinite(tracker.h_bounds(1023)[1])
-    monkeypatch.setattr(automorphism_mod, "INTERVAL_PRECISION_BITS", 8)
-    tracker = OrbitHeightTracker(henon(1, parse_poly("x^2")), X3, digit_cap=50)
-    with pytest.raises(ResourceCapError) as info:
-        tracker.h_bounds(-60)
-    assert str(info.value) == "interval arithmetic lost precision at iterate -12"
-    assert (info.value.iterate, info.value.bound_bits) == (-12, None)
 
 
 def _interval_steps(monkeypatch):
@@ -296,24 +278,24 @@ def test_second_counting_run_steps_no_interval(monkeypatch):
     assert interval_steps == []
 
 
-def test_every_tracker_of_an_orbit_reads_one_chain_of_interval_steps(monkeypatch):
+def test_every_tracker_of_an_orbit_reads_one_chain_of_built_triples(monkeypatch):
     # a naive count builds a new tracker per call, and the canonical count
-    # holds another; each steps no interval past its tail start k0, so the
-    # first naive count, which reads +35 and -36, steps only into +11 and
-    # -12, one past the built triples, and the second naive count and the
-    # canonical one, which reads +43 and -44, step nothing
+    # holds another; each builds the orbit up to its tail starts, +6 and -7,
+    # and steps no interval, so the first naive count, which reads +35 and
+    # -36, builds -7..+6, and the second naive count and the canonical one,
+    # which reads +43 and -44, build nothing more
     engine = make_engine(henon(1, parse_poly("x^2")), depth=12)
     interval_steps = _interval_steps(monkeypatch)
     first = count_below(engine, X3, math.exp(21), "naive")
     orbit = engine.g.orbit(lift(X3))
-    assert [len(chain) for chain in orbit._chains] == [12, 11]
-    assert [pinned_size(source) for source in interval_steps] == [orbit.size(10), orbit.size(-11)]
-    interval_steps.clear()
+    assert [len(chain) for chain in orbit._chains] == [8, 7]
+    assert interval_steps == []
     assert count_below(engine, X3, math.exp(21), "naive") == first
     assert interval_steps == []
     count_below(engine, X3, math.exp(21), "canonical")
     assert interval_steps == []
-    assert [t[:2] for t in _held_tracker(engine, X3)._tails] == [(12, 44), (11, 43)]
+    assert [t[:2] for t in _held_tracker(engine, X3)._tails] == [(7, 44), (6, 43)]
+    assert [len(chain) for chain in orbit._chains] == [8, 7]
 
 
 def test_tracker_noncertified_map_hits_cap():
@@ -324,22 +306,38 @@ def test_tracker_noncertified_map_hits_cap():
 
 
 def test_certified_map_starts_its_tail_under_any_cap():
-    # under a 10^4-digit cap Orbit.capped would refuse iterate +15 of (3, 0)
-    # (the step bound from +14, 25741 bits, is 51483 bits) and -16, and the
-    # default cap +23 and -23; a certified tracker tests neither, and under
-    # both its tail starts at +11 and -12, one past the built triples
+    # under a 10^4-digit cap Orbit.capped refuses iterate +15 of (3, 0) (the
+    # step bound from +14, 25741 bits, is 51483 bits) and -16, and the
+    # default cap +23 and -23; a certified tracker tests the cap only up to
+    # its tail start, +6 and -7 under both, where the step bound is under
+    # 140 bits
     f = HENON2._replace()  # a copy that holds no orbit
     capped = OrbitHeightTracker(f, X3, digit_cap=10_000)
     default = OrbitHeightTracker(f, X3)
     for l in range(-40, 41):
         assert capped.h_bounds(l) == default.h_bounds(l), l
-    assert [t[0] for t in capped._tails] == [t[0] for t in default._tails] == [12, 11]
-    assert capped._under == default._under == [12, 11]
+    assert [t[0] for t in capped._tails] == [t[0] for t in default._tails] == [7, 6]
+    assert capped._under == default._under == [8, 7]
     engine = make_engine(HENON2, depth=12)
     capped_engine = make_engine(HENON2, depth=12, digit_cap=10_000)
     for which in ("naive", "canonical"):
         for t in (math.exp(9), math.exp(15), math.exp(21)):
             assert count_below(capped_engine, X3, t, which) == count_below(engine, X3, t, which), (which, t)
+
+
+@pytest.mark.parametrize("built", [0, 14, 20])
+def test_the_tail_start_does_not_depend_on_the_iterates_built(built):
+    # the tail starts at the first exact iterate that passes its test, not
+    # past the triples other readers have built: after building -built..built
+    # of (3, 0), it starts at +6 and -7, and every bound is the same bit for bit
+    f = HENON2._replace()  # a copy that holds no orbit
+    orbit = f.orbit(lift(X3))
+    orbit[built], orbit[-built]
+    tracker = OrbitHeightTracker(f, X3)
+    bounds = [tracker.h_bounds(l) for l in range(-40, 41)]
+    assert [t[0] for t in tracker._tails] == [7, 6]
+    fresh = OrbitHeightTracker(HENON2._replace(), X3)
+    assert bounds == [fresh.h_bounds(l) for l in range(-40, 41)]
 
 
 def test_noncertified_map_counts_exactly_below_the_cap():
