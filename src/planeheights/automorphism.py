@@ -67,7 +67,7 @@ from typing import NamedTuple, Tuple
 
 from .errors import DEFAULT_DIGIT_CAP, MapValidationError, PolyParseError, ResourceCapError
 from .heights import _LN2, ProjPoint, affine, lift, log_int, top
-from .ratpoly import BivarPoly, _integer_numerators, format_rat, parse_rat, powers
+from .ratpoly import BivarPoly, _integer_numerators, parse_rat, powers
 
 _X = BivarPoly.var("x")
 _Y = BivarPoly.var("y")
@@ -470,11 +470,11 @@ class Orbit:
 class _Pairs(NamedTuple):
     fwd: Tuple[BivarPoly, BivarPoly]
     inv: Tuple[BivarPoly, BivarPoly]
-    word: Tuple[str, ...]
 
 
 class PlaneAutomorphism(_Pairs):
-    """Forward/inverse polynomial pairs plus a generator word for provenance.
+    """Forward/inverse polynomial pairs: a map is its polynomials, so two maps
+    are equal, and hash equal, exactly when their pairs are.
 
     The compiled integer forms, the points at infinity, the dynamical degree,
     the escape box and the orbit of the last queried start are cached in the
@@ -507,7 +507,19 @@ class PlaneAutomorphism(_Pairs):
 
     @cached_property
     def _dynamical_degree(self) -> int:
-        return _compute_dynamical_degree(self)
+        """See `dynamical_degree`."""
+        d1 = self.degree()
+        if is_regular(self):
+            return d1
+        tau = Fraction(degree_sequence(self, 2)[1], d1)
+        if tau <= 1:
+            return 1
+        if tau.denominator != 1:
+            raise MapValidationError(f"dynamical degree dichotomy violated: tau = {tau} is not an integer")
+        delta = int(tau)
+        if not 1 <= delta <= d1:
+            raise MapValidationError(f"dynamical degree {delta} outside [1, {d1}]")
+        return delta
 
     @cached_property
     def escape_box(self) -> EscapeBox | None:
@@ -556,11 +568,11 @@ class PlaneAutomorphism(_Pairs):
         return f"({self.fwd[0]}, {self.fwd[1]})"
 
 
-def _build(fwd, inv, word, check: bool) -> PlaneAutomorphism:
+def _build(fwd, inv, check: bool) -> PlaneAutomorphism:
     for poly in (*fwd, *inv):
         if poly.is_zero():
             raise MapValidationError("automorphism components cannot be zero")
-    auto = PlaneAutomorphism(tuple(fwd), tuple(inv), tuple(word))
+    auto = PlaneAutomorphism(tuple(fwd), tuple(inv))
     if auto.degree() < 1 or auto.inverse_degree() < 1:
         raise MapValidationError("automorphism components must have degree >= 1")
     if check and not auto.compose_check():
@@ -569,7 +581,7 @@ def _build(fwd, inv, word, check: bool) -> PlaneAutomorphism:
 
 
 def identity() -> PlaneAutomorphism:
-    return _build((_X, _Y), (_X, _Y), (), check=False)
+    return _build((_X, _Y), (_X, _Y), check=False)
 
 
 def henon(a, p: BivarPoly) -> PlaneAutomorphism:
@@ -587,8 +599,7 @@ def henon(a, p: BivarPoly) -> PlaneAutomorphism:
     fwd = (p - BivarPoly.const(a) * _Y, _X)
     p_of_y = p.compose(_Y, BivarPoly.zero())
     inv = (_Y, (p_of_y - _X) * BivarPoly.const(1 / a))
-    word = (f"henon(a={format_rat(a)}, p={p})",)
-    return _build(fwd, inv, word, check=True)
+    return _build(fwd, inv, check=True)
 
 
 def triangular(a, b, c, P: BivarPoly) -> PlaneAutomorphism:
@@ -604,13 +615,12 @@ def triangular(a, b, c, P: BivarPoly) -> PlaneAutomorphism:
         (_X - P.compose(BivarPoly.zero(), y_back)) * BivarPoly.const(1 / a),
         y_back,
     )
-    word = (f"triangular(a={format_rat(a)}, b={format_rat(b)}, c={format_rat(c)}, P={P})",)
-    return _build(fwd, inv, word, check=True)
+    return _build(fwd, inv, check=True)
 
 
 def pair(p: BivarPoly, q: BivarPoly, pinv: BivarPoly, qinv: BivarPoly) -> PlaneAutomorphism:
     """User-supplied forward and inverse pairs; only validated, never inverted."""
-    return _build((p, q), (pinv, qinv), (f"pair({p}, {q})",), check=True)
+    return _build((p, q), (pinv, qinv), check=True)
 
 
 def compose_maps(f: PlaneAutomorphism, g: PlaneAutomorphism) -> PlaneAutomorphism:
@@ -623,12 +633,11 @@ def compose_maps(f: PlaneAutomorphism, g: PlaneAutomorphism) -> PlaneAutomorphis
         g.inv[0].compose(f.inv[0], f.inv[1]),
         g.inv[1].compose(f.inv[0], f.inv[1]),
     )
-    return _build(fwd, inv, f.word + g.word, check=False)
+    return _build(fwd, inv, check=False)
 
 
 def inverse(f: PlaneAutomorphism) -> PlaneAutomorphism:
-    word = tuple(f"inv[{w}]" for w in reversed(f.word))
-    return _build(f.inv, f.fwd, word, check=False)
+    return _build(f.inv, f.fwd, check=False)
 
 
 def conjugate(f: PlaneAutomorphism, gamma: PlaneAutomorphism) -> PlaneAutomorphism:
@@ -665,21 +674,6 @@ def dynamical_degree(f: PlaneAutomorphism) -> int:
     delta.  A non-integer tau > 1 signals a malformed automorphism.  The value
     is cached on the map."""
     return f._dynamical_degree
-
-
-def _compute_dynamical_degree(f: PlaneAutomorphism) -> int:
-    d1 = f.degree()
-    if is_regular(f):
-        return d1
-    tau = Fraction(degree_sequence(f, 2)[1], d1)
-    if tau <= 1:
-        return 1
-    if tau.denominator != 1:
-        raise MapValidationError(f"dynamical degree dichotomy violated: tau = {tau} is not an integer")
-    delta = int(tau)
-    if not 1 <= delta <= d1:
-        raise MapValidationError(f"dynamical degree {delta} outside [1, {d1}]")
-    return delta
 
 
 # -- points at infinity ------------------------------------------------------
@@ -1005,7 +999,7 @@ def _escape_box(f: PlaneAutomorphism) -> EscapeBox | None:
     (p, q), (r, s) = (point.xy for point in f._at_infinity)
     det = q * r - p * s  # nonzero: two distinct normalized points
     b_inv = (Fraction(r, det) * _X + Fraction(p, det) * _Y, Fraction(s, det) * _X + Fraction(q, det) * _Y)
-    b = _build((q * _X - p * _Y, r * _Y - s * _X), b_inv, (), check=False)
+    b = _build((q * _X - p * _Y, r * _Y - s * _X), b_inv, check=False)
     g = compose_maps(compose_maps(b, f), inverse(b))  # f in the coordinates (u, v), named (x, y)
     radius, modulus, growth, at_infinity, at_primes = Fraction(1), 1, [], [], 0
     for (lead, low), key in ((g.inv[::-1], (0, g.inverse_degree())), (g.fwd, (g.degree(), 0))):

@@ -44,6 +44,7 @@ from __future__ import annotations
 import sys
 from decimal import MAX_EMAX, MIN_EMIN, Context, Decimal, localcontext
 from fractions import Fraction
+from functools import cached_property
 from typing import List, NamedTuple, Optional, Tuple
 
 from .automorphism import (
@@ -58,7 +59,6 @@ from .automorphism import (
 )
 from .errors import MapValidationError, ResourceCapError
 from .heights import AffinePoint, lift
-from .heights import growth_constant as _growth_constant
 
 DEFAULT_DEPTH = 12
 
@@ -66,20 +66,36 @@ DEFAULT_DEPTH = 12
 class _Engine(NamedTuple):
     g: PlaneAutomorphism
     delta: int
-    delta_minus: int
     gamma: Optional[PlaneAutomorphism]
-    outer: PlaneAutomorphism
-    c2_fwd: float
-    c2_inv: float
     depth: int
     digit_cap: int
 
 
 class HeightEngine(_Engine):
-    """Immutable bundle of the regular core g, its degrees, growth constants,
-    optional conjugator, truncation depth, and resource limits.  The orbit
-    module holds the last point asked about on it, and the engine its
+    """Immutable bundle of its inputs: the regular core g, its dynamical
+    degree, the optional conjugator, the truncation depth and the digit cap.
+    The inverse degree and the growth constants are read off the core, which
+    caches them; the outer map is composed on first read.  The orbit module
+    holds the last point asked about on it, and the engine its outer map and
     constant L, in the instance's `__dict__`, outside the fields."""
+
+    @property
+    def delta_minus(self) -> int:
+        """deg g^-1, which is delta on the regular core `make_engine` requires."""
+        return self.delta
+
+    @property
+    def c2_fwd(self) -> float:
+        return self.g.forms(True).c2
+
+    @property
+    def c2_inv(self) -> float:
+        return self.g.forms(False).c2
+
+    @cached_property
+    def outer(self) -> PlaneAutomorphism:
+        """f = gamma o g o gamma^-1, composed on first read."""
+        return self.g if self.gamma is None else compose_maps(compose_maps(self.gamma, self.g), inverse(self.gamma))
 
     def tail_fwd(self) -> float:
         return self.c2_fwd / ((self.delta - 1) * self.delta**self.depth)
@@ -111,7 +127,7 @@ def make_engine(
     depth: int = DEFAULT_DEPTH,
     digit_cap: int = DEFAULT_DIGIT_CAP,
 ) -> HeightEngine:
-    """Validate the core map and precompute its degrees and growth constants.
+    """Validate the core map and bundle it with its dynamical degree.
 
     The core must have dynamical degree >= 2 (triangularizable maps have no
     canonical height) and be regular; then delta = deg g = deg g^-1 = delta_minus.
@@ -140,18 +156,7 @@ def make_engine(
                          "(delta - 1) * delta^depth does not fit a float")
     if gamma is not None and gamma.is_identity():
         gamma = None
-    outer = g if gamma is None else compose_maps(compose_maps(gamma, g), inverse(gamma))
-    return HeightEngine(
-        g=g,
-        delta=delta,
-        delta_minus=g.inverse_degree(),
-        gamma=gamma,
-        outer=outer,
-        c2_fwd=_growth_constant(g, "fwd"),
-        c2_inv=_growth_constant(g, "inv"),
-        depth=depth,
-        digit_cap=digit_cap,
-    )
+    return HeightEngine(g=g, delta=delta, gamma=gamma, depth=depth, digit_cap=digit_cap)
 
 
 class HeightEstimate(NamedTuple):

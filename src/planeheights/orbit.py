@@ -165,10 +165,6 @@ class OrbitHeightTracker:
             self._tails[forward] = (start, k, logs)
         return self._bounds[l]
 
-    def h(self, l: int) -> float:
-        lo, hi = self.h_bounds(l)
-        return 0.5 * (lo + hi)
-
 
 # -- hhat+/hhat- from the functional identities --------------------------------
 

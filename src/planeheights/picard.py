@@ -81,16 +81,6 @@ class DivisorClass:
         if not isinstance(other, DivisorClass) or other.d != self.d:
             raise ValueError("divisor classes live on different surfaces")
 
-    def table(self) -> List[Tuple[str, Fraction]]:
-        return list(zip(basis_labels(self.d), self.coeffs))
-
-    def __str__(self):
-        parts = []
-        for label, c in self.table():
-            if c != 0:
-                parts.append(f"{c}*{label}")
-        return " + ".join(parts) if parts else "0"
-
 
 def _configuration(d: int) -> Tuple[List[int], List[Tuple[int, int]]]:
     """(self-intersections, meeting pairs) of the 4d-1 curves, by basis index.

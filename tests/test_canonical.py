@@ -14,6 +14,7 @@ from planeheights.automorphism import (
     cap_bits,
     compose_maps,
     dynamical_degree,
+    from_description,
     henon,
     identity,
     triangular,
@@ -257,6 +258,27 @@ def test_make_engine_leaves_the_escape_box_unbuilt():
     g = henon(1, parse_poly("x^2"))
     e = make_engine(g, depth=12)
     assert "escape_box" not in g.__dict__ and "_lower" not in e.__dict__
+
+
+def test_the_engine_composes_its_outer_map_on_first_read():
+    # make_engine compiles no forms of the core and composes no outer map;
+    # the first read of `outer` composes gamma o g o gamma^-1 and holds it
+    shift = {"type": "triangular", "a": "1", "b": "1", "c": "0", "P": "1"}
+    core = henon(1, parse_poly("x^2"))
+    engine = make_engine(core, gamma=from_description(shift))
+    assert "outer" not in vars(engine)
+    assert not {"_fwd_forms", "_inv_forms"} & set(vars(core))
+    outer = engine.outer
+    assert outer == from_description({"type": "conjugate", "inner": {"type": "henon", "a": "1", "p": "x^2"},
+                                      "by": shift})
+    assert vars(engine)["outer"] is outer and engine.outer is outer
+
+
+def test_the_engine_reads_its_invariants_off_the_core():
+    e = make_engine(HENON3, depth=8)
+    assert e.c2_fwd == e.g.forms(True).c2 and e.c2_inv == e.g.forms(False).c2
+    assert e.delta_minus == e.delta == HENON3.inverse_degree() == 3
+    assert make_engine(HENON3, gamma=identity()).outer is HENON3
 
 
 def test_the_engine_holds_its_constant_l():

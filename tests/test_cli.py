@@ -590,6 +590,22 @@ def test_orbit_unresolved_at_depth_is_a_resource_cap(capsys, tmp_path):
     assert "the orbit is infinite" in err and "a larger --depth resolves them" in err
 
 
+def test_an_undecided_verdict_exits_3_and_only_from_the_verdict(capsys, tmp_path):
+    # the escape box of henon(1, x^2 + 10^20000) has a radius of 20,001
+    # digits, so (0, 0) stays in it while its first iterate passes a 10^4
+    # digit cap: `orbit` reads the verdict first, which is undecided
+    # (UndecidedPeriodicityError, exit 3), and `canheight` reads no verdict,
+    # so its walk is refused at the cap (exit 4)
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({"type": "henon", "a": "1", "p": "x^2 + 1" + "0" * 20_000}))
+    common = ["--map", str(path), "--point", "0,0", "--digit-cap", "10000"]
+    code, out, err = run_cli(capsys, ["orbit", *common])
+    assert (code, out, err) == (3, "", "undecided: coordinate exceeded the digit cap at iterate +1\n")
+    code, out, err = run_cli(capsys, ["canheight", *common])
+    assert (code, out) == (4, "")
+    assert err == "resource cap: coordinate exceeded the digit cap at iterate +1\n"
+
+
 def test_orbit_window_refused_at_the_digit_cap(capsys, maps):
     # iterate 25 of (3, 0) under H2 has about 16M digits; the window is
     # capped like the canonical walks, so the refusal comes at iterate +15

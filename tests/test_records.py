@@ -2,10 +2,14 @@
 
 Results and maps are `typing.NamedTuple` records: their repr is the
 `Name(field=value, ...)` text, their fields cannot be assigned, and equality
-and hashing read the fields alone.  A map, an engine and an escape box keep
-their caches (compiled forms, the held orbit, the engine's slot, the tail
-constants) in the instance's `__dict__`, outside the fields.  `DivisorClass`
-does arithmetic, so it is a plain class that no tuple operator reaches.
+and hashing read the fields alone.  A record holds only the values that
+define it: a map is its polynomials `(fwd, inv)`, so maps with the same
+polynomials are equal however they were built, and an engine is its inputs
+`(g, delta, gamma, depth, digit_cap)`.  A map, an engine and an escape box
+keep their caches (compiled forms, the held orbit, the engine's slot and
+outer map, the tail constants) in the instance's `__dict__`, outside the
+fields.  `DivisorClass` does arithmetic, so it is a plain class that no
+tuple operator reaches.
 """
 
 from fractions import Fraction
@@ -14,14 +18,17 @@ import pytest
 
 from planeheights.automorphism import (
     InfinityPoint,
+    PlaneAutomorphism,
     conjugate,
     dynamical_degree,
     from_description,
     henon,
     identity,
     indeterminacy_at_infinity,
+    pair,
 )
 from planeheights.canonical import (
+    HeightEngine,
     HeightEstimate,
     PeriodicityVerdict,
     classify_quadratic_recursion,
@@ -103,6 +110,14 @@ def test_equal_maps_built_by_different_routes_hash_equal():
     assert f != henon(1, parse_poly("x^2 + 1"))
 
 
+def test_a_map_is_its_polynomials():
+    # the same four polynomials, given as a pair or built by henon, are one map
+    f = pair(*map(parse_poly, ("x^2 - y", "x", "y", "y^2 - x")))
+    assert f == _h2() and hash(f) == hash(_h2())
+    assert PlaneAutomorphism._fields == ("fwd", "inv")
+    assert HeightEngine._fields == ("g", "delta", "gamma", "depth", "digit_cap")
+
+
 def test_held_state_does_not_change_equality_or_hash():
     f, fresh = _h2(), _h2()
     before = hash(f)
@@ -129,8 +144,8 @@ def test_replace_copies_the_fields_and_no_cache():
     assert type(copy) is type(f) and copy == f and copy is not f
     assert not vars(copy)
     assert copy.orbit(lift(PT)) is not f.orbit(lift(PT))
-    fwd, inv, word = f  # a record unpacks into its fields
-    assert (fwd, inv, word) == (f.fwd, f.inv, f.word)
+    fwd, inv = f  # a record unpacks into its fields
+    assert (fwd, inv) == (f.fwd, f.inv)
 
 
 def test_divisor_class_is_not_a_tuple():
