@@ -1000,7 +1000,7 @@ def _escape_box(f: PlaneAutomorphism) -> EscapeBox | None:
     det = q * r - p * s  # nonzero: two distinct normalized points
     b_inv = (Fraction(r, det) * _X + Fraction(p, det) * _Y, Fraction(s, det) * _X + Fraction(q, det) * _Y)
     b = _build((q * _X - p * _Y, r * _Y - s * _X), b_inv, check=False)
-    g = compose_maps(compose_maps(b, f), inverse(b))  # f in the coordinates (u, v), named (x, y)
+    g = conjugate(f, inverse(b))  # b o f o b^-1: f in the coordinates (u, v), named (x, y)
     radius, modulus, growth, at_infinity, at_primes = Fraction(1), 1, [], [], 0
     for (lead, low), key in ((g.inv[::-1], (0, g.inverse_degree())), (g.fwd, (g.degree(), 0))):
         alpha, d = lead.coefficient(*key), sum(key)

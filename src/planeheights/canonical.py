@@ -1,20 +1,22 @@
 """Canonical heights by truncated limits with explicit tail bounds.
 
-For a regular core map g with degree delta >= 2 (and inverse degree
-delta_minus), the forward component is the truncation
+On the plane deg g^-1 = deg g, so a regular core map g has one degree
+delta >= 2 in both directions (delta_- = delta, Friedland-Milnor), and every
+formula below reads that one.  The forward component is the truncation
 
     v_N = h_nv(g^N x) / delta^N,
 
 whose distance to the limit superior is controlled by the telescoped step
 bound v_{l+1} <= v_l + c2 * delta^-(l+1): the limit never exceeds
-v_N + c2 / ((delta - 1) delta^N).  The reported estimate is the last
+v_N + c2 / ((delta - 1) delta^N).  The backward component is the same with
+g^-1 and its own c2.  The reported estimate is the last
 term v_N (not a max of the v_l): every later term lies within the reported
 tail, and the observed Cauchy behaviour is surfaced through the lower_slack
 field rather than hidden.  The rigorous lower bound comes from the height
-inequality (1/delta) h(g x) + (1/delta_-) h(g^-1 x) >= (1 + 1/(delta
-delta_-)) h(x) - c, which gives hhat >= h - L with L = delta delta_- /
-((delta - 1)(delta_- - 1)) c; the escape box of g gives c explicitly, place
-by place (`EscapeBox.inequality`), once per core map on first read.
+inequality (1/delta) (h(g x) + h(g^-1 x)) >= (1 + 1/delta^2) h(x) - c,
+which gives hhat >= h - L with L = delta^2 / (delta - 1)^2 c; the escape box
+of g gives c explicitly, place by place (`EscapeBox.inequality`), once per
+core map on first read.
 
 A conjugator gamma turns the engine into the canonical height of the outer
 map f = gamma o g o gamma^-1 via evaluation at gamma^-1(x).
@@ -52,7 +54,7 @@ from .automorphism import (
     Orbit,
     PlaneAutomorphism,
     cap_bits,
-    compose_maps,
+    conjugate,
     dynamical_degree,
     inverse,
     is_regular,
@@ -74,14 +76,15 @@ class _Engine(NamedTuple):
 class HeightEngine(_Engine):
     """Immutable bundle of its inputs: the regular core g, its dynamical
     degree, the optional conjugator, the truncation depth and the digit cap.
-    The inverse degree and the growth constants are read off the core, which
-    caches them; the outer map is composed on first read.  The orbit module
+    The growth constants are read off the core, which caches them; the outer
+    map is composed on first read.  The orbit module
     holds the last point asked about on it, and the engine its outer map and
     constant L, in the instance's `__dict__`, outside the fields."""
 
     @property
     def delta_minus(self) -> int:
-        """deg g^-1, which is delta on the regular core `make_engine` requires."""
+        """deg g^-1, reported only: it is delta on the regular core `make_engine`
+        requires, and no formula reads it."""
         return self.delta
 
     @property
@@ -95,24 +98,22 @@ class HeightEngine(_Engine):
     @cached_property
     def outer(self) -> PlaneAutomorphism:
         """f = gamma o g o gamma^-1, composed on first read."""
-        return self.g if self.gamma is None else compose_maps(compose_maps(self.gamma, self.g), inverse(self.gamma))
+        return self.g if self.gamma is None else conjugate(self.g, inverse(self.gamma))
 
-    def tail_fwd(self) -> float:
-        return self.c2_fwd / ((self.delta - 1) * self.delta**self.depth)
-
-    def tail_inv(self) -> float:
-        return self.c2_inv / ((self.delta_minus - 1) * self.delta_minus**self.depth)
+    def tail(self, forward: bool) -> float:
+        """c2 / ((delta - 1) delta^N), the tail bound of the forward (backward)
+        component at depth N, with the c2 of g (g^-1)."""
+        return self.g.forms(forward).c2 / ((self.delta - 1) * self.delta**self.depth)
 
     def error_budget(self) -> float:
         """Combined tail bound of a canonical-height estimate at this depth."""
-        return self.tail_fwd() + self.tail_inv()
+        return self.tail(True) + self.tail(False)
 
     def lower_bound_constant(self) -> float:
         """L of hhat >= h - L, read off the escape box of the core on first
         read and held in the instance's `__dict__`, outside the fields."""
         if "_lower" not in self.__dict__:
-            dd = self.delta * self.delta_minus
-            self._lower = dd / ((self.delta - 1) * (self.delta_minus - 1)) * self.g.escape_box.inequality
+            self._lower = self.delta**2 / (self.delta - 1) ** 2 * self.g.escape_box.inequality
         return self._lower
 
     def to_conjugated_frame(self, x: AffinePoint) -> AffinePoint:
@@ -130,7 +131,7 @@ def make_engine(
     """Validate the core map and bundle it with its dynamical degree.
 
     The core must have dynamical degree >= 2 (triangularizable maps have no
-    canonical height) and be regular; then delta = deg g = deg g^-1 = delta_minus.
+    canonical height) and be regular; then delta = deg g = deg g^-1.
     The constant of the height inequality is not computed here: it is a field
     of the core's escape box, which the first estimate reads.
     """
@@ -149,8 +150,8 @@ def make_engine(
             f"core map is not regular (dynamical degree {delta} < degree {g.degree()}); "
             "supply a conjugate composed of Henon maps plus the conjugator gamma"
         )
-    # the tail bounds divide by (delta - 1) delta^depth, delta_minus = delta on a
-    # regular core; past depth 1024 that passes the float range for any delta >= 2
+    # the tail bounds divide by (delta - 1) delta^depth; past depth 1024 that
+    # passes the float range for any delta >= 2
     if depth > 1024 or (delta - 1) * delta**depth > sys.float_info.max:
         raise ValueError(f"depth {depth} is too large for delta {delta}: "
                          "(delta - 1) * delta^depth does not fit a float")
@@ -186,29 +187,28 @@ def hplus(engine: HeightEngine, x: AffinePoint) -> HeightEstimate:
 
 
 def hminus(engine: HeightEngine, x: AffinePoint) -> HeightEstimate:
-    """Backward component: v_N = h_nv(g^-N x)/delta_-^N with its tail bound."""
+    """Backward component: v_N = h_nv(g^-N x)/delta^N with its tail bound."""
     return _half_estimate(engine, engine.g.orbit(lift(x)), 0, forward=False)
 
 
 def _half_estimate(engine: HeightEngine, orbit: Orbit, base: int, forward: bool) -> HeightEstimate:
     """v_N from g^base z: N steps checked by `Orbit.capped`, then three sizes
     read, which the orbit takes off interval steps past SIZED_FROM_BITS bits."""
-    n = engine.depth
-    sign, base_degree = (1, engine.delta) if forward else (-1, engine.delta_minus)
-    tail = engine.tail_fwd() if forward else engine.tail_inv()
+    n, delta, sign = engine.depth, engine.delta, 1 if forward else -1
+    tail = engine.tail(forward)
     limit = cap_bits(engine.digit_cap)
     for step in range(1, n + 1):
         orbit.capped(base + sign * step, limit, base)
     h_0, h_prev, h_n = (orbit.size(base + sign * step)[1] for step in (0, n - 1, n))
-    v_n = h_n / base_degree**n
-    v_prev = h_prev / base_degree ** (n - 1)
-    c2_other = engine.c2_inv / (engine.delta_minus - 1) if forward else engine.c2_fwd / (engine.delta - 1)
+    v_n = h_n / delta**n
+    v_prev = h_prev / delta ** (n - 1)
+    c2_other = engine.g.forms(not forward).c2 / (delta - 1)
     return HeightEstimate(
         value=v_n,
         tail=tail,
         lower_slack=abs(v_n - v_prev) + tail,
         depth=n,
-        rigorous_lower=v_n - (engine.lower_bound_constant() + (h_0 + c2_other)) / base_degree**n,
+        rigorous_lower=v_n - (engine.lower_bound_constant() + (h_0 + c2_other)) / delta**n,
     )
 
 
@@ -238,11 +238,11 @@ def hcanonical_iterates(engine: HeightEngine, x: AffinePoint, shifts) -> List[He
 
 
 def functional_equation_residual(engine: HeightEngine, x: AffinePoint) -> float:
-    """|hhat(f x)/delta + hhat(f^-1 x)/delta_- - (1 + 1/(delta delta_-)) hhat(x)|
+    """|hhat(f x)/delta + hhat(f^-1 x)/delta - (1 + 1/delta^2) hhat(x)|
     on the value fields; the caller compares against the propagated budget."""
     at_fx, at_fix, at_x = (est.value for est in hcanonical_iterates(engine, x, (1, -1, 0)))
-    lhs = at_fx / engine.delta + at_fix / engine.delta_minus
-    rhs = (1 + 1 / (engine.delta * engine.delta_minus)) * at_x
+    lhs = at_fx / engine.delta + at_fix / engine.delta
+    rhs = (1 + 1 / engine.delta**2) * at_x
     return abs(lhs - rhs)
 
 

@@ -84,7 +84,8 @@ def _gather_points(args) -> list:
     if args.points:
         points.extend(read_point_file(args.points))
     if not points:
-        raise PolyParseError("no point given: use --point X,Y or --points FILE")
+        raise PolyParseError(f"point file {args.points!r} holds no point" if args.points
+                             else "no point given: use --point X,Y or --points FILE")
     return points
 
 

@@ -26,8 +26,10 @@ orbit keeps its triples and sizes and a tracker its height enclosures, so
 each step is taken once per orbit, however many trackers read it.
 
 A counting scan walks downhill to the orbit's lowest sample and counts
-outward from it, so every point of one orbit gives the same count.  Canonical
-heights delta^l hhat+ + delta_-^(-l) hhat- are convex in l, so a canonical
+outward from it, so every point of one orbit gives the same count.  On the
+plane deg f^-1 = deg f, so the engine's one degree delta stands for both
+delta and delta_- of the paper's formulas.  Canonical
+heights delta^l hhat+ + delta^(-l) hhat- are convex in l, so a canonical
 scan stops at the first sample above the threshold.  Naive heights are not
 convex near the minimum, so a naive scan stops at the first sample above it
 whose escape floor passes it (`_escape_floor`): a lower bound on the naive
@@ -168,25 +170,26 @@ class OrbitHeightTracker:
 
 # -- hhat+/hhat- from the functional identities --------------------------------
 
+def _kappa(delta: int) -> float:
+    """delta^2 / (delta^4 - 1), the factor of both components in `hpm_from_h`."""
+    return (delta * delta) / ((delta * delta) ** 2 - 1)
+
+
 def hpm_from_h(engine: HeightEngine, x: AffinePoint) -> Tuple[float, float]:
     """(hhat+, hhat-) recovered from canonical-height values at f(x), f^-1(x).
 
     When the engine height is the truncated-limit construction these agree
     with hplus/hminus up to the error budgets.
     """
-    d, dm = engine.delta, engine.delta_minus
+    d, kappa = engine.delta, _kappa(engine.delta)
     at_fx, at_fix = (est.value for est in hcanonical_iterates(engine, x, (1, -1)))
-    kappa = (d * dm) / ((d * dm) ** 2 - 1)
-    h_plus = kappa * (dm * at_fx - at_fix / dm)
-    h_minus = kappa * (d * at_fix - at_fx / d)
-    return (h_plus, h_minus)
+    return (kappa * (d * at_fx - at_fix / d), kappa * (d * at_fix - at_fx / d))
 
 
 def _hpm_error_budget(engine: HeightEngine) -> float:
     """Uniform first-order bound on |estimate - truth| for the hpm components."""
-    d, dm = engine.delta, engine.delta_minus
-    kappa = (d * dm) / ((d * dm) ** 2 - 1)
-    return kappa * (dm + 1 / dm + d + 1 / d) * engine.error_budget()
+    d = engine.delta
+    return _kappa(d) * (d + 1 / d + d + 1 / d) * engine.error_budget()
 
 
 def orbit_height_slack(engine: HeightEngine, x: AffinePoint) -> float:
@@ -196,30 +199,40 @@ def orbit_height_slack(engine: HeightEngine, x: AffinePoint) -> float:
 
 def _slack(engine: HeightEngine, h_plus: float, h_minus: float) -> float:
     err = _hpm_error_budget(engine)
-    return err / (h_plus * math.log(engine.delta)) + err / (h_minus * math.log(engine.delta_minus))
+    log_d = math.log(engine.delta)
+    return err / (h_plus * log_d) + err / (h_minus * log_d)
 
 
-def min_height_epsilons(delta: int, delta_minus: int) -> Tuple[float, float]:
-    """(eps1, eps2) of the minimum-height law; at delta = delta_- = 2 these
-    are exactly 2 and 4."""
+def _count_law(delta: int) -> Tuple[float, float]:
+    """(2/log delta, 2 log 2/log delta): the coefficient of log T in the
+    counting laws, and the counting law's half-width less 1, which is also
+    eps1 of the minimum-height law."""
     log_d = math.log(delta)
-    log_dm = math.log(delta_minus)
-    eps1 = math.log(1 + log_d / log_dm) / log_d + math.log(1 + log_dm / log_d) / log_dm
-    eps2 = eps1 + (1 / log_d + 1 / log_dm) * math.log(max(delta, delta_minus))
-    return eps1, eps2
+    return 2 / log_d, 2 * _LN2 / log_d
 
 
-def minimum_location(delta: int, delta_minus: int, h_plus: float, h_minus: float) -> float:
-    """t0 with g(t) = delta^t hhat+ + delta_-^(-t) hhat- minimal; over the
+def _lattice_value(delta: int, l: int, h_plus: float, h_minus: float) -> float:
+    """delta^l hhat+ + delta^(-l) hhat-, the canonical height at f^l(x)."""
+    return delta**l * h_plus + float(delta) ** (-l) * h_minus
+
+
+def min_height_epsilons(delta: int) -> Tuple[float, float]:
+    """(eps1, eps2) of the minimum-height law; at delta = 2 these are exactly
+    2 and 4."""
+    coeff, eps1 = _count_law(delta)
+    return eps1, eps1 + coeff * math.log(delta)
+
+
+def minimum_location(delta: int, h_plus: float, h_minus: float) -> float:
+    """t0 with g(t) = delta^t hhat+ + delta^(-t) hhat- minimal; over the
     integers the minimum sits at floor(t0) or floor(t0) + 1.  Symmetric data
-    (hhat+ = hhat-, delta = delta_-) gives t0 = 0 exactly."""
+    (hhat+ = hhat-) gives t0 = 0 exactly."""
     log_d = math.log(delta)
-    log_dm = math.log(delta_minus)
-    return (math.log(h_minus * log_dm) - math.log(h_plus * log_d)) / (log_d + log_dm)
+    return (math.log(h_minus * log_d) - math.log(h_plus * log_d)) / (log_d + log_d)
 
 
 def orbit_height(engine: HeightEngine, x: AffinePoint) -> float:
-    """log hhat+ / log delta + log hhat- / log delta_-, constant along the
+    """log hhat+ / log delta + log hhat- / log delta, constant along the
     orbit; NEG_INFINITY exactly when the orbit is finite (periodic point)."""
     if _verdict(engine, x).is_periodic:  # held: the verdict _infinite_components reads
         return NEG_INFINITY
@@ -227,7 +240,8 @@ def orbit_height(engine: HeightEngine, x: AffinePoint) -> float:
 
 
 def _log_height(engine: HeightEngine, h_plus: float, h_minus: float) -> float:
-    return math.log(h_plus) / math.log(engine.delta) + math.log(h_minus) / math.log(engine.delta_minus)
+    log_d = math.log(engine.delta)
+    return math.log(h_plus) / log_d + math.log(h_minus) / log_d
 
 
 # -- the point an engine was last asked about ------------------------------------
@@ -326,17 +340,16 @@ def _core_tracker(engine: HeightEngine, x: AffinePoint) -> OrbitHeightTracker:
 
 def _canonical_bounds(engine: HeightEngine, x: AffinePoint):
     """values(l): enclosure of the depth-N canonical height at f^l(x),
-    h_nv(g^(l+N) z)/delta^N + h_nv(g^(l-N) z)/delta_-^N with z = gamma^-1(x),
-    read off the tracker held for x."""
+    (h_nv(g^(l+N) z) + h_nv(g^(l-N) z))/delta^N with z = gamma^-1(x), each
+    term divided on its own, read off the tracker held for x."""
     tracker = _core_tracker(engine, x)
     n = engine.depth
     d_pow = float(engine.delta**n)
-    dm_pow = float(engine.delta_minus**n)
 
     def values(l):
         flo, fhi = tracker.h_bounds(l + n)
         blo, bhi = tracker.h_bounds(l - n)
-        return (flo / d_pow + blo / dm_pow, fhi / d_pow + bhi / dm_pow)
+        return (flo / d_pow + blo / d_pow, fhi / d_pow + bhi / d_pow)
 
     return values
 
@@ -413,13 +426,10 @@ class CountingEnclosure(NamedTuple):
 
 def counting_enclosure(engine: HeightEngine, x: AffinePoint, threshold: float) -> CountingEnclosure:
     """Check the two-sided counting law: the observed canonical-height count
-    must lie within half-width log2/log(delta) + log2/log(delta_-) + 1 of
-    (1/log delta + 1/log delta_-) log T - hhat(O), widened by the propagated
-    height-error slack."""
+    must lie within half-width 2 log 2/log delta + 1 of (2/log delta) log T
+    - hhat(O), widened by the propagated height-error slack."""
     check_threshold(threshold)
-    log_d = math.log(engine.delta)
-    log_dm = math.log(engine.delta_minus)
-    coeff = 1 / log_d + 1 / log_dm
+    coeff, spread = _count_law(engine.delta)
     h_plus, h_minus = _infinite_components(engine, x, "counting law applies to infinite orbits only")
     oh = _log_height(engine, h_plus, h_minus)
     if coeff * math.log(threshold) < oh:
@@ -429,7 +439,7 @@ def counting_enclosure(engine: HeightEngine, x: AffinePoint, threshold: float) -
     values = _canonical_bounds(engine, x)
     observed, straddles = _scan(values, threshold, engine.error_budget())
     predicted = coeff * math.log(threshold) - oh
-    halfwidth = math.log(2) / log_d + math.log(2) / log_dm + 1
+    halfwidth = spread + 1
 
     # hhat(O) error from the component estimates, first order in the budgets,
     # plus one count per enclosure that straddles the threshold.
@@ -449,7 +459,8 @@ def counting_enclosure(engine: HeightEngine, x: AffinePoint, threshold: float) -
 
 def count_exponential(a_coef: float, b_coef: float, delta: int, delta_minus: int, threshold: float):
     """#{ l in Z : delta^l A + delta_-^(-l) B <= T } by direct scan of the
-    finite window, with the two-sided logarithmic bounds.
+    finite window, with the two-sided logarithmic bounds.  A standalone
+    lemma, so it keeps two degrees: it holds for any delta, delta_- >= 2.
 
     Requires A, B, T > 0 and T at or above the geometric-mean threshold
     A^(log delta_- / (log delta + log delta_-)) * B^(log delta / ...), below
@@ -477,18 +488,17 @@ def count_exponential(a_coef: float, b_coef: float, delta: int, delta_minus: int
 
 def min_orbit_height_bounds(engine: HeightEngine, x: AffinePoint) -> Tuple[bool, bool]:
     """Check the two-sided bound tying hhat(O) to min over the orbit of
-    log hhat: hhat(O) + eps1 <= (1/log d + 1/log d_-) min log hhat <= hhat(O) + eps2.
+    log hhat: hhat(O) + eps1 <= (2/log d) min log hhat <= hhat(O) + eps2.
 
-    g(t) = delta^t hhat+ + delta_-^(-t) hhat- is convex, so its minimum over
+    g(t) = delta^t hhat+ + delta^(-t) hhat- is convex, so its minimum over
     the integers is attained at floor(t0) or floor(t0) + 1.
     """
-    coeff = 1 / math.log(engine.delta) + 1 / math.log(engine.delta_minus)
+    d = engine.delta
     h_plus, h_minus = _infinite_components(engine, x, "finite orbit has no minimum-height law")
     oh = _log_height(engine, h_plus, h_minus)
-    base = math.floor(minimum_location(engine.delta, engine.delta_minus, h_plus, h_minus))
-    mid = coeff * math.log(min(engine.delta**l * h_plus + float(engine.delta_minus) ** (-l) * h_minus
-                               for l in (base, base + 1)))
-    eps1, eps2 = min_height_epsilons(engine.delta, engine.delta_minus)
+    base = math.floor(minimum_location(d, h_plus, h_minus))
+    mid = _count_law(d)[0] * math.log(min(_lattice_value(d, l, h_plus, h_minus) for l in (base, base + 1)))
+    eps1, eps2 = min_height_epsilons(d)
     pad = 1e-9
     return (oh + eps1 <= mid + pad, mid <= oh + eps2 + pad)
 
@@ -523,8 +533,7 @@ def build_orbit_record(engine: HeightEngine, x: AffinePoint, window: int) -> Orb
     for l in range(1, window + 1):
         orbit.capped(l, limit)
         orbit.capped(-l, limit)
-    samples = [OrbitSample(l, affine(orbit[l]), orbit.size(l)[1],
-                           engine.delta**l * h_plus + float(engine.delta_minus) ** (-l) * h_minus)
+    samples = [OrbitSample(l, affine(orbit[l]), orbit.size(l)[1], _lattice_value(engine.delta, l, h_plus, h_minus))
                for l in range(-window, window + 1)]
     return OrbitRecord(base=samples[window].point, samples=tuple(samples), hplus0=h_plus,
                        hminus0=h_minus, orbit_height=_log_height(engine, h_plus, h_minus))

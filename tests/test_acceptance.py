@@ -105,10 +105,10 @@ def test_criterion_03_multiplicativity():
         d, dm = engine.delta, engine.delta_minus
         fx = engine.g.apply(pt)
         gap_plus = abs(hplus(engine, fx).value - d * hplus(engine, pt).value)
-        assert gap_plus <= d * engine.tail_fwd() + engine.tail_fwd(), (str(engine.g), pt)
+        assert gap_plus <= d * engine.tail(True) + engine.tail(True), (str(engine.g), pt)
         fix = engine.g.apply_inverse(pt)
         gap_minus = abs(hminus(engine, fix).value - dm * hminus(engine, pt).value)
-        assert gap_minus <= dm * engine.tail_inv() + engine.tail_inv(), (str(engine.g), pt)
+        assert gap_minus <= dm * engine.tail(False) + engine.tail(False), (str(engine.g), pt)
 
     # conjugated member: the law transported to the outer map via hhat+/-
     gamma = triangular(1, 1, 0, parse_poly("1"))

@@ -3,18 +3,20 @@ and a message that names the cause, before any work is done."""
 
 import argparse
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from planeheights.automorphism import degree_sequence, from_description, henon, pair, triangular
 from planeheights.canonical import make_engine
-from planeheights.cli import _gather_points, _parse_t_grid
+from planeheights.cli import _gather_points, _parse_t_grid, main
 from planeheights.errors import MapValidationError, PolyParseError
 from planeheights.heights import growth_constant, log_int, read_point_file
 from planeheights.orbit import count_below, count_exponential
 from planeheights.picard import basis_labels, closed_form_excess
 from planeheights.ratpoly import BivarPoly, parse_poly
 
+GOLDEN = Path(__file__).parent / "data" / "golden"
 X, Y, ONE = BivarPoly.var("x"), BivarPoly.var("y"), BivarPoly.const(1)
 H2 = henon(1, parse_poly("x^2"))
 
@@ -69,3 +71,17 @@ def test_an_invalid_input_is_refused_with_its_type_and_message(case, tmp_path):
         call(tmp_path)
     assert type(info.value) is kind
     assert str(info.value) == message
+
+
+@pytest.mark.parametrize("command", ["height", "canheight"])
+def test_a_point_file_with_no_point_is_named_as_the_cause(command, tmp_path, monkeypatch, capsys):
+    """A --points file of comments and blank lines, with no --point, exits 2
+    with a message that names the file, not one that says no file was given."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "pts.txt").write_text("# no point here\n\n   \n")
+    args = argparse.Namespace(point=None, points="pts.txt")
+    with pytest.raises(PolyParseError, match="^point file 'pts.txt' holds no point$"):
+        _gather_points(args)
+    map_args = ["--map", str(GOLDEN / "h2.json")] if command == "canheight" else []
+    assert main([command, *map_args, "--points", "pts.txt"]) == 2
+    assert capsys.readouterr().err == "error: point file 'pts.txt' holds no point\n"
