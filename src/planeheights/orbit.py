@@ -57,7 +57,7 @@ from fractions import Fraction
 from typing import Dict, NamedTuple, Tuple
 
 from .automorphism import DEFAULT_DIGIT_CAP, PlaneAutomorphism, cap_bits
-from .canonical import HeightEngine, hcanonical_iterates, is_periodic
+from .canonical import HeightEngine, is_periodic
 from .errors import (
     OutOfRangeError,
     PeriodicPointError,
@@ -176,13 +176,19 @@ def _kappa(delta: int) -> float:
 
 
 def hpm_from_h(engine: HeightEngine, x: AffinePoint) -> Tuple[float, float]:
-    """(hhat+, hhat-) recovered from canonical-height values at f(x), f^-1(x).
+    """(hhat+, hhat-) recovered from the depth-N canonical heights at f(x)
+    and f^-1(x): the midpoints of `_canonical_bounds` at l = +1 and l = -1,
+    read off the tracker held for x, as the counting scan reads them.
 
-    When the engine height is the truncated-limit construction these agree
-    with hplus/hminus up to the error budgets.
+    Each midpoint is within half its enclosure's width of the depth-N value
+    at exact sizes: 2^-40 relative up to the tail start, about 1e-12 past
+    it, far under the tail budget `_hpm_error_budget` adds.  When the engine
+    height is the truncated-limit construction these agree with hplus/hminus
+    up to the error budgets.
     """
     d, kappa = engine.delta, _kappa(engine.delta)
-    at_fx, at_fix = (est.value for est in hcanonical_iterates(engine, x, (1, -1)))
+    values = _canonical_bounds(engine, x)
+    at_fx, at_fix = (0.5 * (lo + hi) for lo, hi in (values(1), values(-1)))
     return (kappa * (d * at_fx - at_fix / d), kappa * (d * at_fix - at_fx / d))
 
 

@@ -9,8 +9,9 @@ count of the naive `count_below`, or for either the class and text of its
 refusal.  No float is recorded, so a libm that rounds a last bit
 differently cannot move the table.  Every start is integral on an integral
 map, so the counts read the orbit's sizes up to each direction's escape
-tail and its log recurrence past it, under either cap; the refusals at the
-10^4-digit cap come from the depth-N walks behind (hhat+, hhat-).
+tail and its log recurrence past it, under either cap; (hhat+, hhat-) reads
+the same tracker, so only periodic points refuse, and each row at the
+10^4-digit cap equals its row at the default cap.
 
 `tests/test_golden.py` compares the sweep with the table in process.  Run
 as a script,

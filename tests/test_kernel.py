@@ -31,7 +31,7 @@ from planeheights.canonical import (functional_equation_residual, hcanonical, hc
                                     is_periodic, make_engine)
 from planeheights.errors import ResourceCapError
 from planeheights.heights import affine, lift, log_int, naive_height, naive_height_affine, normalize, top
-from planeheights.orbit import OrbitHeightTracker, build_orbit_record, counting_enclosure, hpm_from_h
+from planeheights.orbit import OrbitHeightTracker, build_orbit_record, counting_enclosure
 from planeheights.ratpoly import BivarPoly, parse_poly
 
 H2 = henon(1, parse_poly("x^2"))
@@ -220,19 +220,6 @@ def test_cap_iterate_unchanged_by_a_held_orbit(name, pt, warm, other):
     assert cap_iterate_or_none(lambda: hminus(engine, pt)) == fraction_cap_iterate(f.inv, pt, limit, 40)
 
 
-@settings(max_examples=30, deadline=None)
-@given(name=st.sampled_from(["H2", "H3", "H4", "half"]), pt=points, depth=st.integers(8, 16))
-def test_shifted_reads_refuse_like_walks_from_the_image(name, pt, depth):
-    # hhat(f x) and hhat(f^-1 x) are read at orbit indices +1 and -1 of x;
-    # a refusal names its iterate from f(x) (or f^-1(x)), as a walk from there did
-    f = MAPS[name]
-    engine = make_engine(f, depth=depth, digit_cap=10_000)
-    fresh = make_engine(f._replace(), depth=depth, digit_cap=10_000)  # holds no orbit
-    expected = (refusal(lambda: hcanonical(fresh, f.apply(pt)))
-                or refusal(lambda: hcanonical(fresh, f.apply_inverse(pt))))
-    assert refusal(lambda: hpm_from_h(engine, pt)) == expected
-
-
 # -- the step bound the cap refuses on ------------------------------------------
 
 nonzero = rationals.filter(bool)
@@ -394,12 +381,9 @@ def test_a_default_cap_refusal_builds_no_triple_past_the_threshold(monkeypatch, 
 def test_a_counting_run_builds_no_triple_past_the_threshold(monkeypatch):
     # the canonical tracker builds the orbit of (3, 0) up to its tail starts,
     # +6 (101 bits) and -7 (103 bits), and reads +43 and -44 off the log
-    # recurrence past them.  Only the (hhat+, hhat-) walks read sizes past
-    # 1024 bits: the orbit ends at -11 (1637 bits) and +10 (1609 bits), and
-    # their sizes step intervals into +11..+13 and -12, -13.  So a count at
-    # T = e^21 builds no triple from a source past SIZED_FROM_BITS, and a
-    # tracker alone steps no interval and builds none from one past 52
-    # bits, that of -6.
+    # recurrence past them; (hhat+, hhat-) reads the same tracker at +-1, so a
+    # count at T = e^21 steps no interval, its orbit ends at the tail starts,
+    # and it builds no triple from a source past 52 bits, that of -6
     stepped = record_steps(monkeypatch)
     interval_steps = []
     image = IntegerForms.image
@@ -415,15 +399,9 @@ def test_a_counting_run_builds_no_triple_past_the_threshold(monkeypatch):
     counting_enclosure(engine, X3, math.exp(21))
     tracker = engine.__dict__["_held"][1]["tracker"]
     assert [tail[:2] for tail in tracker._tails] == [(7, 44), (6, 43)]
-    assert len(interval_steps) == 5
-    assert stepped and not any(type(c) is Interval for source in stepped for c in source)
-    assert max(top(source).bit_length() for source in stepped) < SIZED_FROM_BITS
-    assert [top(chain[-1]).bit_length() for chain in f.orbit(lift(X3))._chains] == [1637, 1609]
-    stepped.clear()
-    interval_steps.clear()
-    tracker = OrbitHeightTracker(H2._replace(), X3)
-    tracker.h_bounds(43), tracker.h_bounds(-44)
-    assert interval_steps == [] and max(top(source).bit_length() for source in stepped) == 52
+    assert interval_steps == []
+    assert max(top(source).bit_length() for source in stepped) == 52
+    assert [top(chain[-1]).bit_length() for chain in f.orbit(lift(X3))._chains] == [103, 101]
 
 
 def test_a_tracker_under_a_smaller_cap_reads_the_orbits_built_triples():

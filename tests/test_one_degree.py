@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from planeheights import canonical, orbit
 from planeheights.automorphism import henon
-from planeheights.canonical import HeightEngine, hcanonical_iterates, make_engine
+from planeheights.canonical import HeightEngine, make_engine
 from planeheights.ratpoly import parse_poly
 
 DELTAS = st.integers(2, 64)
@@ -33,6 +33,19 @@ def _engine(delta, c2_fwd=1.0, c2_inv=1.0, inequality=1.0, depth=12):
 def _values(*values):
     """hcanonical_iterates as a stand-in that returns the given values."""
     return lambda engine, x, shifts: [SimpleNamespace(value=v) for v in values]
+
+
+def _bounds(at_fx, at_fix):
+    """_canonical_bounds as a stand-in whose enclosures at l = +1, -1 are the
+    given values, each of width 0, so their midpoints are those values."""
+    return lambda engine, x: {1: (at_fx, at_fx), -1: (at_fix, at_fix)}.__getitem__
+
+
+def _midpoints(engine, x):
+    """The midpoints of the canonical enclosures at f(x) and f^-1(x), the
+    values the pair reads off the tracker held for x."""
+    values = orbit._canonical_bounds(engine, x)
+    return [0.5 * (lo + hi) for lo, hi in (values(1), values(-1))]
 
 
 # -- the two-degree reference expressions ----------------------------------------
@@ -129,7 +142,7 @@ def test_the_residual_matches_the_two_degree_form(d, at_fx, at_fix, at_x):
 def test_the_hpm_pair_budget_and_slack_match_the_two_degree_forms(d, at_fx, at_fix, c2_fwd, c2_inv,
                                                                    h_plus, h_minus):
     engine = _engine(d, c2_fwd, c2_inv)
-    with mock.patch.object(orbit, "hcanonical_iterates", _values(at_fx, at_fix)):
+    with mock.patch.object(orbit, "_canonical_bounds", _bounds(at_fx, at_fix)):
         assert orbit.hpm_from_h(engine, None) == ref_hpm(d, d, at_fx, at_fix)
     err = ref_hpm_error_budget(d, d, ref_tails(d, d, c2_fwd, c2_inv, 12)[2])
     assert orbit._hpm_error_budget(engine) == err
@@ -169,7 +182,7 @@ def test_every_lattice_shift_matches_at_every_degree():
 def test_the_engine_readers_match_the_two_degree_forms(p, depth):
     engine = make_engine(henon(1, parse_poly(p)), depth=depth)
     d, x = engine.delta, (Fraction(3), Fraction(0))
-    at_fx, at_fix = (est.value for est in hcanonical_iterates(engine, x, (1, -1)))
+    at_fx, at_fix = _midpoints(engine, x)
     h_plus, h_minus = orbit.hpm_from_h(engine, x)
     assert (h_plus, h_minus) == ref_hpm(d, d, at_fx, at_fix)
     threshold = math.exp(12)

@@ -269,11 +269,14 @@ def _interval_steps(monkeypatch):
 
 
 def test_second_counting_run_steps_no_interval(monkeypatch):
+    # (hhat+, hhat-) reads the tracker the count holds, which builds the
+    # orbit to its tail starts, +6 and -7, and steps the log recurrence past
+    # them, so neither run steps an interval
     engine = make_engine(henon(1, parse_poly("x^2")), depth=12)
     interval_steps = _interval_steps(monkeypatch)
     first = counting_enclosure(engine, X3, math.exp(21))
-    assert interval_steps
-    interval_steps.clear()
+    assert interval_steps == []
+    assert [len(chain) for chain in engine.g.orbit(lift(X3))._chains] == [8, 7]
     assert counting_enclosure(engine, X3, math.exp(21)) == first
     assert interval_steps == []
 
@@ -704,7 +707,10 @@ ENGINE_READERS = {
 @pytest.mark.parametrize("name, start, k, depth, cap, refusal, message", [
     ("H2", (2, 2), 0, 12, DEFAULT_DIGIT_CAP, PeriodicPointError, None),  # a fixed point
     ("H3", (2, 1), 8, 2, DEFAULT_DIGIT_CAP, ResourceCapError, "did not resolve above zero at depth 2"),
-    ("C6", (3, 0), 0, 5, 10**4, ResourceCapError, r"digit cap at iterate \+5"),
+    # an uncertified start: the tracker (hhat+, hhat-) reads refuses at the cap
+    ("H2", ("1/2", "1/3"), 0, 13, 10**4, ResourceCapError,
+     "^orbit coordinate exceeded the digit cap at iterate -14, and the start is not integral, "
+     "so no escape tail takes over$"),
 ])
 def test_every_engine_reader_refuses_alike(name, start, k, depth, cap, refusal, message):
     # one reading order, the verdict, then (hhat+, hhat-), then the depth

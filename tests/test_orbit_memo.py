@@ -157,7 +157,9 @@ def test_invariants_are_computed_once_per_map():
 @given(name=st.sampled_from(sorted(DOCS)), pt=points)
 def test_neighbour_reads_match_walks_from_the_images(name, pt):
     # hhat(f x), hhat(f^-1 x) are read at orbit indices +1, -1 of gamma^-1(x);
-    # they must equal hcanonical walked from the images themselves
+    # the residual's must equal hcanonical walked from the images themselves,
+    # and the pair's, the midpoints of the held tracker's enclosures there,
+    # must lie within 1e-12 of them
     engine = build_engine(name)
     f, d, dm = engine.outer, engine.delta, engine.delta_minus
     fresh = [build_engine(name) for _ in range(3)]  # one map per start: nothing shared
@@ -166,7 +168,14 @@ def test_neighbour_reads_match_walks_from_the_images(name, pt):
     residual = abs(at_fx / d + at_fix / dm - (1 + 1 / (d * dm)) * at_x)
     assert functional_equation_residual(engine, pt) == residual
     kappa = (d * dm) / ((d * dm) ** 2 - 1)
-    assert hpm_from_h(engine, pt) == (kappa * (dm * at_fx - at_fix / dm), kappa * (d * at_fix - at_fx / d))
+    pair = hpm_from_h(engine, pt)
+    values = orbit_mod._canonical_bounds(engine, pt)
+    mid_fx, mid_fix = (0.5 * (lo + hi) for lo, hi in (values(1), values(-1)))
+    assert pair == (kappa * (dm * mid_fx - mid_fix / dm), kappa * (d * mid_fix - mid_fx / d))
+    walked = (kappa * (dm * at_fx - at_fix / dm), kappa * (d * at_fix - at_fx / d))
+    # relative to the inputs: a component can cancel to about 0 (H3 at (-2, 2))
+    assert all(math.isclose(got, want, rel_tol=1e-12, abs_tol=1e-12 * (at_fx + at_fix))
+               for got, want in zip(pair, walked))
 
 
 def _counted(monkeypatch):
@@ -204,14 +213,18 @@ def test_an_engine_holds_one_verdict_pair_and_tracker_per_point(monkeypatch):
 
 
 def test_an_engine_holds_no_refusal(monkeypatch):
-    # C6 at depth 5 under a 10^4-digit cap: the verdict is decided, but the
-    # walks behind (hhat+, hhat-) pass the cap
-    engine = make_engine(from_description(DOCS["C6"]), depth=5, digit_cap=CAP)
+    # H2 at (1/2, 1/3), depth 13, under a 10^4-digit cap: the verdict is
+    # decided, but the tracker behind (hhat+, hhat-), which no escape tail
+    # takes over at a start that is not integral, passes the cap
+    engine = make_engine(from_description(DOCS["H2"]), depth=13, digit_cap=CAP)
     calls = _counted(monkeypatch)
     refusals = []
     for _ in range(2):
         with pytest.raises(PlaneHeightsError) as caught:
-            orbit_height(engine, (Fraction(3), Fraction(0)))
+            orbit_height(engine, (Fraction(1, 2), Fraction(1, 3)))
         refusals.append(f"{type(caught.value).__name__}: {caught.value}")
-    assert refusals == ["ResourceCapError: coordinate exceeded the digit cap at iterate +5"] * 2
-    assert calls == {"is_periodic": 1, "hpm_from_h": 2}
+    assert refusals == ["ResourceCapError: orbit coordinate exceeded the digit cap at iterate -14, "
+                        "and the start is not integral, so no escape tail takes over"] * 2
+    # the tracker is held, and its walk refuses again at the same iterate;
+    # the pair, which refused, is not held
+    assert calls == {"is_periodic": 1, "hpm_from_h": 2, "tracker": 1}
