@@ -29,7 +29,9 @@ read from index s, which is exact because gamma^-1(f^s x) = g^s(z) and
 primitive triples with Z > 0 are unique; so hplus, hminus, hcanonical, the
 functional equation and the periodicity test at one point share one orbit,
 the one the core map keeps (see :mod:`planeheights.automorphism` for why
-only one).  Each walk checks its steps through `Orbit.capped`, which names
+only one).  The (hhat+, hhat-) pair of :mod:`planeheights.orbit` walks
+nothing here: it reads the depth-N canonical heights at f^(+/-1)(x) off the
+orbit tracker.  Each walk checks its steps through `Orbit.capped`, which names
 a refused iterate relative to the walk's own base point, and reads h_nv =
 log max(|X|, |Y|, Z) off `Orbit.size`, which measures each iterate once for
 all of them.  A walk never reads the coordinates of its iterates, only

@@ -37,11 +37,15 @@ height, read on the core orbit (`EscapeBox.floor`), that holds at that
 iterate and at every later one of its direction.  So both counts are the
 exact number of samples at or below the threshold.
 
-The tracker, the periodicity verdict and the canonical heights at
-f^(+/-1)(x) behind (hhat+, hhat-) read the one orbit the engine's core holds.
-Every reader takes a `HeightEngine`, at its digit cap.  An engine holds the
-point it was last asked about, as a map holds one orbit: one verdict, one
-(hhat+, hhat-) pair and one canonical tracker, each filled on first use.
+The tracker and the periodicity verdict read the one orbit the engine's
+core holds, and (hhat+, hhat-) reads the tracker: the depth-N canonical
+heights at f^(+/-1)(x) it combines are the midpoints of the tracker's
+enclosures there (`_canonical_bounds`), the values the counting scan reads,
+so a certified count builds no iterate past its tail starts and no reader
+walks from f(x) or f^-1(x).  Every reader takes a `HeightEngine`, at its
+digit cap.  An engine holds the point it was last asked about, as a map
+holds one orbit: one verdict, one (hhat+, hhat-) pair and one canonical
+tracker, each filled on first use.
 So the orbit record and every threshold of a counting run share one
 verdict, one pair and one tracker.  The verdict comes first, since hhat
 = 0 exactly at periodic points: every engine reader but `orbit_height` (-inf
@@ -67,6 +71,14 @@ from .errors import (
 from .heights import _LN2, AffinePoint, affine, lift
 
 NEG_INFINITY = float("-inf")  # distinguished 'finite orbit' value, never used in arithmetic
+
+
+def _capped(orbit, l: int, limit: int, prefix: str, suffix: str = "") -> None:
+    """`orbit.capped` at iterate l, its refusal told between `prefix` and `suffix`."""
+    try:
+        orbit.capped(l, limit)
+    except ResourceCapError as exc:
+        raise ResourceCapError(f"{prefix}{exc}{suffix}", exc.iterate, exc.bound_bits) from None
 
 
 class OrbitHeightTracker:
@@ -106,20 +118,13 @@ class OrbitHeightTracker:
         sign = 1 if forward else -1
         n, box = self._under[forward], self._box
         while self._tails[forward] is None and n <= k:
-            self._capped(sign * n, f"and {self._why}, so no escape tail takes over" if box is None
-                         else "before its escape tail started")
+            _capped(self._orbit, sign * n, self._cap, "orbit ", f", and {self._why}, so no escape tail takes over"
+                    if box is None else ", before its escape tail started")
             if box is not None and (logs := box.escaped(self._orbit[sign * n], forward)) is not None:
                 self._tails[forward] = (n, n, logs)
             n += 1
             self._under[forward] = n
         return self._tails[forward] is not None and k >= self._tails[forward][0]
-
-    def _capped(self, l: int, reason: str) -> None:
-        """`Orbit.capped` at iterate l, its refusal told with `reason`."""
-        try:
-            self._orbit.capped(l, self._cap)
-        except ResourceCapError as exc:
-            raise ResourceCapError(f"orbit {exc}, {reason}", exc.iterate, exc.bound_bits) from None
 
     def point(self, l: int) -> AffinePoint:
         """Exact coordinates of f^l(x), for an iterate the orbit has built."""
@@ -187,8 +192,7 @@ def hpm_from_h(engine: HeightEngine, x: AffinePoint) -> Tuple[float, float]:
     up to the error budgets.
     """
     d, kappa = engine.delta, _kappa(engine.delta)
-    values = _canonical_bounds(engine, x)
-    at_fx, at_fix = (0.5 * (lo + hi) for lo, hi in (values(1), values(-1)))
+    at_fx, at_fix = (0.5 * (lo + hi) for lo, hi in map(_canonical_bounds(engine, x), (1, -1)))
     return (kappa * (d * at_fx - at_fix / d), kappa * (d * at_fix - at_fx / d))
 
 
@@ -530,15 +534,16 @@ def build_orbit_record(engine: HeightEngine, x: AffinePoint, window: int) -> Orb
     """Exact orbit samples over the symmetric window l in [-window, window],
     with naive heights and the scaling-law canonical heights.  The samples
     are read off the orbit f holds, iterates +1, -1, +2, -2, ... in turn, each
-    refused (ResourceCapError) by `Orbit.capped` when the size bound of the
-    step into it passes the engine's digit cap.  A periodic point is refused
-    first (PeriodicPointError), as every reader of (hhat+, hhat-) refuses it."""
+    refused (ResourceCapError, naming the window) by `Orbit.capped` when the
+    size bound of the step into it passes the engine's digit cap.  A periodic
+    point is refused first (PeriodicPointError), as every reader of (hhat+,
+    hhat-) refuses it."""
     h_plus, h_minus = _infinite_components(engine, x, "orbit scans need a non-periodic point")
     orbit = engine.outer.orbit(lift(x))
     limit = cap_bits(engine.digit_cap)
-    for l in range(1, window + 1):
-        orbit.capped(l, limit)
-        orbit.capped(-l, limit)
+    where = f"orbit window [-{window}, {window}]: "
+    for l in (sign * k for k in range(1, window + 1) for sign in (1, -1)):
+        _capped(orbit, l, limit, where)
     samples = [OrbitSample(l, affine(orbit[l]), orbit.size(l)[1], _lattice_value(engine.delta, l, h_plus, h_minus))
                for l in range(-window, window + 1)]
     return OrbitRecord(base=samples[window].point, samples=tuple(samples), hplus0=h_plus,

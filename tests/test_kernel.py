@@ -335,7 +335,8 @@ def walk_tracker(f, sign):
 @pytest.mark.parametrize("f, read", [
     (H2, lambda f: hplus(make_engine(f, depth=40, digit_cap=10_000), X3)),
     (H2, lambda f: hcanonical(make_engine(f, depth=40, digit_cap=10_000), X3)),
-    # depth 8 keeps (hhat+, hhat-) under the cap, so the window refuses
+    # (hhat+, hhat-) reads the certified tracker, whose tails start under the
+    # cap, so the window refuses
     (H2, lambda f: build_orbit_record(make_engine(f, depth=8, digit_cap=10_000), X3, window=40)),
     (H4, lambda f: walk_tracker(f, 1)),   # not certified integral
     (H4, lambda f: walk_tracker(f, -1)),

@@ -74,12 +74,14 @@ def test_unknown_name_raises_attribute_error_naming_it():
 
 
 def test_bare_import_loads_no_submodule_until_one_is_used():
-    # a fresh process: this one has long since loaded every submodule
+    # a fresh process: this one has long since loaded every submodule, so only
+    # there does `planeheights.<submodule>` resolve through the package's __getattr__
     code = (
         "import sys, planeheights\n"
         "print(sorted(m for m in sys.modules if m.startswith('planeheights')))\n"
         "print(*(getattr(planeheights, name).__name__ for name in sys.argv[1:]))\n"
         "print(planeheights.hplus is sys.modules['planeheights.canonical'].hplus)\n"
+        "print(all(getattr(planeheights, name) is sys.modules[f'planeheights.{name}'] for name in sys.argv[1:]))\n"
     )
     proc = subprocess.run([sys.executable, "-c", code, *EXPORTS], capture_output=True, text=True,
                           env=_child_env(), timeout=60)
@@ -87,6 +89,7 @@ def test_bare_import_loads_no_submodule_until_one_is_used():
     assert proc.stdout.splitlines() == [
         "['planeheights']",
         " ".join(f"planeheights.{name}" for name in EXPORTS),
+        "True",
         "True",
     ]
 

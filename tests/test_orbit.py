@@ -506,6 +506,21 @@ def test_enclosure_halfwidth_at_two_two(engine):
     assert enc.upper - enc.lower == pytest.approx(2 * (3.0 + enc.slack), abs=1e-9)
 
 
+def test_an_enclosure_that_straddles_the_threshold_widens_the_slack_by_one():
+    # T at the midpoint of the canonical enclosure at f^5(3, 0): the scan
+    # counts that sample (its midpoint is at T) and reports it as the one
+    # straddle, and the counting law's slack adds one count for it
+    engine = make_engine(HENON2, depth=12)
+    values = orbit_mod._canonical_bounds(engine, X3)
+    lo, hi = values(5)
+    threshold = 0.5 * (lo + hi)
+    assert orbit_mod._scan(values, threshold, engine.error_budget()) == (11, 1)
+    assert orbit_mod._scan(values, 1.01 * threshold, engine.error_budget()) == (11, 0)
+    enclosure = counting_enclosure(engine, X3, threshold)
+    assert enclosure.observed == 11
+    assert enclosure.slack == orbit_mod.orbit_height_slack(engine, X3) + 1
+
+
 # -- counting ---------------------------------------------------------------------
 
 def test_count_below_naive_frozen_value(engine):

@@ -122,6 +122,8 @@ def test_ring_laws():
         assert a * (b + c) == a * b + a * c
         assert a * b == b * a
         assert a - a == BivarPoly.zero()
+        assert Fraction(1, 2) - a == -a + Fraction(1, 2)  # a scalar on the left
+    assert 1 - X == parse_poly("1 - x")
 
 
 def test_compose_associativity():

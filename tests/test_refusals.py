@@ -1,7 +1,9 @@
 """Input refusals: each invalid input is refused with its own exception type
-and a message that names the cause, before any work is done."""
+and a message that names the cause, before any work is done; and a cap
+refusal of the orbit record names the window it walked."""
 
 import argparse
+import json
 from fractions import Fraction
 from pathlib import Path
 
@@ -10,9 +12,9 @@ import pytest
 from planeheights.automorphism import degree_sequence, from_description, henon, pair, triangular
 from planeheights.canonical import make_engine
 from planeheights.cli import _gather_points, _parse_t_grid, main
-from planeheights.errors import MapValidationError, PolyParseError
+from planeheights.errors import MapValidationError, PolyParseError, ResourceCapError
 from planeheights.heights import growth_constant, log_int, read_point_file
-from planeheights.orbit import count_below, count_exponential
+from planeheights.orbit import build_orbit_record, count_below, count_exponential
 from planeheights.picard import basis_labels, closed_form_excess
 from planeheights.ratpoly import BivarPoly, parse_poly
 
@@ -85,3 +87,19 @@ def test_a_point_file_with_no_point_is_named_as_the_cause(command, tmp_path, mon
     map_args = ["--map", str(GOLDEN / "h2.json")] if command == "canheight" else []
     assert main([command, *map_args, "--points", "pts.txt"]) == 2
     assert capsys.readouterr().err == "error: point file 'pts.txt' holds no point\n"
+
+
+def test_the_orbit_records_cap_refusal_names_its_window(capsys):
+    """C6 at (3, 0), depth 5, under a 10^4-digit cap: (hhat+, hhat-) reads
+    the tracker, whose escape tails start under the cap, so the first
+    refusal is that of the record's window walk at +6, which names the
+    window and keeps the iterate, the bound and exit 4."""
+    c6 = GOLDEN / "c6.json"
+    engine = make_engine(from_description(json.loads(c6.read_text())), depth=5, digit_cap=10_000)
+    with pytest.raises(ResourceCapError) as info:
+        build_orbit_record(engine, (Fraction(3), Fraction(0)), 8)
+    message = "orbit window [-8, 8]: coordinate exceeded the digit cap at iterate +6"
+    assert (str(info.value), info.value.iterate, info.value.bound_bits) == (message, 6, 69293)
+    assert main(["orbit", "--map", str(c6), "--point", "3,0", "--depth", "5", "--digit-cap", "10000",
+                 "--T", "1e5"]) == 4
+    assert capsys.readouterr().err == f"resource cap: {message}\n"
