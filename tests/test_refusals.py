@@ -3,13 +3,12 @@ and a message that names the cause, before any work is done; and a cap
 refusal of the orbit record names the window it walked."""
 
 import argparse
-import json
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from planeheights.automorphism import degree_sequence, from_description, henon, pair, triangular
+from planeheights.automorphism import degree_sequence, from_description, henon, load_map_file, pair, triangular
 from planeheights.canonical import make_engine
 from planeheights.cli import _gather_points, _parse_t_grid, main
 from planeheights.errors import MapValidationError, PolyParseError, ResourceCapError
@@ -95,7 +94,7 @@ def test_the_orbit_records_cap_refusal_names_its_window(capsys):
     refusal is that of the record's window walk at +6, which names the
     window and keeps the iterate, the bound and exit 4."""
     c6 = GOLDEN / "c6.json"
-    engine = make_engine(from_description(json.loads(c6.read_text())), depth=5, digit_cap=10_000)
+    engine = make_engine(load_map_file(c6), depth=5, digit_cap=10_000)
     with pytest.raises(ResourceCapError) as info:
         build_orbit_record(engine, (Fraction(3), Fraction(0)), 8)
     message = "orbit window [-8, 8]: coordinate exceeded the digit cap at iterate +6"
